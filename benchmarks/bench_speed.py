@@ -34,6 +34,10 @@ the optimised results are bit-identical to the reference paths:
 * **logic_minimize**: two-level minimization -- the string-cube reference
   minimizers versus the packed integer-cube engines on a pinned corpus
   (identical covers);
+* **logic_controller**: the exact minimizer on real controller logic --
+  every C1/C2/λ output column of the table1 family that the sweep sends
+  down the exact path, string reference versus packed engine (identical
+  covers; dk16's C1 holds a 31-minterm cyclic core);
 * **corpus_sweep**: the registry-driven sweep harness end to end over a
   corpus slice -- uncollapsed versus equivalence-collapsed campaigns,
   with the metrics records (modulo collapse telemetry) required to be
@@ -424,6 +428,59 @@ def bench_logic_minimize(n_functions: int, max_inputs: int) -> dict:
     }
 
 
+def bench_logic_controller(names) -> dict:
+    """Exact minimization of the table1 family's controller tables.
+
+    Each member goes through the sweep's own synthesis path (OSTR search
+    under the ``SweepConfig`` budget, Figure-4 encoding); every C1, C2
+    and λ output column within ``exact_limit`` inputs -- the ones the
+    sweep minimizes exactly -- is replayed through the string reference
+    and the packed engine.  ``identical`` demands equal covers.
+    """
+    from repro.encoding import encode_realization
+    from repro.logic import minimize_exact, minimize_exact_reference
+    from repro.suite import corpus
+    from repro.suite.sweep import SweepConfig
+
+    exact_limit = 10  # synthesize_table's default: the sweep's exact path
+    config = SweepConfig()
+    columns = []
+    for member in corpus.families()["table1"].members:
+        if member.name not in names:
+            continue
+        result = search_ostr(
+            member.build(),
+            node_limit=config.node_limit,
+            basis_order=config.basis_order,
+        )
+        encoded = encode_realization(result.realization())
+        for table in (encoded.c1, encoded.c2, encoded.lambda_):
+            if table.n_inputs > exact_limit:
+                continue
+            for position in range(table.n_outputs):
+                on, dc = table.output_column(position)
+                if on:
+                    columns.append((on, dc, table.n_inputs))
+
+    reference_covers, reference_s = _timed(
+        lambda: [minimize_exact_reference(*column) for column in columns]
+    )
+    packed_covers, packed_s = _timed(
+        lambda: [minimize_exact(*column) for column in columns]
+    )
+    return {
+        "bench": f"logic_controller/{len(names)}-machines",
+        "machines": len(names),
+        "columns": len(columns),
+        "baseline_s": round(reference_s, 4),
+        "optimized_s": round(packed_s, 4),
+        "speedup": (
+            round(reference_s / packed_s, 2) if packed_s else float("inf")
+        ),
+        "identical": reference_covers == packed_covers,
+    }
+
+
 def bench_corpus_sweep(limit: int) -> dict:
     """The registry-driven corpus sweep harness end to end.
 
@@ -590,6 +647,15 @@ def main(argv=None) -> int:
         f"{logic_bench['baseline_s']:.2f}s -> "
         f"{logic_bench['optimized_s']:.2f}s "
         f"(x{logic_bench['speedup']}, identical={logic_bench['identical']})"
+    )
+    controller_bench = bench_logic_controller(sweep_names)
+    results.append(controller_bench)
+    print(
+        f"{controller_bench['bench']}: {controller_bench['columns']} columns, "
+        f"{controller_bench['baseline_s']:.2f}s -> "
+        f"{controller_bench['optimized_s']:.2f}s "
+        f"(x{controller_bench['speedup']}, "
+        f"identical={controller_bench['identical']})"
     )
     corpus_bench = bench_corpus_sweep(corpus_limit)
     results.append(corpus_bench)

@@ -4,7 +4,8 @@
 # cross-engine differential suite (which fails on any golden-file
 # drift), the prescreen-soundness suite with a validate-mode mini-sweep,
 # and a smoke run of the speed benchmark (which asserts the optimised
-# engine is bit-identical to the reference paths).  When pytest-cov is
+# engine is bit-identical to the reference paths), and the end-to-end
+# benchmark's own tests (perfbench/).  When pytest-cov is
 # available (CI installs it) the tier-1 run additionally enforces the
 # line-coverage floor over the fault-simulation and netlist packages.
 # Used by CI and by hand before merging.
@@ -68,6 +69,9 @@ python -m repro.cli sweep --out "$PRESCREEN_TMP/validate" \
   --families table1 --limit 4 --prescreen validate --no-timings --quiet
 python -m repro.cli sweep --verify "$PRESCREEN_TMP/validate"
 rm -rf "$PRESCREEN_TMP"
+
+echo "== end-to-end benchmark harness (perfbench: gate, pins, speed meter, tracing) =="
+python -m pytest perfbench/test_perfbench.py -q
 
 echo "== speed benchmark (smoke; prints speedup vs committed baseline) =="
 python benchmarks/bench_speed.py --smoke

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import LogicError
 
@@ -153,16 +153,6 @@ def int_cubes_intersect(a: IntCube, b: IntCube) -> bool:
     """Do the packed cubes share at least one minterm?"""
     common = a[0] & b[0]
     return a[1] & common == b[1] & common
-
-
-def int_merge_or_none(a: IntCube, b: IntCube) -> Optional[IntCube]:
-    """Distance-1 merge of packed cubes with identical masks, else None."""
-    if a[0] != b[0]:
-        return None
-    difference = a[1] ^ b[1]
-    if difference == 0 or difference & (difference - 1):
-        return None
-    return a[0] & ~difference, a[1] & ~difference
 
 
 def int_supercube(minterms: Sequence[int], n_inputs: int) -> IntCube:

@@ -7,10 +7,12 @@ on the remaining cyclic core.  Cost order: fewest cubes, then fewest
 literals -- the standard PLA objective, which is also what the paper's
 "logic minimization" step (their references [5, 6]) optimises.
 
-The public API trades in string cubes, but the engine runs on packed
-``(mask, value)`` integer cubes (:mod:`repro.logic.cubes`): merging is a
-two-instruction XOR test, containment a masked compare, and coverage of a
-minterm a single AND.  :func:`repro.logic.reference.
+The public API trades in string cubes; the engine runs on packed
+``(mask, value)`` integer cubes (:mod:`repro.logic.cubes`) and bitsets.
+A level's values per mask form one bitset over the value space, so the
+merge partners ``value | bit`` of all of them are found by one
+shift-and-AND per bound bit, and each prime's row of the covering matrix
+is a bitmask over the residual on-set.  :func:`repro.logic.reference.
 minimize_exact_reference` is the seed's string implementation, kept as the
 equivalence oracle -- both produce identical covers (asserted by the
 property suite).
@@ -21,14 +23,12 @@ Intended for the input widths of controller logic (up to ~12 variables);
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from ..exceptions import LogicError
 from .cubes import (
     Cover,
     IntCube,
-    int_cube_literals,
-    int_merge_or_none,
     pack_cube,
     pack_minterm,
     unpack_cube,
@@ -55,28 +55,46 @@ def _validated_care(
     return care
 
 
+def _bits(word: int) -> Iterator[int]:
+    """Positions of the set bits of ``word``, lowest first."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
 def _prime_implicants_packed(care: Set[int], n_inputs: int) -> Set[IntCube]:
-    """All prime implicants of the care set, as packed cubes."""
-    full_mask = (1 << n_inputs) - 1
-    current: Set[IntCube] = {(full_mask, value) for value in care}
+    """All prime implicants of the care set, as packed cubes.
+
+    A level maps each mask to the set of values bound by it, held as a
+    bitset over the value space.  The only possible merge partner of
+    ``(mask, value)`` across a bound bit that is 0 in ``value`` is
+    ``(mask, value | bit)``, so one shift-and-AND looks up the partners of
+    every value at once; a hit puts ``(mask & ~bit, value)`` on the next
+    level and marks both cubes merged.  Unmerged cubes are prime.
+    """
+    size = 1 << n_inputs
+    # clear[p]: the values with bit p clear -- runs of 2**p ones, every 2**(p+1).
+    clear = [
+        ((1 << size) - 1) // ((1 << 2 * bit) - 1) * ((1 << bit) - 1)
+        for bit in (1 << position for position in range(n_inputs))
+    ]
+    level: Dict[int, int] = {size - 1: sum(1 << value for value in care)}
     primes: Set[IntCube] = set()
-    while current:
-        merged_from: Set[IntCube] = set()
-        next_level: Set[IntCube] = set()
-        grouped: Dict[int, List[IntCube]] = {}
-        for cube in current:
-            grouped.setdefault(cube[1].bit_count(), []).append(cube)
-        for ones, cubes in grouped.items():
-            partners = grouped.get(ones + 1, [])
-            for a in cubes:
-                for b in partners:
-                    merged = int_merge_or_none(a, b)
-                    if merged is not None:
-                        next_level.add(merged)
-                        merged_from.add(a)
-                        merged_from.add(b)
-        primes |= current - merged_from
-        current = next_level
+    while level:
+        next_level: Dict[int, int] = {}
+        for mask, values in level.items():
+            merged = 0
+            for position in _bits(mask):
+                bit = 1 << position
+                # Shifting right by ``bit`` moves each ``value | bit`` onto ``value``.
+                pairs = values & (values >> bit) & clear[position]
+                if pairs:
+                    merged |= pairs | (pairs << bit)
+                    key = mask & ~bit
+                    next_level[key] = next_level.get(key, 0) | pairs
+            primes.update((mask, value) for value in _bits(values & ~merged))
+        level = next_level
     return primes
 
 
@@ -94,131 +112,111 @@ def prime_implicants(
 def _select_cover_packed(
     primes: List[IntCube], on_values: List[int], n_inputs: int
 ) -> List[int]:
-    """Indices of a minimum-cube (then minimum-literal) prime cover."""
+    """Indices of a minimum-cube (then minimum-literal) prime cover.
+
+    Bit ``j`` stands for minterm ``j`` of the deduplicated on-set: ``rows[i]``
+    is what prime ``i`` covers, ``uncovered`` the residual on-set.
+    """
     remaining = list(dict.fromkeys(on_values))
     if not remaining:
         return []
-    covering: Dict[int, List[int]] = {
-        minterm: [
-            index
-            for index, (mask, value) in enumerate(primes)
-            if minterm & mask == value
-        ]
-        for minterm in remaining
-    }
-    for minterm, rows in covering.items():
-        if not rows:
+    rows = [0] * len(primes)
+    covering: List[List[int]] = [[] for _ in remaining]
+    for index, (mask, value) in enumerate(primes):
+        for position, minterm in enumerate(remaining):
+            if minterm & mask == value:
+                rows[index] |= 1 << position
+                covering[position].append(index)
+    for position, options in enumerate(covering):
+        if not options:
             raise LogicError(
                 "no prime covers on-set minterm "
-                f"{unpack_minterm(minterm, n_inputs)!r}"
+                f"{unpack_minterm(remaining[position], n_inputs)!r}"
             )
+    literals = [mask.bit_count() for mask, _ in primes]
 
+    uncovered = (1 << len(remaining)) - 1
     chosen: Set[int] = set()
     # Essential primes + dominance until fixpoint.
     while True:
         changed = False
         # Essential: a minterm covered by exactly one remaining prime.
-        for minterm in list(remaining):
-            rows = covering[minterm]
-            if len(rows) == 1:
-                chosen.add(rows[0])
-                mask, value = primes[rows[0]]
-                remaining = [m for m in remaining if m & mask != value]
+        for position in list(_bits(uncovered)):
+            options = covering[position]
+            if len(options) == 1:
+                chosen.add(options[0])
+                uncovered &= ~rows[options[0]]
                 changed = True
-        if not remaining:
+        if not uncovered:
             break
-        # Recompute candidate structure on the residual problem.
+        # Column dominance on the residual problem: drop primes covering a
+        # subset of another's minterms at >= literal cost.
         active = sorted(
-            {index for minterm in remaining for index in covering[minterm]}
-            - chosen
+            {index for position in _bits(uncovered) for index in covering[position]}
         )
-        prime_rows: Dict[int, FrozenSet[int]] = {
-            index: frozenset(
-                m for m in remaining if m & primes[index][0] == primes[index][1]
-            )
-            for index in active
-        }
-        # Column dominance: drop primes covering a subset at >= literal cost.
+        live = {index: rows[index] & uncovered for index in active}
         dropped: Set[int] = set()
         for a in active:
-            if a in dropped:
-                continue
-            literals_a = int_cube_literals(primes[a][0])
+            row_a, literals_a = live[a], literals[a]
             for b in active:
-                if a == b or b in dropped:
+                if a == b or b in dropped or row_a & ~live[b]:
                     continue
-                literals_b = int_cube_literals(primes[b][0])
-                if prime_rows[a] < prime_rows[b] or (
-                    prime_rows[a] == prime_rows[b]
-                    and (
-                        literals_a > literals_b
-                        or (literals_a == literals_b and a > b)
-                    )
+                if row_a != live[b] or literals_a > literals[b] or (
+                    literals_a == literals[b] and a > b
                 ):
                     dropped.add(a)
                     break
         if dropped:
-            for minterm in remaining:
-                covering[minterm] = [
-                    index for index in covering[minterm] if index not in dropped
+            for position in _bits(uncovered):
+                covering[position] = [
+                    index for index in covering[position] if index not in dropped
                 ]
             changed = True
         if not changed:
             break
 
-    if remaining:
-        chosen |= _branch_and_bound(primes, remaining, covering, chosen)
+    if uncovered:
+        chosen |= _branch_and_bound(rows, literals, covering, uncovered)
     return sorted(chosen)
 
 
 def _branch_and_bound(
-    primes: List[IntCube],
-    remaining: List[int],
-    covering: Dict[int, List[int]],
-    already: Set[int],
+    rows: List[int],
+    literals: List[int],
+    covering: List[List[int]],
+    uncovered: int,
 ) -> Set[int]:
-    """Exact covering of the cyclic core (small by the time we get here)."""
-    best: List[Optional[Set[int]]] = [None]
+    """Exact covering of the cyclic core (small by the time we get here).
 
-    def cost(selection: Set[int]) -> Tuple[int, int]:
-        return (
-            len(selection),
-            sum(int_cube_literals(primes[index][0]) for index in selection),
-        )
+    Depth-first over the uncovered bitmask, carrying the selection's
+    ``(cubes, literals)`` cost so a node prunes against the best cover in
+    O(1).  The pivot is the uncovered minterm with the fewest options, ties
+    to the lowest bit; options are tried most-uncovered-minterms first,
+    ties in index order.
+    """
+    pivots = sorted(_bits(uncovered), key=lambda position: len(covering[position]))
+    # (cost, selection) of the best cover so far; the sentinel cost loses to any.
+    best: List[Tuple[Tuple[int, int], Tuple[int, ...]]] = [((len(rows) + 1, 0), ())]
 
-    def recurse(uncovered: List[int], selection: Set[int]) -> None:
-        if best[0] is not None and cost(selection) >= cost(best[0]):
+    def recurse(uncovered: int, selection: Tuple[int, ...], literal_count: int) -> None:
+        cost = (len(selection), literal_count)
+        if cost >= best[0][0]:
             return
         if not uncovered:
-            best[0] = set(selection)
+            best[0] = (cost, selection)
             return
-        # Branch on the hardest minterm (fewest options) for tight bounds.
-        pivot = min(
-            uncovered,
-            key=lambda minterm: len(
-                [i for i in covering[minterm] if i not in already]
-            ),
-        )
-        options = [index for index in covering[pivot] if index not in already]
-        options.sort(
-            key=lambda index: -len(
-                [
-                    m
-                    for m in uncovered
-                    if m & primes[index][0] == primes[index][1]
-                ]
-            )
+        pivot = next(p for p in pivots if uncovered >> p & 1)
+        options = sorted(
+            covering[pivot], key=lambda index: -(rows[index] & uncovered).bit_count()
         )
         for index in options:
-            mask, value = primes[index]
-            new_selection = selection | {index}
-            new_uncovered = [m for m in uncovered if m & mask != value]
-            recurse(new_uncovered, new_selection)
+            extended = selection + (index,)
+            recurse(uncovered & ~rows[index], extended, literal_count + literals[index])
 
-    recurse(list(remaining), set())
-    if best[0] is None:
+    recurse(uncovered, (), 0)
+    if not best[0][1]:
         raise LogicError("covering failed (unreachable for consistent input)")
-    return best[0]
+    return set(best[0][1])
 
 
 def minimize_exact(

@@ -306,9 +306,14 @@ class CampaignServer:
             self.close()
 
     def _drain_and_stop(self) -> None:
-        """POST /shutdown path: finish accepted work, then stop serving."""
+        """POST /shutdown path: finish accepted work, then stop serving.
+
+        Closing the listening socket makes later connects fail at once
+        with a refusal instead of waiting unanswered in the backlog.
+        """
         self.engine.close(drain=True)
         self._httpd.shutdown()
+        self._httpd.server_close()
 
     def install_signal_handlers(self) -> None:
         """Route ``SIGTERM``/``SIGINT`` through the graceful-drain path.

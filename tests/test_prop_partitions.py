@@ -12,6 +12,8 @@ Three suites share this file:
   covers).
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,24 +298,6 @@ def test_int_cube_ops_match_string_ops(n, data):
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
-def test_int_merge_matches_try_merge(n, data):
-    from repro.exceptions import LogicError
-
-    a = data.draw(string_cubes(n))
-    b = data.draw(string_cubes(n))
-    merged = C.int_merge_or_none(C.pack_cube(a), C.pack_cube(b))
-    try:
-        expected = C.try_merge(a, b)
-    except LogicError:
-        expected = None
-    if expected is None:
-        assert merged is None
-    else:
-        assert merged is not None
-        assert C.unpack_cube(*merged, n) == expected
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
 def test_int_supercube_matches_string_supercube(n, data):
     minterms = data.draw(
         st.lists(
@@ -347,6 +331,36 @@ def test_minimizers_identical_to_string_reference(data):
     assert minimize_heuristic(on, dc, n) == minimize_heuristic_reference(
         on, dc, n
     )
+
+
+@st.composite
+def controller_functions(draw):
+    """Incompletely specified functions at the widths of controller logic.
+
+    C1/C2/λ tables reach the exact minimizer at 2..10 inputs with a median
+    don't-care fraction near 0.25; the wide ones have sparse on-sets.
+    """
+    n = draw(st.integers(min_value=6, max_value=9))
+    dc_density = draw(st.floats(min_value=0.0, max_value=0.6))
+    on_density = draw(st.floats(min_value=0.0, max_value=0.25))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    on, dc = [], []
+    for value in range(2 ** n):
+        roll = rng.random()
+        minterm = format(value, f"0{n}b")
+        if roll < dc_density:
+            dc.append(minterm)
+        elif roll < dc_density + (1.0 - dc_density) * on_density:
+            on.append(minterm)
+    return n, on, dc
+
+
+@settings(max_examples=25, deadline=None)
+@given(controller_functions())
+def test_exact_minimizer_identical_at_controller_widths(data):
+    n, on, dc = data
+    assert prime_implicants(on, dc, n) == prime_implicants_reference(on, dc, n)
+    assert minimize_exact(on, dc, n) == minimize_exact_reference(on, dc, n)
 
 
 def test_zero_input_functions_identical():

@@ -1,5 +1,7 @@
 """Tests for the exact Quine-McCluskey minimizer."""
 
+import os
+
 import pytest
 
 from repro.exceptions import LogicError
@@ -112,3 +114,72 @@ class TestMinimizeExact:
             if best is not None:
                 break
         assert cover.n_cubes == best
+
+
+class TestDk16CyclicCore:
+    """table1/dk16's controller tables, pinned against the string oracle.
+
+    The tables come from the sweep's own path (corpus member, OSTR search
+    under the sweep's default budget, Figure-4 encoding), so a change to
+    any of those stages shows up here too.  C1 output 4 is a 31-minterm
+    cyclic core that only branch-and-bound can cover.
+    """
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        from repro.encoding import encode_realization
+        from repro.ostr import search_ostr
+        from repro.suite import corpus
+        from repro.suite.sweep import SweepConfig
+
+        config = SweepConfig()
+        member = next(
+            m for m in corpus.families()["table1"].members if m.name == "dk16"
+        )
+        result = search_ostr(
+            member.build(),
+            node_limit=config.node_limit,
+            basis_order=config.basis_order,
+        )
+        encoded = encode_realization(result.realization())
+        return {"c1": encoded.c1, "c2": encoded.c2, "lambda": encoded.lambda_}
+
+    @pytest.mark.parametrize("block", ["c1", "c2"])
+    def test_exact_columns_match_reference(self, tables, block, monkeypatch):
+        from repro.logic import minimize_exact_reference, quine_mccluskey
+
+        cores = []
+        branch_and_bound = quine_mccluskey._branch_and_bound
+
+        def spy(rows, literals, covering, uncovered):
+            cores.append(uncovered.bit_count())
+            return branch_and_bound(rows, literals, covering, uncovered)
+
+        monkeypatch.setattr(quine_mccluskey, "_branch_and_bound", spy)
+        table = tables[block]
+        n = table.n_inputs
+        assert n == 7
+        for position in range(table.n_outputs):
+            on, dc = table.output_column(position)
+            assert minimize_exact(on, dc, n) == minimize_exact_reference(
+                on, dc, n
+            ), (block, position)
+        assert cores == {"c1": [8, 31], "c2": [7, 9]}[block]
+
+    def test_lambda_columns_match_reference(self, tables):
+        """λ has 12 inputs, past ``exact_limit``, so the sweep minimizes it
+        heuristically.  The exact cover must still be a valid cover no
+        larger than the heuristic one; the string oracle needs over a
+        minute per column, so comparing against it is opt-in."""
+        from repro.logic import minimize, minimize_exact_reference
+
+        table = tables["lambda"]
+        n = table.n_inputs
+        assert n == 12
+        for position in range(table.n_outputs):
+            on, dc = table.output_column(position)
+            exact = minimize_exact(on, dc, n)
+            verify_cover(exact, on, full_off_set(on, dc, n))
+            assert len(exact) <= len(minimize(on, dc, n))
+            if os.environ.get("REPRO_GOLDEN_HEAVY"):
+                assert exact == minimize_exact_reference(on, dc, n)

@@ -275,13 +275,22 @@ class TestHttpSurface:
     def test_shutdown_drains_and_stops(self, server, client):
         accepted = client.submit(payload())
         client.shutdown()
+        # A short-timeout probe without retries: once the server has
+        # drained, a connect must be refused at once -- never left
+        # unanswered in the listen backlog until the timeout fires.
+        probe = ServiceClient(server.url, timeout=5.0, retries=0)
         deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
+        while True:
+            assert time.monotonic() < deadline, "still serving after /shutdown"
+            started = time.monotonic()
             try:
-                client.health()
-            except ServiceError:
-                break  # socket closed: the server finished draining
+                probe.health()
+            except ServiceError as exc:
+                refused = exc
+                break
             time.sleep(0.05)
+        assert time.monotonic() - started < 1.0
+        assert isinstance(refused.__cause__, ConnectionError)
         # the accepted job was finished, not dropped
         job = server.engine.job(accepted["job"])
         assert job.state == "done"
