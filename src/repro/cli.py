@@ -138,17 +138,16 @@ def _cmd_arch(args: argparse.Namespace) -> int:
 def _cmd_coverage(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
     pool = None
-    if args.pool:
+    if args.workers > 1:
         from .faults.pool import CampaignPool
 
-        pool = CampaignPool(args.pool)
+        pool = CampaignPool(args.workers)
     try:
         print(
             experiments.format_coverage(
                 experiments.run_coverage(
                     machine,
                     cycles=args.cycles,
-                    workers=args.workers,
                     # The interpreted oracle only decides verdicts on the
                     # serial per-fault path; dropping would resolve them
                     # through the compiled screening kernels instead.
@@ -201,7 +200,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                     f"{stats['proved']}/{stats['scheduled']} scheduled faults "
                     f"proved untestable ({tally}); {note}"
                 )
-        if args.workers > 1 or pool is not None:
+        if pool is not None:
             from .faults.engine import CAMPAIGN_STATS
 
             if CAMPAIGN_STATS:
@@ -222,7 +221,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         if pool is not None:
             stats = pool.stats
             print(
-                f"pool: {args.pool} persistent workers served "
+                f"pool: {args.workers} persistent workers served "
                 f"{stats['campaigns']} campaigns + {stats['ppsfp']} PPSFP "
                 f"requests, {stats['reuse_hits']} compiled-subject reuse "
                 f"hits, {stats['respawns']} respawns"
@@ -337,7 +336,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         collapse=args.collapse,
         prescreen=args.prescreen,
         workers=args.workers,
-        pool=args.pool,
         record_timings=not args.no_timings,
     )
 
@@ -719,7 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="fan the fault universe out over N chunk-stealing processes",
+        metavar="N",
+        help="serve all four architecture campaigns and the PPSFP screens "
+        "from one pool of N worker processes (compiled state reused "
+        "across campaigns); 0 or 1 runs in-process",
     )
     coverage.add_argument(
         "--chunk-size",
@@ -737,14 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference",
         action="store_true",
         help="serial oracle without fault dropping (identical report, slower)",
-    )
-    coverage.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve all campaigns and PPSFP screens from N persistent "
-        "worker processes (compiled state reused across campaigns)",
     )
     coverage.add_argument(
         "--collapse",
@@ -779,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="re-dispatch budget after worker crashes/timeouts "
-        "(default: the pool's budget on --pool, otherwise 0)",
+        help="re-dispatch budget after worker crashes/timeouts on the "
+        "--workers pool (default: the pool's budget, 2)",
     )
     coverage.add_argument(
         "--checkpoint",
@@ -793,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrade",
         action="store_true",
         help="on an exhausted retry budget, fall back down the "
-        "pool -> workers -> serial -> interpreted ladder instead of failing",
+        "pool -> serial -> interpreted ladder instead of failing",
     )
     coverage.add_argument(
         "--engine",
@@ -842,13 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
         "against the prover (the canonical ledger is identical either way)",
     )
     sweep.add_argument(
-        "--workers", type=int, default=0,
-        help="chunk-stealing campaign workers (wall-clock only; the "
-        "metrics ledger is scheduler-independent)",
-    )
-    sweep.add_argument(
-        "--pool", type=int, default=0, metavar="N",
-        help="serve campaigns from N persistent worker processes",
+        "--workers", type=int, default=0, metavar="N",
+        help="serve every campaign of the sweep from one pool of N worker "
+        "processes (wall-clock only; the metrics ledger is "
+        "scheduler-independent)",
     )
     sweep.add_argument(
         "--no-timings", action="store_true",

@@ -267,7 +267,6 @@ def run_coverage(
     machine: MealyMachine,
     cycles: Optional[int] = None,
     method: str = "auto",
-    workers: int = 0,
     dropping: bool = False,
     superpose: bool = True,
     chunk_size: Optional[int] = None,
@@ -282,15 +281,15 @@ def run_coverage(
 ) -> List[CoverageRow]:
     """Measure self-test stuck-at coverage of Figures 2-4 on one machine.
 
-    ``workers``/``dropping``/``superpose``/``chunk_size`` select the
-    campaign engine of :mod:`repro.faults.engine`; the reports are
-    bit-identical to the serial oracle either way, so these are pure
-    wall-clock knobs -- as is ``collapse="equiv"``, which schedules one
-    representative per structural equivalence class and expands the
-    verdicts back (``"dominance"`` shrinks the *reported* universe and is
-    opt-in).  ``pool`` (a :class:`~repro.faults.pool.CampaignPool`) runs
-    all four campaigns -- and the PPSFP redundancy screens -- over the
-    same persistent workers, the sweep shape the pool exists for;
+    ``dropping``/``superpose``/``chunk_size`` select the campaign engine
+    of :mod:`repro.faults.engine`; the reports are bit-identical to the
+    serial oracle either way, so these are pure wall-clock knobs -- as is
+    ``collapse="equiv"``, which schedules one representative per
+    structural equivalence class and expands the verdicts back
+    (``"dominance"`` shrinks the *reported* universe and is opt-in).
+    ``pool`` (a :class:`~repro.faults.pool.CampaignPool`) fans all four
+    campaigns -- and the PPSFP redundancy screens -- out over the same
+    persistent workers; without it everything runs in-process.
     ``engine="interpreted"`` selects the seed dict-keyed session loops as
     the oracle.
 
@@ -320,7 +319,6 @@ def run_coverage(
         report = measure_coverage(
             controller,
             cycles=cycles,
-            workers=workers,
             dropping=dropping,
             superpose=superpose,
             chunk_size=chunk_size,

@@ -1,13 +1,14 @@
 """Chaos injection for the fault-simulation runtime itself.
 
-The engine and pool schedulers of :mod:`repro.faults.engine` and
-:mod:`repro.faults.pool` promise bit-identical :class:`CoverageReport`
-objects *through* worker crashes, hangs and broken pipes -- promises that
-are worthless unless those paths are exercised on purpose.  This module is
-the fault model for the test infrastructure: small, deterministic
-injection plans that the worker processes consult at well-defined hook
-points, gated off entirely unless a plan is supplied (parameter) or armed
-in the environment (:data:`CHAOS_ENV`).
+The campaign scheduler (:mod:`repro.faults.pool`, which every
+multi-process campaign of :mod:`repro.faults.engine` runs on) promises
+bit-identical :class:`CoverageReport` objects *through* worker crashes,
+hangs and broken pipes -- promises that are worthless unless those paths
+are exercised on purpose.  This module is the fault model for the test
+infrastructure: small, deterministic injection plans that the worker
+processes consult at well-defined hook points, gated off entirely unless
+a plan is supplied (parameter) or armed in the environment
+(:data:`CHAOS_ENV`).
 
 Supported event kinds
 ---------------------
@@ -113,7 +114,7 @@ _KINDS = (
     "torn_tail",
     "http_stall",
 )
-_TARGETS = ("pool", "engine", "service", "any")
+_TARGETS = ("pool", "service", "any")
 
 #: environment variable carrying the serving process's spawn generation
 #: (0 = first boot, bumped by whoever restarts it); the same convergence
@@ -130,9 +131,9 @@ class ChaosEvent:
     for the chunk-scoped kinds, subject unpickles for ``poison_pickle``),
     0-based; the event fires at the first opportunity whose counter is
     ``>= on_chunk``.  ``worker`` restricts the event to one worker index
-    (``None`` = every worker).  ``target`` selects which scheduler the
-    event arms in: persistent-pool workers (``"pool"``), one-shot engine
-    workers (``"engine"``), or both (``"any"``).
+    (``None`` = every worker).  ``target`` selects where the event arms:
+    pool workers (``"pool"``), the campaign service's serving process
+    (``"service"``), or both (``"any"``).
     """
 
     kind: str
@@ -244,8 +245,7 @@ class ChaosState:
 
     Built once at worker (or server) startup from the explicit plan
     (shipped through the spawn args) or the environment.  ``scope`` names
-    the runtime the state arms in (``"pool"``, ``"engine"`` or
-    ``"service"``); ``generation`` is the spawn generation for the
+    the runtime the state arms in (``"pool"`` or ``"service"``); ``generation`` is the spawn generation for the
     convergence gate described in the module docstring.
 
     Worker processes consult their state single-threaded; the service
@@ -290,7 +290,7 @@ class ChaosState:
                     return event
         return None
 
-    def before_chunk(self, connection=None) -> None:
+    def before_chunk(self, connection) -> None:
         """Hook: the worker is about to resolve a stolen chunk."""
         if not self._events:
             self._chunks += 1
@@ -304,8 +304,7 @@ class ChaosState:
         elif event.kind == "hang":
             time.sleep(event.seconds if event.seconds > 1.0 else 3600.0)
         elif event.kind == "pipe_close":
-            if connection is not None:
-                connection.close()
+            connection.close()
             os._exit(0)
         elif event.kind == "slow":
             time.sleep(event.seconds)

@@ -92,14 +92,15 @@ def measure_coverage(
 
     With the default ``workers=0, dropping=False`` this is the serial
     reference oracle: one full self-test per fault, final signature tuples
-    compared.  ``workers=N`` fans the fault universe out over ``N``
-    chunk-stealing processes and ``dropping=True`` enables the exact
-    fault-dropping fast paths (including lane-superposed fallback
-    sessions; ``superpose=False`` keeps the per-fault serial replays) --
-    both via :mod:`repro.faults.engine`, which guarantees a bit-identical
-    :class:`CoverageReport` either way.  ``pool`` runs the campaign on a
-    persistent :class:`~repro.faults.pool.CampaignPool` whose workers keep
-    controllers compiled across campaigns (same guarantee).
+    compared.  ``dropping=True`` enables the exact fault-dropping fast
+    paths (including lane-superposed fallback sessions;
+    ``superpose=False`` keeps the per-fault serial replays) via
+    :mod:`repro.faults.engine`, which guarantees a bit-identical
+    :class:`CoverageReport`.  Multi-process campaigns always run on a
+    :class:`~repro.faults.pool.CampaignPool` (same guarantee): ``pool``
+    names a caller-owned persistent pool whose workers keep controllers
+    compiled across campaigns, and ``workers=N`` without one opens an
+    ephemeral ``N``-worker pool for this campaign only.
 
     ``collapse="equiv"`` schedules one representative per structural
     equivalence class and expands the verdicts back
@@ -124,8 +125,8 @@ def measure_coverage(
     engine module docstring): ``timeout`` arms the no-progress watchdog,
     ``retries`` bounds crash/hang re-dispatches, ``checkpoint`` names a
     crash-safe snapshot file for bit-identical resume, and
-    ``degrade=True`` walks the pool -> workers -> serial -> interpreted
-    fallback ladder instead of raising on an exhausted budget.
+    ``degrade=True`` walks the pool -> serial -> interpreted fallback
+    ladder instead of raising on an exhausted budget.
 
     Extra keyword options (e.g. ``lambda_session=False`` for the strictly
     two-session pipeline flow) are forwarded to the controller's

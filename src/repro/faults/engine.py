@@ -1,5 +1,5 @@
 """High-throughput fault-simulation campaigns (exact dropping, superposition,
-chunk-steal fan-out).
+pooled fan-out).
 
 This engine accelerates :func:`repro.faults.coverage.measure_coverage`
 campaigns by orders of magnitude while returning **bit-identical**
@@ -51,30 +51,21 @@ the engine drops faults without ever approximating the final signature:
    ``superpose=False`` forces the old per-fault serial replays (kept as
    the oracle and as the benchmark baseline).
 
-Chunk-steal scheduling (the ``workers=N`` path)
------------------------------------------------
+Multi-process scheduling (the ``workers=N`` and ``pool=`` paths)
+----------------------------------------------------------------
 
-Static index-chunked fan-out (the previous ``ProcessPoolExecutor.map``)
-leaves cores idle when chunks finish unevenly -- and with dropping they
-always do: a chunk of screened-out faults costs microseconds while a chunk
-of fallback survivors replays whole sessions.  The scheduler here instead
-shares one work queue in shared memory:
-
-* a shared next-index counter -- idle workers *steal* the next chunk of
-  fault indices the moment they finish one, so the tail of the campaign
-  stays balanced without any result serialisation;
-* a shared per-fault outcome array (``missed`` / ``detected`` /
-  ``dropped`` flags) that workers write directly, read back index-ordered
-  by the parent for the deterministic merge;
-* a shared per-worker steal counter, exported in :data:`CAMPAIGN_STATS`
-  together with the dropped-fault tally for scheduler telemetry.
-
-Each worker rebuilds the reference signatures and screening bundle once
-(controllers ship pickled without their compiled kernels and recompile
-lazily), then processes stolen chunks through the same batch protocol as
-the in-process path.  Workers skip outcome flags that are already
-resolved, so a re-dispatch after a crash (or a checkpoint resume) only
-recomputes the gaps.
+Every multi-process campaign runs on a
+:class:`~repro.faults.pool.CampaignPool` -- see :mod:`repro.faults.pool`
+for the chunk-steal protocol, the no-progress watchdog, the retry loop
+and the deterministic index-ordered merge.  ``pool=`` routes the campaign
+over a caller-owned, long-lived pool whose workers cache each controller
+(and its per-session reference state) across campaigns.  ``workers=N``
+without a pool opens an ephemeral ``CampaignPool(N)`` for this one
+campaign; its workers are forked with the live controller -- compiled
+kernels included -- already in their subject cache, so nothing is
+pickled, shipped or recompiled.  Outcome codes, merge order and
+therefore the reports are identical either way; ``CAMPAIGN_STATS``
+carries the pool's reuse/respawn telemetry.
 
 Fault collapsing (the ``collapse=`` path)
 -----------------------------------------
@@ -110,36 +101,24 @@ soundness (and the engines' exactness) as a continuously-checked
 theorem.  ``CAMPAIGN_STATS["prescreen"]`` carries the verdict tallies,
 the skip count and the per-fault proof witnesses.
 
-Persistent pools (the ``pool=`` path)
--------------------------------------
-
-One-shot fan-out pays the fork + state-rebuild cost on every campaign;
-Table-style sweeps run many campaigns back to back.  Passing a
-:class:`~repro.faults.pool.CampaignPool` routes the same chunk-steal
-protocol over long-lived workers that cache each controller (and its
-per-session reference state) across campaigns -- see
-:mod:`repro.faults.pool`.  Outcome codes, merge order and therefore the
-reports are identical; ``CAMPAIGN_STATS`` additionally carries the pool's
-reuse/respawn telemetry.
-
 Resilience (deadlines, retries, checkpoints, the degradation ladder)
 --------------------------------------------------------------------
 
 The runtime defends against *its own* failures, not just the simulated
 ones:
 
-* ``timeout=`` arms a no-progress watchdog on the multi-process
-  schedulers (and a cooperative per-chunk deadline on the serial path);
-  hung workers are killed and their unfinished chunks re-dispatched with
-  bounded exponential backoff up to the retry budget, after which a
-  structured :exc:`~repro.exceptions.JobTimeout` /
+* ``timeout=`` arms the pool's no-progress watchdog (and a cooperative
+  per-chunk deadline on the serial path); hung workers are killed and
+  their unfinished chunks re-dispatched with bounded exponential backoff
+  up to the ``retries`` budget, after which a structured
+  :exc:`~repro.exceptions.JobTimeout` /
   :exc:`~repro.exceptions.WorkerCrash` propagates.
 * ``checkpoint=`` periodically snapshots the per-fault outcome array to
   disk (:mod:`repro.faults.checkpoint`), keyed by the SHA of the subject
   and the full campaign token; a rerun resumes from the completed prefix
   and the final report is bit-identical to an uninterrupted run.
 * ``degrade=True`` walks the degradation ladder on repeated failure:
-  pool -> in-process chunk-steal workers -> serial compiled -> serial
+  pool (caller-owned or ephemeral) -> serial compiled -> serial
   interpreted, recording each step as a :class:`DegradationEvent`.
 * every campaign exports ``CAMPAIGN_STATS["resilience"]`` telemetry:
   retries, worker respawns, watchdog timeouts, re-dispatched
@@ -165,10 +144,9 @@ failure schedules).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import multiprocessing
 import pickle
-import queue as queue_module
 import threading
 import time
 from collections.abc import MutableMapping
@@ -180,10 +158,8 @@ from ..exceptions import (
     JobTimeout,
     PrescreenViolation,
     ReproError,
-    ResilienceError,
     WorkerCrash,
 )
-from .chaos import ChaosState
 from .checkpoint import CampaignCheckpoint, campaign_key
 from .collapse import COLLAPSE_MODES, FaultMap
 from .coverage import (
@@ -293,20 +269,8 @@ def campaign_telemetry() -> Dict[str, object]:
         "prescreen": prescreen_slice,
     }
 
-#: grace period (seconds) for the deterministic post-join error drain: a
-#: failed worker's traceback may still be in flight through the queue's
-#: feeder pipe after the process is joined.
-_ERROR_DRAIN_GRACE = 1.0
-
-#: default base of the bounded exponential backoff between re-dispatch
-#: attempts of the one-shot scheduler.
-_DEFAULT_BACKOFF = 0.05
-
-#: ceiling on one backoff sleep.
-_BACKOFF_CAP = 2.0
-
 #: the degradation ladder, most capable rung first.
-_LADDER = ("pool", "workers", "serial", "interpreted")
+_LADDER = ("pool", "serial", "interpreted")
 
 
 @dataclass(frozen=True)
@@ -314,7 +278,7 @@ class DegradationEvent:
     """One step down the degradation ladder, recorded in telemetry.
 
     ``rung_from``/``rung_to`` name the scheduler rungs (``"pool"``,
-    ``"workers"``, ``"serial"``, ``"interpreted"``); ``kind`` classifies
+    ``"serial"``, ``"interpreted"``); ``kind`` classifies
     the triggering failure (``"timeout"``, ``"crash"``, ``"error"``) and
     ``error`` carries its one-line summary.
     """
@@ -391,7 +355,8 @@ def _chunk_outcomes(
 
 
 def default_chunk_size(total: int, workers: int) -> int:
-    """Steal granularity shared by the one-shot and pooled schedulers.
+    """Steal granularity of the pooled scheduler (and the serial rung's
+    checkpoint chunks).
 
     Small enough that the tail balances across workers, large enough that
     superposed batches still fill their fault lanes.
@@ -408,282 +373,6 @@ def _campaign_state(controller, cycles, seed, dropping, options):
     if dropping and hasattr(controller, "campaign_reference"):
         bundle = controller.campaign_reference(cycles=cycles, seed=seed, **options)
     return reference, bundle
-
-
-# ---------------------------------------------------------------------------
-# chunk-steal worker (module-level for picklability under spawn)
-# ---------------------------------------------------------------------------
-
-
-def _steal_worker(
-    worker_index: int,
-    controller,
-    universe: List[BlockFault],
-    cycles,
-    seed,
-    dropping: bool,
-    superpose: bool,
-    options,
-    next_index,
-    outcomes,
-    steal_counts,
-    chunk_size: int,
-    errors,
-    generation: int = 0,
-) -> None:
-    """One scheduler worker: steal index chunks until the queue drains.
-
-    ``next_index`` is the shared work-queue head (lock-guarded);
-    ``outcomes`` is the shared per-fault flag array (disjoint writes need
-    no lock; already-resolved flags from a resume/re-dispatch are
-    skipped); ``steal_counts[worker_index]`` tallies stolen chunks; any
-    exception is shipped back through the ``errors`` queue so the parent
-    can re-raise with the real traceback text instead of a bare exit
-    code.  ``generation`` is the dispatch attempt this worker belongs to
-    -- non-sticky chaos events (:mod:`repro.faults.chaos`, armed via the
-    environment) only fire in generation 0 so re-dispatches converge.
-    """
-    chaos = ChaosState(None, "engine", worker_index, generation)
-    try:
-        reference, bundle = _campaign_state(
-            controller, cycles, seed, dropping, options
-        )
-        total = len(universe)
-        while True:
-            with next_index.get_lock():
-                start = next_index.value
-                if start >= total:
-                    break
-                next_index.value = start + chunk_size
-            steal_counts[worker_index] += 1
-            chaos.before_chunk()
-            chunk = universe[start : start + chunk_size]
-            todo = [
-                (offset, block_fault)
-                for offset, block_fault in enumerate(chunk)
-                if outcomes[start + offset] < 0
-            ]
-            if not todo:
-                continue
-            codes = _chunk_outcomes(
-                controller,
-                bundle,
-                reference,
-                [block_fault for _offset, block_fault in todo],
-                cycles,
-                seed,
-                superpose,
-                options,
-            )
-            for (offset, _block_fault), code in zip(todo, codes):
-                outcomes[start + offset] = code
-    except BaseException:
-        import traceback
-
-        errors.put((worker_index, traceback.format_exc()))
-        raise
-
-
-def _drain_errors(errors, collected: List, expected: int) -> None:
-    """Deterministic post-join error drain.
-
-    ``Queue`` items travel through a feeder thread and a pipe, so a late
-    worker traceback can still be in flight *after* the process has been
-    joined -- a bare ``get_nowait()`` sweep silently drops it and masks
-    the real failure.  Keep draining until every failed worker's report
-    arrived or the grace period passes, then sort by worker index so the
-    first failure (by index) leads the diagnostics.
-    """
-    grace_end = time.monotonic() + _ERROR_DRAIN_GRACE
-    while len(collected) < expected and time.monotonic() < grace_end:
-        try:
-            collected.append(errors.get(timeout=0.05))
-        except queue_module.Empty:
-            pass
-    while True:
-        try:
-            collected.append(errors.get_nowait())
-        except queue_module.Empty:
-            break
-    collected.sort(key=lambda item: item[0])
-
-
-def _parallel_outcomes(
-    controller,
-    universe: List[BlockFault],
-    cycles,
-    seed,
-    dropping: bool,
-    superpose: bool,
-    workers: int,
-    chunk_size: Optional[int],
-    options,
-    deadline: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = _DEFAULT_BACKOFF,
-    resume: Optional[Sequence[int]] = None,
-    progress: Optional[Callable[[int, List[int]], None]] = None,
-    resilience: Optional[Dict[str, object]] = None,
-) -> List[int]:
-    """Fan the universe out over chunk-stealing worker processes.
-
-    ``deadline`` arms the no-progress watchdog (no advance of the shared
-    next-index counter and no worker exit within ``deadline`` seconds ->
-    every worker is killed and the attempt fails); failed attempts are
-    re-dispatched up to ``retries`` times with bounded exponential
-    backoff, recomputing only the unresolved outcome flags.  ``resume``
-    pre-fills completed codes (checkpoint resume); ``progress`` receives
-    periodic ``(0, codes)`` snapshots; ``resilience`` accumulates
-    retry/respawn/timeout telemetry.
-    """
-    total = len(universe)
-    if chunk_size is None:
-        chunk_size = default_chunk_size(total, workers)
-    elif chunk_size < 1:
-        raise ReproError(f"chunk_size must be >= 1, got {chunk_size}")
-    if retries < 0:
-        raise ReproError(f"retries must be >= 0, got {retries}")
-    context = multiprocessing.get_context()
-    outcomes = context.Array("b", total, lock=False)
-    outcomes[:] = list(resume) if resume is not None else [-1] * total
-    worker_count = min(workers, -(-total // chunk_size))
-    steal_tally = [0] * worker_count
-    error_reports: List = []
-    failure_details: List[str] = []
-    timed_out = False
-    crashed = False
-    for attempt in range(retries + 1):
-        if all(outcomes[index] >= 0 for index in range(total)):
-            break  # fully resumed / previous attempt completed late
-        if attempt:
-            unfinished = sum(1 for index in range(total) if outcomes[index] < 0)
-            if resilience is not None:
-                resilience["retries"] += 1
-                resilience["respawns"] += worker_count
-                resilience["redispatched_faults"] += unfinished
-                resilience["redispatched_chunks"] += -(-unfinished // chunk_size)
-            time.sleep(min(backoff * (2 ** (attempt - 1)), _BACKOFF_CAP))
-        next_index = context.Value("l", 0)
-        steal_counts = context.Array("l", worker_count, lock=False)
-        errors = context.Queue()
-        processes = [
-            context.Process(
-                target=_steal_worker,
-                args=(
-                    index,
-                    controller,
-                    universe,
-                    cycles,
-                    seed,
-                    dropping,
-                    superpose,
-                    options,
-                    next_index,
-                    outcomes,
-                    steal_counts,
-                    chunk_size,
-                    errors,
-                    attempt,
-                ),
-            )
-            for index in range(worker_count)
-        ]
-        for process in processes:
-            process.start()
-        # Drain the error queue *while* waiting: a worker whose traceback
-        # exceeds the pipe buffer would otherwise block in its queue feeder
-        # thread at exit and deadlock the join below.  The same loop runs
-        # the no-progress watchdog and the periodic progress snapshots.
-        attempt_reports: List = []
-        attempt_timed_out = False
-        last_progress = time.monotonic()
-        last_counter = next_index.value
-        last_snapshot = time.monotonic()
-        while any(process.is_alive() for process in processes):
-            try:
-                attempt_reports.append(errors.get(timeout=0.05))
-            except queue_module.Empty:
-                pass
-            now = time.monotonic()
-            counter = next_index.value
-            if counter != last_counter:
-                last_progress = now
-                last_counter = counter
-            if progress is not None and now - last_snapshot >= 0.5:
-                progress(0, list(outcomes))
-                last_snapshot = now
-            if deadline is not None and now - last_progress > deadline:
-                attempt_timed_out = True
-                for process in processes:
-                    if process.is_alive():
-                        process.terminate()
-                break
-        for process in processes:
-            process.join()
-        failed = [
-            (index, process.exitcode)
-            for index, process in enumerate(processes)
-            if process.exitcode != 0
-        ]
-        _drain_errors(errors, attempt_reports, len(failed))
-        error_reports.extend(attempt_reports)
-        for index in range(worker_count):
-            steal_tally[index] += steal_counts[index]
-        if attempt_timed_out:
-            timed_out = True
-            failure_details.append(
-                f"attempt {attempt}: no scheduling progress within "
-                f"{deadline}s deadline; workers killed"
-            )
-        if failed and not attempt_timed_out:
-            crashed = True
-            failure_details.append(
-                f"attempt {attempt}: worker exit codes "
-                f"{[code for _index, code in failed]}"
-            )
-        complete = all(outcomes[index] >= 0 for index in range(total))
-        if complete and not attempt_timed_out:
-            # Late failures with a fully-resolved array are still a valid,
-            # deterministic result (index-ordered merge); accept them.
-            break
-    codes = list(outcomes)
-    if progress is not None:
-        progress(0, codes)
-    unprocessed = sum(1 for code in codes if code < 0)
-    if unprocessed:
-        details = "".join(
-            f"\n--- worker {worker_index} ---\n{trace}"
-            for worker_index, trace in error_reports
-        )
-        message = (
-            f"campaign worker failure after {retries + 1} attempt(s); "
-            f"{unprocessed} faults unprocessed\n"
-            + "\n".join(failure_details)
-            + details
-        )
-        common = dict(
-            attempts=retries + 1,
-            unprocessed=unprocessed,
-            failures=failure_details
-            + [f"worker {index}:\n{trace}" for index, trace in error_reports],
-        )
-        if timed_out:
-            raise JobTimeout(message, deadline=deadline, **common)
-        if crashed and not error_reports:
-            raise WorkerCrash(message, **common)
-        raise ResilienceError(message, **common)
-    CAMPAIGN_STATS.clear()
-    CAMPAIGN_STATS.update(
-        workers=worker_count,
-        chunk_size=chunk_size,
-        chunks_stolen=steal_tally,
-        # Drop/alias outcome codes only flow through the batch protocol;
-        # the per-fault serial fallback reports plain hit/miss booleans.
-        dropped=(
-            sum(1 for code in codes if code == FAULT_DROPPED) if superpose else None
-        ),
-    )
-    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +493,22 @@ def _campaign_checkpoint(
     )
 
 
+def _rung_pool(pool, workers: int, total: int, controller):
+    """Context manager yielding the pool rung's pool.
+
+    A caller-owned ``pool`` passes through untouched.  Otherwise the
+    campaign gets an ephemeral ``CampaignPool(workers)``, closed (workers
+    joined) on exit; its workers are forked with the live ``controller``
+    preloaded into their subject cache -- compiled kernels included -- so
+    the payload never ships and nothing recompiles.
+    """
+    if pool is not None:
+        return contextlib.nullcontext(pool)
+    from .pool import CampaignPool
+
+    return CampaignPool(min(workers, total), preload=controller)
+
+
 def _failure_kind(error: ReproError) -> str:
     if isinstance(error, JobTimeout):
         return "timeout"
@@ -826,26 +531,26 @@ def run_campaign(
     prescreen: str = "none",
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    backoff: Optional[float] = None,
     checkpoint: Optional[str] = None,
     checkpoint_interval: float = 5.0,
     degrade: bool = False,
     **session_options,
 ) -> CoverageReport:
-    """Fault-simulation campaign with exact dropping and chunk-steal fan-out.
+    """Fault-simulation campaign with exact dropping and pooled fan-out.
 
     Semantics are identical to the serial
     :func:`repro.faults.coverage.measure_coverage` oracle (see the module
     docstring for why that holds even under fault dropping, lane
     superposition and equivalence collapsing); only the wall-clock
-    changes.  ``workers <= 1`` runs in-process; larger values fan the
-    fault universe out over chunk-stealing worker processes with a
-    deterministic index-ordered merge.  ``superpose=False`` disables the
+    changes.  ``workers <= 1`` runs in-process; larger values run the
+    campaign on an ephemeral ``CampaignPool(workers)`` whose workers are
+    forked with the controller already cached, closed when the campaign
+    ends.  ``pool`` routes the campaign over a caller-owned persistent
+    :class:`~repro.faults.pool.CampaignPool` instead (``workers`` is then
+    ignored; the pool's size applies).  ``superpose=False`` disables the
     lane-packed fallback sessions in favour of per-fault serial replays
     (the oracle/benchmark baseline); ``chunk_size`` overrides the steal
-    granularity.  ``pool`` routes the campaign over a persistent
-    :class:`~repro.faults.pool.CampaignPool` (``workers`` is then
-    ignored; the pool's size applies).  ``collapse`` schedules collapsed
+    granularity.  ``collapse`` schedules collapsed
     representatives only -- ``"equiv"`` expands the verdicts back to the
     full universe, ``"dominance"`` reports over the kept representatives
     (see the module docstring).
@@ -865,13 +570,13 @@ def run_campaign(
     ``CAMPAIGN_STATS["prescreen"]``.
 
     Resilience knobs (module docstring, "Resilience"): ``timeout`` arms
-    the no-progress watchdog / cooperative deadline, ``retries`` and
-    ``backoff`` bound the re-dispatch loop (``None`` defers to the pool's
-    defaults on the pool rung and to no retries in-process),
+    the pool's no-progress watchdog / the serial rung's cooperative
+    deadline, ``retries`` bounds the pool's re-dispatch loop (``None``
+    defers to the pool's defaults, ephemeral or caller-owned alike),
     ``checkpoint`` names the snapshot file for crash-safe resume, and
-    ``degrade=True`` walks the pool -> workers -> serial -> interpreted
-    ladder on repeated failure instead of raising at the first exhausted
-    budget.  All of them preserve the bit-identical report guarantee.
+    ``degrade=True`` walks the pool -> serial -> interpreted ladder on
+    repeated failure instead of raising at the first exhausted budget.
+    All of them preserve the bit-identical report guarantee.
     """
     if collapse not in COLLAPSE_MODES:
         raise ReproError(
@@ -968,12 +673,10 @@ def run_campaign(
             ckpt.save(codes_state)
 
     # -- the degradation ladder ----------------------------------------------
-    if pool is not None:
-        start_rung = 0
-    elif workers and workers > 1 and len(schedule) > 1:
-        start_rung = 1
-    else:
-        start_rung = 2
+    parallel = pool is not None or (
+        workers and workers > 1 and len(schedule) > 1
+    )
+    start_rung = 0 if parallel else 1
     rungs = list(_LADDER[start_rung:]) if degrade else [_LADDER[start_rung]]
 
     codes: Optional[List[int]] = None
@@ -985,70 +688,48 @@ def run_campaign(
         )
         try:
             if rung == "pool":
-                before = {key: pool.stats[key] for key in (
-                    "respawns", "retries", "timeouts",
-                    "redispatched_faults", "redispatched_chunks",
-                )}
-                try:
-                    codes = pool.campaign_codes(
-                        controller,
-                        total=len(schedule),
-                        faults=schedule if faults is not None else None,
-                        cycles=cycles,
-                        seed=seed,
-                        dropping=dropping,
-                        superpose=superpose,
-                        chunk_size=chunk_size,
-                        options=options,
-                        collapse=collapse,
-                        timeout=timeout,
-                        retries=retries,
-                        resume=resume,
-                        progress=note_progress,
-                    )
-                finally:
-                    for key, value in before.items():
-                        resilience[key] += pool.stats[key] - value
-                if codes is not None:
-                    note_progress(0, codes)
+                with _rung_pool(pool, workers, len(schedule), controller) as active:
+                    before = {key: active.stats[key] for key in (
+                        "respawns", "retries", "timeouts",
+                        "redispatched_faults", "redispatched_chunks",
+                    )}
+                    try:
+                        codes = active.campaign_codes(
+                            controller,
+                            total=len(schedule),
+                            faults=schedule if faults is not None else None,
+                            cycles=cycles,
+                            seed=seed,
+                            dropping=dropping,
+                            superpose=superpose,
+                            chunk_size=chunk_size,
+                            options=options,
+                            collapse=collapse,
+                            timeout=timeout,
+                            retries=retries,
+                            resume=resume,
+                            progress=note_progress,
+                        )
+                    finally:
+                        for key, value in before.items():
+                            resilience[key] += active.stats[key] - value
+                note_progress(0, codes)
                 CAMPAIGN_STATS.clear()
                 CAMPAIGN_STATS.update(
-                    workers=pool.workers,
-                    chunk_size=pool.last_job.get("chunk_size"),
-                    chunks_stolen=list(pool.last_job.get("chunks_stolen", [])),
+                    workers=active.workers,
+                    chunk_size=active.last_job.get("chunk_size"),
+                    chunks_stolen=list(active.last_job.get("chunks_stolen", [])),
                     dropped=(
                         sum(1 for code in codes if code == FAULT_DROPPED)
                         if superpose
                         else None
                     ),
                     pool={
-                        "reuse_hits": pool.last_job.get("reuse_hits", 0),
-                        "campaigns": pool.stats["campaigns"],
-                        "respawns": pool.stats["respawns"],
+                        "reuse_hits": active.last_job.get("reuse_hits", 0),
+                        "campaigns": active.stats["campaigns"],
+                        "respawns": active.stats["respawns"],
                     },
                 )
-            elif rung == "workers":
-                count = workers if workers and workers > 1 else (
-                    pool.workers if pool is not None else 2
-                )
-                codes = _parallel_outcomes(
-                    controller,
-                    schedule,
-                    cycles,
-                    seed,
-                    dropping,
-                    superpose,
-                    count,
-                    chunk_size,
-                    options,
-                    deadline=timeout,
-                    retries=retries if retries is not None else 0,
-                    backoff=backoff if backoff is not None else _DEFAULT_BACKOFF,
-                    resume=resume,
-                    progress=note_progress if (ckpt or degrade) else None,
-                    resilience=resilience,
-                )
-                note_progress(0, codes)
             else:
                 rung_options = options
                 rung_dropping = dropping

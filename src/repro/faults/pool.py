@@ -1,13 +1,14 @@
-"""Persistent campaign worker pools.
+"""Campaign worker pools: the one multi-process campaign scheduler.
 
-The chunk-steal scheduler of :mod:`repro.faults.engine` forks a fresh set
-of worker processes for every campaign, and each worker rebuilds its
-campaign state (compiled netlist kernels, reference signatures, screening
-bundles, packed pattern streams) from scratch.  For one big campaign that
-amortises fine; for Table-style sweeps -- many campaigns over many
-machines (:mod:`repro.experiments`, the benchmark harness) -- the
-per-campaign fork + rebuild cost dominates.  A :class:`CampaignPool` keeps
-the workers alive instead:
+Every multi-process fault campaign runs here.  A caller that sweeps many
+campaigns (:mod:`repro.experiments`, :mod:`repro.suite.sweep`, the
+campaign service, the benchmark harness) opens one long-lived
+:class:`CampaignPool` and reuses it, so fork and per-controller state
+rebuild (compiled netlist kernels, reference signatures, screening
+bundles, packed pattern streams) are paid once.  A single
+``run_campaign(workers=N)`` opens an ephemeral pool for that campaign,
+with the controller preloaded into every worker's cache at fork time
+(``preload=``), so even a one-off campaign ships and recompiles nothing.
 
 * **Long-lived workers.**  ``workers`` processes are spawned once,
   inheriting the shared scheduling state (next-chunk counter, per-fault
@@ -25,8 +26,10 @@ the workers alive instead:
   across jobs.  Repeated campaigns therefore skip fork, unpickle,
   recompile *and* reference-signature rebuild.
 * **Chunk stealing, deterministic merge.**  Within a job, workers steal
-  index chunks from the shared counter exactly like the one-shot engine
-  scheduler; the parent reads the outcome flags back index-ordered, so
+  index chunks from the shared counter, so the tail stays balanced even
+  when chunks finish unevenly (with dropping they always do: screened-out
+  faults cost microseconds, fallback survivors replay whole sessions);
+  the parent reads the outcome flags back index-ordered, so
   reports are bit-identical to the serial oracle regardless of schedule.
   The shared outcome array has a fixed ``capacity``; larger fault
   universes are processed in capacity-sized slabs, merged in order.
@@ -310,6 +313,7 @@ def _pool_worker(
     steal_counts,
     chaos_plan,
     generation,
+    preload,
 ):
     """Worker main loop: serve jobs until shutdown or parent exit.
 
@@ -318,9 +322,10 @@ def _pool_worker(
     process, and the parent detects that through the pipe.  ``generation``
     counts how many times this worker slot has been (re)spawned; chaos
     events use it to disarm after the first generation (see
-    :mod:`repro.faults.chaos`).
+    :mod:`repro.faults.chaos`).  ``preload`` is ``{digest: subject}``,
+    the subject cache the worker starts with.
     """
-    subjects: Dict = {}
+    subjects: Dict = dict(preload)
     states: Dict = {}
     chaos = ChaosState(chaos_plan, "pool", worker_index, generation)
     while True:
@@ -387,6 +392,12 @@ class CampaignPool:
         a :class:`~repro.faults.chaos.ChaosPlan` injected into the
         workers (tests); the :data:`~repro.faults.chaos.CHAOS_ENV`
         environment variable arms the same hooks process-wide.
+    ``preload``
+        a subject every worker -- respawns included -- starts with in
+        its cache, so its payload never ships.  Under the default fork
+        context the workers inherit the live object, compiled kernels
+        and all.  :func:`repro.faults.engine.run_campaign` sets it on the
+        ephemeral pool of a ``workers=N`` campaign.
     """
 
     def __init__(
@@ -398,6 +409,7 @@ class CampaignPool:
         retries: int = 2,
         backoff: float = 0.05,
         chaos: Optional[ChaosPlan] = None,
+        preload=None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"pool needs >= 1 worker, got {workers}")
@@ -439,6 +451,9 @@ class CampaignPool:
         # waitable yet, so ``is_alive()`` alone can still say True.
         self._dead: set = set()
         self._closed = False
+        self._preload: Dict[str, object] = {}
+        if preload is not None:
+            self._preload[self._payload(preload)[1]] = preload
         #: cumulative pool telemetry (also folded into ``CAMPAIGN_STATS``
         #: by campaign jobs): jobs served per kind, subject-cache reuse
         #: hits across workers, worker respawns after crashes, slab
@@ -475,6 +490,7 @@ class CampaignPool:
                 self._steal_counts,
                 self._chaos,
                 self._generations[index],
+                self._preload,
             ),
             daemon=True,
         )
@@ -482,7 +498,9 @@ class CampaignPool:
         child_end.close()
         self._generations[index] += 1
         self._members[index] = (process, parent_end)
-        self._worker_cache[index] = OrderedDict()
+        self._worker_cache[index] = OrderedDict(
+            (key, set()) for key in self._preload
+        )
         self._pending_evict[index] = []
 
     def _heal(self) -> None:
@@ -578,6 +596,19 @@ class CampaignPool:
             pass
 
     # -- job execution -------------------------------------------------------
+
+    def _payload(self, subject) -> tuple:
+        """(pickled bytes, digest) of a subject, memoised per live object."""
+        try:
+            return self._payloads[subject]
+        except (KeyError, TypeError):
+            payload = pickle.dumps(subject, protocol=pickle.HIGHEST_PROTOCOL)
+            entry = (payload, subject_digest(payload))
+            try:
+                self._payloads[subject] = entry
+            except TypeError:
+                pass  # un-weakref-able subject: just recompute next time
+            return entry
 
     def _broadcast(self, job: Dict[str, object], payload: bytes) -> None:
         key = job["key"]
@@ -799,15 +830,7 @@ class CampaignPool:
             self.last_job = {"chunk_size": 0, "chunks_stolen": [0] * self.workers,
                             "reuse_hits": self.workers, **job_stats}
             return []
-        try:
-            payload, key = self._payloads[subject]
-        except (KeyError, TypeError):
-            payload = pickle.dumps(subject, protocol=pickle.HIGHEST_PROTOCOL)
-            key = subject_digest(payload)
-            try:
-                self._payloads[subject] = (payload, key)
-            except TypeError:
-                pass  # un-weakref-able subject: just recompute next time
+        payload, key = self._payload(subject)
         if chunk_size is not None and chunk_size < 1:
             raise ReproError(f"chunk_size must be >= 1, got {chunk_size}")
         codes: List[int] = []

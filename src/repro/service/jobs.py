@@ -158,15 +158,14 @@ def job_payload_key(
     config.
 
     Only the deterministic config fields participate -- the wall-clock
-    knobs (``workers``/``pool``) cannot change the canonical record, so
-    two submissions differing only there are the same job and dedupe onto
-    one computation.  The member id *does* participate: the metrics
+    knob ``workers`` cannot change the canonical record, so two
+    submissions differing only there are the same job and dedupe onto one
+    computation.  The member id *does* participate: the metrics
     record embeds it, so two members with byte-identical machines but
     different names are different jobs.
     """
     payload = config.to_dict()
-    for transient in ("workers", "pool"):
-        payload.pop(transient, None)
+    payload.pop("workers")
     text = _canonical_json(
         {"member": member_id, "subject": subject_sha256, "config": payload}
     )

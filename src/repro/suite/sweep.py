@@ -24,8 +24,8 @@ pattern, with no hand-edited numbers anywhere:
 
 Work shards across CI cells with the corpus's stable member sharding; the
 campaigns run through the existing engine stack (``CampaignPool``,
-chunk-steal workers, collapse, resilience) -- all of which guarantee
-bit-identical reports, which is what makes the ledger meaningful.
+collapse, resilience) -- all of which guarantee bit-identical reports,
+which is what makes the ledger meaningful.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ class SweepConfig:
 
     All fields are JSON-able; the manifest embeds ``to_dict()`` and
     :meth:`from_dict` rebuilds the exact configuration for reproduction.
-    ``workers``/``pool`` are wall-clock knobs: the campaign engine
-    guarantees bit-identical reports across schedulers, so they may be
+    ``workers`` is a wall-clock knob (``> 1`` serves every campaign of
+    the sweep from one ``CampaignPool(workers)``): the campaign engine
+    guarantees bit-identical reports across schedulers, so it may be
     changed on re-run without perturbing the metrics ledger.
     """
 
@@ -74,7 +75,6 @@ class SweepConfig:
     collapse: str = "equiv"
     prescreen: str = "none"
     workers: int = 0
-    pool: int = 0
     record_timings: bool = True
 
     def __post_init__(self):
@@ -107,11 +107,19 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Older manifests and journals carry a separate ``pool`` worker
+        count; it folds into ``workers`` (the larger of the two), which
+        now sizes the sweep's one pool.
+        """
+        kwargs = dict(payload)
+        if "pool" in kwargs:
+            kwargs["workers"] = max(kwargs.get("workers", 0), kwargs.pop("pool"))
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ReproError(f"unknown sweep config fields: {unknown}")
-        kwargs = dict(payload)
         if kwargs.get("families") is not None:
             kwargs["families"] = tuple(kwargs["families"])
         return cls(**kwargs)
@@ -443,10 +451,10 @@ def run_sweep(
                 )
     else:
         pool = None
-        if config.pool:
+        if config.workers > 1:
             from ..faults.pool import CampaignPool
 
-            pool = CampaignPool(config.pool)
+            pool = CampaignPool(config.workers)
         records = []
         try:
             with open(metrics_path, "w", encoding="utf-8") as handle:

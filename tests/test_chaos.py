@@ -1,8 +1,9 @@
 """Crash/recovery suite for the resilient campaign runtime.
 
 Injects infrastructure faults (worker crashes, hangs, closed pipes,
-poisoned payloads, jitter -- :mod:`repro.faults.chaos`) into the pooled
-and one-shot campaign schedulers and asserts the central promise of the
+poisoned payloads, jitter -- :mod:`repro.faults.chaos`) into the campaign
+pool -- caller-owned and the ephemeral one behind ``workers=N`` -- and
+asserts the central promise of the
 resilience layer: a campaign that survives injected failures through
 retries, respawns, checkpoint resume or degradation fallbacks returns a
 :class:`CoverageReport` that is **field-for-field identical** to the
@@ -14,6 +15,7 @@ with its attempt/unprocessed accounting intact.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 
@@ -30,7 +32,6 @@ from repro.faults import (
     ChaosPlan,
     measure_coverage,
     random_plan,
-    run_campaign,
 )
 from repro.faults.chaos import CHAOS_ENV
 from repro.faults.checkpoint import campaign_key
@@ -76,6 +77,8 @@ class TestPlanModel:
             ChaosEvent(kind="meteor")
         with pytest.raises(ReproError):
             ChaosEvent(kind="crash", target="gpu")
+        with pytest.raises(ReproError):
+            ChaosEvent(kind="crash", target="engine")
         with pytest.raises(ReproError):
             ChaosPlan.from_json("{not json")
 
@@ -259,42 +262,44 @@ class TestCheckpointResume:
         assert not os.path.exists(path)
 
 
-class TestDegradationLadder:
-    def test_pool_falls_back_to_workers(self, controller, oracle):
-        # The pool is unusable (every worker crashes, every generation, no
-        # budget); degrade=True walks down to the one-shot scheduler,
-        # which runs chaos-free (the plan targets the pool scope only).
+class TestEphemeralPool:
+    """``workers=N`` campaigns run on a pool that lives for one call."""
+
+    @pytest.fixture
+    def sticky_pool_crash(self, monkeypatch):
+        # The ephemeral pool takes no plan argument; its forked workers
+        # arm the plan from the inherited environment.
         plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0, sticky=True)])
-        with CampaignPool(2, chaos=plan, retries=0, backoff=0.01) as pool:
-            report = run_campaign(
+        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+
+    def test_success_leaves_no_live_children(self, controller, oracle):
+        report = measure_coverage(
+            controller, cycles=CYCLES, seed=SEED, workers=2, dropping=True
+        )
+        assert report == oracle
+        assert CAMPAIGN_STATS["workers"] == 2
+        # preloaded at fork: no worker needed the payload shipped
+        assert CAMPAIGN_STATS["pool"]["reuse_hits"] == 2
+        assert multiprocessing.active_children() == []
+
+    def test_exhausted_budget_raises_and_leaves_no_live_children(
+        self, controller, sticky_pool_crash
+    ):
+        with pytest.raises(WorkerCrash) as excinfo:
+            measure_coverage(
                 controller,
                 cycles=CYCLES,
                 seed=SEED,
                 dropping=True,
-                pool=pool,
                 workers=2,
-                retries=0,
-                degrade=True,
+                retries=1,
             )
-        assert report == oracle
-        resilience = CAMPAIGN_STATS["resilience"]
-        assert resilience["fallbacks"]
-        first = resilience["fallbacks"][0]
-        assert isinstance(first, DegradationEvent)
-        assert first.rung_from == "pool"
-        assert first.rung_to == "workers"
-        assert first.kind == "crash"
-        assert first.to_dict()["rung_from"] == "pool"
+        assert excinfo.value.attempts == 2
+        assert multiprocessing.active_children() == []
 
-    def test_workers_fall_back_to_serial(self, controller, oracle, monkeypatch):
-        # Engine-scope chaos arms through the environment (the one-shot
-        # scheduler spawns fresh processes, which inherit it); sticky
-        # crashes on every worker exhaust the budget and the ladder lands
-        # on the in-process serial rung, which chaos cannot reach.
-        plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="engine")]
-        )
-        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+    def test_degrade_falls_back_to_serial(
+        self, controller, oracle, sticky_pool_crash
+    ):
         report = measure_coverage(
             controller,
             cycles=CYCLES,
@@ -306,66 +311,15 @@ class TestDegradationLadder:
         )
         assert report == oracle
         resilience = CAMPAIGN_STATS["resilience"]
-        assert any(
-            event.rung_from == "workers" and event.rung_to == "serial"
-            for event in resilience["fallbacks"]
+        (event,) = resilience["fallbacks"]
+        assert isinstance(event, DegradationEvent)
+        assert (event.rung_from, event.rung_to, event.kind) == (
+            "pool", "serial", "crash"
         )
-        assert resilience["retries"] >= 1
-
-    def test_exhausted_ladderless_engine_raises(self, controller, monkeypatch):
-        plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="engine")]
-        )
-        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
-        with pytest.raises(WorkerCrash) as excinfo:
-            measure_coverage(
-                controller,
-                cycles=CYCLES,
-                seed=SEED,
-                dropping=True,
-                workers=2,
-                retries=1,
-            )
-        assert excinfo.value.attempts == 2
-
-
-class TestEngineRecovery:
-    """One-shot scheduler resilience (chaos armed via the environment)."""
-
-    def test_engine_crash_retry_matches_oracle(self, controller, oracle, monkeypatch):
-        plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=1, target="engine")]
-        )
-        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
-        report = measure_coverage(
-            controller,
-            cycles=CYCLES,
-            seed=SEED,
-            dropping=True,
-            workers=2,
-            retries=2,
-            timeout=10.0,
-        )
-        assert report == oracle
-        assert CAMPAIGN_STATS["resilience"]["retries"] >= 1
-
-    def test_engine_hang_watchdog_matches_oracle(self, controller, oracle, monkeypatch):
-        plan = ChaosPlan(
-            [ChaosEvent(kind="hang", on_chunk=0, target="engine")]
-        )
-        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
-        report = measure_coverage(
-            controller,
-            cycles=CYCLES,
-            seed=SEED,
-            dropping=True,
-            workers=2,
-            retries=1,
-            timeout=1.0,
-        )
-        assert report == oracle
-        assert CAMPAIGN_STATS["resilience"]["timeouts"] >= 0  # counted pool-side only
-        assert CAMPAIGN_STATS["resilience"]["retries"] >= 1
+        assert event.to_dict()["rung_to"] == "serial"
+        assert resilience["retries"] == 1
+        assert resilience["respawns"] >= 2
+        assert multiprocessing.active_children() == []
 
 
 class TestRandomSchedules:

@@ -96,6 +96,26 @@ class TestArchAndCoverage:
         assert code == 0
         assert "coverage" in out
 
+    def test_workers_serve_every_campaign_from_one_pool(self, capsys):
+        _, serial, _ = run_cli(capsys, "coverage", "paper_example")
+        code, out, _ = run_cli(
+            capsys, "coverage", "paper_example", "--workers", "2"
+        )
+        assert code == 0
+        assert out.startswith(serial)
+        # four architecture campaigns + the PPSFP redundancy screens
+        assert "pool: 2 persistent workers served 4 campaigns + " in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["coverage", "paper_example"], ["sweep", "--limit", "0", "--out", "x"]],
+    )
+    def test_pool_option_is_gone(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit):
+            main(argv + ["--pool", "2"])
+        assert "unrecognized arguments: --pool 2" in capsys.readouterr().err
+
 
 class TestExample:
     def test_worked_example(self, capsys):

@@ -2,7 +2,7 @@
 
 The engine zoo has grown -- interpreted session loops, compiled kernels,
 exact fault dropping, lane-superposed fallback sessions, and the
-chunk-steal multiprocess scheduler -- and each refactor so far was guarded
+chunk-steal campaign pool -- and each refactor so far was guarded
 only by per-pair spot checks.  This module locks the whole matrix down in
 the spirit of synthesized complete-test suites: for a corpus of
 suite-registry machines and all four self-testable architectures it
@@ -24,15 +24,16 @@ asserts that
   an *intentional* semantic change.
 
 CI runs this module across a seed matrix: ``REPRO_DIFF_SEED`` moves the
-campaign seed, ``REPRO_DIFF_WORKERS`` sizes the chunk-steal scheduler,
-``REPRO_DIFF_POOL`` sizes the persistent worker pool and
-``REPRO_DIFF_COLLAPSE`` (``none``/``equiv``) additionally runs every
-non-baseline engine over collapsed equivalence-class representatives --
-the verdicts are expanded back, so the whole matrix must still equal the
-uncollapsed interpreted oracle (the golden cases pin their own seed and
-are matrix-invariant).  Dedicated ``collapsed-*`` cells always exercise
-the serial, chunk-steal and pooled schedulers with ``collapse="equiv"``
-regardless of the environment.
+campaign seed, ``REPRO_DIFF_POOL`` sizes the shared persistent worker
+pool and ``REPRO_DIFF_COLLAPSE`` (``none``/``equiv``) additionally runs
+every non-baseline engine over collapsed equivalence-class
+representatives -- the verdicts are expanded back, so the whole matrix
+must still equal the uncollapsed interpreted oracle (the golden cases pin
+their own seed and are matrix-invariant).  The ``workers`` cells run each
+campaign on its own two-worker ephemeral pool (controller preloaded at
+fork) in every matrix cell, and dedicated ``collapsed-*`` cells always
+exercise the serial, ephemeral-pool and shared-pool paths with
+``collapse="equiv"`` regardless of the environment.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.faults.simulator import exhaustive_patterns, simulate_patterns
 from repro.ostr.search import search_ostr
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "3"))
-WORKERS = int(os.environ.get("REPRO_DIFF_WORKERS", "2"))
+WORKERS = 2
 POOL_WORKERS = int(os.environ.get("REPRO_DIFF_POOL", "2"))
 COLLAPSE = os.environ.get("REPRO_DIFF_COLLAPSE", "none")
 CYCLES = 48
@@ -89,7 +90,7 @@ def _close_pool():
 #: baseline and therefore never collapses.  The other engines collapse
 #: when the CI matrix asks for it (REPRO_DIFF_COLLAPSE); the collapsed-*
 #: cells pin ``collapse="equiv"`` so every run covers the collapse axis
-#: across the serial, chunk-steal and pooled schedulers.
+#: across the serial, ephemeral-pool and shared-pool paths.
 ENGINES = {
     "interpreted": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, engine="interpreted"

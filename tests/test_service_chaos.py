@@ -36,8 +36,17 @@ from repro.exceptions import JournalCorrupt
 from repro.faults.chaos import CHAOS_ENV, GENERATION_ENV, ChaosEvent, ChaosPlan
 from repro.faults.checkpoint import CampaignCheckpoint
 from repro.fsm import kiss
-from repro.service import CampaignServer, JobEngine, ServiceClient, ServiceError
+from repro.service import (
+    CampaignServer,
+    JobEngine,
+    ServiceClient,
+    ServiceError,
+    job_payload_key,
+)
+from repro.service.jobs import resolve_member
+from repro.service.journal import JobJournal
 from repro.suite import shift_register
+from repro.suite.sweep import SweepConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 CONFIG = {"record_timings": False}
@@ -139,18 +148,61 @@ class TestEngineRecovery:
         # like a dead process's would have landed nowhere)
         crashed.journal.close()
 
+        try:
+            with JobEngine(
+                shards=1, pool_workers=0, journal_dir=journal_dir
+            ) as revived:
+                assert revived.recovery["requeued"] == 2
+                assert revived.recovery["restored_done"] == 0
+                done_running = revived.wait(running.job_id, timeout=30.0)
+                done_queued = revived.wait(queued.job_id, timeout=30.0)
+                assert done_running.state == "done"
+                assert done_queued.state == "done"
+                # priority order survived the restart
+                assert stub.order[-2:] == ["sr2", "sr3"]
+        finally:
+            # Unstick the abandoned engine and join its shard thread: left
+            # running, it would go on to its queued sr3 through whatever
+            # sweep_member is patched in by then -- the next test's stub.
+            stub.release.set()
+            crashed.close(drain=False, timeout=10.0)
+
+    def test_legacy_pool_field_in_journal_replays(self, tmp_path, stub):
+        """A journal written when SweepConfig still had ``pool`` replays:
+        the field folds into ``workers`` and the job key is unchanged."""
+        journal_dir = tmp_path / "svc"
+        job = payload(2)
+        member, subject_sha = resolve_member(job)
+        key = job_payload_key(
+            member.member_id, subject_sha, SweepConfig(record_timings=False)
+        )
+        journal = JobJournal(str(journal_dir / "journal.jsonl"))
+        journal.append(
+            "submit",
+            {
+                "job": "j000000",
+                "key": key,
+                "subject_sha256": subject_sha,
+                "priority": 0,
+                "seq": 0,
+                "subject": {"kiss": job["kiss"], "name": job["name"]},
+                "config": dict(
+                    SweepConfig(record_timings=False).to_dict(), pool=2
+                ),
+                "submitted_unix": 0.0,
+            },
+        )
+        journal.close()
         with JobEngine(
-            shards=1, pool_workers=0, journal_dir=journal_dir
+            shards=1, pool_workers=0, journal_dir=str(journal_dir)
         ) as revived:
-            assert revived.recovery["requeued"] == 2
-            assert revived.recovery["restored_done"] == 0
-            done_running = revived.wait(running.job_id, timeout=30.0)
-            done_queued = revived.wait(queued.job_id, timeout=30.0)
-            assert done_running.state == "done"
-            assert done_queued.state == "done"
-            # priority order survived the restart
-            assert stub.order[-2:] == ["sr2", "sr3"]
-        stub.release.set()
+            assert revived.recovery["requeued"] == 1
+            assert "unresolved" not in revived.recovery
+            restored = revived.wait("j000000", timeout=30.0)
+            assert restored.state == "done"
+            assert restored.config.workers == 2
+            again, deduped = revived.submit(job)
+            assert deduped and again.job_id == "j000000"
 
     def test_cancelled_jobs_stay_cancelled_after_restart(
         self, tmp_path, stub
@@ -346,6 +398,9 @@ class TestClientResilience:
                 assert not thread.is_alive()
         finally:
             stub.release.set()
+            # No shard thread of the abandoned server may outlive the test.
+            first.engine.close(drain=False, timeout=10.0)
+            first.close()
         finished = outcome["jobs"]
         assert [job["record"]["name"] for job in finished] == ["sr2", "sr3"]
         assert all(job["state"] == "done" for job in finished)

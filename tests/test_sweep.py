@@ -164,7 +164,8 @@ def test_generated_members_reproduce_without_any_corpus_tree(
 
 
 def test_canonical_ledger_is_scheduler_independent(scratch_corpus, tmp_path):
-    """Worker/pool knobs change wall-clock only, never the ledger."""
+    """``workers`` (a sweep-lifetime pool) changes wall-clock only, never
+    the ledger."""
     config = SweepConfig(families=("mcnc",), limit=1, record_timings=False)
     serial = run_sweep(config, str(tmp_path / "serial"))
     parallel = run_sweep(
@@ -206,6 +207,24 @@ def test_config_roundtrip_and_rejection():
         SweepConfig.from_dict({**config.to_dict(), "bogus": 1})
     with pytest.raises(ReproError, match="unknown architecture"):
         SweepConfig(architecture="systolic")
+
+
+def test_legacy_pool_field_folds_into_workers(scratch_corpus, tmp_path):
+    """Manifests written when the config still had ``pool`` reproduce:
+    the field folds into ``workers``, the larger of the two."""
+    out = tmp_path / "run"
+    run_sweep(
+        SweepConfig(families=("mcnc",), limit=1, record_timings=False), str(out)
+    )
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["pool"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    assert SweepConfig.from_dict(manifest["config"]).workers == 2
+    assert SweepConfig.from_dict({"workers": 3, "pool": 2}).workers == 3
+    assert "pool" not in SweepConfig().to_dict()
+    outcome = reproduce_run(str(out), str(tmp_path / "rerun"))
+    assert outcome["identical"]
 
 
 def test_unknown_manifest_format_rejected(tmp_path):
