@@ -74,7 +74,7 @@ from repro.bist.architectures import (  # noqa: E402
     build_pipeline,
 )
 from repro.faults.coverage import measure_coverage  # noqa: E402
-from repro.faults.engine import CAMPAIGN_STATS, run_campaign  # noqa: E402
+from repro.faults.engine import run_campaign  # noqa: E402
 from repro.faults.pool import CampaignPool  # noqa: E402
 from repro.faults.simulator import (  # noqa: E402
     exhaustive_patterns,
@@ -200,7 +200,7 @@ def bench_collapse(name: str) -> dict:
     collapsed, collapsed_s = _timed(
         lambda: run_campaign(controller, dropping=True, collapse="equiv")
     )
-    stats = CAMPAIGN_STATS["collapse"]
+    stats = collapsed.telemetry["collapse"]
     return {
         "bench": f"collapse/{name}/pipeline-equiv",
         "faults": baseline.total,

@@ -75,6 +75,7 @@ __all__ = [
     "prove_faults",
     "untestable_faults",
     "prove_controller",
+    "verdict_tally",
 ]
 
 UNTESTABLE_CONSTANT = "UNTESTABLE_CONSTANT"
@@ -363,3 +364,13 @@ def prove_controller(
             table = tables[block] = _tables(netlist, None)
         verdicts.append(_prove_one(table, fault))
     return verdicts
+
+
+def verdict_tally(verdicts: Iterable[FaultVerdict]) -> Dict[str, int]:
+    """``{verdict: count}`` of the proved-untestable verdicts, sorted by
+    verdict name (``UNKNOWN`` is not counted)."""
+    counts: Dict[str, int] = {}
+    for verdict in verdicts:
+        if verdict.is_untestable:
+            counts[verdict.verdict] = counts.get(verdict.verdict, 0) + 1
+    return dict(sorted(counts.items()))

@@ -128,6 +128,41 @@ def _int_to_code(value: int, width: int) -> str:
     return "".join("1" if (value >> position) & 1 else "0" for position in range(width))
 
 
+def _linear_session_signature(
+    plain, fault: Optional[Fault], cycles: int, seed: int, engine: str
+) -> int:
+    """MISR signature of one PRPG -> C -> MISR session over ``plain``'s C.
+
+    The generator spans C's inputs (state bits then x bits) and the MISR
+    compacts its outputs (next-state bits then z bits).  This is the
+    session of the conventional (Figure 2) and doubled (Figure 3)
+    architectures.  ``engine="compiled"`` runs the packed single-pattern
+    kernel of the compiled netlist; ``engine="interpreted"`` keeps the
+    dict-driven loop as the bit-identical reference.
+    """
+    width = plain.state_width
+    generator = Lfsr.from_any_seed(width + plain.input_width, seed, complete=True)
+    response_register = Misr(max(4, width + plain.output_width))
+    if engine == "interpreted":
+        for _ in range(cycles):
+            inputs = _drive(plain.state_nets, generator.state)
+            inputs.update(_drive(plain.x_nets, generator.state >> width))
+            values = plain.network.evaluate_interpreted(inputs, mask=1, fault=fault)
+            response = _collect(values, list(plain.ns_nets) + list(plain.z_nets))
+            response_register.absorb(response)
+            generator.step()
+        return response_register.signature
+    compiled = plain.network.compile()
+    fault_args = compiled.fault_args(fault, 1)
+    step = compiled.step
+    absorb = response_register.absorb
+    for _ in range(cycles):
+        # C's inputs are state bits then x bits -- exactly the PRPG word.
+        absorb(step(generator.state, fault_args))
+        generator.step()
+    return response_register.signature
+
+
 def _linear_session_reference(
     network, generator_width: int, misr_width: int, cycles: int, seed: int
 ) -> Dict[str, object]:
@@ -335,31 +370,11 @@ class ConventionalBistController:
         if fault is not None and fault[0] == "FEEDBACK":
             return self.fault_free_signatures(cycles=cycles, seed=seed, engine=engine)
         network_fault = fault[1] if fault is not None else None
-        plain = self.plain
-        cycles = self._default_cycles(cycles)
-        generator_width = self.width + plain.input_width
-        generator = Lfsr.from_any_seed(generator_width, seed, complete=True)
-        response_register = Misr(max(4, self.width + plain.output_width))
-        if engine == "interpreted":
-            for _ in range(cycles):
-                inputs = _drive(plain.state_nets, generator.state)
-                inputs.update(_drive(plain.x_nets, generator.state >> self.width))
-                values = plain.network.evaluate_interpreted(
-                    inputs, mask=1, fault=network_fault
-                )
-                response = _collect(values, list(plain.ns_nets) + list(plain.z_nets))
-                response_register.absorb(response)
-                generator.step()
-            return (response_register.signature,)
-        compiled = plain.network.compile()
-        fault_args = compiled.fault_args(network_fault, 1)
-        step = compiled.step
-        absorb = response_register.absorb
-        for _ in range(cycles):
-            # C's inputs are state bits then x bits -- exactly the PRPG word.
-            absorb(step(generator.state, fault_args))
-            generator.step()
-        return (response_register.signature,)
+        return (
+            _linear_session_signature(
+                self.plain, network_fault, self._default_cycles(cycles), seed, engine
+            ),
+        )
 
     def fault_free_signatures(
         self, cycles: Optional[int] = None, seed: int = 1, **options
@@ -730,34 +745,11 @@ class DoubledController:
                 fault[1] if fault is not None and fault[0] == block else None
             )
             signatures.append(
-                self._session(block_fault, cycles, seed + session, engine=engine)
+                _linear_session_signature(
+                    self.plain, block_fault, cycles, seed + session, engine
+                )
             )
         return tuple(signatures)
-
-    def _session(
-        self, fault: Optional[Fault], cycles: int, seed: int, engine: str = "compiled"
-    ) -> int:
-        plain = self.plain
-        generator_width = self.width + plain.input_width
-        generator = Lfsr.from_any_seed(generator_width, seed, complete=True)
-        response_register = Misr(max(4, self.width + plain.output_width))
-        if engine == "interpreted":
-            for _ in range(cycles):
-                inputs = _drive(plain.state_nets, generator.state)
-                inputs.update(_drive(plain.x_nets, generator.state >> self.width))
-                values = plain.network.evaluate_interpreted(inputs, mask=1, fault=fault)
-                response = _collect(values, list(plain.ns_nets) + list(plain.z_nets))
-                response_register.absorb(response)
-                generator.step()
-            return response_register.signature
-        compiled = plain.network.compile()
-        fault_args = compiled.fault_args(fault, 1)
-        step = compiled.step
-        absorb = response_register.absorb
-        for _ in range(cycles):
-            absorb(step(generator.state, fault_args))
-            generator.step()
-        return response_register.signature
 
     def fault_free_signatures(
         self, cycles: Optional[int] = None, seed: int = 1, **options

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
 from . import experiments, suite
 from .exceptions import ReproError
@@ -143,82 +143,69 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
         pool = CampaignPool(args.workers)
     try:
-        print(
-            experiments.format_coverage(
-                experiments.run_coverage(
-                    machine,
-                    cycles=args.cycles,
-                    # The interpreted oracle only decides verdicts on the
-                    # serial per-fault path; dropping would resolve them
-                    # through the compiled screening kernels instead.
-                    dropping=not args.reference and args.engine != "interpreted",
-                    superpose=not args.serial_fallback,
-                    chunk_size=args.chunk_size,
-                    pool=pool,
-                    engine=args.engine,
-                    collapse=args.collapse,
-                    prescreen=args.prescreen,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    checkpoint=args.checkpoint,
-                    degrade=args.degrade,
-                )
-            )
+        rows = experiments.run_coverage(
+            machine,
+            cycles=args.cycles,
+            # The interpreted oracle only decides verdicts on the serial
+            # per-fault path; dropping would resolve them through the
+            # compiled screening kernels instead.
+            dropping=not args.reference and args.engine != "interpreted",
+            superpose=not args.serial_fallback,
+            chunk_size=args.chunk_size,
+            pool=pool,
+            engine=args.engine,
+            collapse=args.collapse,
+            prescreen=args.prescreen,
+            timeout=args.timeout,
+            retries=args.retries,
+            checkpoint=args.checkpoint,
+            degrade=args.degrade,
         )
-        if args.collapse != "none":
-            from .faults.engine import CAMPAIGN_STATS
-
-            stats = CAMPAIGN_STATS.get("collapse")
-            if stats:
-                note = (
-                    "verdicts expanded back to the full universe"
-                    if stats["mode"] == "equiv"
-                    else "reported universe is the kept representatives"
-                )
-                print(
-                    f"collapse (pipeline campaign): mode {stats['mode']}, "
-                    f"{stats['universe']} faults -> {stats['scheduled']} "
-                    f"scheduled ({100.0 * stats['reduction']:.1f}% fewer, "
-                    f"{stats['classes']} classes); {note}"
-                )
-        if args.prescreen != "none":
-            from .faults.engine import CAMPAIGN_STATS
-
-            stats = CAMPAIGN_STATS.get("prescreen")
-            if stats:
-                note = (
-                    f"{stats['skipped']} skipped before simulation"
-                    if stats["mode"] == "static"
-                    else "all simulated, verdicts cross-checked"
-                )
-                tally = ", ".join(
-                    f"{count} {verdict}"
-                    for verdict, count in sorted(stats["by_verdict"].items())
-                ) or "none proved"
-                print(
-                    f"prescreen (pipeline campaign): mode {stats['mode']}, "
-                    f"{stats['proved']}/{stats['scheduled']} scheduled faults "
-                    f"proved untestable ({tally}); {note}"
-                )
+        print(experiments.format_coverage(rows))
+        # The lines below describe the pipeline campaign, the last row.
+        telemetry: Dict[str, Any] = rows[-1].telemetry
+        stats = telemetry.get("collapse")
+        if stats:
+            note = (
+                "verdicts expanded back to the full universe"
+                if stats["mode"] == "equiv"
+                else "reported universe is the kept representatives"
+            )
+            print(
+                f"collapse (pipeline campaign): mode {stats['mode']}, "
+                f"{stats['universe']} faults -> {stats['scheduled']} "
+                f"scheduled ({100.0 * stats['reduction']:.1f}% fewer, "
+                f"{stats['classes']} classes); {note}"
+            )
+        stats = telemetry.get("prescreen")
+        if stats:
+            note = (
+                f"{stats['skipped']} skipped before simulation"
+                if stats["mode"] == "static"
+                else "all simulated, verdicts cross-checked"
+            )
+            tally = ", ".join(
+                f"{count} {verdict}"
+                for verdict, count in sorted(stats["by_verdict"].items())
+            ) or "none proved"
+            print(
+                f"prescreen (pipeline campaign): mode {stats['mode']}, "
+                f"{stats['proved']}/{stats['scheduled']} scheduled faults "
+                f"proved untestable ({tally}); {note}"
+            )
         if pool is not None:
-            from .faults.engine import CAMPAIGN_STATS
-
-            if CAMPAIGN_STATS:
-                # CAMPAIGN_STATS holds the most recent campaign only -- the
-                # pipeline architecture, the last of the four runs above.
-                dropped = CAMPAIGN_STATS["dropped"]
-                dropped_note = (
-                    "screening drops not tracked (serial fallback)"
-                    if dropped is None
-                    else f"{dropped} faults dropped by screening"
-                )
-                print(
-                    f"scheduler (pipeline campaign): {CAMPAIGN_STATS['workers']} "
-                    f"workers, chunk size {CAMPAIGN_STATS['chunk_size']}, "
-                    f"chunks stolen per worker {CAMPAIGN_STATS['chunks_stolen']}, "
-                    + dropped_note
-                )
-        if pool is not None:
+            dropped = telemetry["dropped"]
+            dropped_note = (
+                "screening drops not tracked (serial fallback)"
+                if dropped is None
+                else f"{dropped} faults dropped by screening"
+            )
+            print(
+                f"scheduler (pipeline campaign): {telemetry['workers']} "
+                f"workers, chunk size {telemetry['chunk_size']}, "
+                f"chunks stolen per worker {telemetry['chunks_stolen']}, "
+                + dropped_note
+            )
             stats = pool.stats
             print(
                 f"pool: {args.workers} persistent workers served "
@@ -226,9 +213,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                 f"requests, {stats['reuse_hits']} compiled-subject reuse "
                 f"hits, {stats['respawns']} respawns"
             )
-        from .faults.engine import CAMPAIGN_STATS as _stats
-
-        resilience = _stats.get("resilience")
+        resilience = telemetry.get("resilience")
         if resilience and (
             resilience["retries"]
             or resilience["respawns"]
@@ -236,8 +221,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             or resilience["fallbacks"]
             or resilience["resumed"]
         ):
-            # Like the scheduler line: telemetry of the most recent
-            # campaign only (the pipeline architecture).
             line = (
                 f"resilience (pipeline campaign): {resilience['retries']} "
                 f"retries, {resilience['respawns']} worker respawns, "
@@ -305,26 +288,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: sweep needs --out for the artifacts", file=sys.stderr)
         return 2
-    shard_index, shard_count = 0, 1
-    if args.shard:
-        try:
-            index_text, count_text = args.shard.split("/", 1)
-            shard_1based, shard_count = int(index_text), int(count_text)
-        except ValueError:
-            print(f"error: --shard wants I/N, got {args.shard!r}", file=sys.stderr)
-            return 2
-        # Range-check the user's 1-based input here, before it is
-        # converted to the library's 0-based convention -- otherwise
-        # "--shard 0/4" dies deep in the corpus with the baffling
-        # internal message "invalid shard -1/4".
-        if shard_count < 1 or not (1 <= shard_1based <= shard_count):
-            print(
-                f"error: --shard {args.shard} out of range: I/N needs "
-                f"1 <= I <= N (shards are numbered 1..N)",
-                file=sys.stderr,
-            )
-            return 2
-        shard_index = shard_1based - 1
+    shard = _parse_shard(args.shard)
+    if shard is None:
+        return 2
+    shard_index, shard_count = shard
     config = SweepConfig(
         families=tuple(args.families) if args.families else None,
         limit=args.limit,
@@ -536,14 +503,30 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard(text: str) -> Optional[tuple]:
-    """``I/N`` (1-based) -> 0-based ``(index, count)``; None when invalid."""
+def _parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:
+    """``--shard I/N`` (1-based) -> 0-based ``(index, count)``.
+
+    No ``--shard`` means the whole corpus, ``(0, 1)``.  Invalid input
+    prints an error and returns None (the command then exits 2).
+    """
+    if not text:
+        return 0, 1
     try:
         index_text, count_text = text.split("/", 1)
         shard_1based, shard_count = int(index_text), int(count_text)
     except ValueError:
+        print(f"error: --shard wants I/N, got {text!r}", file=sys.stderr)
         return None
+    # Range-check the user's 1-based input here, before it is converted
+    # to the library's 0-based convention -- otherwise "--shard 0/4" dies
+    # deep in the corpus with the baffling internal message "invalid
+    # shard -1/4".
     if shard_count < 1 or not (1 <= shard_1based <= shard_count):
+        print(
+            f"error: --shard {text} out of range: I/N needs "
+            f"1 <= I <= N (shards are numbered 1..N)",
+            file=sys.stderr,
+        )
         return None
     return shard_1based - 1, shard_count
 
@@ -552,23 +535,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
     from .analysis.structure import verify
-    from .analysis.untestable import prove_controller
+    from .analysis.untestable import prove_controller, verdict_tally
     from .bist import build_conventional_bist, build_pipeline
 
     if args.corpus:
         from .suite import corpus
 
-        shard_index, shard_count = 0, 1
-        if args.shard:
-            parsed = _parse_shard(args.shard)
-            if parsed is None:
-                print(
-                    f"error: --shard wants I/N with 1 <= I <= N, got "
-                    f"{args.shard!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            shard_index, shard_count = parsed
+        shard = _parse_shard(args.shard)
+        if shard is None:
+            return 2
+        shard_index, shard_count = shard
         members = corpus.members(
             tuple(args.families) if args.families else None,
             args.limit,
@@ -606,10 +582,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 totals[severity] += count
         verdicts = prove_controller(controller)
         proved = [v.to_dict() for v in verdicts if v.is_untestable]
-        by_verdict: dict = {}
-        for verdict in verdicts:
-            if verdict.is_untestable:
-                by_verdict[verdict.verdict] = by_verdict.get(verdict.verdict, 0) + 1
         proved_total += len(proved)
         targets.append(
             {
@@ -619,7 +591,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 "untestable": {
                     "universe": len(verdicts),
                     "proved": len(proved),
-                    "by_verdict": dict(sorted(by_verdict.items())),
+                    "by_verdict": verdict_tally(verdicts),
                     "faults": proved,
                 },
             }

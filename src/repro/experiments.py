@@ -8,7 +8,7 @@ every artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import suite
@@ -261,6 +261,10 @@ class CoverageRow:
     coverage: float
     structurally_missed: int  # faults the self-test cannot exercise at all
     detectable_coverage: float  # vs combinationally detectable faults
+    #: the campaign's CoverageReport.telemetry (not part of equality)
+    telemetry: Dict[str, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def run_coverage(
@@ -351,6 +355,7 @@ def run_coverage(
                 detectable_coverage=(
                     report.detected / detectable if detectable else 1.0
                 ),
+                telemetry=report.telemetry,
             )
         )
     return rows

@@ -344,7 +344,7 @@ class FaultMap:
         return 1.0 - self.scheduled / total if total else 0.0
 
     def stats(self) -> Dict[str, object]:
-        """Telemetry payload for ``CAMPAIGN_STATS['collapse']``."""
+        """Telemetry payload for ``CoverageReport.telemetry['collapse']``."""
         return {
             "mode": self.mode,
             "universe": len(self.universe),

@@ -9,6 +9,7 @@ aliasing therefore counts as a miss, as it does in real BIST).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +30,7 @@ FAULT_DROPPED = 2
 #: resolved statically by the untestability prover
 #: (:mod:`repro.analysis.untestable`) under ``prescreen="static"`` --
 #: never simulated, always undetected, with the proof witness recorded in
-#: ``CAMPAIGN_STATS["prescreen"]``.
+#: the report's ``telemetry["prescreen"]``.
 FAULT_UNTESTABLE = 3
 
 #: accepted values of every ``prescreen=`` knob; ``"static"`` skips
@@ -39,10 +40,21 @@ FAULT_UNTESTABLE = 3
 #: proved fault.
 PRESCREEN_MODES = ("none", "static", "validate")
 
+#: the ``telemetry`` of the last report :func:`measure_coverage` returned,
+#: per thread.  Only ``measure_coverage`` writes it; only
+#: :func:`repro.faults.engine.campaign_telemetry` reads it.
+_LAST_TELEMETRY = threading.local()
+
 
 @dataclass
 class CoverageReport:
-    """Result of a full fault-simulation campaign."""
+    """Result of a full fault-simulation campaign.
+
+    ``telemetry`` records how the campaign ran (see
+    :func:`repro.faults.engine.run_campaign`; ``{}`` for the serial
+    oracle).  It is left out of equality, so reports compare equal
+    whatever scheduled them.
+    """
 
     architecture: str
     total: int
@@ -50,6 +62,9 @@ class CoverageReport:
     undetected: List[BlockFault] = field(default_factory=list)
     by_block: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     cycles: Optional[int] = None
+    telemetry: Dict[str, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def coverage(self) -> float:
@@ -113,7 +128,7 @@ def measure_coverage(
     ``prescreen="static"`` skips faults the static prover
     (:mod:`repro.analysis.untestable`) proves untestable -- they are
     reported undetected with the proof witness in
-    ``CAMPAIGN_STATS["prescreen"]`` and the report stays field-for-field
+    ``report.telemetry["prescreen"]`` and the report stays field-for-field
     identical to a full simulation.  ``prescreen="validate"`` simulates
     everything anyway and raises
     :exc:`~repro.exceptions.PrescreenViolation` if any engine detects a
@@ -145,7 +160,7 @@ def measure_coverage(
     ):
         from .engine import run_campaign
 
-        return run_campaign(
+        report = run_campaign(
             controller,
             cycles=cycles,
             seed=seed,
@@ -162,18 +177,36 @@ def measure_coverage(
             degrade=degrade,
             **session_options,
         )
-    reference = controller.self_test_signatures(
-        fault=None, cycles=cycles, seed=seed, **session_options
-    )
-    universe = controller.fault_universe()
+    else:
+        reference = controller.self_test_signatures(
+            fault=None, cycles=cycles, seed=seed, **session_options
+        )
+        universe = controller.fault_universe()
+        hits = [
+            controller.self_test_signatures(
+                fault=block_fault, cycles=cycles, seed=seed, **session_options
+            )
+            != reference
+            for block_fault in universe
+        ]
+        report = tally_report(controller, universe, hits, cycles, {})
+    _LAST_TELEMETRY.telemetry = report.telemetry
+    return report
+
+
+def tally_report(
+    controller,
+    universe: List[BlockFault],
+    hits: List[bool],
+    cycles: Optional[int],
+    telemetry: Dict[str, object],
+) -> CoverageReport:
+    """Report of per-fault verdicts (``hits``, index-aligned with
+    ``universe``), tallied in universe order."""
     undetected: List[BlockFault] = []
     by_block: Dict[str, List[int]] = {}
     detected = 0
-    for block_fault in universe:
-        signatures = controller.self_test_signatures(
-            fault=block_fault, cycles=cycles, seed=seed, **session_options
-        )
-        hit = signatures != reference
+    for block_fault, hit in zip(universe, hits):
         block = block_fault[0]
         counts = by_block.setdefault(block, [0, 0])
         counts[1] += 1
@@ -189,4 +222,5 @@ def measure_coverage(
         undetected=undetected,
         by_block={block: (c[0], c[1]) for block, c in by_block.items()},
         cycles=cycles,
+        telemetry=telemetry,
     )

@@ -64,8 +64,8 @@ without a pool opens an ephemeral ``CampaignPool(N)`` for this one
 campaign; its workers are forked with the live controller -- compiled
 kernels included -- already in their subject cache, so nothing is
 pickled, shipped or recompiled.  Outcome codes, merge order and
-therefore the reports are identical either way; ``CAMPAIGN_STATS``
-carries the pool's reuse/respawn telemetry.
+therefore the reports are identical either way; the report's
+``telemetry`` carries the pool's reuse/respawn counts.
 
 Fault collapsing (the ``collapse=`` path)
 -----------------------------------------
@@ -81,7 +81,7 @@ is typically 40-60% smaller (a multiplicative speedup on top of dropping,
 superposition and fan-out).  ``collapse="dominance"`` additionally drops
 gate-locally dominated classes; the report then covers the kept
 representatives only (the universe genuinely changes), which is why it is
-opt-in.  ``CAMPAIGN_STATS["collapse"]`` records class counts and the
+opt-in.  ``report.telemetry["collapse"]`` records class counts and the
 achieved reduction.
 
 Static prescreening (the ``prescreen=`` path)
@@ -98,8 +98,8 @@ schedulers see strictly fewer faults.  ``prescreen="validate"`` inverts
 the bargain: everything is simulated, and a detected proved-untestable
 fault raises :exc:`~repro.exceptions.PrescreenViolation` -- the prover's
 soundness (and the engines' exactness) as a continuously-checked
-theorem.  ``CAMPAIGN_STATS["prescreen"]`` carries the verdict tallies,
-the skip count and the per-fault proof witnesses.
+theorem.  ``report.telemetry["prescreen"]`` carries the verdict
+tallies, the skip count and the per-fault proof witnesses.
 
 Resilience (deadlines, retries, checkpoints, the degradation ladder)
 --------------------------------------------------------------------
@@ -120,9 +120,10 @@ ones:
 * ``degrade=True`` walks the degradation ladder on repeated failure:
   pool (caller-owned or ephemeral) -> serial compiled -> serial
   interpreted, recording each step as a :class:`DegradationEvent`.
-* every campaign exports ``CAMPAIGN_STATS["resilience"]`` telemetry:
-  retries, worker respawns, watchdog timeouts, re-dispatched
-  chunks/faults, checkpoint resume counts, and the fallback events.
+* every report carries ``telemetry["resilience"]``: retries, worker
+  respawns, watchdog timeouts, re-dispatched chunks/faults, checkpoint
+  resume counts, and the fallback events.  A campaign that raises
+  returns no report; its exception carries the failure details.
 
 ``tests/test_chaos.py`` drives all of this with injected worker crashes,
 hangs, closed pipes and poisoned payloads (:mod:`repro.faults.chaos`) and
@@ -147,11 +148,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import pickle
-import threading
 import time
-from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..bist.compaction import LinearCompactor, stream_errors, transpose_words
 from ..exceptions import (
@@ -169,6 +168,8 @@ from .coverage import (
     PRESCREEN_MODES,
     BlockFault,
     CoverageReport,
+    _LAST_TELEMETRY,
+    tally_report,
 )
 
 __all__ = [
@@ -176,70 +177,14 @@ __all__ = [
     "transpose_words",
     "stream_errors",
     "run_campaign",
-    "CAMPAIGN_STATS",
+    "deterministic_telemetry",
     "campaign_telemetry",
     "DegradationEvent",
 ]
 
-class _ThreadLocalStats(MutableMapping):
-    """A dict façade whose contents are per-thread.
 
-    Campaign telemetry was a plain module-level dict, which is fine for
-    one campaign at a time but races as soon as two threads run campaigns
-    concurrently -- the campaign service executes one campaign per pool
-    shard thread, and each ``clear()``/``update()`` pair would trample the
-    other shard's telemetry mid-read.  Backing the same mapping interface
-    with :class:`threading.local` keeps every existing call site
-    (``CAMPAIGN_STATS[...]``, ``.get``, ``.clear``, ``.update``,
-    truthiness) working unchanged while giving each executor thread its
-    own snapshot; :func:`campaign_telemetry` therefore always describes
-    the campaign the *calling thread* just ran.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    @property
-    def _data(self) -> Dict[str, object]:
-        try:
-            return self._local.data
-        except AttributeError:
-            self._local.data = {}
-            return self._local.data
-
-    def __getitem__(self, key):
-        return self._data[key]
-
-    def __setitem__(self, key, value) -> None:
-        self._data[key] = value
-
-    def __delitem__(self, key) -> None:
-        del self._data[key]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __repr__(self) -> str:
-        return repr(self._data)
-
-
-#: telemetry of the most recent :func:`run_campaign` in the *calling
-#: thread* (per-thread storage; see :class:`_ThreadLocalStats`):
-#: ``workers``, ``chunk_size``, ``chunks_stolen`` (per worker), ``dropped``
-#: (faults screened out pattern-parallel), ``collapse`` (class count /
-#: universe reduction of the fault-collapsing layer, ``None`` when raw)
-#: and ``resilience`` (retries, respawns, watchdog timeouts, re-dispatched
-#: chunks/faults, checkpoint resume count, degradation fallbacks).
-#: Diagnostics only -- never part of the returned report, which stays
-#: bit-identical across schedules.
-CAMPAIGN_STATS: MutableMapping = _ThreadLocalStats()
-
-
-def campaign_telemetry() -> Dict[str, object]:
-    """Deterministic, JSON-able slice of the last campaign's telemetry.
+def deterministic_telemetry(telemetry: Mapping[str, Any]) -> Dict[str, object]:
+    """Deterministic, JSON-able slice of a report's campaign telemetry.
 
     The sweep harness (:mod:`repro.suite.sweep`) embeds this in each
     ``metrics.jsonl`` record, so only fields that are a pure function of
@@ -247,14 +192,15 @@ def campaign_telemetry() -> Dict[str, object]:
     (structural), the pattern-parallel ``dropped`` count (fixed by the
     chunking parameters, not by which worker stole which chunk) and the
     worker count.  Scheduling noise -- per-worker steal tallies, retries,
-    respawns -- stays in :data:`CAMPAIGN_STATS` only, because metrics
-    records must reproduce bit-identically from a manifest's seeds.  The
-    prescreen slice qualifies too: proofs are a pure function of the
-    netlist structure, so the proved/skipped tallies are
-    scheduler-independent (witness strings stay in the full stats).
+    respawns -- stays in :attr:`CoverageReport.telemetry` only, because
+    metrics records must reproduce bit-identically from a manifest's
+    seeds.  The prescreen slice qualifies too: proofs are a pure function
+    of the netlist structure, so the proved/skipped tallies are
+    scheduler-independent (witness strings stay in the full telemetry).
+    The serial oracle's empty telemetry maps to all-``None`` fields.
     """
-    collapse = CAMPAIGN_STATS.get("collapse")
-    prescreen = CAMPAIGN_STATS.get("prescreen")
+    collapse = telemetry.get("collapse")
+    prescreen = telemetry.get("prescreen")
     prescreen_slice: Optional[Dict[str, object]] = None
     if prescreen:
         prescreen_slice = {
@@ -264,10 +210,23 @@ def campaign_telemetry() -> Dict[str, object]:
         prescreen_slice["by_verdict"] = dict(prescreen.get("by_verdict") or {})
     return {
         "collapse": dict(collapse) if collapse else None,
-        "dropped": CAMPAIGN_STATS.get("dropped"),
-        "workers": CAMPAIGN_STATS.get("workers"),
+        "dropped": telemetry.get("dropped"),
+        "workers": telemetry.get("workers"),
         "prescreen": prescreen_slice,
     }
+
+
+def campaign_telemetry() -> Dict[str, object]:
+    """:func:`deterministic_telemetry` of the last report that
+    :func:`~repro.faults.coverage.measure_coverage` returned on the
+    calling thread.
+
+    This exists for the benchmark tracer, which wraps ``measure_coverage``
+    and reads the campaign it just traced from here.  Library code reads
+    :attr:`CoverageReport.telemetry` of the report it holds instead.
+    """
+    return deterministic_telemetry(getattr(_LAST_TELEMETRY, "telemetry", {}))
+
 
 #: the degradation ladder, most capable rung first.
 _LADDER = ("pool", "serial", "interpreted")
@@ -298,7 +257,7 @@ class DegradationEvent:
 
 
 def _blank_resilience() -> Dict[str, object]:
-    """Fresh ``CAMPAIGN_STATS["resilience"]`` telemetry record."""
+    """Fresh ``telemetry["resilience"]`` record of one campaign."""
     return {
         "retries": 0,
         "respawns": 0,
@@ -567,7 +526,7 @@ def run_campaign(
     proved fault.  Both compose with ``collapse=``: verdicts are proved
     on the scheduled representatives, and equivalence classes share them
     by construction.  Proof witnesses and the skip tally land in
-    ``CAMPAIGN_STATS["prescreen"]``.
+    ``report.telemetry["prescreen"]``.
 
     Resilience knobs (module docstring, "Resilience"): ``timeout`` arms
     the pool's no-progress watchdog / the serial rung's cooperative
@@ -577,6 +536,14 @@ def run_campaign(
     ``degrade=True`` walks the pool -> serial -> interpreted ladder on
     repeated failure instead of raising at the first exhausted budget.
     All of them preserve the bit-identical report guarantee.
+
+    The report's ``telemetry`` (excluded from report equality) says what
+    the campaign did: ``workers``, ``chunk_size``, ``chunks_stolen`` (per
+    worker), ``dropped`` (faults screened out pattern-parallel, ``None``
+    without superposition), ``pool`` (reuse hits, campaigns and respawns
+    on the pool rung, else ``None``), ``collapse`` (class counts, ``None``
+    when raw), ``resilience`` (see above) and ``prescreen`` (``None`` when
+    off).
     """
     if collapse not in COLLAPSE_MODES:
         raise ReproError(
@@ -608,26 +575,21 @@ def run_campaign(
     prescreen_verdicts = None
     prescreen_stats: Optional[Dict[str, object]] = None
     if prescreen != "none":
-        from ..analysis.untestable import prove_controller
+        from ..analysis.untestable import prove_controller, verdict_tally
 
         # Verdicts are proved on the *scheduled* faults: with collapsing
         # active these are the class representatives, and equivalence
         # classes share verdicts by construction, so expanding the codes
         # below spreads each proof over its whole class.
         prescreen_verdicts = prove_controller(controller, faults=schedule)
-        by_verdict: Dict[str, int] = {}
-        for verdict in prescreen_verdicts:
-            if verdict.is_untestable:
-                by_verdict[verdict.verdict] = (
-                    by_verdict.get(verdict.verdict, 0) + 1
-                )
+        by_verdict = verdict_tally(prescreen_verdicts)
         prescreen_stats = {
             "mode": prescreen,
             "universe": len(universe),
             "scheduled": len(schedule),
             "proved": sum(by_verdict.values()),
             "skipped": 0,
-            "by_verdict": dict(sorted(by_verdict.items())),
+            "by_verdict": by_verdict,
             "reasons": {
                 f"{block}:{fault.describe()}": verdict.reason
                 for (block, fault), verdict in zip(
@@ -680,7 +642,10 @@ def run_campaign(
     rungs = list(_LADDER[start_rung:]) if degrade else [_LADDER[start_rung]]
 
     codes: Optional[List[int]] = None
+    scheduler: Dict[str, object] = {}
     for position, rung in enumerate(rungs):
+        # The interpreted rung never superposes (see below).
+        rung_superpose = superpose and rung != "interpreted"
         resume = (
             list(codes_state)
             if any(code >= 0 for code in codes_state)
@@ -713,34 +678,28 @@ def run_campaign(
                     finally:
                         for key, value in before.items():
                             resilience[key] += active.stats[key] - value
+                    scheduler = {
+                        "workers": active.workers,
+                        "chunk_size": active.last_job.get("chunk_size"),
+                        "chunks_stolen": list(
+                            active.last_job.get("chunks_stolen", [])
+                        ),
+                        "pool": {
+                            "reuse_hits": active.last_job.get("reuse_hits", 0),
+                            "campaigns": active.stats["campaigns"],
+                            "respawns": active.stats["respawns"],
+                        },
+                    }
                 note_progress(0, codes)
-                CAMPAIGN_STATS.clear()
-                CAMPAIGN_STATS.update(
-                    workers=active.workers,
-                    chunk_size=active.last_job.get("chunk_size"),
-                    chunks_stolen=list(active.last_job.get("chunks_stolen", [])),
-                    dropped=(
-                        sum(1 for code in codes if code == FAULT_DROPPED)
-                        if superpose
-                        else None
-                    ),
-                    pool={
-                        "reuse_hits": active.last_job.get("reuse_hits", 0),
-                        "campaigns": active.stats["campaigns"],
-                        "respawns": active.stats["respawns"],
-                    },
-                )
             else:
                 rung_options = options
                 rung_dropping = dropping
-                rung_superpose = superpose
                 if rung == "interpreted":
                     # Last rung: the seed dict-keyed session loops, no
                     # compiled kernels, no screening -- the slowest and
                     # most battle-tested path in the library.
                     rung_options = dict(options, engine="interpreted")
                     rung_dropping = False
-                    rung_superpose = False
                 codes = _serial_outcomes(
                     controller,
                     schedule,
@@ -755,28 +714,19 @@ def run_campaign(
                     chunk_size=chunk_size,
                 )
                 note_progress(0, codes)
-                CAMPAIGN_STATS.clear()
-                CAMPAIGN_STATS.update(
-                    workers=1,
-                    chunk_size=(
-                        chunk_size
-                        if chunk_size is not None
-                        else len(schedule)
+                scheduler = {
+                    "workers": 1,
+                    "chunk_size": (
+                        chunk_size if chunk_size is not None else len(schedule)
                     ),
-                    chunks_stolen=[1],
-                    dropped=(
-                        sum(1 for code in codes if code == FAULT_DROPPED)
-                        if rung_superpose
-                        else None
-                    ),
-                )
+                    "chunks_stolen": [1],
+                    "pool": None,
+                }
             break
         except ReproError as error:
             if ckpt is not None:
                 ckpt.save(codes_state, flush=True)
             if position == len(rungs) - 1:
-                CAMPAIGN_STATS.clear()
-                CAMPAIGN_STATS.update(resilience=resilience)
                 raise
             resilience["fallbacks"].append(
                 DegradationEvent(
@@ -787,11 +737,19 @@ def run_campaign(
                 )
             )
 
-    CAMPAIGN_STATS["collapse"] = fault_map.stats() if fault_map else None
-    CAMPAIGN_STATS["resilience"] = resilience
-    CAMPAIGN_STATS["prescreen"] = prescreen_stats
+    assert codes is not None
+    telemetry: Dict[str, object] = {
+        **scheduler,
+        "dropped": (
+            sum(1 for code in codes if code == FAULT_DROPPED)
+            if rung_superpose
+            else None
+        ),
+        "collapse": fault_map.stats() if fault_map else None,
+        "resilience": resilience,
+        "prescreen": prescreen_stats,
+    }
     if prescreen == "validate" and prescreen_verdicts is not None:
-        assert codes is not None
         violations = [
             (block, fault.describe(), verdict.reason)
             for (block, fault), verdict, code in zip(
@@ -800,10 +758,6 @@ def run_campaign(
             if verdict.is_untestable and code == FAULT_DETECTED
         ]
         if violations:
-            assert prescreen_stats is not None
-            CAMPAIGN_STATS["prescreen"] = dict(
-                prescreen_stats, violations=len(violations)
-            )
             listed = "; ".join(
                 f"{block} {description} ({reason})"
                 for block, description, reason in violations[:5]
@@ -824,23 +778,10 @@ def run_campaign(
         else:
             universe = schedule  # dominance reports over the kept faults
 
-    undetected: List[BlockFault] = []
-    by_block: Dict[str, List[int]] = {}
-    detected = 0
-    for block_fault, code in zip(universe, codes):
-        block = block_fault[0]
-        counts = by_block.setdefault(block, [0, 0])
-        counts[1] += 1
-        if code == FAULT_DETECTED:
-            detected += 1
-            counts[0] += 1
-        else:
-            undetected.append(block_fault)
-    return CoverageReport(
-        architecture=type(controller).__name__,
-        total=len(universe),
-        detected=detected,
-        undetected=undetected,
-        by_block={block: (c[0], c[1]) for block, c in by_block.items()},
-        cycles=cycles,
+    return tally_report(
+        controller,
+        universe,
+        [code == FAULT_DETECTED for code in codes],
+        cycles,
+        telemetry,
     )

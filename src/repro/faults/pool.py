@@ -60,8 +60,8 @@ with the controller preloaded into every worker's cache at fork time
   injected failures converge under the retry budget.
 
 Scheduler telemetry (per-worker steal counts, reuse hits, respawns,
-retries, watchdog timeouts, re-dispatched chunks) is exported through
-:data:`repro.faults.engine.CAMPAIGN_STATS` for campaign jobs and
+retries, watchdog timeouts, re-dispatched chunks) is returned on each
+campaign's :attr:`~repro.faults.coverage.CoverageReport.telemetry` and
 accumulated in :attr:`CampaignPool.stats`.
 """
 
@@ -454,8 +454,8 @@ class CampaignPool:
         self._preload: Dict[str, object] = {}
         if preload is not None:
             self._preload[self._payload(preload)[1]] = preload
-        #: cumulative pool telemetry (also folded into ``CAMPAIGN_STATS``
-        #: by campaign jobs): jobs served per kind, subject-cache reuse
+        #: cumulative pool telemetry (also folded into each campaign
+        #: report's ``telemetry``): jobs served per kind, subject-cache reuse
         #: hits across workers, worker respawns after crashes, slab
         #: re-dispatch retries, watchdog timeout firings, and how many
         #: faults/chunks those retries re-dispatched.

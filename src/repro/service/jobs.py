@@ -49,9 +49,8 @@ Everything here is deterministic where it matters: the *record* a job
 produces is a pure function of its member and config (see
 :func:`~repro.suite.sweep.sweep_member`), so a sweep driven through the
 engine is bit-identical to the in-process path regardless of priorities,
-shard assignment, dedupe or retries.  Campaign telemetry stays coherent
-under concurrency because ``CAMPAIGN_STATS`` is per-thread and each shard
-executor is one thread.
+shard assignment, dedupe or retries.  Campaign telemetry travels in the
+record itself (its ``telemetry`` block), so shards never share it.
 """
 
 from __future__ import annotations
@@ -267,9 +266,8 @@ class JobEngine:
             "rejected": 0,
             "dedupe_hits": 0,
         }
-        self._shard_telemetry: List[Optional[Dict[str, object]]] = [
-            None
-        ] * shards
+        #: per shard, the ``telemetry`` block of its last finished record
+        self._shard_telemetry: List[object] = [None] * shards
         # Service-scope chaos (kill_server / torn_tail / http_stall);
         # generation-gated through the environment so a supervisor's
         # restart runs recovery chaos-free.
@@ -727,11 +725,12 @@ class JobEngine:
                 required=False,
             )
             self.chaos_state.after_job_result()
-            telemetry = self._capture_telemetry()
             with self._cond:
                 job.finished_unix = time.time()
                 self._running -= 1
-                self._shard_telemetry[shard] = telemetry
+                self._shard_telemetry[shard] = (
+                    record.get("telemetry") if record is not None else None
+                )
                 job.record = record
                 job.state = final_state
                 job.error = final_error
@@ -743,26 +742,6 @@ class JobEngine:
                         del self._by_key[job.key]
                 self._note_finished(job)
                 self._cond.notify_all()
-
-    @staticmethod
-    def _capture_telemetry() -> Dict[str, object]:
-        """This thread's last-campaign telemetry, JSON-able."""
-        from ..faults.engine import CAMPAIGN_STATS, campaign_telemetry
-
-        snapshot = campaign_telemetry()
-        resilience = CAMPAIGN_STATS.get("resilience") or {}
-        snapshot["resilience"] = {
-            key: resilience.get(key, 0)
-            for key in (
-                "retries",
-                "respawns",
-                "timeouts",
-                "redispatched_faults",
-                "redispatched_chunks",
-                "resumed",
-            )
-        }
-        return snapshot
 
     def _note_finished(self, job: Job) -> None:
         """Retention bookkeeping (caller holds the lock)."""
@@ -790,10 +769,7 @@ class JobEngine:
                 "draining": self._draining,
                 "jobs_tracked": len(self._jobs),
             }
-            campaigns = [
-                dict(snapshot) if snapshot else None
-                for snapshot in self._shard_telemetry
-            ]
+            campaigns = list(self._shard_telemetry)
         pools = [
             pool.stats_snapshot() if pool is not None else None
             for pool in self._pools

@@ -188,7 +188,7 @@ def _static_block(controller) -> Dict[str, object]:
     ledger and reproduces bit-identically from a manifest's seeds.
     """
     from ..analysis.structure import verify
-    from ..analysis.untestable import prove_controller
+    from ..analysis.untestable import prove_controller, verdict_tally
 
     blocks: Dict[str, object] = {}
     for block, netlist in sorted(
@@ -202,16 +202,13 @@ def _static_block(controller) -> Dict[str, object]:
             "by_code": report.by_code(),
         }
     verdicts = prove_controller(controller)
-    by_verdict: Dict[str, int] = {}
-    for verdict in verdicts:
-        if verdict.is_untestable:
-            by_verdict[verdict.verdict] = by_verdict.get(verdict.verdict, 0) + 1
+    by_verdict = verdict_tally(verdicts)
     return {
         "structure": blocks,
         "untestable": {
             "universe": len(verdicts),
             "proved": sum(by_verdict.values()),
-            "by_verdict": dict(sorted(by_verdict.items())),
+            "by_verdict": by_verdict,
         },
     }
 
@@ -237,7 +234,7 @@ def sweep_member(
     """
     from ..bist import build_conventional_bist, build_pipeline
     from ..faults import measure_coverage
-    from ..faults.engine import campaign_telemetry
+    from ..faults.engine import deterministic_telemetry
     from ..ostr import conventional_bist_flipflops, search_ostr
 
     record: Dict[str, object] = {
@@ -306,8 +303,8 @@ def sweep_member(
             # them (like wall): the ledger must not change when a sweep
             # merely *schedules* differently.  Worker counts / drop
             # tallies vary with wall-clock knobs and are excluded by
-            # campaign_telemetry() itself.
-            telemetry = campaign_telemetry()
+            # deterministic_telemetry() itself.
+            telemetry = deterministic_telemetry(report.telemetry)
             record["telemetry"] = {
                 "collapse": telemetry["collapse"],
                 "prescreen": telemetry["prescreen"],

@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.faults.chaos import CHAOS_ENV
 from repro.faults.checkpoint import campaign_key
-from repro.faults.engine import CAMPAIGN_STATS, DegradationEvent
+from repro.faults.engine import DegradationEvent
 from repro.suite import shift_register
 
 CYCLES = 32
@@ -249,7 +249,7 @@ class TestCheckpointResume:
             checkpoint=path,
         )
         assert report == oracle
-        resilience = CAMPAIGN_STATS["resilience"]
+        resilience = report.telemetry["resilience"]
         assert resilience["resumed"] == snapshot["completed"]
         assert not os.path.exists(path)  # cleared on success
 
@@ -277,9 +277,9 @@ class TestEphemeralPool:
             controller, cycles=CYCLES, seed=SEED, workers=2, dropping=True
         )
         assert report == oracle
-        assert CAMPAIGN_STATS["workers"] == 2
+        assert report.telemetry["workers"] == 2
         # preloaded at fork: no worker needed the payload shipped
-        assert CAMPAIGN_STATS["pool"]["reuse_hits"] == 2
+        assert report.telemetry["pool"]["reuse_hits"] == 2
         assert multiprocessing.active_children() == []
 
     def test_exhausted_budget_raises_and_leaves_no_live_children(
@@ -310,7 +310,7 @@ class TestEphemeralPool:
             degrade=True,
         )
         assert report == oracle
-        resilience = CAMPAIGN_STATS["resilience"]
+        resilience = report.telemetry["resilience"]
         (event,) = resilience["fallbacks"]
         assert isinstance(event, DegradationEvent)
         assert (event.rung_from, event.rung_to, event.kind) == (

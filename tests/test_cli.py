@@ -299,6 +299,14 @@ class TestLint:
         assert code == 2
         assert "needs a machine" in err
 
+    def test_corpus_shard_zero_rejected(self, capsys):
+        # same parser and messages as sweep --shard
+        code, out, err = run_cli(capsys, "lint", "--corpus", "--shard", "0/4")
+        assert code == 2
+        assert "out of range" in err
+        assert "shards are numbered 1..N" in err
+        assert out == ""
+
 
 class TestCoveragePrescreen:
     def test_static_prescreen_prints_proof_summary(self, capsys):

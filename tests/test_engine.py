@@ -23,7 +23,12 @@ from repro.bist.architectures import (
 )
 from repro.bist.misr import Misr
 from repro.faults.coverage import measure_coverage
-from repro.faults.engine import LinearCompactor, stream_errors, transpose_words
+from repro.faults.engine import (
+    LinearCompactor,
+    campaign_telemetry,
+    stream_errors,
+    transpose_words,
+)
 from repro.ostr.search import search_ostr
 
 _WIDTHS = (1, 4, 5, 8, 12)
@@ -150,6 +155,21 @@ def test_worker_campaign_is_bit_identical(dk27_controllers):
     oracle = measure_coverage(controller)
     assert measure_coverage(controller, workers=2, dropping=True) == oracle
     assert measure_coverage(controller, workers=2, dropping=False) == oracle
+
+
+def test_oracle_after_collapsed_campaign_reports_no_stale_telemetry(
+    dk27_controllers,
+):
+    """Telemetry rides on the report: the serial oracle carries none, and
+    the last-report slice follows the oracle, not the campaign before it."""
+    controller = dk27_controllers["pipeline"]
+    universe = len(controller.fault_universe())
+    collapsed = measure_coverage(controller, collapse="equiv", dropping=True)
+    assert collapsed.telemetry["collapse"]["scheduled"] < universe
+    oracle = measure_coverage(controller)
+    assert oracle == collapsed  # telemetry is not part of equality
+    assert oracle.telemetry == {}
+    assert campaign_telemetry()["collapse"] is None
 
 
 def test_session_options_flow_through_engine(dk27_controllers):

@@ -19,7 +19,7 @@ from repro.analysis import prove_controller
 from repro.bist import build_pipeline
 from repro.exceptions import FaultError, PrescreenViolation
 from repro.faults import measure_coverage
-from repro.faults.engine import CAMPAIGN_STATS, campaign_telemetry, run_campaign
+from repro.faults.engine import deterministic_telemetry, run_campaign
 from repro.ostr import search_ostr
 from repro.suite import corpus, paper_example, shift_register
 
@@ -57,8 +57,8 @@ class TestStaticPrescreen:
         assert report_fields(static) == report_fields(shiftreg_oracle)
 
     def test_strictly_fewer_faults_simulated(self, shiftreg_controller):
-        measure_coverage(shiftreg_controller, prescreen="static")
-        stats = CAMPAIGN_STATS["prescreen"]
+        report = measure_coverage(shiftreg_controller, prescreen="static")
+        stats = report.telemetry["prescreen"]
         assert stats["mode"] == "static"
         assert stats["universe"] == stats["scheduled"]  # no collapsing
         assert stats["proved"] >= 1
@@ -71,8 +71,8 @@ class TestStaticPrescreen:
     def test_telemetry_slice_is_scheduler_independent(
         self, shiftreg_controller
     ):
-        measure_coverage(shiftreg_controller, prescreen="static")
-        slice_ = campaign_telemetry()["prescreen"]
+        report = measure_coverage(shiftreg_controller, prescreen="static")
+        slice_ = deterministic_telemetry(report.telemetry)["prescreen"]
         assert set(slice_) == {
             "mode", "universe", "scheduled", "proved", "skipped", "by_verdict"
         }
@@ -84,7 +84,7 @@ class TestStaticPrescreen:
             dropping=True,
         )
         assert report_fields(collapsed) == report_fields(shiftreg_oracle)
-        stats = CAMPAIGN_STATS["prescreen"]
+        stats = collapsed.telemetry["prescreen"]
         assert stats["scheduled"] < stats["universe"]
 
     def test_proved_faults_reported_undetected(self, shiftreg_controller):
@@ -107,7 +107,7 @@ class TestValidatePrescreen:
     ):
         report = measure_coverage(shiftreg_controller, prescreen="validate")
         assert report_fields(report) == report_fields(shiftreg_oracle)
-        stats = CAMPAIGN_STATS["prescreen"]
+        stats = report.telemetry["prescreen"]
         assert stats["mode"] == "validate"
         assert stats["skipped"] == 0  # everything was simulated
 
@@ -147,7 +147,7 @@ class TestValidatePrescreen:
         with pytest.raises(PrescreenViolation) as excinfo:
             run_campaign(shiftreg_controller, prescreen="validate")
         assert detected_fault[1].describe() in str(excinfo.value)
-        assert CAMPAIGN_STATS["prescreen"]["violations"] >= 1
+        assert len(excinfo.value.violations) >= 1
 
     def test_checkpoint_resume_keeps_static_report_identical(
         self, shiftreg_controller, shiftreg_oracle, tmp_path
@@ -188,7 +188,7 @@ class TestDifferentialCorpus:
                 controller, prescreen="validate", **config
             )
             assert report.total == len(list(controller.fault_universe()))
-            proved_somewhere += CAMPAIGN_STATS["prescreen"]["proved"]
+            proved_somewhere += report.telemetry["prescreen"]["proved"]
         # The differential is vacuous unless the prover actually proved
         # something across the slice.
         assert proved_somewhere >= 10

@@ -207,7 +207,7 @@ class TestHttpSurface:
         assert any(j["job"] == accepted["job"] for j in client.jobs())
         metrics = client.metrics()
         assert metrics["service"]["completed"] == 1
-        # the shard captured its campaign telemetry after the job
+        # the shard's entry is its last record's telemetry block
         assert metrics["campaigns"][0]["collapse"] is not None
 
     def test_duplicate_submission_dedupes_over_http(self, client):

@@ -7,7 +7,7 @@ every run, under every scheduler.  These rules fence off the handful of
 Python constructs that silently break that promise (wall-clock reads,
 unseeded randomness, weak hashes) plus the hygiene rules the codebase
 already follows by convention (no stray ``exec``, no swallowed
-exceptions, one owner for the campaign-stats facade).
+exceptions).
 
 Rules
 -----
@@ -25,14 +25,12 @@ RL003   wall-clock reads (``time.time``, ``datetime.now``/``utcnow``/
         fine and not flagged.
 RL004   ``exec`` outside ``src/repro/netlist/compiled.py`` (the one
         sanctioned code generator).
-RL005   mutating the ``CAMPAIGN_STATS`` facade outside
-        ``src/repro/faults/engine.py`` -- reads are fine everywhere; all
-        writes go through the owning thread-local facade so per-shard
-        telemetry never races.
 RL006   bare or broad ``except`` (``Exception``/``BaseException``/no
         type) whose handler never re-raises, outside ``__del__`` --
         swallowed errors turn missing coverage into silent zeros.
 ======  =================================================================
+
+Rule ids are never reused: a retired rule leaves a gap in the numbering.
 
 Suppressions
 ------------
@@ -76,15 +74,12 @@ RULES: Dict[str, str] = {
     "RL003": "wall-clock read in the suite ledger layer: canonical records "
     "must be reproducible (time.perf_counter is fine for timings)",
     "RL004": "exec outside src/repro/netlist/compiled.py",
-    "RL005": "CAMPAIGN_STATS mutated outside its owning facade "
-    "(src/repro/faults/engine.py); reads are fine",
     "RL006": "bare/broad except without re-raise outside __del__ swallows "
     "errors silently",
 }
 
 # Files where a rule's flagged construct is the sanctioned implementation.
 _EXEC_HOME = "src/repro/netlist/compiled.py"
-_STATS_HOME = "src/repro/faults/engine.py"
 
 _WALLCLOCK_CALLS = {
     "time.time",
@@ -98,8 +93,6 @@ _WALLCLOCK_CALLS = {
     "datetime.date.today",
     "date.today",
 }
-
-_STATS_MUTATORS = {"update", "clear", "setdefault", "pop", "popitem"}
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -183,15 +176,6 @@ class _Linter(ast.NodeVisitor):
             Violation(self.relpath, node.lineno, rule, RULES[rule])
         )
 
-    def _stats_target(self, node: ast.AST) -> bool:
-        """Is this expression ``CAMPAIGN_STATS[...]`` / ``.attr``?"""
-        if isinstance(node, (ast.Subscript, ast.Attribute)):
-            return (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "CAMPAIGN_STATS"
-            )
-        return False
-
     # -- imports -------------------------------------------------------------
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -227,35 +211,6 @@ class _Linter(ast.NodeVisitor):
             and self.relpath != _EXEC_HOME
         ):
             self._flag(node, "RL004")
-        if (
-            self.relpath != _STATS_HOME
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "CAMPAIGN_STATS"
-            and node.func.attr in _STATS_MUTATORS
-        ):
-            self._flag(node, "RL005")
-        self.generic_visit(node)
-
-    # -- campaign-stats writes ----------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self.relpath != _STATS_HOME and any(
-            self._stats_target(target) for target in node.targets
-        ):
-            self._flag(node, "RL005")
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if self.relpath != _STATS_HOME and self._stats_target(node.target):
-            self._flag(node, "RL005")
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        if self.relpath != _STATS_HOME and any(
-            self._stats_target(target) for target in node.targets
-        ):
-            self._flag(node, "RL005")
         self.generic_visit(node)
 
     # -- broad excepts -------------------------------------------------------
