@@ -3,12 +3,13 @@
 The interpreted :meth:`Netlist.evaluate` walks the gate list with dict-keyed
 net values; that is the inner loop of every fault-simulation campaign and of
 every BIST self-test session, so it dominates end-to-end runtime.  This
-module compiles a frozen netlist once into straight-line Python source
+module compiles a frozen netlist into straight-line Python source
 (``exec``-ed, like ``namedtuple`` or ``dataclasses`` do) in which nets are
 local variables indexed by *slot* -- primary inputs first, then gate outputs
 in topological order -- and evaluates with zero dict traffic.
 
-Four specialisations are generated from the same gate list:
+Eight evaluators in four specialisations are generated from the same gate
+list:
 
 ``good_all(I, mask)``
     Fault-free bit-parallel evaluation; returns the value of every net as a
@@ -44,8 +45,13 @@ Four specialisations are generated from the same gate list:
     marked outputs, so these skip materialising the full net list on
     every call.
 
-Compilation is cached per frozen netlist (see :meth:`Netlist.compile`); the
-compiled object is deliberately excluded from pickling so controllers can be
+Each evaluator is compiled on its first call, at most once per netlist:
+:class:`CompiledNetlist` (cached per frozen netlist, see
+:meth:`Netlist.compile`) only builds the slot index, and every evaluator
+slot starts as a stub that compiles the real function and installs it in
+its place, so later calls pay nothing extra.  A sweep calls only some of
+the eight on any one netlist, and never compiles the rest.  The compiled
+object is deliberately excluded from pickling so controllers can be
 shipped to worker processes and recompile lazily on the other side.
 
 Equivalence with the interpreted evaluator -- all nets, stem and branch
@@ -55,10 +61,10 @@ faults, arbitrary masks -- is enforced by property tests
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import NetlistError
-from .netlist import Fault, Gate, GateKind, Netlist
+from .netlist import Fault, GateKind, Netlist
 
 #: ``lane_overrides()`` result: stem ``slot -> (or_mask, and_mask)`` plus
 #: branch ``gate_index -> [(pin, stuck_word, lane_mask), ...]`` tables.
@@ -167,6 +173,21 @@ def _make_lane_refault(
     return _lane_refault
 
 
+#: evaluator name -> (argument list, body family, returned nets).  The
+#: families share one straight-line body between their all-nets and
+#: outputs-only variants (identical arguments, only the return differs).
+_EVALUATORS: Dict[str, Tuple[str, str, str]] = {
+    "good_all": ("I, mask", "good", "all"),
+    "good_out": ("I, mask", "good", "out"),
+    "fault_all": ("I, mask, fs, stuck, fg, fp", "fault", "all"),
+    "fault_out": ("I, mask, fs, stuck, fg, fp", "fault", "out"),
+    "step_good": ("bits", "step_good", "packed"),
+    "step_fault": ("bits, fs, stuck, fg, fp", "step_fault", "packed"),
+    "lane_all": ("I, mask, so, br", "lane", "all"),
+    "lane_out": ("I, mask, so, br", "lane", "out"),
+}
+
+
 class CompiledNetlist:
     """Slot-indexed compiled evaluators for one frozen :class:`Netlist`."""
 
@@ -178,7 +199,7 @@ class CompiledNetlist:
         "input_names",
         "output_names",
         "output_slots",
-        "source",
+        "_gates",
         "_good_all",
         "_fault_all",
         "_step_good",
@@ -189,10 +210,20 @@ class CompiledNetlist:
         "_lane_out",
     )
 
+    # Evaluator slots: a first-call stub until compiled, then the function.
+    _good_all: Callable[..., List[int]]
+    _fault_all: Callable[..., List[int]]
+    _step_good: Callable[..., int]
+    _step_fault: Callable[..., int]
+    _lane_all: Callable[..., List[int]]
+    _good_out: Callable[..., List[int]]
+    _fault_out: Callable[..., List[int]]
+    _lane_out: Callable[..., List[int]]
+
     def __init__(self, netlist: Netlist) -> None:
         self.name = netlist.name
         inputs = tuple(netlist.inputs)
-        gates = tuple(netlist.gates)
+        gates = self._gates = tuple(netlist.gates)
         outputs = tuple(netlist.outputs)
         self.input_names = inputs
         self.output_names = outputs
@@ -204,104 +235,93 @@ class CompiledNetlist:
         self.output_slots: Tuple[int, ...] = tuple(
             self.index[net] for net in outputs
         )
-        self.source = self._generate(inputs, gates)
-        kinds = tuple(g.kind for g in gates)
-        namespace = {
-            "_refault": _make_refault(kinds),
-            "_lane_refault": _make_lane_refault(kinds),
-        }
-        exec(compile(self.source, f"<compiled netlist {self.name!r}>", "exec"), namespace)
-        self._good_all = namespace["good_all"]
-        self._fault_all = namespace["fault_all"]
-        self._step_good = namespace["step_good"]
-        self._step_fault = namespace["step_fault"]
-        self._lane_all = namespace["lane_all"]
-        self._good_out = namespace["good_out"]
-        self._fault_out = namespace["fault_out"]
-        self._lane_out = namespace["lane_out"]
+        # Every evaluator slot starts as a stub that compiles the real
+        # evaluator on its first call and replaces itself with it.
+        for evaluator in _EVALUATORS:
+            setattr(self, "_" + evaluator, self._compile_on_call(evaluator))
 
     # -- code generation -----------------------------------------------------
 
-    def _generate(
-        self, inputs: Sequence[str], gates: Sequence[Gate]
-    ) -> str:
-        n_inputs = len(inputs)
-        all_slots = ", ".join(f"v{slot}" for slot in range(len(self.net_names)))
-        return_all = f"    return [{all_slots}]" if self.net_names else "    return []"
-        out_slots = ", ".join(f"v{slot}" for slot in self.output_slots)
-        return_out = f"    return [{out_slots}]" if self.output_slots else "    return []"
-        packed_out = " | ".join(
-            f"v{slot}" if position == 0 else f"(v{slot} << {position})"
-            for position, slot in enumerate(self.output_slots)
-        )
-        return_packed = f"    return {packed_out}" if self.output_slots else "    return 0"
+    def _compile_on_call(self, evaluator: str) -> Callable[..., Any]:
+        def first_call(*args: Any) -> Any:
+            return self._compile(evaluator)(*args)
 
-        # One straight-line body per specialisation family, shared by its
-        # all-nets and outputs-only variants (identical arguments, only the
-        # return differs).
-        good_body: List[str] = []
-        fault_body: List[str] = []
-        lane_body: List[str] = ["    g = so.get"]
-        step_good = ["def step_good(bits):"]
-        step_fault = ["def step_fault(bits, fs, stuck, fg, fp):"]
-        for slot in range(n_inputs):
-            good_body.append(f"    v{slot} = I[{slot}] & mask")
-            fault_body.append(f"    v{slot} = I[{slot}] & mask")
-            fault_body.append(f"    if fs == {slot}: v{slot} = stuck")
-            lane_body.append(f"    v{slot} = I[{slot}] & mask")
-            lane_body.append(f"    t = g({slot})")
-            lane_body.append(
-                f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]"
-            )
-            unpack = "bits & 1" if slot == 0 else f"(bits >> {slot}) & 1"
-            step_good.append(f"    v{slot} = {unpack}")
-            step_fault.append(f"    v{slot} = {unpack}")
-            step_fault.append(f"    if fs == {slot}: v{slot} = stuck")
-        for gate_index, gate in enumerate(gates):
-            slot = n_inputs + gate_index
+        return first_call
+
+    def _compile(self, evaluator: str) -> Callable[..., Any]:
+        """Generate, compile and install one evaluator; returns it.
+
+        Two threads racing on the same first call may both compile; each
+        installs a complete function with one attribute store, so no
+        caller ever sees a half-built evaluator.
+        """
+        kinds = tuple(g.kind for g in self._gates)
+        namespace: Dict[str, Any] = {
+            "_refault": _make_refault(kinds),
+            "_lane_refault": _make_lane_refault(kinds),
+        }
+        source = self._source(evaluator)
+        filename = f"<compiled netlist {self.name!r}: {evaluator}>"
+        exec(compile(source, filename, "exec"), namespace)
+        function: Callable[..., Any] = namespace[evaluator]
+        setattr(self, "_" + evaluator, function)
+        return function
+
+    def _source(self, evaluator: str) -> str:
+        """Straight-line Python source of one evaluator."""
+        arguments, family, returned = _EVALUATORS[evaluator]
+        step = family.startswith("step")
+        faulty = family in ("fault", "step_fault")
+        lane = family == "lane"
+        body = [f"def {evaluator}({arguments}):"]
+        if lane:
+            body.append("    g = so.get")
+        for slot in range(self.n_inputs):
+            if step:
+                unpack = "bits & 1" if slot == 0 else f"(bits >> {slot}) & 1"
+                body.append(f"    v{slot} = {unpack}")
+            else:
+                body.append(f"    v{slot} = I[{slot}] & mask")
+            if faulty:
+                body.append(f"    if fs == {slot}: v{slot} = stuck")
+            if lane:
+                body.append(f"    t = g({slot})")
+                body.append(f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]")
+        mask = "1" if step else "mask"
+        for gate_index, gate in enumerate(self._gates):
+            slot = self.n_inputs + gate_index
             operands = tuple(f"v{self.index[net]}" for net in gate.inputs)
-            expr = _operand_expr(gate.kind, operands, "mask")
-            step_expr = (
-                f"v{self.index[gate.inputs[0]]} ^ 1"
-                if gate.kind is GateKind.NOT
-                else _operand_expr(gate.kind, operands, "1")
+            if step and gate.kind is GateKind.NOT:
+                body.append(f"    v{slot} = {operands[0]} ^ 1")
+            else:
+                body.append(f"    v{slot} = {_operand_expr(gate.kind, operands, mask)}")
+            pinned = f"({', '.join(operands)},)"
+            if faulty:
+                if gate.inputs:
+                    body.append(
+                        f"    if fg == {gate_index}: v{slot} = "
+                        f"_refault({gate_index}, fp, stuck, {mask}, {pinned})"
+                    )
+                body.append(f"    if fs == {slot}: v{slot} = stuck")
+            if lane:
+                if gate.inputs:
+                    body.append(f"    e = br.get({gate_index})")
+                    body.append(
+                        f"    if e is not None: v{slot} = _lane_refault("
+                        f"{gate_index}, e, mask, {pinned}, v{slot})"
+                    )
+                body.append(f"    t = g({slot})")
+                body.append(f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]")
+        if returned == "packed":
+            packed = " | ".join(
+                f"v{slot}" if position == 0 else f"(v{slot} << {position})"
+                for position, slot in enumerate(self.output_slots)
             )
-            good_body.append(f"    v{slot} = {expr}")
-            step_good.append(f"    v{slot} = {step_expr}")
-            fault_body.append(f"    v{slot} = {expr}")
-            step_fault.append(f"    v{slot} = {step_expr}")
-            lane_body.append(f"    v{slot} = {expr}")
-            if gate.inputs:
-                hook = (
-                    f"    if fg == {gate_index}: "
-                    f"v{slot} = _refault({gate_index}, fp, stuck, {{m}}, ({', '.join(operands)},))"
-                )
-                fault_body.append(hook.format(m="mask"))
-                step_fault.append(hook.format(m="1"))
-                lane_body.append(f"    e = br.get({gate_index})")
-                lane_body.append(
-                    f"    if e is not None: v{slot} = _lane_refault("
-                    f"{gate_index}, e, mask, ({', '.join(operands)},), v{slot})"
-                )
-            fault_body.append(f"    if fs == {slot}: v{slot} = stuck")
-            step_fault.append(f"    if fs == {slot}: v{slot} = stuck")
-            lane_body.append(f"    t = g({slot})")
-            lane_body.append(
-                f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]"
-            )
-        step_good.append(return_packed)
-        step_fault.append(return_packed)
-        functions = (
-            ["def good_all(I, mask):"] + good_body + [return_all],
-            ["def good_out(I, mask):"] + good_body + [return_out],
-            ["def fault_all(I, mask, fs, stuck, fg, fp):"] + fault_body + [return_all],
-            ["def fault_out(I, mask, fs, stuck, fg, fp):"] + fault_body + [return_out],
-            step_good,
-            step_fault,
-            ["def lane_all(I, mask, so, br):"] + lane_body + [return_all],
-            ["def lane_out(I, mask, so, br):"] + lane_body + [return_out],
-        )
-        return "\n".join(line for body in functions for line in body) + "\n"
+            body.append(f"    return {packed or 0}")
+        else:
+            slots = range(len(self.net_names)) if returned == "all" else self.output_slots
+            body.append(f"    return [{', '.join(f'v{slot}' for slot in slots)}]")
+        return "\n".join(body) + "\n"
 
     # -- fault plumbing ------------------------------------------------------
 

@@ -32,11 +32,17 @@ smallest half of a pair algebra, hence a complete join-morphism), and
 ``M`` is only computed on nodes that survive the Lemma-1 test -- if
 ``m(pi) ∩ pi ⊄ epsilon`` then no candidate can exist at the node, because
 ``M(pi) ∩ pi ⊆ epsilon`` together with ``m(pi) ⊆ M(pi)`` would force the
-m-side condition.  ``reference=True`` (or the legacy ``fast=False``) runs
-the seed's label-tuple interpreters operator by operator instead; both
-produce identical solutions and identical search statistics (asserted by
-the equivalence tests and the Table-1 golden-stats file), only the wall
-clock differs.
+m-side condition.  Most nodes prune, and most of those are decided
+before ``m(pi)`` is even joined: for ``pi = parent v b`` the engine first
+tries the join-free sufficient conditions ``m(b) ∩ b``, ``m(b) ∩ pi`` and
+``m(parent) ∩ pi ⊄ epsilon``, each of which implies the exact test
+because ``m(pi)`` lies above ``m(b)`` and ``m(parent)``, ``pi`` lies above
+``b``, and "⊄ epsilon" is upward closed (details in ``_run_bitset``).
+``reference=True`` (or the legacy ``fast=False``) runs the seed's
+label-tuple interpreters operator by operator instead; both produce
+identical solutions and identical search statistics (asserted by the
+equivalence tests and the Table-1 golden-stats file), only the wall clock
+differs.
 
 An optional ``policy="extended"`` additionally coarsens the m-side first
 factor greedily towards ``M(pi)`` while the intersection condition holds;
@@ -279,13 +285,31 @@ def _run_bitset(
     """The bitset-native DFS: the production engine.
 
     Same tree, same statistics as :func:`_run_reference`; the partition
-    algebra runs on block bitmasks in the *sparse* form (nontrivial
-    blocks only, singletons implied -- see the kernel module) with three
-    structural savings:
+    algebra runs on block bitmasks in the canonical *sparse* form
+    (nontrivial blocks only, singletons implied -- see the kernel module)
+    with four structural savings:
 
     * ``m(pi)`` is carried down DFS edges as ``join(m(parent),
       m(basis[i]))`` -- m is a join-morphism, so no node recomputes the
       full successor-image closure;
+    * on an evaluation-cache miss Lemma 1 is first decided *without*
+      that join.  With ``pi = parent v b`` for the edge's basis element
+      ``b``, three join-free sufficient conditions for pruning are tried,
+      cheapest first:
+
+      (a) ``m(b) ∩ b ⊄ epsilon`` -- one flag per basis element, computed
+          once per search;
+      (b) ``m(b) ∩ pi ⊄ epsilon``;
+      (c) ``m(parent) ∩ pi ⊄ epsilon``.
+
+      Each implies the exact test ``m(pi) ∩ pi ⊄ epsilon``: ``m(pi) =
+      m(parent) v m(b)`` lies above ``m(parent)`` and ``m(b)``, ``pi``
+      lies above ``b``, meet is monotone and "⊄ epsilon" is upward
+      closed.  So every prune decision and every counter is the one the
+      exact test gives.  Only when none fires is ``m(pi)`` joined and the
+      exact test run.  A pre-tested entry stores no ``m`` (a pruned node
+      is never expanded); with ``prune=False`` every node computes
+      ``m(pi)``, because its children extend it;
     * ``M(pi)`` is only computed on nodes that pass the Lemma-1 test
       (``m(pi) ∩ pi ⊆ epsilon``): for a failing node ``meet(M(pi), pi) ⊆
       epsilon`` would imply the m-side condition via ``m(pi) ⊆ M(pi)``,
@@ -298,12 +322,27 @@ def _run_bitset(
     kern = kernel.bitset_kernel(succ)
     n_basis = len(basis)
     basis_masks = [kern.from_labels(b) for b in basis]
-    basis_m = [kern.m(bm) for bm in basis_masks]
     # The basis in sparse form: nontrivial blocks double as the join
     # constraint tuples for the DFS edges.
     basis_nt = [kern.nontrivial(masks) for masks in basis_masks]
-    basis_m_nt = [kern.nontrivial(masks) for masks in basis_m]
+    basis_m_nt = [kern.nontrivial(kern.m(masks)) for masks in basis_masks]
     eps_owner = kern.arrays(kern.from_labels(epsilon))[1]
+
+    def escapes(a: Masks, b: Masks) -> bool:
+        """``meet(a, b) ⊄ epsilon`` for sparse ``a`` and ``b``.
+
+        Only multi-element intersections of nontrivial blocks can leave
+        an epsilon block; singletons are inert on both sides.
+        """
+        for am in a:
+            for bm in b:
+                x = am & bm
+                if x & (x - 1) and x & ~eps_owner[(x & -x).bit_length() - 1]:
+                    return True
+        return False
+
+    # Pre-test (a): every node reached over edge i prunes.
+    via_escapes = [escapes(mb, b) for mb, b in zip(basis_m_nt, basis_nt)]
     from_sparse = kern.from_sparse
     to_labels = kern.to_labels
     sparse_owner = kern.sparse_owner
@@ -312,10 +351,11 @@ def _run_bitset(
 
     # Memo tables: node evaluations are keyed by the sparse mask tuple
     # (one small-tuple hash per investigated node); each entry carries the
-    # node's m image (so expansion gets it for free on cache hits) and a
-    # dense node id, which keys the join(pi, basis[i]) DFS-edge memo as a
-    # single small int -- far cheaper to hash than the mask tuples.
-    evaluation_cache: Dict[Masks, Tuple[list, bool, Masks, int, Masks]] = {}
+    # node's m image (so expansion gets it for free on cache hits; None
+    # where the Lemma-1 pre-test pruned) and a dense node id, which keys
+    # the join(pi, basis[i]) DFS-edge memo as a single small int -- far
+    # cheaper to hash than the mask tuples.
+    evaluation_cache: Dict[Masks, Tuple[list, bool, Optional[Masks], int, Masks]] = {}
     join_cache: Dict[int, Masks] = {}
     eval_get = evaluation_cache.get
     join_get = join_cache.get
@@ -346,25 +386,16 @@ def _run_bitset(
         entry = eval_get(masks)
         if entry is None:
             if parent_mu is None:  # root: m(identity) computed outright
-                mu = tuple(
-                    m for m in kern.m(from_sparse(masks)) if m & (m - 1)
-                )
+                mu = kern.nontrivial(kern.m(from_sparse(masks)))
+            elif prune and (
+                via_escapes[via_index]
+                or escapes(basis_m_nt[via_index], masks)
+                or escapes(parent_mu, masks)
+            ):
+                mu = None  # Lemma 1 decided without m(pi), see the docstring
             else:  # incremental: m(pi v basis[i]) == m(pi) v m(basis[i])
                 mu = join_sparse(parent_mu, basis_m_nt[via_index])
-            # Lemma-1 test m(pi) ∩ pi ⊆ epsilon: in sparse form every
-            # block is nontrivial, and only multi-element intersections
-            # can escape an epsilon block.
-            m_side_ok = True
-            for am in mu:
-                for bm in masks:
-                    x = am & bm
-                    if x & (x - 1):
-                        if x & ~eps_owner[(x & -x).bit_length() - 1]:
-                            m_side_ok = False
-                            break
-                if not m_side_ok:
-                    break
-            if not m_side_ok:
+            if mu is None or escapes(mu, masks):
                 # No candidate can exist here (see the docstring): prune
                 # without computing M at all.
                 entry = ((), True, mu, len(evaluation_cache), masks)

@@ -385,13 +385,14 @@ class BitsetLattice:
         return labels
 
     def nontrivial(self, masks: Masks) -> Tuple[int, ...]:
-        """The blocks with more than one element (all others are inert)."""
+        """The canonical sparse form: blocks with more than one element
+        (all others are inert), in ascending integer order."""
         nt = self._nontrivial.get(masks)
         if nt is None:
             if len(self._nontrivial) >= self._CACHE_LIMIT:
                 self._nontrivial.clear()
             nt = self._nontrivial[masks] = tuple(
-                mask for mask in masks if mask & (mask - 1)
+                sorted(mask for mask in masks if mask & (mask - 1))
             )
         return nt
 
@@ -420,6 +421,13 @@ class BitsetLattice:
     # (every uncovered element is a singleton).  The OSTR search runs on
     # this form: deep search nodes have few nontrivial blocks, so joins
     # assemble tuples of a handful of masks instead of ~n.
+    #
+    # The canonical sparse form (:meth:`nontrivial`) orders the blocks by
+    # plain integer value.  Blocks are disjoint, so that is highest-set-bit
+    # order and one partition has exactly one sparse tuple -- the search
+    # uses the tuple itself as its evaluation-cache key -- while sorting
+    # needs no key function.  The full form keeps lowest-bit order, which
+    # :meth:`from_sparse` restores from a sparse tuple in any order.
 
     def from_sparse(self, sparse: Masks) -> Masks:
         """Nontrivial-blocks form -> full canonical mask tuple."""
@@ -497,8 +505,9 @@ class BitsetLattice:
 
         Identical merge logic, but the assembly only walks the nontrivial
         blocks: absorbed ones are dropped, each merged mask is inserted,
-        and the small result list is re-sorted into canonical lowest-bit
-        order.  A fully redundant call returns ``base`` itself.
+        and the small result list is re-sorted into the canonical sparse
+        (integer) order, so a canonical ``base`` gives a canonical result.
+        A fully redundant call returns ``base`` itself.
         """
         if not constraints:
             return base
@@ -512,7 +521,7 @@ class BitsetLattice:
             union |= acc
         out = [mask for mask in base if not mask & union]
         out += merged
-        out.sort(key=_lowbit_key)
+        out.sort()
         return tuple(out)
 
     # -- lattice operations -------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import pytest
 
 from repro.fsm import MealyMachine, random_mealy
@@ -16,6 +19,26 @@ def pytest_addoption(parser):
         help="regenerate tests/golden/*.json from the current engine "
         "instead of asserting against the stored verdicts/signatures",
     )
+
+
+#: Wall-clock seconds one test (setup, call and teardown) may take.  Past
+#: it every thread's stack is dumped and the run ends, so a hang fails
+#: fast instead of passing slowly.  The slowest tier-1 test takes about
+#: 10 s, the heavy goldens about 60 s.
+HANG_GUARD_S = 300
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # Between test phases output capture is suspended, so this duplicate
+    # of stderr still reaches the terminal while the test itself runs.
+    stderr = os.dup(2)
+    faulthandler.dump_traceback_later(HANG_GUARD_S, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
 
 
 @pytest.fixture

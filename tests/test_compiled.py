@@ -144,3 +144,43 @@ def test_pickle_roundtrip_recompiles():
     assert clone._compiled is None  # generated code never crosses processes
     inputs = {"a": 1, "b": 1}
     assert clone.evaluate(inputs) == netlist.evaluate(inputs)
+
+
+def test_evaluators_compile_on_first_call(monkeypatch):
+    """``compile()`` generates nothing; each entry point compiles only its
+    own evaluator, exactly once."""
+    import builtins
+
+    import repro.netlist.compiled as compiled_module
+
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return builtins.compile(source, filename, mode)
+
+    monkeypatch.setattr(compiled_module, "compile", counting_compile, raising=False)
+    netlist = _tiny_netlist().freeze()
+    engine = netlist.compile()
+    assert compiled == []
+    stem = engine.fault_args(Fault(net="ab", stuck_at=1))
+    overrides = engine.lane_overrides([(Fault(net="na", stuck_at=0), 2)])
+    calls = [
+        ("good_all", lambda: engine.eval_list([1, 1], 1)),
+        ("fault_all", lambda: engine.eval_list([1, 1], 1, stem)),
+        ("good_out", lambda: engine.eval_outputs_list([1, 1], 1)),
+        ("fault_out", lambda: engine.eval_outputs_list([1, 1], 1, stem)),
+        ("step_good", lambda: engine.step(3)),
+        ("step_fault", lambda: engine.step(3, stem)),
+        ("lane_all", lambda: engine.lane_eval([3, 3], 3, overrides)),
+        ("lane_out", lambda: engine.lane_eval_outputs([3, 3], 3, overrides)),
+    ]
+    for evaluator, call in calls:
+        before = len(compiled)
+        first = call()
+        assert call() == first
+        assert compiled[before:] == [f"<compiled netlist 'tiny': {evaluator}>"]
+    # ``overrides=None`` reuses the already compiled fault-free evaluators.
+    engine.lane_eval([3, 3], 3)
+    engine.lane_eval_outputs([3, 3], 3)
+    assert len(compiled) == len(calls)

@@ -218,7 +218,11 @@ def test_join_sparse_matches_full_join(case):
     kern = kernel.BitsetKernel(succ)
     am, bm = kern.from_labels(a), kern.from_labels(b)
     sparse = kern.join_sparse(kern.nontrivial(am), kern.nontrivial(bm))
-    assert kern.from_sparse(sparse) == kern.join(am, bm)
+    joined = kern.join(am, bm)
+    # The sparse tuple itself is the search's evaluation-cache key, so it
+    # must be the canonical sparse form, not merely an equal partition.
+    assert sparse == kern.nontrivial(joined)
+    assert kern.from_sparse(sparse) == joined
 
 
 @given(kernel_cases())

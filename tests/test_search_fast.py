@@ -9,7 +9,7 @@ or the legacy ``fast=False`` spelling).
 
 import dataclasses
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fsm import random_mealy
@@ -106,12 +106,24 @@ def test_fast_search_identical_across_basis_orders():
         _assert_same_search(suite.load("dk27"), basis_order=order)
 
 
-def test_fast_search_identical_on_random_machines():
-    for seed in range(6):
-        machine = random_mealy(
-            n_states=5 + (seed % 3), n_inputs=2, n_outputs=2, seed=seed
-        )
-        _assert_same_search(machine)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.data(),
+)
+def test_fast_search_identical_on_random_machines(n_states, n_inputs, seed, prune, data):
+    """Every statistic and the solution match the reference engine, with
+    and without Lemma-1 pruning and under any node-limit cutoff."""
+    limits = st.integers(min_value=1, max_value=300)
+    # Without pruning the tree is only bounded by the node limit.
+    node_limit = data.draw(st.none() | limits if prune else limits)
+    machine = random_mealy(
+        n_states, n_inputs, 2, seed=seed, ensure_connected=False
+    )
+    _assert_same_search(machine, prune=prune, node_limit=node_limit)
 
 
 def test_fast_search_identical_extended_policy():
