@@ -436,22 +436,29 @@ def bench_logic_minimize(n_functions: int, max_inputs: int) -> dict:
 
 
 def bench_logic_controller(names) -> dict:
-    """Exact minimization of the table1 family's controller tables.
+    """Two-level minimization of the table1 family's controller tables.
 
     Each member goes through the sweep's own synthesis path (OSTR search
     under the ``SweepConfig`` budget, Figure-4 encoding); every C1, C2
-    and λ output column within ``exact_limit`` inputs -- the ones the
-    sweep minimizes exactly -- is replayed through the string reference
-    and the packed engine.  ``identical`` demands equal covers.
+    and λ output column is replayed through the string reference and the
+    packed engine: columns within ``exact_limit`` inputs through the
+    exact minimizers, wider ones (s1's and dk16's λ) through the
+    heuristic ones -- the split the sweep itself makes.  ``identical``
+    demands equal covers on both paths.
     """
     from repro.encoding import encode_realization
-    from repro.logic import minimize_exact, minimize_exact_reference
+    from repro.logic import (
+        minimize_exact,
+        minimize_exact_reference,
+        minimize_heuristic,
+        minimize_heuristic_reference,
+    )
     from repro.suite import corpus
     from repro.suite.sweep import SweepConfig
 
     exact_limit = 10  # synthesize_table's default: the sweep's exact path
     config = SweepConfig()
-    columns = []
+    exact_columns, heuristic_columns = [], []
     for member in corpus.families()["table1"].members:
         if member.name not in names:
             continue
@@ -462,23 +469,31 @@ def bench_logic_controller(names) -> dict:
         )
         encoded = encode_realization(result.realization())
         for table in (encoded.c1, encoded.c2, encoded.lambda_):
-            if table.n_inputs > exact_limit:
-                continue
-            for position in range(table.n_outputs):
-                on, dc = table.output_column(position)
+            columns = (
+                heuristic_columns
+                if table.n_inputs > exact_limit
+                else exact_columns
+            )
+            for on, dc in table.output_columns():
                 if on:
                     columns.append((on, dc, table.n_inputs))
 
+    def replay(exact, heuristic):
+        return [exact(*column) for column in exact_columns] + [
+            heuristic(*column) for column in heuristic_columns
+        ]
+
     reference_covers, reference_s = _timed(
-        lambda: [minimize_exact_reference(*column) for column in columns]
+        lambda: replay(minimize_exact_reference, minimize_heuristic_reference)
     )
     packed_covers, packed_s = _timed(
-        lambda: [minimize_exact(*column) for column in columns]
+        lambda: replay(minimize_exact, minimize_heuristic)
     )
     return {
         "bench": f"logic_controller/{len(names)}-machines",
         "machines": len(names),
-        "columns": len(columns),
+        "columns": len(exact_columns) + len(heuristic_columns),
+        "heuristic_columns": len(heuristic_columns),
         "baseline_s": round(reference_s, 4),
         "optimized_s": round(packed_s, 4),
         "speedup": (
@@ -562,6 +577,8 @@ def main(argv=None) -> int:
         collapse_name = "dk27"
         kernel_case = dict(name="dk512", repeats=5)
         logic_case = dict(n_functions=12, max_inputs=7)
+        # dk16's λ is the narrowest heuristic-path table (12 inputs).
+        controller_names = sweep_names + ["dk16"]
         corpus_limit = 3
     else:
         coverage_cases = [
@@ -577,6 +594,7 @@ def main(argv=None) -> int:
         collapse_name = "dk14"
         kernel_case = dict(name="dk16", repeats=5)
         logic_case = dict(n_functions=40, max_inputs=8)
+        controller_names = sweep_names
         corpus_limit = 8
 
     baseline_payload = None
@@ -656,10 +674,11 @@ def main(argv=None) -> int:
         f"{logic_bench['optimized_s']:.2f}s "
         f"(x{logic_bench['speedup']}, identical={logic_bench['identical']})"
     )
-    controller_bench = bench_logic_controller(sweep_names)
+    controller_bench = bench_logic_controller(controller_names)
     results.append(controller_bench)
     print(
-        f"{controller_bench['bench']}: {controller_bench['columns']} columns, "
+        f"{controller_bench['bench']}: {controller_bench['columns']} columns "
+        f"({controller_bench['heuristic_columns']} heuristic), "
         f"{controller_bench['baseline_s']:.2f}s -> "
         f"{controller_bench['optimized_s']:.2f}s "
         f"(x{controller_bench['speedup']}, "

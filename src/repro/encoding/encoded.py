@@ -60,15 +60,37 @@ class TruthTable:
         """Fraction of the input space with specified outputs."""
         return len(self.rows) / (2 ** self.n_inputs) if self.n_inputs else 1.0
 
-    def output_column(self, position: int) -> Tuple[List[str], List[str]]:
-        """(on-set, dc-set) minterm lists for one output bit."""
-        on_set = [row for row, value in self.rows.items() if value[position] == "1"]
-        dc_set = [
-            format(value, f"0{self.n_inputs}b")
-            for value in range(2 ** self.n_inputs)
-            if format(value, f"0{self.n_inputs}b") not in self.rows
+    def unspecified_patterns(self) -> List[str]:
+        """Input patterns absent from ``rows`` (the don't-cares), ascending.
+
+        Patterns come from :func:`repro.logic.cubes.all_minterms`, so a
+        zero-input table has exactly one pattern, ``""``.
+        """
+        from ..logic.cubes import all_minterms  # repro.logic imports this module
+
+        return [
+            pattern
+            for pattern in all_minterms(self.n_inputs)
+            if pattern not in self.rows
         ]
-        return on_set, dc_set
+
+    def output_column(self, position: int) -> Tuple[List[str], List[str]]:
+        """(on-set, dc-set) minterm lists for one output bit.
+
+        The on-set is in ``rows`` order; the dc-set is
+        :meth:`unspecified_patterns`, the same for every output.  To take
+        all columns at once, use :meth:`output_columns`, which builds the
+        dc-set once per table.
+        """
+        return self._on_set(position), self.unspecified_patterns()
+
+    def output_columns(self) -> List[Tuple[List[str], List[str]]]:
+        """:meth:`output_column` for every output, sharing one dc-set list."""
+        dc_set = self.unspecified_patterns()
+        return [(self._on_set(position), dc_set) for position in range(self.n_outputs)]
+
+    def _on_set(self, position: int) -> List[str]:
+        return [row for row, value in self.rows.items() if value[position] == "1"]
 
 
 @dataclass(frozen=True)

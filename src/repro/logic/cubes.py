@@ -17,13 +17,25 @@ all become one- or two-instruction bit operations (the ``int_cube_*``
 functions below).  The string functions are kept both as the boundary
 adapters and as the reference semantics the packed ops are property-tested
 against.
+
+A *set* of minterms over the ``2**n`` input space packs one level further,
+into a single Python int used as a bitset: bit ``m`` is set iff minterm
+``m`` is in the set.  :func:`minterm_space` gives, per ``n``, the universe
+and the per-variable sets ``ones[j]`` (minterms whose bit ``j`` is 1), so a
+cube's minterm set is an AND of at most ``n`` cached words
+(:func:`int_cube_bits`) and whole-cover questions -- does this cube meet
+the off-set, is the on-set still covered -- are a handful of big-int
+operations.  A ``2**n``-bit word is far smaller than the explicit list of
+``2**n`` patterns the don't-care set already enumerates, so the bitsets
+add no new width limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..exceptions import LogicError
 
@@ -155,14 +167,74 @@ def int_cubes_intersect(a: IntCube, b: IntCube) -> bool:
     return a[1] & common == b[1] & common
 
 
-def int_supercube(minterms: Sequence[int], n_inputs: int) -> IntCube:
-    """Smallest packed cube containing all the given integer minterms."""
-    first = minterms[0]
-    differing = 0
-    for minterm in minterms[1:]:
-        differing |= first ^ minterm
-    mask = ((1 << n_inputs) - 1) & ~differing
-    return mask, first & mask
+# ---------------------------------------------------------------------------
+# Minterm bitsets: sets of integer minterms as one int
+# ---------------------------------------------------------------------------
+
+
+class MintermSpace(NamedTuple):
+    """Bitsets over the ``2**n`` minterms of ``n`` inputs.
+
+    ``ones[j]`` is the set of minterms whose bit ``j`` is 1 (the literal
+    ``x_j``), ``zeros[j] == universe ^ ones[j]`` its complement.
+    """
+
+    universe: int
+    ones: Tuple[int, ...]
+    zeros: Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def minterm_space(n_inputs: int) -> MintermSpace:
+    """The universe and per-variable minterm bitsets for ``n_inputs``."""
+    size = 1 << n_inputs
+    universe = (1 << size) - 1
+    ones = []
+    for j in range(n_inputs):
+        half = 1 << j
+        period = half << 1
+        # One period is 2**j zeros then 2**j ones; multiplying by the
+        # repunit sum(2**(k * period)) tiles it across the universe.
+        block = ((1 << half) - 1) << half
+        ones.append(block * (universe // ((1 << period) - 1)))
+    return MintermSpace(
+        universe, tuple(ones), tuple(universe ^ mask for mask in ones)
+    )
+
+
+def minterm_bits(minterms: Iterable[int], n_inputs: int) -> int:
+    """Bitset of the given integer minterms."""
+    buffer = bytearray(((1 << n_inputs) + 7) >> 3)
+    for minterm in minterms:
+        buffer[minterm >> 3] |= 1 << (minterm & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def int_cube_bits(mask: int, value: int, n_inputs: int) -> int:
+    """Bitset of the minterms a packed cube contains."""
+    space = minterm_space(n_inputs)
+    bits = space.universe
+    for j in range(n_inputs):
+        if mask >> j & 1:
+            bits &= space.ones[j] if value >> j & 1 else space.zeros[j]
+    return bits
+
+
+def bits_supercube(bits: int, n_inputs: int) -> IntCube:
+    """Smallest packed cube containing a non-empty minterm bitset.
+
+    Variable ``j`` stays bound iff the set lies entirely inside
+    ``ones[j]`` (literal 1) or entirely outside it (literal 0).
+    """
+    space = minterm_space(n_inputs)
+    mask = value = 0
+    for j in range(n_inputs):
+        if not bits & space.zeros[j]:
+            mask |= 1 << j
+            value |= 1 << j
+        elif not bits & space.ones[j]:
+            mask |= 1 << j
+    return mask, value
 
 
 @dataclass(frozen=True)

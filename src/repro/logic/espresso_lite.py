@@ -10,14 +10,27 @@ of the espresso recipe on explicit on/off sets:
 3. **IRREDUNDANT**: greedily drop cubes whose on-set minterms are covered
    by the rest.
 
-The passes run on packed ``(mask, value)`` integer cubes
-(:mod:`repro.logic.cubes`): the expansion's off-set scan -- the hot loop
-of the whole minimizer -- is one AND-and-compare per off minterm instead
-of a character walk.  :func:`repro.logic.reference.
-minimize_heuristic_reference` is the seed's string implementation, kept as
-the equivalence oracle; identical covers are asserted by the property
-suite.  Cube orderings are fully deterministic (first-appearance tie
-breaks), so repeated runs produce byte-identical covers.
+Cubes are packed ``(mask, value)`` integer pairs (:mod:`repro.logic.cubes`)
+and stay the identity of every decision: sorting, dedupe and tie breaks
+are on the pairs, exactly as before.  What changed is how the passes ask
+set questions.  The on-set and the off-set are held as minterm *bitsets*
+(one int with bit ``m`` set per minterm ``m``), and so is each cube's
+minterm set (:func:`repro.logic.cubes.int_cube_bits`):
+
+* EXPAND may drop a literal iff ``bits(trial) & off_bits == 0``;
+* IRREDUNDANT drops a cube iff ``on_bits & ~union(others) == 0``;
+* REDUCE shrinks a cube to the supercube of
+  ``on_bits & bits(cube) & ~union(others)``.
+
+Each test is the same predicate the per-minterm scans evaluated, so every
+pass makes the same choices and the covers are byte-identical to the
+scans' -- and to :func:`repro.logic.reference.
+minimize_heuristic_reference`, the seed's string implementation, kept as
+the equivalence oracle and asserted identical by the property suite.  The
+scans cost one Python-level step per off-set minterm (thousands on a
+13-input λ column); the bitset tests cost a few big-int operations.  Cube
+orderings are fully deterministic (first-appearance tie breaks), so
+repeated runs produce byte-identical covers.
 
 The result is verified against the on/off sets before being returned, so a
 bug in the heuristics can never produce a functionally wrong cover.
@@ -25,34 +38,52 @@ bug in the heuristics can never produce a functionally wrong cover.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..exceptions import LogicError
 from .cubes import (
     Cover,
     IntCube,
+    bits_supercube,
+    int_cube_bits,
     int_cube_contains,
-    int_supercube,
+    minterm_bits,
+    minterm_space,
     pack_minterm,
     unpack_cube,
     unpack_minterm,
 )
 
+CubeBits = Callable[[IntCube], int]
 
-def _expand_cube(cube: IntCube, off_set: Sequence[int], n_inputs: int) -> IntCube:
-    """Free bound literals while the cube avoids every off-set minterm."""
+
+def _union(cubes: Iterable[IntCube], bits_of: CubeBits) -> int:
+    covered = 0
+    for cube in cubes:
+        covered |= bits_of(cube)
+    return covered
+
+
+def _expand_cube(
+    cube: IntCube, cube_bits: int, off_bits: int, n_inputs: int
+) -> Tuple[IntCube, int]:
+    """Free bound literals while the cube avoids the off-set.
+
+    Returns the expanded cube with its minterm bitset.  Freeing literal
+    ``j`` adds the cube's mirror image across bit ``j``, which sits
+    ``2**j`` minterms away: a shift by ``bit``, so ``trial_bits ==
+    int_cube_bits(trial)``.
+    """
     mask, value = cube
-    bit = 1 << (n_inputs - 1) if n_inputs else 0
-    while bit:  # string position order: leftmost (highest bit) first
+    for j in reversed(range(n_inputs)):  # string position order: leftmost first
+        bit = 1 << j
         if mask & bit:
-            trial_mask = mask & ~bit
-            trial_value = value & ~bit
-            if not any(
-                off & trial_mask == trial_value for off in off_set
-            ):
-                mask, value = trial_mask, trial_value
-        bit >>= 1
-    return mask, value
+            trial_bits = cube_bits | (
+                cube_bits >> bit if value & bit else cube_bits << bit
+            )
+            if not trial_bits & off_bits:
+                mask, value, cube_bits = mask & ~bit, value & ~bit, trial_bits
+    return (mask, value), cube_bits
 
 
 def _absorb(cubes: List[IntCube]) -> List[IntCube]:
@@ -66,21 +97,21 @@ def _absorb(cubes: List[IntCube]) -> List[IntCube]:
     return kept
 
 
-def _irredundant(cubes: List[IntCube], on_set: Sequence[int]) -> List[IntCube]:
+def _irredundant(
+    cubes: List[IntCube], on_bits: int, bits_of: CubeBits
+) -> List[IntCube]:
     """Greedy removal of cubes not needed to cover the on-set."""
     kept = list(cubes)
     # Try to drop the most specific (most bound literals) cubes first.
     for cube in sorted(list(kept), key=lambda c: -c[0].bit_count()):
         others = [c for c in kept if c != cube]
-        if all(
-            any(m & mask == value for mask, value in others) for m in on_set
-        ):
+        if not on_bits & ~_union(others, bits_of):
             kept = others
     return kept
 
 
 def _reduce(
-    cubes: List[IntCube], on_set: Sequence[int], n_inputs: int
+    cubes: List[IntCube], on_bits: int, n_inputs: int, bits_of: CubeBits
 ) -> List[IntCube]:
     """REDUCE pass: shrink each cube to the supercube of the on-set
     minterms only it covers; a shrunk cube can expand differently on the
@@ -96,16 +127,12 @@ def _reduce(
     reduced = list(cubes)
     position = 0
     while position < len(reduced):
-        mask, value = reduced[position]
         others = reduced[:position] + reduced[position + 1 :]
-        exclusive = [
-            minterm
-            for minterm in on_set
-            if minterm & mask == value
-            and not any(minterm & om == ov for om, ov in others)
-        ]
+        exclusive = (
+            on_bits & bits_of(reduced[position]) & ~_union(others, bits_of)
+        )
         if exclusive:
-            reduced[position] = int_supercube(exclusive, n_inputs)
+            reduced[position] = bits_supercube(exclusive, n_inputs)
             position += 1
         else:
             del reduced[position]  # fully covered by the rest (irredundant)
@@ -122,10 +149,11 @@ def minimize_heuristic(
 
     The classic loop: EXPAND against the off-set, ABSORB contained cubes,
     IRREDUNDANT, then REDUCE and repeat -- ``iterations`` rounds, keeping
-    the best cover seen (fewest cubes, then fewest literals).  The off-set
-    is materialised explicitly (as packed integers), so this still assumes
-    the input space is enumerable (controller-scale logic); what it avoids
-    is the prime-implicant explosion of exact minimization.
+    the best cover seen (fewest cubes, then fewest literals).  The on-,
+    don't-care and off-sets are minterm bitsets over the whole input
+    space, so this still assumes the space is enumerable (controller-scale
+    logic); what it avoids is the prime-implicant explosion of exact
+    minimization.
     """
     if not on_set:
         return Cover(n_inputs, ())
@@ -133,15 +161,30 @@ def minimize_heuristic(
         if len(minterm) != n_inputs or not set(minterm) <= {"0", "1"}:
             raise LogicError(f"invalid minterm {minterm!r}")
     on_values = [pack_minterm(minterm) for minterm in on_set]
-    care: Set[int] = set(on_values) | {pack_minterm(m) for m in dc_set}
-    off_set = [v for v in range(2 ** n_inputs) if v not in care]
+    on_bits = minterm_bits(on_values, n_inputs)
+    dc_bits = minterm_bits(map(pack_minterm, dc_set), n_inputs)
+    off_bits = minterm_space(n_inputs).universe & ~(on_bits | dc_bits)
     full_mask = (1 << n_inputs) - 1
+
+    cache: Dict[IntCube, int] = {}
+
+    def bits_of(cube: IntCube) -> int:
+        bits = cache.get(cube)
+        if bits is None:
+            bits = cache[cube] = int_cube_bits(cube[0], cube[1], n_inputs)
+        return bits
 
     def one_pass(cubes: List[IntCube]) -> List[IntCube]:
         cubes = sorted(dict.fromkeys(cubes), key=lambda c: c[0].bit_count())
-        expanded = [_expand_cube(cube, off_set, n_inputs) for cube in cubes]
+        expanded = []
+        for cube in cubes:
+            grown, grown_bits = _expand_cube(
+                cube, bits_of(cube), off_bits, n_inputs
+            )
+            cache[grown] = grown_bits
+            expanded.append(grown)
         compact = _absorb(expanded)
-        return _irredundant(compact, on_values)
+        return _irredundant(compact, on_bits, bits_of)
 
     current = one_pass(
         [(full_mask, v) for v in dict.fromkeys(on_values)]
@@ -152,7 +195,7 @@ def minimize_heuristic(
         return (len(cubes), sum(mask.bit_count() for mask, _ in cubes))
 
     for _ in range(max(0, iterations - 1)):
-        reduced = _reduce(current, on_values, n_inputs)
+        reduced = _reduce(current, on_bits, n_inputs, bits_of)
         if not reduced:
             break
         current = one_pass(reduced)
@@ -160,39 +203,49 @@ def minimize_heuristic(
         # compete on cost (EXPAND/IRREDUNDANT never add coverage, so a
         # coverage hole would otherwise win on cube count and only be
         # caught by the verification below).
-        if all(
-            any(m & mask == value for mask, value in current)
-            for m in on_values
-        ) and cost(current) < cost(best):
+        covers_on_set = not on_bits & ~_union(current, bits_of)
+        if covers_on_set and cost(current) < cost(best):
             best = list(current)
 
     cover = Cover(
         n_inputs,
         tuple(sorted(unpack_cube(mask, value, n_inputs) for mask, value in best)),
     )
-    _verify_packed(best, on_values, off_set, n_inputs)
+    # Recomputed from the literals, not taken from ``cache``: the check
+    # must not share EXPAND's incremental bitsets.
+    covered = _union(best, lambda c: int_cube_bits(c[0], c[1], n_inputs))
+    _verify_packed(covered, on_values, on_bits, off_bits, n_inputs)
     return cover
 
 
 def _verify_packed(
-    cubes: List[IntCube],
+    covered: int,
     on_values: Sequence[int],
-    off_set: Sequence[int],
+    on_bits: int,
+    off_bits: int,
     n_inputs: int,
 ) -> None:
-    """Packed-form :func:`repro.logic.cubes.verify_cover` (same failures)."""
-    for minterm in on_values:
-        if not any(minterm & mask == value for mask, value in cubes):
-            raise LogicError(
-                "cover misses on-set minterm "
-                f"{unpack_minterm(minterm, n_inputs)!r}"
-            )
-    for minterm in off_set:
-        if any(minterm & mask == value for mask, value in cubes):
-            raise LogicError(
-                "cover wrongly covers off-set minterm "
-                f"{unpack_minterm(minterm, n_inputs)!r}"
-            )
+    """Bitset :func:`repro.logic.cubes.verify_cover` (same failures).
+
+    ``covered`` is the cover's minterm bitset.  The check itself is two
+    bitset tests; only a failure rescans, to name the first missing
+    on-set minterm in on-set order, else the lowest wrongly covered
+    off-set minterm.
+    """
+    if on_bits & ~covered:
+        for minterm in on_values:
+            if not covered >> minterm & 1:
+                raise LogicError(
+                    "cover misses on-set minterm "
+                    f"{unpack_minterm(minterm, n_inputs)!r}"
+                )
+    wrong = covered & off_bits
+    if wrong:
+        lowest = (wrong & -wrong).bit_length() - 1
+        raise LogicError(
+            "cover wrongly covers off-set minterm "
+            f"{unpack_minterm(lowest, n_inputs)!r}"
+        )
 
 
 def minimize(

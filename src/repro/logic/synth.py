@@ -4,6 +4,13 @@ Connects the encoding layer to the netlist layer: each output column of a
 :class:`~repro.encoding.encoded.TruthTable` is minimized independently,
 then identical product terms are shared across outputs PLA-style (one AND
 row driving several OR planes).
+
+The assembled structure is re-checked against every specified row of the
+table.  The check runs on minterm bitsets (:mod:`repro.logic.cubes`): per
+output, the union of its rows' minterm sets, restricted to the specified
+patterns, must equal that output's on-set.  That is the same predicate as
+evaluating the cover row by row, and only a failure falls back to the
+row-by-row walk, to name the first disagreeing pattern in table order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..encoding.encoded import TruthTable
 from ..exceptions import LogicError
-from .cubes import Cover, cube_covers, cube_literals
+from .cubes import (
+    Cover,
+    cube_covers,
+    cube_literals,
+    int_cube_bits,
+    minterm_bits,
+    pack_cube,
+    pack_minterm,
+)
 from .espresso_lite import minimize
 
 
@@ -81,13 +96,11 @@ def synthesize_table(
     minimizers verify functional correctness per output; this re-checks the
     assembled multi-output structure).
     """
-    covers: List[Cover] = []
-    for position in range(table.n_outputs):
-        on_set, dc_set = table.output_column(position)
-        covers.append(
-            minimize(on_set, dc_set, table.n_inputs, method=method,
-                     exact_limit=exact_limit)
-        )
+    covers: List[Cover] = [
+        minimize(on_set, dc_set, table.n_inputs, method=method,
+                 exact_limit=exact_limit)
+        for on_set, dc_set in table.output_columns()
+    ]
 
     row_index: Dict[str, int] = {}
     rows: List[str] = []
@@ -108,11 +121,39 @@ def synthesize_table(
         rows=tuple(rows),
         output_rows=tuple(output_rows),
     )
-    for pattern, expected in table.rows.items():
-        actual = result.evaluate(pattern)
-        if actual != expected:
-            raise LogicError(
-                f"synthesized cover disagrees with table {table.name!r} at "
-                f"{pattern!r}: got {actual!r}, want {expected!r}"
-            )
+    if not _agrees_with_table(result, table):
+        for pattern, expected in table.rows.items():
+            actual = result.evaluate(pattern)
+            if actual != expected:
+                raise LogicError(
+                    f"synthesized cover disagrees with table {table.name!r} "
+                    f"at {pattern!r}: got {actual!r}, want {expected!r}"
+                )
     return result
+
+
+def _agrees_with_table(cover: MultiOutputCover, table: TruthTable) -> bool:
+    """Does every output equal the table on every specified row?
+
+    Per output: ``union(row bits) & specified == on_bits``.
+    """
+    n_inputs = table.n_inputs
+    patterns = [pack_minterm(pattern) for pattern in table.rows]
+    outputs = list(table.rows.values())
+    specified = minterm_bits(patterns, n_inputs)
+    row_bits = [int_cube_bits(*pack_cube(row), n_inputs) for row in cover.rows]
+    for position, rows in enumerate(cover.output_rows):
+        covered = 0
+        for index in rows:
+            covered |= row_bits[index]
+        on_bits = minterm_bits(
+            (
+                pattern
+                for pattern, value in zip(patterns, outputs)
+                if value[position] == "1"
+            ),
+            n_inputs,
+        )
+        if covered & specified != on_bits:
+            return False
+    return True

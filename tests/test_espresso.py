@@ -5,7 +5,15 @@ import random
 import pytest
 
 from repro.exceptions import LogicError
-from repro.logic import minimize, minimize_exact, minimize_heuristic, verify_cover
+from repro.logic import (
+    Cover,
+    espresso_lite,
+    minimize,
+    minimize_exact,
+    minimize_heuristic,
+    verify_cover,
+)
+from repro.logic.cubes import pack_cube
 
 
 def random_function(seed, n):
@@ -43,6 +51,45 @@ class TestHeuristic:
             exact = minimize_exact(on, dc, 4)
             heur = minimize_heuristic(on, dc, 4)
             assert heur.n_cubes <= max(2 * exact.n_cubes, exact.n_cubes + 1)
+
+
+class TestVerificationFailure:
+    """A wrong final cover must raise the LogicError the per-minterm check
+    raises: the first missing on-set minterm in on-set order, else the
+    lowest wrongly covered off-set minterm."""
+
+    # On-set deliberately not in numeric order.
+    ON = ["110", "001", "011"]
+    DC = ["111"]
+    OFF = ["000", "010", "100", "101"]  # ascending, as the off-set is built
+
+    def _expected(self, cubes):
+        with pytest.raises(LogicError) as info:
+            verify_cover(Cover(3, cubes), self.ON, self.OFF)
+        return str(info.value)
+
+    def _force_cover(self, monkeypatch, cubes):
+        """Make every IRREDUNDANT pass return exactly ``cubes``."""
+        packed = [pack_cube(cube) for cube in cubes]
+        monkeypatch.setattr(
+            espresso_lite, "_irredundant", lambda *args: list(packed)
+        )
+
+    def test_missing_on_minterm_in_on_set_order(self, monkeypatch):
+        cover = ("001",)  # misses 110 (first in on-set order) and 011
+        self._force_cover(monkeypatch, cover)
+        with pytest.raises(LogicError) as info:
+            minimize_heuristic(self.ON, self.DC, 3)
+        assert str(info.value) == self._expected(cover)
+        assert str(info.value) == "cover misses on-set minterm '110'"
+
+    def test_lowest_wrongly_covered_off_minterm(self, monkeypatch):
+        cover = ("-1-", "--1", "1-0")  # covers every on minterm, and 010, 101, 100
+        self._force_cover(monkeypatch, cover)
+        with pytest.raises(LogicError) as info:
+            minimize_heuristic(self.ON, self.DC, 3)
+        assert str(info.value) == self._expected(cover)
+        assert str(info.value) == "cover wrongly covers off-set minterm '010'"
 
 
 class TestFrontDoor:

@@ -303,6 +303,8 @@ def test_int_cube_ops_match_string_ops(n, data):
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_int_supercube_matches_string_supercube(n, data):
+    """The packed supercube, taken over a minterm bitset, matches REDUCE's
+    string supercube."""
     minterms = data.draw(
         st.lists(
             st.integers(0, 2 ** n - 1), min_size=1, max_size=6
@@ -311,7 +313,9 @@ def test_int_supercube_matches_string_supercube(n, data):
     strings = [format(v, f"0{n}b") for v in minterms]
     from repro.logic.reference import _supercube
 
-    mask, value = C.int_supercube(minterms, n)
+    bits = C.minterm_bits(minterms, n)
+    assert [m for m in range(2 ** n) if bits >> m & 1] == sorted(set(minterms))
+    mask, value = C.bits_supercube(bits, n)
     assert C.unpack_cube(mask, value, n) == _supercube(strings, n)
 
 
