@@ -16,8 +16,8 @@ import pytest
 
 from _bench_util import register_artifact
 from repro import experiments, suite
-from repro.bist import build_conventional_bist
 from repro.fsm.random_machines import random_input_word
+from repro.pipeline import build_controller
 from repro.suite import paper_example
 
 MACHINES = ["shiftreg", "tav", "dk27"]
@@ -49,7 +49,7 @@ def test_coverage_measurement(benchmark, name):
 def test_feedback_faults_matter_in_system_mode(benchmark):
     """The missed faults are not benign: they disturb system operation."""
     machine = suite.load("dk27")
-    conventional = build_conventional_bist(machine)
+    conventional = build_controller(machine, "conventional")
     word = random_input_word(machine, 128, seed=17)
 
     def count_live():

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from _bench_util import register_artifact
 from repro import experiments
-from repro.bist import build_pipeline
 from repro.faults import measure_coverage
-from repro.ostr import search_ostr
-from repro.suite import paper_example, paper_example_pair
 
 
 def test_figure5_to_8(benchmark):

@@ -69,10 +69,6 @@ sys.path.insert(
 )
 
 from repro import suite  # noqa: E402
-from repro.bist.architectures import (  # noqa: E402
-    build_conventional_bist,
-    build_pipeline,
-)
 from repro.faults.coverage import measure_coverage  # noqa: E402
 from repro.faults.engine import run_campaign  # noqa: E402
 from repro.faults.pool import CampaignPool  # noqa: E402
@@ -81,6 +77,7 @@ from repro.faults.simulator import (  # noqa: E402
     simulate_patterns,
 )
 from repro.ostr.search import search_ostr  # noqa: E402
+from repro.pipeline import build_controller  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
@@ -94,11 +91,7 @@ def _timed(fn):
 
 
 def bench_coverage(name: str, architecture: str, workers: int) -> dict:
-    machine = suite.load(name)
-    if architecture == "pipeline":
-        controller = build_pipeline(search_ostr(machine).realization())
-    else:
-        controller = build_conventional_bist(machine)
+    controller = build_controller(suite.load(name), architecture)
     reference, baseline_s = _timed(
         lambda: measure_coverage(controller, engine="interpreted")
     )
@@ -125,8 +118,7 @@ def bench_superposition(name: str) -> dict:
     one serial compiled run each (``superpose=False``) versus all of them
     superposed into bit lanes of one multi-lane run (the default).
     """
-    machine = suite.load(name)
-    controller = build_pipeline(search_ostr(machine).realization())
+    controller = build_controller(suite.load(name))
     fallback = [bf for bf in controller.fault_universe() if bf[0] in ("C1", "C2")]
     serial, serial_s = _timed(
         lambda: run_campaign(
@@ -156,8 +148,7 @@ def bench_ppsfp(name: str) -> dict:
     per bit lane on top of the pattern packing so one evaluation screens
     ``lanes x patterns`` fault/pattern pairs.
     """
-    machine = suite.load(name)
-    network = build_conventional_bist(machine).plain.network
+    network = build_controller(suite.load(name), "plain").network
     patterns = exhaustive_patterns(len(network.inputs))
     interpreted, interpreted_s = _timed(
         lambda: simulate_patterns(network, patterns, engine="interpreted")
@@ -194,8 +185,7 @@ def bench_collapse(name: str) -> dict:
     ``identical`` asserts the field-for-field report equality the
     collapse layer guarantees.
     """
-    machine = suite.load(name)
-    controller = build_pipeline(search_ostr(machine).realization())
+    controller = build_controller(suite.load(name))
     baseline, baseline_s = _timed(lambda: run_campaign(controller, dropping=True))
     collapsed, collapsed_s = _timed(
         lambda: run_campaign(controller, dropping=True, collapse="equiv")
@@ -230,12 +220,9 @@ def bench_pool_reuse(names, workers: int, rounds: int = 2, pipelines: bool = Tru
     subject/state caches -- alive across the whole sweep, so every
     repeated campaign is a cache hit.
     """
-    controllers = [build_conventional_bist(suite.load(name)) for name in names]
+    controllers = [build_controller(suite.load(name), "conventional") for name in names]
     if pipelines:
-        controllers += [
-            build_pipeline(search_ostr(suite.load(name)).realization())
-            for name in names
-        ]
+        controllers += [build_controller(suite.load(name)) for name in names]
     campaigns = len(controllers) * rounds
     ephemeral_reports, ephemeral_s = _timed(
         lambda: [

@@ -12,7 +12,7 @@ import pytest
 
 from _bench_util import register_artifact, run_search_cached
 from repro import experiments, suite
-from repro.ostr import conventional_bist_flipflops, search_ostr
+from repro.ostr import search_ostr
 
 LIGHT = [n for n in suite.names() if n not in ("dk16", "dk512", "s1", "tbk")]
 HEAVY = ["dk512", "s1", "tbk", "dk16"]
@@ -21,26 +21,7 @@ _ROWS = {}
 
 
 def _record(name):
-    result = run_search_cached(name)
-    entry = suite.entry(name)
-    solution = result.solution
-    k1, k2 = solution.k1, solution.k2
-    if {k1, k2} == {entry.paper.s1, entry.paper.s2}:
-        k1, k2 = entry.paper.s1, entry.paper.s2
-    _ROWS[name] = experiments.Table1Row(
-        name=name,
-        n_states=result.machine.n_states,
-        s1=k1,
-        s2=k2,
-        conventional_ff=conventional_bist_flipflops(result.machine.n_states),
-        pipeline_ff=solution.flipflops,
-        exact=result.exact,
-        investigated=result.stats.investigated,
-        basis_size=result.stats.basis_size,
-        elapsed_seconds=result.stats.elapsed_seconds,
-        paper=entry.paper,
-    )
-    return result
+    _ROWS[name] = experiments.table1_row(name, run_search_cached(name))
 
 
 @pytest.mark.parametrize("name", LIGHT)

@@ -7,16 +7,17 @@ Walks the paper's running example (Figure 5) through the complete flow:
 2. solve OSTR (find the optimal symmetric partition pair),
 3. build the verified Theorem-1 realization (Figures 6-7),
 4. synthesize the Figure-8 pipeline hardware (encoding, two-level logic,
-   gate-level netlists),
+   gate-level netlists), checked against the specification on every
+   (state, input) pair,
 5. run the built-in self-test and measure stuck-at fault coverage.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import MealyMachine
-from repro.bist import build_pipeline
 from repro.faults import measure_coverage
-from repro.ostr import conventional_bist_flipflops, synthesize_self_testable
+from repro.ostr import conventional_bist_flipflops, search_ostr
+from repro.pipeline import build_controller
 
 # -- 1. the specification (Figure 5 of the paper) ---------------------------
 
@@ -41,7 +42,7 @@ print(controller.transition_table())
 
 # -- 2. solve OSTR -----------------------------------------------------------
 
-result = synthesize_self_testable(controller)
+result = search_ostr(controller)
 print()
 print(f"OSTR solution: {result.summary()}")
 print(f"  pi    = {result.solution.pi!r}")
@@ -56,7 +57,7 @@ print(realization.factor_tables())
 
 # -- 4. hardware synthesis (Figure 8) -----------------------------------------
 
-pipeline = build_pipeline(realization)
+pipeline = build_controller(controller, result=result)
 print()
 print("Pipeline structure:")
 print(f"  R1: {pipeline.w1} flip-flop(s), R2: {pipeline.w2} flip-flop(s)")

@@ -12,25 +12,18 @@ Run:  python examples/selftest_demo.py
 """
 
 from repro import suite
-from repro.bist import (
-    build_conventional_bist,
-    build_doubled,
-    build_pipeline,
-    build_plain,
-)
 from repro.faults import exhaustive_patterns, measure_coverage, simulate_patterns
 from repro.fsm.random_machines import random_input_word
-from repro.ostr import search_ostr
+from repro.pipeline import build_controller
 
 machine = suite.load("shiftreg")
 print(f"Machine: {machine.name} "
       f"(|S|={machine.n_states}, |I|={machine.n_inputs})")
 
-realization = search_ostr(machine).realization()
-plain = build_plain(machine)
-conventional = build_conventional_bist(machine)
-doubled = build_doubled(machine)
-pipeline = build_pipeline(realization)
+plain, conventional, doubled, pipeline = (
+    build_controller(machine, architecture)
+    for architecture in ("plain", "conventional", "doubled", "pipeline")
+)
 
 print()
 print(f"{'architecture':24s} {'FFs':>4} {'depth':>6} {'gate inputs':>12}")

@@ -5,9 +5,10 @@
 # drift), the prescreen-soundness suite with a validate-mode mini-sweep,
 # and a smoke run of the speed benchmark (which asserts the optimised
 # engine is bit-identical to the reference paths), and the end-to-end
-# benchmark's own tests (perfbench/).  When pytest-cov is
-# available (CI installs it) the tier-1 run additionally enforces the
-# line-coverage floor over the fault-simulation and netlist packages.
+# benchmark's own tests (perfbench/), and every examples/*.py script.
+# When pytest-cov is available (CI installs it) the tier-1 run
+# additionally enforces the line-coverage floor over the
+# fault-simulation and netlist packages.
 # Used by CI and by hand before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,6 +71,12 @@ python -m repro.cli sweep --out "$PRESCREEN_TMP/validate" \
   --families table1 --limit 4 --prescreen validate --no-timings --quiet
 python -m repro.cli sweep --verify "$PRESCREEN_TMP/validate"
 rm -rf "$PRESCREEN_TMP"
+
+echo "== examples (every examples/*.py end to end) =="
+for example in examples/*.py; do
+  echo "$example"
+  python "$example" > /dev/null
+done
 
 echo "== end-to-end benchmark harness (perfbench: gate, pins, speed meter, tracing) =="
 python -m pytest perfbench/test_perfbench.py -q

@@ -15,13 +15,15 @@ fault simulation, and the Table-1 benchmark suite.
 Quickstart::
 
     from repro import suite
-    from repro.ostr import synthesize_self_testable
+    from repro.ostr import search_ostr
+    from repro.pipeline import build_controller
 
     machine = suite.load("shiftreg")
-    result = synthesize_self_testable(machine)
+    result = search_ostr(machine)
     print(result.summary())                # |S1|=4, |S2|=2, flipflops=3
     realization = result.realization()     # verified Theorem-1 object
     print(realization.factor_tables())
+    controller = build_controller(machine, result=result)  # Figure 4, checked
 """
 
 from . import analysis
@@ -34,9 +36,10 @@ from . import logic
 from . import netlist
 from . import partitions
 from . import ostr
+from . import pipeline
 from . import suite
 from .fsm import MealyMachine
-from .ostr import OstrResult, OstrSolution, PipelineRealization, synthesize_self_testable
+from .ostr import OstrResult, OstrSolution, PipelineRealization
 from .partitions import Partition
 
 __version__ = "1.0.0"
@@ -47,12 +50,12 @@ __all__ = [
     "fsm",
     "partitions",
     "ostr",
+    "pipeline",
     "suite",
     "MealyMachine",
     "Partition",
     "OstrResult",
     "OstrSolution",
     "PipelineRealization",
-    "synthesize_self_testable",
     "__version__",
 ]

@@ -20,7 +20,7 @@ dually), with ``INF`` propagated through sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import NetlistError
 from ..netlist.netlist import Fault, GateKind, Netlist

@@ -30,8 +30,7 @@ machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..encoding import (
     EncodedMachine,
@@ -43,6 +42,7 @@ from ..exceptions import BistError
 from ..faults.coverage import FAULT_DETECTED, FAULT_DROPPED, FAULT_MISSED
 from ..faults.stuck_at import all_faults
 from ..fsm import MealyMachine
+from ..fsm.machine import Symbol
 from ..logic.synth import MultiOutputCover, synthesize_table
 from ..netlist import Netlist, cover_to_netlist
 from ..netlist.netlist import Fault
@@ -58,6 +58,8 @@ from .lfsr import Lfsr
 from .misr import Misr
 
 BlockFault = Tuple[str, Fault]
+#: register content of a controller (a state code, or the R1/R2 pair).
+Registers = TypeVar("Registers")
 
 #: lane budget of one superposed fallback evaluation (lane 0 is reserved
 #: for the fault-free machine, so each pass packs LANE_WIDTH - 1 faults).
@@ -272,26 +274,52 @@ class PlainController:
         return outputs
 
 
+def _check_every_transition(
+    what: str,
+    machine: MealyMachine,
+    registers: Callable[[Symbol], Registers],
+    step: Callable[[Registers, Symbol], Tuple[Registers, str]],
+    output_code: Callable[[Symbol], str],
+) -> None:
+    """Step the netlists once from every (state, input) pair of ``machine``.
+
+    ``registers(s)`` encodes spec state ``s``; ``step(registers, x)`` is
+    one system clock, returning the next registers and the output code,
+    which must encode ``delta(s, x)`` and ``lambda(s, x)``.  By induction
+    from reset the controller then equals the machine on every input
+    word.  Raises :class:`BistError` at the first pair that disagrees.
+    """
+    for state in machine.states:
+        current = registers(state)
+        for symbol in machine.inputs:
+            next_registers, output = step(current, symbol)
+            expected_state, expected_output = machine.step(state, symbol)
+            if next_registers != registers(expected_state):
+                wrong = "next state"
+            elif output != output_code(expected_output):
+                wrong = "output"
+            else:
+                continue
+            raise BistError(
+                f"{what} for {machine.name!r} disagrees with the "
+                f"specification at state {state!r}, input {symbol!r}: "
+                f"wrong {wrong}"
+            )
+
+
 def build_plain(machine: MealyMachine, method: str = "auto") -> PlainController:
     """Synthesize the Figure-1 structure and verify it against the machine."""
     encoded = encode_machine(machine)
     cover = synthesize_table(encoded.table, method=method)
     controller = PlainController(encoded, cover)
-    for state in machine.states:
-        for symbol in machine.inputs:
-            next_code, output_code = controller.step_codes(
-                encoded.state_encoding.encode(state),
-                encoded.input_encoding.encode(symbol),
-            )
-            expected_state, expected_output = machine.step(state, symbol)
-            if next_code != encoded.state_encoding.encode(expected_state):
-                raise BistError(
-                    f"netlist next-state mismatch at ({state!r}, {symbol!r})"
-                )
-            if output_code != encoded.output_encoding.encode(expected_output):
-                raise BistError(
-                    f"netlist output mismatch at ({state!r}, {symbol!r})"
-                )
+    input_code = encoded.input_encoding.encode
+    _check_every_transition(
+        "netlist C",
+        machine,
+        encoded.state_encoding.encode,
+        lambda code, symbol: controller.step_codes(code, input_code(symbol)),
+        encoded.output_encoding.encode,
+    )
     return controller
 
 
@@ -879,9 +907,9 @@ class PipelineController:
         )
         return next_r1, next_r2, output_code
 
-    def reset_registers(self) -> Tuple[int, int]:
-        """Register values encoding ``alpha(reset state)``."""
-        block1, block2 = self.realization.alpha(self.machine.reset_state)
+    def registers(self, state: Symbol) -> Tuple[int, int]:
+        """Register values (R1, R2) encoding ``alpha(state)``."""
+        block1, block2 = self.realization.alpha(state)
         return (
             _code_to_int(self.encoded.r1_encoding.encode(block1)),
             _code_to_int(self.encoded.r2_encoding.encode(block2)),
@@ -892,7 +920,7 @@ class PipelineController:
         input_symbols: Sequence,
         faults: Optional[Dict[str, Fault]] = None,
     ) -> List[str]:
-        r1, r2 = self.reset_registers()
+        r1, r2 = self.registers(self.machine.reset_state)
         outputs = []
         for symbol in input_symbols:
             input_code = self.encoded.input_encoding.encode(symbol)
@@ -1370,20 +1398,17 @@ def build_pipeline(
     lambda_cover = synthesize_table(encoded.lambda_, method=method)
     controller = PipelineController(encoded, c1_cover, c2_cover, lambda_cover)
 
-    # Behavioural verification against the specification via alpha.
-    spec = realization.spec
-    from ..fsm.random_machines import random_input_word
+    input_code = encoded.input_encoding.encode
 
-    word = random_input_word(spec, length=4 * spec.n_states * spec.n_inputs, seed=7)
-    expected = []
-    state = spec.reset_state
-    for symbol in word:
-        state, output = spec.step(state, symbol)
-        expected.append(encoded.output_encoding.encode(output))
-    actual = controller.system_trace(word)
-    if actual != expected:
-        raise BistError(
-            f"pipeline controller for {spec.name!r} disagrees with the "
-            "specification on a random run"
-        )
+    def step(registers: Tuple[int, int], symbol: Symbol) -> Tuple[Tuple[int, int], str]:
+        r1, r2, output_code = controller.system_step(*registers, input_code(symbol))
+        return (r1, r2), output_code
+
+    _check_every_transition(
+        "pipeline controller",
+        realization.spec,
+        controller.registers,
+        step,
+        encoded.output_encoding.encode,
+    )
     return controller

@@ -11,11 +11,10 @@ although the paper's self-test flow does not need it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..exceptions import BistError
-from .lfsr import Lfsr, PRIMITIVE_TAPS
-from .misr import Misr
+from .lfsr import PRIMITIVE_TAPS
 
 
 class BilboMode(Enum):

@@ -13,7 +13,7 @@ and is useless as a generator.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..exceptions import BistError
 

@@ -9,7 +9,7 @@ responses) -- the fault-coverage benches measure exactly this.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from ..exceptions import BistError
 from .lfsr import feedback_tap_mask

@@ -34,8 +34,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from . import experiments, suite
 from .exceptions import ReproError
+from .faults import COLLAPSE_MODES, PRESCREEN_MODES
 from .fsm import MealyMachine, equivalence_partition, is_strongly_connected, kiss
 from .ostr import conventional_bist_flipflops, search_ostr
+from .pipeline import build_controller, static_analysis
+from .suite.sweep import SWEEP_ARCHITECTURES
 
 
 def _load_machine(spec: str) -> MealyMachine:
@@ -433,12 +436,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .bist import build_pipeline
     from .netlist import controller_to_verilog, netlist_to_blif
 
-    machine = _load_machine(args.machine)
-    result = search_ostr(machine)
-    controller = build_pipeline(result.realization())
+    controller = build_controller(_load_machine(args.machine))
     if args.format == "verilog":
         text = controller_to_verilog(controller)
     else:
@@ -475,12 +475,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_scoap(args: argparse.Namespace) -> int:
     from .analysis import analyze
-    from .bist import build_pipeline
     from .faults import all_faults
     from .reporting import format_table
 
     machine = _load_machine(args.machine)
-    controller = build_pipeline(search_ostr(machine).realization())
+    controller = build_controller(machine)
     rows = []
     for label, network in (
         ("C1", controller.c1),
@@ -534,9 +533,7 @@ def _parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .analysis.structure import verify
-    from .analysis.untestable import prove_controller, verdict_tally
-    from .bist import build_conventional_bist, build_pipeline
+    from .analysis.untestable import verdict_tally
 
     if args.corpus:
         from .suite import corpus
@@ -567,20 +564,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     proved_total = 0
     targets = []
     for name, machine in subjects:
-        if args.architecture == "pipeline":
-            result = search_ostr(machine, node_limit=args.node_limit)
-            controller = build_pipeline(result.realization())
-        else:
-            controller = build_conventional_bist(machine)
+        controller = build_controller(
+            machine, args.architecture, node_limit=args.node_limit
+        )
+        analysis = static_analysis(controller, observed_override)
         blocks = {}
-        for block, netlist in sorted(controller.fault_blocks().items()):
-            if netlist is None:
-                continue
-            report = verify(netlist, observed_override)
+        for block, report in analysis.blocks.items():
             blocks[block] = report.to_dict()
             for severity, count in report.counts().items():
                 totals[severity] += count
-        verdicts = prove_controller(controller)
+        verdicts = analysis.verdicts
         proved = [v.to_dict() for v in verdicts if v.is_untestable]
         proved_total += len(proved)
         targets.append(
@@ -713,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coverage.add_argument(
         "--collapse",
-        choices=("none", "equiv", "dominance"),
+        choices=COLLAPSE_MODES,
         default="none",
         help="structural fault collapsing: 'equiv' schedules one "
         "representative per equivalence class and expands the verdicts "
@@ -723,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coverage.add_argument(
         "--prescreen",
-        choices=("none", "static", "validate"),
+        choices=PRESCREEN_MODES,
         default="none",
         help="static untestability prescreen: 'static' skips faults the "
         "prover shows can never be detected (identical report -- they "
@@ -792,16 +785,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run shard I of N (1-based; stable member hashing)",
     )
     sweep.add_argument(
-        "--architecture", choices=("pipeline", "conventional"),
-        default="pipeline",
+        "--architecture", choices=SWEEP_ARCHITECTURES, default="pipeline",
     )
     sweep.add_argument("--cycles", type=int, default=None)
     sweep.add_argument("--node-limit", type=int, default=200_000)
     sweep.add_argument(
-        "--collapse", choices=("none", "equiv", "dominance"), default="equiv"
+        "--collapse", choices=COLLAPSE_MODES, default="equiv"
     )
     sweep.add_argument(
-        "--prescreen", choices=("none", "static", "validate"), default="none",
+        "--prescreen", choices=PRESCREEN_MODES, default="none",
         help="static untestability prescreen per campaign: 'static' skips "
         "proved-untestable faults, 'validate' cross-checks the engines "
         "against the prover (the canonical ledger is identical either way)",
@@ -894,8 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--service", default="http://127.0.0.1:8337", metavar="URL"
     )
     submit.add_argument(
-        "--architecture", choices=("pipeline", "conventional"),
-        default="pipeline",
+        "--architecture", choices=SWEEP_ARCHITECTURES, default="pipeline",
     )
     submit.add_argument("--cycles", type=int, default=None)
     submit.add_argument(
@@ -968,8 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint shard I of N (with --corpus; 1-based)",
     )
     lint.add_argument(
-        "--architecture", choices=("pipeline", "conventional"),
-        default="pipeline",
+        "--architecture", choices=SWEEP_ARCHITECTURES, default="pipeline",
     )
     lint.add_argument("--node-limit", type=int, default=200_000)
     lint.add_argument(

@@ -18,7 +18,7 @@ unspecified and become don't-cares for the logic minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import EncodingError
 from ..fsm import MealyMachine

@@ -9,26 +9,24 @@ every artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import suite
-from .bist import (
-    build_conventional_bist,
-    build_doubled,
-    build_parallel_self_test,
-    build_pipeline,
-    build_plain,
-)
+from . import faults, ostr, suite
 from .exceptions import ReproError
-from .faults import CoverageReport, exhaustive_patterns, measure_coverage, simulate_patterns
 from .fsm import MealyMachine
-from .fsm.random_machines import random_input_word
-from .ostr import (
-    OstrResult,
-    conventional_bist_flipflops,
-    search_ostr,
-)
+from .ostr import OstrResult, conventional_bist_flipflops
+from .pipeline import build_controller
 from .reporting import flag, format_percent, format_table
+
+
+def _suite_searches(
+    names: Optional[Sequence[str]], search_overrides: Optional[Dict]
+) -> Iterator[Tuple[str, OstrResult]]:
+    """One OSTR search per suite machine, with its registry search options
+    (updated by ``search_overrides``), in ``names`` order (default: all)."""
+    for name in names if names is not None else suite.names():
+        kwargs = {**suite.entry(name).search_kwargs, **(search_overrides or {})}
+        yield name, ostr.search_ostr(suite.load(name), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +65,38 @@ def run_table1(
     search_overrides: Optional[Dict] = None,
 ) -> List[Table1Row]:
     """Regenerate Table 1 (one OSTR search per benchmark)."""
-    rows = []
-    for name in names if names is not None else suite.names():
-        entry = suite.entry(name)
-        machine = suite.load(name)
-        kwargs = dict(entry.search_kwargs)
-        if search_overrides:
-            kwargs.update(search_overrides)
-        result = search_ostr(machine, **kwargs)
-        solution = _paper_orientation(result, entry.paper)
-        rows.append(
-            Table1Row(
-                name=name,
-                n_states=machine.n_states,
-                s1=solution[0],
-                s2=solution[1],
-                conventional_ff=conventional_bist_flipflops(machine.n_states),
-                pipeline_ff=result.solution.flipflops,
-                exact=result.exact,
-                investigated=result.stats.investigated,
-                basis_size=result.stats.basis_size,
-                elapsed_seconds=result.stats.elapsed_seconds,
-                paper=entry.paper,
-            )
-        )
-    return rows
+    return [
+        table1_row(name, result)
+        for name, result in _suite_searches(names, search_overrides)
+    ]
 
 
-def _paper_orientation(result: OstrResult, paper: suite.PaperRow) -> Tuple[int, int]:
-    """Order measured factors to match the published row when sizes agree."""
+def table1_row(name: str, result: OstrResult) -> Table1Row:
+    """The Table-1 row of suite machine ``name`` from its search result.
+
+    The measured factor sizes take the published row's order when they
+    agree with it as a set, else the larger first.
+    """
+    paper = suite.entry(name).paper
     k1, k2 = result.solution.k1, result.solution.k2
     if {k1, k2} == {paper.s1, paper.s2}:
-        return (paper.s1, paper.s2)
-    return (max(k1, k2), min(k1, k2))
+        s1, s2 = paper.s1, paper.s2
+    else:
+        s1, s2 = max(k1, k2), min(k1, k2)
+    n_states = result.machine.n_states
+    return Table1Row(
+        name=name,
+        n_states=n_states,
+        s1=s1,
+        s2=s2,
+        conventional_ff=conventional_bist_flipflops(n_states),
+        pipeline_ff=result.solution.flipflops,
+        exact=result.exact,
+        investigated=result.stats.investigated,
+        basis_size=result.stats.basis_size,
+        elapsed_seconds=result.stats.elapsed_seconds,
+        paper=paper,
+    )
 
 
 def format_table1(rows: Sequence[Table1Row]) -> str:
@@ -146,26 +143,18 @@ def run_table2(
     search_overrides: Optional[Dict] = None,
 ) -> List[Table2Row]:
     """Regenerate Table 2: total tree size vs nodes investigated."""
-    rows = []
-    for name in names if names is not None else suite.names():
-        entry = suite.entry(name)
-        machine = suite.load(name)
-        kwargs = dict(entry.search_kwargs)
-        if search_overrides:
-            kwargs.update(search_overrides)
-        result = search_ostr(machine, **kwargs)
-        rows.append(
-            Table2Row(
-                name=name,
-                n_states=machine.n_states,
-                basis_size=result.stats.basis_size,
-                tree_size=result.stats.tree_size,
-                investigated=result.stats.investigated,
-                pruned_subtrees=result.stats.pruned_subtrees,
-                exact=result.exact,
-            )
+    return [
+        Table2Row(
+            name=name,
+            n_states=result.machine.n_states,
+            basis_size=result.stats.basis_size,
+            tree_size=result.stats.tree_size,
+            investigated=result.stats.investigated,
+            pruned_subtrees=result.stats.pruned_subtrees,
+            exact=result.exact,
         )
-    return rows
+        for name, result in _suite_searches(names, search_overrides)
+    ]
 
 
 def format_table2(rows: Sequence[Table2Row]) -> str:
@@ -203,26 +192,28 @@ class ArchitectureRow:
     transparent_register: bool
 
 
+#: (architecture, label, figure, self-testable, transparent register)
+_FIGURES = (
+    ("plain", "plain", "Fig.1", False, False),
+    ("conventional", "conventional BIST", "Fig.2", True, True),
+    ("doubled", "doubled", "Fig.3", True, False),
+    ("pipeline", "pipeline (paper)", "Fig.4", True, False),
+)
+
+
 def run_architectures(machine: MealyMachine, method: str = "auto") -> List[ArchitectureRow]:
     """Build all four Figure architectures for one machine."""
-    result = search_ostr(machine)
-    realization = result.realization()
-    plain = build_plain(machine, method=method)
-    conventional = build_conventional_bist(machine, method=method)
-    doubled = build_doubled(machine, method=method)
-    pipeline = build_pipeline(realization, method=method)
-    name = machine.name
-    return [
-        ArchitectureRow(name, "plain", "Fig.1", plain.flipflops,
-                        plain.critical_path(), plain.gate_inputs(), False, False),
-        ArchitectureRow(name, "conventional BIST", "Fig.2", conventional.flipflops,
-                        conventional.critical_path(), conventional.gate_inputs(),
-                        True, True),
-        ArchitectureRow(name, "doubled", "Fig.3", doubled.flipflops,
-                        doubled.critical_path(), doubled.gate_inputs(), True, False),
-        ArchitectureRow(name, "pipeline (paper)", "Fig.4", pipeline.flipflops,
-                        pipeline.critical_path(), pipeline.gate_inputs(), True, False),
-    ]
+    rows = []
+    for architecture, label, figure, self_testable, transparent in _FIGURES:
+        controller = build_controller(machine, architecture, method=method)
+        rows.append(
+            ArchitectureRow(
+                machine.name, label, figure, controller.flipflops,
+                controller.critical_path(), controller.gate_inputs(),
+                self_testable, transparent,
+            )
+        )
+    return rows
 
 
 def format_architectures(rows: Sequence[ArchitectureRow]) -> str:
@@ -267,75 +258,44 @@ class CoverageRow:
     )
 
 
+#: (architecture, label) of the coverage table's rows, in order.
+_COVERAGE_ROWS = (
+    ("parallel", "parallel self-test (Fig.1)"),
+    ("conventional", "conventional BIST (Fig.2)"),
+    ("doubled", "doubled (Fig.3)"),
+    ("pipeline", "pipeline (Fig.4)"),
+)
+
+
 def run_coverage(
     machine: MealyMachine,
-    cycles: Optional[int] = None,
     method: str = "auto",
-    dropping: bool = False,
-    superpose: bool = True,
-    chunk_size: Optional[int] = None,
     pool=None,
-    engine: str = "compiled",
-    collapse: str = "none",
-    prescreen: str = "none",
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     checkpoint: Optional[str] = None,
     degrade: bool = False,
+    **campaign,
 ) -> List[CoverageRow]:
-    """Measure self-test stuck-at coverage of Figures 2-4 on one machine.
+    """Measure self-test stuck-at coverage of Figures 1-4 on one machine.
 
-    ``dropping``/``superpose``/``chunk_size`` select the campaign engine
-    of :mod:`repro.faults.engine`; the reports are bit-identical to the
-    serial oracle either way, so these are pure wall-clock knobs -- as is
-    ``collapse="equiv"``, which schedules one representative per
-    structural equivalence class and expands the verdicts back
-    (``"dominance"`` shrinks the *reported* universe and is opt-in).
-    ``pool`` (a :class:`~repro.faults.pool.CampaignPool`) fans all four
-    campaigns -- and the PPSFP redundancy screens -- out over the same
-    persistent workers; without it everything runs in-process.
-    ``engine="interpreted"`` selects the seed dict-keyed session loops as
-    the oracle.
-
-    ``timeout``/``retries``/``degrade`` arm the campaign runtime's
-    watchdog, retry budget and degradation ladder (see
-    :func:`repro.faults.engine.run_campaign`); ``checkpoint`` names a
-    snapshot *prefix* -- each architecture campaign checkpoints to
-    ``{checkpoint}.arch{i}`` so an interrupted sweep resumes per
-    architecture, bit-identically.
+    ``campaign`` options go to every :func:`repro.faults.measure_coverage`
+    call.  ``pool`` (a :class:`~repro.faults.pool.CampaignPool`) serves
+    the four campaigns and the PPSFP redundancy screens from the same
+    persistent workers; ``degrade`` also lets those screens fall back to
+    in-process lanes.  ``checkpoint`` names a snapshot *prefix*: each
+    architecture campaign checkpoints to ``{checkpoint}.arch{i}``, so an
+    interrupted run resumes per architecture, bit-identically.
     """
-    result = search_ostr(machine)
-    realization = result.realization()
-    parallel = build_parallel_self_test(machine, method=method)
-    conventional = build_conventional_bist(machine, method=method)
-    doubled = build_doubled(machine, method=method)
-    pipeline = build_pipeline(realization, method=method)
-
     rows = []
-    for index, (controller, label) in enumerate(
-        (
-            (parallel, "parallel self-test (Fig.1)"),
-            (conventional, "conventional BIST (Fig.2)"),
-            (doubled, "doubled (Fig.3)"),
-            (pipeline, "pipeline (Fig.4)"),
-        )
-    ):
-        report = measure_coverage(
+    for index, (architecture, label) in enumerate(_COVERAGE_ROWS):
+        controller = build_controller(machine, architecture, method=method)
+        report = faults.measure_coverage(
             controller,
-            cycles=cycles,
-            dropping=dropping,
-            superpose=superpose,
-            chunk_size=chunk_size,
             pool=pool,
-            engine=engine,
-            collapse=collapse,
-            prescreen=prescreen,
-            timeout=timeout,
-            retries=retries,
             checkpoint=(
                 f"{checkpoint}.arch{index}" if checkpoint is not None else None
             ),
             degrade=degrade,
+            **campaign,
         )
         redundant = _redundant_fault_count(controller, pool=pool, degrade=degrade)
         detectable = report.total - redundant
@@ -363,25 +323,20 @@ def run_coverage(
 
 def _redundant_fault_count(controller, pool=None, degrade=False) -> int:
     """Faults no input pattern can detect (combinational redundancy)."""
-    networks = []
-    if hasattr(controller, "plain"):
-        networks.append(controller.plain.network)
-        if type(controller).__name__ == "DoubledController":
-            networks.append(controller.plain.network)  # both copies
-    else:
-        networks.extend([controller.c1, controller.c2, controller.lambda_net])
     redundant = 0
-    for network in networks:
-        patterns = exhaustive_patterns(len(network.inputs))
+    for network in controller.fault_blocks().values():
+        if network is None:
+            continue
+        patterns = faults.exhaustive_patterns(len(network.inputs))
         try:
-            outcome = simulate_patterns(network, patterns, pool=pool)
+            outcome = faults.simulate_patterns(network, patterns, pool=pool)
         except ReproError:
             # Degradation for the PPSFP screens mirrors the campaigns':
             # an unusable pool falls back to the in-process lanes, which
             # compute identical flags.
             if not degrade or pool is None:
                 raise
-            outcome = simulate_patterns(network, patterns)
+            outcome = faults.simulate_patterns(network, patterns)
         redundant += outcome.total - outcome.detected
     return redundant
 
@@ -417,14 +372,13 @@ def run_paper_example() -> Dict[str, object]:
     """Reproduce the running example end to end (Figures 5-8)."""
     machine = suite.paper_example()
     pi, theta = suite.paper_example_pair()
-    result = search_ostr(machine)
-    realization = result.realization()
-    pipeline = build_pipeline(realization)
+    result = ostr.search_ostr(machine)
+    pipeline = build_controller(machine, result=result)
     return {
         "machine": machine,
         "published_pair": (pi, theta),
         "search_result": result,
-        "realization": realization,
+        "realization": pipeline.realization,
         "pipeline": pipeline,
         "found_published_pair": {result.solution.pi, result.solution.theta}
         == {pi, theta},

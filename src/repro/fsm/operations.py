@@ -8,7 +8,7 @@ partition it is well defined on outputs too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..exceptions import FsmError
 from ..partitions import Partition

@@ -16,7 +16,7 @@ row-by-row walk, to name the first disagreeing pattern in table order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..encoding.encoded import TruthTable
 from ..exceptions import LogicError

@@ -17,7 +17,7 @@ import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import NetlistError
-from .netlist import Gate, GateKind, Netlist
+from .netlist import GateKind, Netlist
 
 _VERILOG_OPS = {
     GateKind.AND: " & ",
@@ -105,7 +105,7 @@ def controller_to_verilog(controller: Any, module_name: Optional[str] = None) ->
     w1, w2 = controller.w1, controller.w2
     xw = controller.input_width
     zw = controller.output_width
-    r1_reset, r2_reset = controller.reset_registers()
+    r1_reset, r2_reset = controller.registers(controller.machine.reset_state)
 
     c1_ports = _port_connections(
         controller.c1, [("r1", w1), ("x", xw)], "next_r2"

@@ -2,9 +2,9 @@
 
 High-level entry point::
 
-    from repro.ostr import synthesize_self_testable
+    from repro.ostr import search_ostr
 
-    result = synthesize_self_testable(machine)
+    result = search_ostr(machine)
     realization = result.realization()       # verified Theorem-1 object
     print(realization.factor_tables())        # Figure-7 style tables
 
@@ -35,15 +35,6 @@ from .splitting import (
 )
 
 
-def synthesize_self_testable(machine, **options) -> OstrResult:
-    """Solve OSTR for ``machine`` (alias of :func:`search_ostr`).
-
-    Keyword options are forwarded to :func:`repro.ostr.search.search_ostr`
-    (``prune``, ``node_limit``, ``time_limit``, ``policy``, ...).
-    """
-    return search_ostr(machine, **options)
-
-
 __all__ = [
     "OstrSolution",
     "OstrResult",
@@ -58,7 +49,6 @@ __all__ = [
     "realize",
     "supports_self_testable_structure",
     "search_ostr",
-    "synthesize_self_testable",
     "exhaustive_ostr",
     "all_symmetric_pairs",
     "count_symmetric_pairs",

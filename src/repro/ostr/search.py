@@ -38,11 +38,10 @@ tries the join-free sufficient conditions ``m(b) ∩ b``, ``m(b) ∩ pi`` and
 ``m(parent) ∩ pi ⊄ epsilon``, each of which implies the exact test
 because ``m(pi)`` lies above ``m(b)`` and ``m(parent)``, ``pi`` lies above
 ``b``, and "⊄ epsilon" is upward closed (details in ``_run_bitset``).
-``reference=True`` (or the legacy ``fast=False``) runs the seed's
-label-tuple interpreters operator by operator instead; both produce
-identical solutions and identical search statistics (asserted by the
-equivalence tests and the Table-1 golden-stats file), only the wall clock
-differs.
+``reference=True`` runs the seed's label-tuple interpreters operator by
+operator instead; both produce identical solutions and identical search
+statistics (asserted by the equivalence tests and the Table-1
+golden-stats file), only the wall clock differs.
 
 An optional ``policy="extended"`` additionally coarsens the m-side first
 factor greedily towards ``M(pi)`` while the intersection condition holds;
@@ -53,7 +52,7 @@ flag to probe the paper's exactness claim.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import SearchError
@@ -137,7 +136,6 @@ def search_ostr(
     time_limit: Optional[float] = None,
     policy: str = "paper",
     basis_order: str = "sorted",
-    fast: bool = True,
     reference: bool = False,
 ) -> OstrResult:
     """Solve OSTR for ``machine`` with the paper's depth-first procedure.
@@ -154,10 +152,9 @@ def search_ostr(
     carried incrementally along DFS edges, ``M`` only on unpruned nodes,
     and memo caches keyed by the canonical mask tuples for both node
     evaluations and the ``join(pi, basis[i])`` DFS edges.  Pass
-    ``reference=True`` (or the legacy ``fast=False``) for the seed's
-    label-tuple operator-by-operator oracle; solutions and every search
-    statistic are identical across the engines, only the wall clock
-    differs.
+    ``reference=True`` for the seed's label-tuple operator-by-operator
+    oracle; solutions and every search statistic are identical across
+    the engines, only the wall clock differs.
     """
     if policy not in _POLICIES:
         raise SearchError(f"unknown policy {policy!r}; choose from {_POLICIES}")
@@ -183,7 +180,7 @@ def search_ostr(
 
     start_time = time.perf_counter()
     deadline = None if time_limit is None else start_time + time_limit
-    if reference or not fast:
+    if reference:
         best = _run_reference(
             machine, succ, states, epsilon, basis, stats, best,
             prune, skip_redundant, node_limit, deadline, policy,

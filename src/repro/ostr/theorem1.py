@@ -21,7 +21,7 @@ and verifies all of it eagerly, so a constructed object is always sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from ..exceptions import RealizationError

@@ -36,7 +36,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exceptions import ReproError
@@ -47,7 +47,8 @@ METRICS_NAME = "metrics.jsonl"
 MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "summary.json"
 
-_ARCHITECTURES = ("pipeline", "conventional")
+#: the architectures a sweep (and ``repro lint``) can build and measure.
+SWEEP_ARCHITECTURES = ("pipeline", "conventional")
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,10 @@ class SweepConfig:
     record_timings: bool = True
 
     def __post_init__(self):
-        if self.architecture not in _ARCHITECTURES:
+        if self.architecture not in SWEEP_ARCHITECTURES:
             raise ReproError(
                 f"unknown architecture {self.architecture!r}; "
-                f"choose from {_ARCHITECTURES}"
+                f"choose from {SWEEP_ARCHITECTURES}"
             )
         from ..faults.coverage import PRESCREEN_MODES
 
@@ -187,26 +188,18 @@ def _static_block(controller) -> Dict[str, object]:
     tally over the full fault universe -- so it belongs in the canonical
     ledger and reproduces bit-identically from a manifest's seeds.
     """
-    from ..analysis.structure import verify
-    from ..analysis.untestable import prove_controller, verdict_tally
+    from ..analysis.untestable import verdict_tally
+    from ..pipeline import static_analysis
 
-    blocks: Dict[str, object] = {}
-    for block, netlist in sorted(
-        (getattr(controller, "fault_blocks", dict)() or {}).items()
-    ):
-        if netlist is None:
-            continue
-        report = verify(netlist)
-        blocks[block] = {
-            "counts": report.counts(),
-            "by_code": report.by_code(),
-        }
-    verdicts = prove_controller(controller)
-    by_verdict = verdict_tally(verdicts)
+    analysis = static_analysis(controller)
+    by_verdict = verdict_tally(analysis.verdicts)
     return {
-        "structure": blocks,
+        "structure": {
+            block: {"counts": report.counts(), "by_code": report.by_code()}
+            for block, report in analysis.blocks.items()
+        },
         "untestable": {
-            "universe": len(verdicts),
+            "universe": len(analysis.verdicts),
             "proved": sum(by_verdict.values()),
             "by_verdict": by_verdict,
         },
@@ -232,10 +225,10 @@ def sweep_member(
     bit-identical -- it only lets an interrupted campaign avoid
     recomputing finished fault outcomes.
     """
-    from ..bist import build_conventional_bist, build_pipeline
     from ..faults import measure_coverage
     from ..faults.engine import deterministic_telemetry
     from ..ostr import conventional_bist_flipflops, search_ostr
+    from ..pipeline import build_controller
 
     record: Dict[str, object] = {
         "id": member.member_id,
@@ -271,10 +264,7 @@ def sweep_member(
         }
 
         if config.coverage:
-            if config.architecture == "pipeline":
-                controller = build_pipeline(result.realization())
-            else:
-                controller = build_conventional_bist(machine)
+            controller = build_controller(machine, config.architecture, result)
             start = time.perf_counter()
             report = measure_coverage(
                 controller,

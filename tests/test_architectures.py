@@ -186,3 +186,66 @@ class TestShiftregPipeline:
             )
             redundant += outcome.total - outcome.detected
         assert report.detected == report.total - redundant
+
+
+def _flip_first_bit(bits: str) -> str:
+    return ("1" if bits[0] == "0" else "0") + bits[1:]
+
+
+class TestExhaustiveCheck:
+    """The builders step every (state, input) pair; one wrong cover row
+    anywhere fails the build with the pair that exposes it."""
+
+    def test_pipeline_rejects_a_flipped_lambda_bit(self, monkeypatch):
+        import dataclasses
+
+        from repro import suite
+        from repro.bist import architectures
+        from repro.exceptions import BistError
+
+        machine = suite.load("shiftreg")
+        realization = search_ostr(machine).realization()
+        encode = architectures.encode_realization
+
+        def flipped(realization):
+            encoded = encode(realization)
+            block1, block2 = realization.alpha("110")
+            row = (
+                encoded.r1_encoding.encode(block1)
+                + encoded.r2_encoding.encode(block2)
+                + encoded.input_encoding.encode("1")
+            )
+            rows = dict(encoded.lambda_.rows)
+            rows[row] = _flip_first_bit(rows[row])
+            table = dataclasses.replace(encoded.lambda_, rows=rows)
+            return dataclasses.replace(encoded, lambda_=table)
+
+        monkeypatch.setattr(architectures, "encode_realization", flipped)
+        with pytest.raises(
+            BistError, match=r"state '110', input '1': wrong output"
+        ):
+            build_pipeline(realization)
+
+    def test_plain_rejects_a_flipped_next_state_bit(self, monkeypatch):
+        import dataclasses
+
+        from repro import suite
+        from repro.bist import architectures
+        from repro.exceptions import BistError
+
+        machine = suite.load("shiftreg")
+        encode = architectures.encode_machine
+
+        def flipped(machine):
+            encoded = encode(machine)
+            row = encoded.state_encoding.encode("011") + encoded.input_encoding.encode("0")
+            rows = dict(encoded.table.rows)
+            rows[row] = _flip_first_bit(rows[row])
+            table = dataclasses.replace(encoded.table, rows=rows)
+            return dataclasses.replace(encoded, table=table)
+
+        monkeypatch.setattr(architectures, "encode_machine", flipped)
+        with pytest.raises(
+            BistError, match=r"state '011', input '0': wrong next state"
+        ):
+            build_plain(machine)

@@ -376,3 +376,35 @@ class TestCheckpointGc:
         )
         assert code == 0
         assert "0 removed, 0 kept" in out
+
+
+class TestParserChoices:
+    """Option choices come from the constants the library validates against."""
+
+    @staticmethod
+    def _choices(command, dest):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions if action.dest == "command"
+        ]
+        (option,) = [
+            action
+            for action in commands.choices[command]._actions
+            if action.dest == dest
+        ]
+        return tuple(option.choices)
+
+    @pytest.mark.parametrize("command", ["coverage", "sweep"])
+    def test_collapse_and_prescreen(self, command):
+        from repro.faults import COLLAPSE_MODES, PRESCREEN_MODES
+
+        assert self._choices(command, "collapse") == COLLAPSE_MODES
+        assert self._choices(command, "prescreen") == PRESCREEN_MODES
+
+    @pytest.mark.parametrize("command", ["sweep", "submit", "lint"])
+    def test_architecture(self, command):
+        from repro.suite.sweep import SWEEP_ARCHITECTURES
+
+        assert self._choices(command, "architecture") == SWEEP_ARCHITECTURES

@@ -87,7 +87,7 @@ class TestControllerVerilog:
         text = controller_to_verilog(controller, module_name="sr")
         assert f"reg  [{controller.w1 - 1}:0] r1;" in text
         assert f"reg  [{controller.w2 - 1}:0] r2;" in text
-        r1_reset, r2_reset = controller.reset_registers()
+        r1_reset, r2_reset = controller.registers(controller.machine.reset_state)
         assert f"r1 <= {controller.w1}'d{r1_reset};" in text
 
     def test_cross_coupling_direction(self, controller):

@@ -3,8 +3,7 @@
 ``search_ostr`` defaults to the bitset-native engine (mask-tuple
 partitions, incremental ``m`` along DFS edges, Lemma-1-gated ``M``); the
 paper-accounting contract is that solutions *and* every search statistic
-stay identical to the label-tuple reference traversal (``reference=True``,
-or the legacy ``fast=False`` spelling).
+stay identical to the label-tuple reference traversal (``reference=True``).
 """
 
 import dataclasses
@@ -65,17 +64,6 @@ def _assert_same_search(machine, **kwargs):
     assert repr(fast.solution.pi) == repr(reference.solution.pi)
     assert repr(fast.solution.theta) == repr(reference.solution.theta)
     assert fast.solution.flipflops == reference.solution.flipflops
-
-
-def test_legacy_fast_false_is_the_reference_engine():
-    from repro import suite
-
-    machine = suite.load("dk27")
-    legacy = search_ostr(machine, fast=False)
-    reference = search_ostr(machine, reference=True)
-    assert repr(legacy.solution.pi) == repr(reference.solution.pi)
-    assert legacy.stats.investigated == reference.stats.investigated
-    assert legacy.stats.unique_joins == reference.stats.unique_joins
 
 
 def test_fast_search_identical_on_suite_machines():
