@@ -8,14 +8,16 @@ the optimised results are bit-identical to the reference paths:
   path (interpreted netlist evaluation, no dropping) versus the engine
   (compiled kernels + exact fault dropping + ``workers=N`` fan-out on a
   preloaded ephemeral pool);
-* **superposition**: the pipeline architecture's ``C1``/``C2`` fallback
-  sessions (the faults whose response errors perturb the in-loop compactor
-  and the ``lambda*`` stream) -- one serial replay per fault versus the
-  lane-superposed replay that packs one faulty machine per bit lane;
+* **superposition**: the pipeline architecture's ``C1``/``C2`` faults
+  (whose response errors perturb the in-loop compactor and the
+  ``lambda*`` stream) -- the serial oracle, one complete compiled
+  self-test per fault, versus the dropping engine, which screens them
+  pattern-parallel and replays the survivors with one faulty machine per
+  bit lane;
 * **ppsfp**: exhaustive pattern-set fault simulation of the widest
   combinational block -- the serial interpreted walker (the oracle)
-  versus the per-fault compiled kernels versus the lane-superposed PPSFP
-  kernel (one fault per bit lane on top of the pattern packing);
+  versus the lane-superposed PPSFP kernel (one fault per bit lane on top
+  of the pattern packing);
 * **collapse**: the same full campaign with and without equivalence
   fault collapsing -- the collapsed run schedules one representative per
   structural equivalence class (typically 40-60% fewer faults) and
@@ -39,11 +41,7 @@ the optimised results are bit-identical to the reference paths:
 * **logic_controller**: the exact minimizer on real controller logic --
   every C1/C2/λ output column of the table1 family that the sweep sends
   down the exact path, string reference versus packed engine (identical
-  covers; dk16's C1 holds a 31-minterm cyclic core);
-* **corpus_sweep**: the registry-driven sweep harness end to end over a
-  corpus slice -- uncollapsed versus equivalence-collapsed campaigns,
-  with the metrics records (modulo collapse telemetry) required to be
-  identical.
+  covers; dk16's C1 holds a 31-minterm cyclic core).
 
 Emits a machine-readable ``BENCH JSON: {...}`` line (and writes
 ``benchmarks/results/bench_speed.json``) so speedups are tracked across
@@ -111,19 +109,18 @@ def bench_coverage(name: str, architecture: str, workers: int) -> dict:
 
 
 def bench_superposition(name: str) -> dict:
-    """Pipeline C1/C2 fallback sessions: serial per-fault replay vs lanes.
+    """Pipeline C1/C2 faults: the serial oracle vs screening plus lanes.
 
-    Both runs screen pattern-parallel first; the A/B difference is purely
-    how the surviving faults replay their ``lambda*``-dependent session --
-    one serial compiled run each (``superpose=False``) versus all of them
-    superposed into bit lanes of one multi-lane run (the default).
+    The baseline runs one complete compiled self-test per fault
+    (``dropping=False``); the optimised run screens every fault
+    pattern-parallel and replays the survivors' ``lambda*``-dependent
+    session with all of them superposed into bit lanes of one multi-lane
+    run.
     """
     controller = build_controller(suite.load(name))
     fallback = [bf for bf in controller.fault_universe() if bf[0] in ("C1", "C2")]
     serial, serial_s = _timed(
-        lambda: run_campaign(
-            controller, dropping=True, faults=fallback, superpose=False
-        )
+        lambda: run_campaign(controller, dropping=False, faults=fallback)
     )
     superposed, lanes_s = _timed(
         lambda: run_campaign(controller, dropping=True, faults=fallback)
@@ -143,7 +140,6 @@ def bench_ppsfp(name: str) -> dict:
     """Exhaustive PPSFP on the widest combinational block of ``name``.
 
     Baseline is the serial interpreted walker (the seed oracle); the
-    per-fault compiled kernels are recorded as the intermediate; the
     optimised path is the lane-superposed kernel, which packs one fault
     per bit lane on top of the pattern packing so one evaluation screens
     ``lanes x patterns`` fault/pattern pairs.
@@ -152,9 +148,6 @@ def bench_ppsfp(name: str) -> dict:
     patterns = exhaustive_patterns(len(network.inputs))
     interpreted, interpreted_s = _timed(
         lambda: simulate_patterns(network, patterns, engine="interpreted")
-    )
-    compiled, compiled_s = _timed(
-        lambda: simulate_patterns(network, patterns, engine="compiled")
     )
     superposed, lanes_s = _timed(
         lambda: simulate_patterns(network, patterns, engine="superposed")
@@ -166,13 +159,9 @@ def bench_ppsfp(name: str) -> dict:
         "faults": interpreted.total,
         "coverage": round(interpreted.coverage, 6),
         "baseline_s": round(interpreted_s, 4),
-        "compiled_s": round(compiled_s, 4),
         "optimized_s": round(lanes_s, 4),
         "speedup": round(interpreted_s / lanes_s, 2) if lanes_s else float("inf"),
-        "speedup_vs_compiled": (
-            round(compiled_s / lanes_s, 2) if lanes_s else float("inf")
-        ),
-        "identical": superposed == interpreted == compiled,
+        "identical": superposed == interpreted,
     }
 
 
@@ -490,59 +479,6 @@ def bench_logic_controller(names) -> dict:
     }
 
 
-def bench_corpus_sweep(limit: int) -> dict:
-    """The registry-driven corpus sweep harness end to end.
-
-    Runs the same corpus slice (kiss classics + planted structures)
-    through ``run_sweep`` uncollapsed versus equivalence-collapsed --
-    the configuration the sweep ships with.  ``identical`` compares the
-    full metrics records modulo the collapse telemetry itself (the
-    collapse layer's contract: scheduled work shrinks, reports don't
-    move), so the harness's ledger determinism is exercised under both
-    configurations on every benchmark run.
-    """
-    import shutil
-    import tempfile
-
-    from repro.suite.sweep import SweepConfig, run_sweep
-
-    base = dict(
-        families=("mcnc", "pop-structured"), limit=limit, record_timings=False
-    )
-
-    def records_of(out_dir):
-        with open(os.path.join(out_dir, "metrics.jsonl"), encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        for row in rows:
-            row.pop("telemetry", None)
-        return rows
-
-    plain_dir = tempfile.mkdtemp(prefix="sweep_plain_")
-    collapsed_dir = tempfile.mkdtemp(prefix="sweep_collapsed_")
-    try:
-        plain, plain_s = _timed(
-            lambda: run_sweep(SweepConfig(**base, collapse="none"), plain_dir)
-        )
-        collapsed, collapsed_s = _timed(
-            lambda: run_sweep(SweepConfig(**base, collapse="equiv"), collapsed_dir)
-        )
-        identical = records_of(plain_dir) == records_of(collapsed_dir)
-    finally:
-        shutil.rmtree(plain_dir, ignore_errors=True)
-        shutil.rmtree(collapsed_dir, ignore_errors=True)
-    return {
-        "bench": f"corpus_sweep/{plain.records}-machines",
-        "machines": plain.records,
-        "faults": plain.summary["coverage"]["total_faults"],
-        "baseline_s": round(plain_s, 4),
-        "optimized_s": round(collapsed_s, 4),
-        "speedup": (
-            round(plain_s / collapsed_s, 2) if collapsed_s else float("inf")
-        ),
-        "identical": identical and plain.summary["errors"] == 0,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -566,7 +502,6 @@ def main(argv=None) -> int:
         logic_case = dict(n_functions=12, max_inputs=7)
         # dk16's λ is the narrowest heuristic-path table (12 inputs).
         controller_names = sweep_names + ["dk16"]
-        corpus_limit = 3
     else:
         coverage_cases = [
             ("dk27", "conventional"),
@@ -582,7 +517,6 @@ def main(argv=None) -> int:
         kernel_case = dict(name="dk16", repeats=5)
         logic_case = dict(n_functions=40, max_inputs=8)
         controller_names = sweep_names
-        corpus_limit = 8
 
     baseline_payload = None
     baseline_path = os.path.join(RESULTS_DIR, "bench_speed.json")
@@ -615,8 +549,7 @@ def main(argv=None) -> int:
     print(
         f"{ppsfp['bench']}: {ppsfp['faults']} faults x {ppsfp['patterns']} "
         f"patterns, {ppsfp['baseline_s']:.2f}s -> {ppsfp['optimized_s']:.2f}s "
-        f"(x{ppsfp['speedup']} vs oracle, x{ppsfp['speedup_vs_compiled']} vs "
-        f"compiled, identical={ppsfp['identical']})"
+        f"(x{ppsfp['speedup']} vs oracle, identical={ppsfp['identical']})"
     )
     collapse = bench_collapse(collapse_name)
     results.append(collapse)
@@ -670,15 +603,6 @@ def main(argv=None) -> int:
         f"{controller_bench['optimized_s']:.2f}s "
         f"(x{controller_bench['speedup']}, "
         f"identical={controller_bench['identical']})"
-    )
-    corpus_bench = bench_corpus_sweep(corpus_limit)
-    results.append(corpus_bench)
-    print(
-        f"{corpus_bench['bench']}: {corpus_bench['machines']} machines / "
-        f"{corpus_bench['faults']} faults, "
-        f"{corpus_bench['baseline_s']:.2f}s -> "
-        f"{corpus_bench['optimized_s']:.2f}s "
-        f"(x{corpus_bench['speedup']}, identical={corpus_bench['identical']})"
     )
 
     _print_baseline_comparison(results, baseline_payload)

@@ -212,10 +212,6 @@ def _linear_session_outcome(network, session: Dict[str, object], fault: Fault) -
     return FAULT_MISSED
 
 
-def _linear_session_detects(network, session: Dict[str, object], fault: Fault) -> bool:
-    return _linear_session_outcome(network, session, fault) == FAULT_DETECTED
-
-
 class PlainController:
     """Figure 1: conventional synthesis result (no self-test)."""
 
@@ -423,12 +419,6 @@ class ConventionalBistController:
             seed,
         )
 
-    def campaign_detects(self, bundle: Dict[str, object], block_fault: BlockFault) -> bool:
-        block, fault = block_fault
-        if block != "C":
-            return False  # FEEDBACK lines carry no live data in the session
-        return _linear_session_detects(self.plain.network, bundle, fault)
-
     def campaign_detects_batch(
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
     ) -> List[int]:
@@ -547,12 +537,20 @@ class ParallelSelfTestController:
         *faults*: :meth:`campaign_detects_batch` packs one faulty machine
         per bit lane -- each lane carrying its own register trajectory --
         and replays all of them in one multi-lane evaluation per cycle.
-        This loop remains the one-fault-at-a-time oracle, compiled by
-        default.
+        :meth:`_session` remains the one-fault-at-a-time oracle, compiled
+        by default.
         """
-        network_fault = fault[1] if fault is not None else None
+        return self._session(
+            fault[1] if fault is not None else None,
+            self._default_cycles(cycles),
+            seed,
+            engine,
+        )
+
+    def _session(
+        self, network_fault: Optional[Fault], cycles: int, seed: int, engine: str
+    ) -> Tuple[int, int]:
         plain = self.plain
-        cycles = self._default_cycles(cycles)
         register = Misr(self.width)
         register.reset(seed % (1 << self.width))
         input_register = (
@@ -607,24 +605,15 @@ class ParallelSelfTestController:
         """Session parameters + fault-free signatures for the batch path.
 
         Unlike the linear architectures there are no precomputable pattern
-        streams (the patterns are fault-dependent); the bundle just pins
-        the session so superposed replays and serial fallbacks agree.
+        streams (the patterns are fault-dependent); the bundle pins the
+        session and the signatures every superposed lane is graded against.
         """
         cycles = self._default_cycles(cycles)
         return {
             "cycles": cycles,
             "seed": seed,
-            "signatures": self.self_test_signatures(
-                fault=None, cycles=cycles, seed=seed
-            ),
+            "signatures": self._session(None, cycles, seed, "compiled"),
         }
-
-    def campaign_detects(self, bundle: Dict[str, object], block_fault: BlockFault) -> bool:
-        """One-fault serial verdict (the oracle the superposed path must match)."""
-        signatures = self.self_test_signatures(
-            fault=block_fault, cycles=bundle["cycles"], seed=bundle["seed"]
-        )
-        return signatures != bundle["signatures"]
 
     def campaign_detects_batch(
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
@@ -799,11 +788,6 @@ class DoubledController:
             )
             for session, block in enumerate(("C_a", "C_b"))
         }
-
-    def campaign_detects(self, bundle: Dict[str, object], block_fault: BlockFault) -> bool:
-        block, fault = block_fault
-        # A fault in one copy is invisible to the other copy's session.
-        return _linear_session_detects(self.plain.network, bundle[block], fault)
 
     def campaign_detects_batch(
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
@@ -1029,7 +1013,14 @@ class PipelineController:
         seed: int,
         faults: Dict[str, Fault],
         engine: str = "compiled",
+        trace: Optional[List[Tuple[int, int, int, int]]] = None,
     ) -> Tuple[int, int]:
+        """One state-logic session; returns (in-loop MISR, output MISR).
+
+        ``trace`` (compiled engine only) receives one ``(pattern,
+        response, lambda* input, lambda* output)`` tuple per cycle -- the
+        words :meth:`campaign_reference` turns into screening streams.
+        """
         if generator == "R1":
             source_width = self.w1
             misr = Misr(max(1, self.w2))
@@ -1114,8 +1105,10 @@ class PipelineController:
             else:
                 r1_value, r2_value = misr.signature, register_value
             lam_bits = r1_value | (r2_value << w1) | (x_value << (w1 + w2))
-            observed = lambda_step(lam_bits, lambda_args) | (response << output_width)
-            output_misr.absorb(observed)
+            lam_out = lambda_step(lam_bits, lambda_args)
+            if trace is not None:
+                trace.append((state, response, lam_bits, lam_out))
+            output_misr.absorb(lam_out | (response << output_width))
             prpg.step()
         return (misr.signature, output_misr.signature)
 
@@ -1155,58 +1148,34 @@ class PipelineController:
     def _session_reference(
         self, generator: str, cycles: int, seed: int
     ) -> Dict[str, object]:
+        """Fault-free run of one session, recorded as screening streams."""
         if generator == "R1":
             source_width, block, response_width = self.w1, self.c1, self.w2
         else:
             source_width, block, response_width = self.w2, self.c2, self.w1
-        misr = Misr(max(1, response_width))
-        output_misr = Misr(max(4, self.output_width + response_width))
-        prpg = Lfsr.from_any_seed(source_width + self.input_width, seed, complete=True)
-        block_step = block.compile().step
-        lambda_step = self.lambda_net.compile().step
-        source_mask = (1 << source_width) - 1
-        w1, w2 = self.w1, self.w2
-        from_r1 = generator == "R1"
-        pattern_words: List[int] = []
-        response_words: List[int] = []
-        lambda_words: List[int] = []
-        lambda_out_words: List[int] = []
-        for _ in range(cycles):
-            state = prpg.state
-            pattern_words.append(state)
-            response = block_step(state)
-            response_words.append(response)
-            misr.absorb(response)
-            register_value = state & source_mask
-            x_value = state >> source_width
-            if from_r1:
-                r1_value, r2_value = register_value, misr.signature
-            else:
-                r1_value, r2_value = misr.signature, register_value
-            lam_bits = r1_value | (r2_value << w1) | (x_value << (w1 + w2))
-            lambda_words.append(lam_bits)
-            lam_out = lambda_step(lam_bits)
-            lambda_out_words.append(lam_out)
-            output_misr.absorb(lam_out | (response << self.output_width))
-            prpg.step()
+        trace: List[Tuple[int, int, int, int]] = []
+        signatures = self._session(generator, cycles, seed, {}, trace=trace)
+        patterns, responses, lambda_in, lambda_out = (
+            list(zip(*trace)) if trace else ([], [], [], [])
+        )
         return {
             "generator": generator,
             "block": block,
             "cycles": cycles,
             "seed": seed,
             "mask": (1 << cycles) - 1,
-            "streams": transpose_words(pattern_words, source_width + self.input_width),
-            "ref_out": transpose_words(response_words, len(block.outputs)),
+            "streams": transpose_words(patterns, source_width + self.input_width),
+            "ref_out": transpose_words(responses, len(block.outputs)),
             "lambda_streams": transpose_words(
-                lambda_words, w1 + w2 + self.input_width
+                lambda_in, self.w1 + self.w2 + self.input_width
             ),
             "ref_lambda_out": transpose_words(
-                lambda_out_words, len(self.lambda_net.outputs)
+                lambda_out, len(self.lambda_net.outputs)
             ),
             "out_compactor": LinearCompactor(
                 max(4, self.output_width + response_width)
             ),
-            "signatures": (misr.signature, output_misr.signature),
+            "signatures": signatures,
         }
 
     def _chained_lambda_reference(self, seed: int) -> Dict[str, object]:
@@ -1228,16 +1197,6 @@ class PipelineController:
             ),
             "out_compactor": LinearCompactor(max(4, self.output_width)),
         }
-
-    def campaign_detects(self, bundle: Dict[str, object], block_fault: BlockFault) -> bool:
-        """One-fault verdict (the oracle the superposed batch must match)."""
-        block, fault = block_fault
-        sessions = bundle["sessions"]
-        if block == "C1":
-            return self._block_session_outcome(sessions["A"], fault) == FAULT_DETECTED
-        if block == "C2":
-            return self._block_session_outcome(sessions["B"], fault) == FAULT_DETECTED
-        return self._lambda_outcome(sessions, fault) == FAULT_DETECTED
 
     def campaign_detects_batch(
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
@@ -1306,26 +1265,6 @@ class PipelineController:
             session["streams"], mask, compiled.fault_args(fault, mask)
         )
         return bool(stream_errors(faulty, session["ref_out"]))
-
-    def _block_session_outcome(self, session: Dict[str, object], fault: Fault) -> int:
-        """Exact one-fault outcome via a serial replay of this session.
-
-        This is the per-fault oracle; campaign batches instead superpose
-        all surviving faults of a session into bit lanes
-        (:meth:`_superposed_session_outcomes`) with identical verdicts.
-        """
-        if not self._block_session_excited(session, fault):
-            return FAULT_DROPPED
-        fault_key = "C1" if session["generator"] == "R1" else "C2"
-        signatures = self._session(
-            session["generator"],
-            session["cycles"],
-            session["seed"],
-            {fault_key: fault},
-        )
-        return (
-            FAULT_DETECTED if signatures != session["signatures"] else FAULT_MISSED
-        )
 
     def _superposed_session_outcomes(
         self, session: Dict[str, object], faults: Sequence[Fault]

@@ -153,7 +153,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             # per-fault path; dropping would resolve them through the
             # compiled screening kernels instead.
             dropping=not args.reference and args.engine != "interpreted",
-            superpose=not args.serial_fallback,
             chunk_size=args.chunk_size,
             pool=pool,
             engine=args.engine,
@@ -199,7 +198,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         if pool is not None:
             dropped = telemetry["dropped"]
             dropped_note = (
-                "screening drops not tracked (serial fallback)"
+                "screening drops not tracked (interpreted rung)"
                 if dropped is None
                 else f"{dropped} faults dropped by screening"
             )
@@ -692,12 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="steal granularity in faults (default: auto-balanced)",
-    )
-    coverage.add_argument(
-        "--serial-fallback",
-        action="store_true",
-        help="replay fallback sessions one fault at a time instead of "
-        "superposing them into bit lanes (identical report, slower)",
     )
     coverage.add_argument(
         "--reference",

@@ -92,7 +92,6 @@ def measure_coverage(
     seed: int = 1,
     workers: int = 0,
     dropping: bool = False,
-    superpose: bool = True,
     chunk_size: Optional[int] = None,
     pool=None,
     collapse: str = "none",
@@ -108,10 +107,10 @@ def measure_coverage(
     With the default ``workers=0, dropping=False`` this is the serial
     reference oracle: one full self-test per fault, final signature tuples
     compared.  ``dropping=True`` enables the exact fault-dropping fast
-    paths (including lane-superposed fallback sessions;
-    ``superpose=False`` keeps the per-fault serial replays) via
-    :mod:`repro.faults.engine`, which guarantees a bit-identical
-    :class:`CoverageReport`.  Multi-process campaigns always run on a
+    path (pattern-parallel screening, linear compaction and
+    lane-superposed fallback sessions) via :mod:`repro.faults.engine`,
+    which guarantees a bit-identical :class:`CoverageReport`.
+    Multi-process campaigns always run on a
     :class:`~repro.faults.pool.CampaignPool` (same guarantee): ``pool``
     names a caller-owned persistent pool whose workers keep controllers
     compiled across campaigns, and ``workers=N`` without one opens an
@@ -166,7 +165,6 @@ def measure_coverage(
             seed=seed,
             workers=workers,
             dropping=dropping,
-            superpose=superpose,
             chunk_size=chunk_size,
             pool=pool,
             collapse=collapse,

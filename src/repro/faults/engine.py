@@ -48,8 +48,12 @@ the engine drops faults without ever approximating the final signature:
    banks (:class:`~repro.bist.compaction.LaneMisr`) for every register
    trajectory, and per-lane final-signature comparison, so verdicts --
    aliasing included -- are bit-identical to one serial replay per fault.
-   ``superpose=False`` forces the old per-fault serial replays (kept as
-   the oracle and as the benchmark baseline).
+   That replay is ``self_test_signatures``, which the ``dropping=False``
+   oracle runs once per fault.
+
+Each campaign builds one fault-free reference per process: the screening
+bundle (``campaign_reference``) when dropping, the fault-free signature
+tuple otherwise.
 
 Multi-process scheduling (the ``workers=N`` and ``pool=`` paths)
 ----------------------------------------------------------------
@@ -132,8 +136,8 @@ asserts the reports stay field-for-field identical to the serial oracle.
 Determinism guarantee
 ---------------------
 
-Campaign results do not depend on ``workers``, ``dropping``, ``superpose``
-or ``chunk_size`` -- nor on crashes, retries, resumes or degradation
+Campaign results do not depend on ``workers``, ``dropping`` or
+``chunk_size`` -- nor on crashes, retries, resumes or degradation
 fallbacks: every fault's outcome is computed independently (lanes never
 interact), the shared outcome array is indexed by the controller's
 canonical fault order, and the merge rebuilds the report in that order, so
@@ -147,6 +151,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import pickle
 import time
 from dataclasses import dataclass
@@ -275,15 +280,6 @@ def _blank_resilience() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _fault_outcome(controller, bundle, reference, block_fault, cycles, seed, options):
-    if bundle is not None:
-        return controller.campaign_detects(bundle, block_fault)
-    signatures = controller.self_test_signatures(
-        fault=block_fault, cycles=cycles, seed=seed, **options
-    )
-    return signatures != reference
-
-
 def _chunk_outcomes(
     controller,
     bundle,
@@ -291,24 +287,25 @@ def _chunk_outcomes(
     chunk: Sequence[BlockFault],
     cycles,
     seed,
-    superpose: bool,
     options,
 ) -> List[int]:
     """Outcome codes for one chunk of faults.
 
-    With a screening bundle and a batch-capable controller the whole chunk
-    goes through ``campaign_detects_batch`` (which superposes any serial
-    fallbacks into bit lanes); otherwise faults resolve one at a time via
-    the per-fault oracle.
+    With a screening bundle the whole chunk goes through the controller's
+    ``campaign_detects_batch`` (screening, linear compaction and
+    lane-superposed replays); without one each fault's
+    ``self_test_signatures`` is compared against the fault-free
+    ``reference``.
     """
-    if (
-        superpose
-        and bundle is not None
-        and hasattr(controller, "campaign_detects_batch")
-    ):
+    if bundle is not None:
         return [int(code) for code in controller.campaign_detects_batch(bundle, chunk)]
     return [
-        int(_fault_outcome(controller, bundle, reference, block_fault, cycles, seed, options))
+        int(
+            controller.self_test_signatures(
+                fault=block_fault, cycles=cycles, seed=seed, **options
+            )
+            != reference
+        )
         for block_fault in chunk
     ]
 
@@ -324,14 +321,19 @@ def default_chunk_size(total: int, workers: int) -> int:
 
 
 def _campaign_state(controller, cycles, seed, dropping, options):
-    """(reference signatures, screening bundle) -- built once per process."""
+    """(reference signatures, screening bundle) -- built once per process.
+
+    Only one of the two is built: a dropping campaign on a controller
+    with ``campaign_reference`` needs just the bundle, any other campaign
+    just the fault-free signatures.
+    """
+    if dropping and hasattr(controller, "campaign_reference"):
+        bundle = controller.campaign_reference(cycles=cycles, seed=seed, **options)
+        return None, bundle
     reference = controller.self_test_signatures(
         fault=None, cycles=cycles, seed=seed, **options
     )
-    bundle = None
-    if dropping and hasattr(controller, "campaign_reference"):
-        bundle = controller.campaign_reference(cycles=cycles, seed=seed, **options)
-    return reference, bundle
+    return reference, None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +347,6 @@ def _serial_outcomes(
     cycles,
     seed,
     dropping: bool,
-    superpose: bool,
     options,
     resume: Optional[Sequence[int]] = None,
     progress: Optional[Callable[[int, List[int]], None]] = None,
@@ -366,7 +367,7 @@ def _serial_outcomes(
     total = len(schedule)
     if resume is None and progress is None and deadline is None:
         return _chunk_outcomes(
-            controller, bundle, reference, schedule, cycles, seed, superpose, options
+            controller, bundle, reference, schedule, cycles, seed, options
         )
     codes = list(resume) if resume is not None else [-1] * total
     step = chunk_size if chunk_size is not None else default_chunk_size(total, 1)
@@ -385,7 +386,6 @@ def _serial_outcomes(
                 [block_fault for _index, block_fault in todo],
                 cycles,
                 seed,
-                superpose,
                 options,
             )
             for (index, _block_fault), code in zip(todo, resolved):
@@ -483,7 +483,6 @@ def run_campaign(
     workers: int = 0,
     dropping: bool = True,
     faults: Optional[Sequence[BlockFault]] = None,
-    superpose: bool = True,
     chunk_size: Optional[int] = None,
     pool=None,
     collapse: str = "none",
@@ -501,14 +500,15 @@ def run_campaign(
     :func:`repro.faults.coverage.measure_coverage` oracle (see the module
     docstring for why that holds even under fault dropping, lane
     superposition and equivalence collapsing); only the wall-clock
-    changes.  ``workers <= 1`` runs in-process; larger values run the
+    changes.  ``dropping=True`` resolves faults through the
+    controller's screening bundle and lane-superposed replays,
+    ``dropping=False`` through one ``self_test_signatures`` run per
+    fault.  ``workers <= 1`` runs in-process; larger values run the
     campaign on an ephemeral ``CampaignPool(workers)`` whose workers are
     forked with the controller already cached, closed when the campaign
     ends.  ``pool`` routes the campaign over a caller-owned persistent
     :class:`~repro.faults.pool.CampaignPool` instead (``workers`` is then
-    ignored; the pool's size applies).  ``superpose=False`` disables the
-    lane-packed fallback sessions in favour of per-fault serial replays
-    (the oracle/benchmark baseline); ``chunk_size`` overrides the steal
+    ignored; the pool's size applies).  ``chunk_size`` overrides the steal
     granularity.  ``collapse`` schedules collapsed
     representatives only -- ``"equiv"`` expands the verdicts back to the
     full universe, ``"dominance"`` reports over the kept representatives
@@ -537,13 +537,18 @@ def run_campaign(
     repeated failure instead of raising at the first exhausted budget.
     All of them preserve the bit-identical report guarantee.
 
+    ``session_options`` are bound against the controller's
+    ``self_test_signatures`` before anything runs, so an unknown option
+    raises :exc:`TypeError` here instead of inside a pool worker (where
+    the deterministic failure would be retried).
+
     The report's ``telemetry`` (excluded from report equality) says what
     the campaign did: ``workers``, ``chunk_size``, ``chunks_stolen`` (per
     worker), ``dropped`` (faults screened out pattern-parallel, ``None``
-    without superposition), ``pool`` (reuse hits, campaigns and respawns
-    on the pool rung, else ``None``), ``collapse`` (class counts, ``None``
-    when raw), ``resilience`` (see above) and ``prescreen`` (``None`` when
-    off).
+    when the interpreted rung ran), ``pool`` (reuse hits, campaigns and
+    respawns on the pool rung, else ``None``), ``collapse`` (class counts,
+    ``None`` when raw), ``resilience`` (see above) and ``prescreen``
+    (``None`` when off).
     """
     if collapse not in COLLAPSE_MODES:
         raise ReproError(
@@ -555,6 +560,10 @@ def run_campaign(
             f"unknown prescreen mode {prescreen!r}; expected one of "
             f"{PRESCREEN_MODES}"
         )
+    options = dict(session_options)
+    inspect.signature(controller.self_test_signatures).bind(
+        fault=None, cycles=cycles, seed=seed, **options
+    )
     universe: List[BlockFault] = (
         list(controller.fault_universe()) if faults is None else list(faults)
     )
@@ -568,7 +577,6 @@ def run_campaign(
             controller, faults=universe, mode=collapse
         )
         schedule = fault_map.representatives
-    options = dict(session_options)
     resilience = _blank_resilience()
 
     # -- static prescreen (sound untestability proofs) -----------------------
@@ -644,8 +652,6 @@ def run_campaign(
     codes: Optional[List[int]] = None
     scheduler: Dict[str, object] = {}
     for position, rung in enumerate(rungs):
-        # The interpreted rung never superposes (see below).
-        rung_superpose = superpose and rung != "interpreted"
         resume = (
             list(codes_state)
             if any(code >= 0 for code in codes_state)
@@ -666,7 +672,6 @@ def run_campaign(
                             cycles=cycles,
                             seed=seed,
                             dropping=dropping,
-                            superpose=superpose,
                             chunk_size=chunk_size,
                             options=options,
                             collapse=collapse,
@@ -706,7 +711,6 @@ def run_campaign(
                     cycles,
                     seed,
                     rung_dropping,
-                    rung_superpose,
                     rung_options,
                     resume=resume,
                     progress=note_progress if (ckpt or degrade) else None,
@@ -740,9 +744,10 @@ def run_campaign(
     assert codes is not None
     telemetry: Dict[str, object] = {
         **scheduler,
+        # The interpreted rung never screens, so it has no drops to count.
         "dropped": (
             sum(1 for code in codes if code == FAULT_DROPPED)
-            if rung_superpose
+            if rung != "interpreted"
             else None
         ),
         "collapse": fault_map.stats() if fault_map else None,

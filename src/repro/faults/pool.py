@@ -86,7 +86,7 @@ from ..exceptions import (
 )
 from .chaos import ChaosPlan, ChaosState
 from .collapse import FaultMap
-from .simulator import _ppsfp_chunk_flags, _ppsfp_state
+from .simulator import _ppsfp_state, _superposed_flags
 from .stuck_at import all_faults
 
 __all__ = ["CampaignPool", "subject_digest"]
@@ -271,14 +271,13 @@ def _worker_run_job(
                 chunk,
                 job["cycles"],
                 job["seed"],
-                job["superpose"],
                 job["options"],
             )
 
     else:
 
         def resolve(chunk):
-            return _ppsfp_chunk_flags(state, chunk, engine=job["engine"])
+            return _superposed_flags(state, chunk)
 
     while True:
         with next_index.get_lock():
@@ -971,7 +970,6 @@ class CampaignPool:
         cycles: Optional[int],
         seed: int,
         dropping: bool,
-        superpose: bool,
         chunk_size: Optional[int],
         options: Dict[str, object],
         collapse: str = "none",
@@ -1003,7 +1001,6 @@ class CampaignPool:
             "cycles": cycles,
             "seed": seed,
             "dropping": bool(dropping),
-            "superpose": bool(superpose),
             "options": options,
             "collapse": collapse,
             "token": token,
@@ -1027,7 +1024,6 @@ class CampaignPool:
         patterns: Sequence[str],
         faults: Optional[List],
         total: int,
-        engine: str = "superposed",
         chunk_size: Optional[int] = None,
         collapse: str = "none",
         timeout: Optional[float] = None,
@@ -1038,7 +1034,6 @@ class CampaignPool:
         digest = hashlib.sha256("\n".join(patterns).encode("ascii")).hexdigest()
         job_base = {
             "patterns": patterns,
-            "engine": engine,
             "collapse": collapse,
             "token": ("ppsfp", len(patterns), digest),
         }

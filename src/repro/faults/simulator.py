@@ -8,7 +8,7 @@ statistics of individual blocks; session-based BIST coverage has its own
 accelerated campaign engine (:mod:`repro.faults.engine`), which superposes
 sequential fallback sessions over *faults* the same way this module does.
 
-Three engines share the verdicts bit for bit:
+Two engines share the verdicts bit for bit:
 
 ``engine="superposed"`` (default)
     One fault per bit *lane* on top of the per-lane pattern packing: lane
@@ -18,10 +18,6 @@ Three engines share the verdicts bit for bit:
     ``lanes x patterns`` fault/pattern pairs.  The lane budget
     (:data:`PPSFP_LANE_BITS`) bounds the superposed word width; larger
     fault lists simply take several passes.
-``engine="compiled"``
-    One compiled ``fault_out`` evaluation per fault (the pre-superposition
-    fast path -- the session loops of :mod:`repro.bist.architectures` use
-    the same kernels).
 ``engine="interpreted"``
     The original dict-keyed serial walker, kept as the equivalence oracle.
     Unfrozen netlists have no compiled kernels and always take this path.
@@ -34,7 +30,7 @@ structural equivalence class into the lanes and expands the verdicts back
 (:mod:`repro.faults.collapse`), shrinking the scheduled universe with a
 field-for-field identical result.
 
-Equivalence across all engines (and the pool) is enforced by
+Equivalence of both engines (and the pool) is enforced by
 ``tests/test_prop_ppsfp.py`` and the PPSFP axis of
 ``tests/test_differential.py``.
 """
@@ -57,7 +53,7 @@ from .stuck_at import all_faults
 #: exhaustive blocks.
 PPSFP_LANE_BITS = 1 << 13
 
-PPSFP_ENGINES = ("superposed", "compiled", "interpreted")
+PPSFP_ENGINES = ("superposed", "interpreted")
 
 
 def pack_patterns(patterns: Sequence[str], input_names: Sequence[str]) -> Tuple[Dict[str, int], int]:
@@ -147,7 +143,8 @@ def _ppsfp_state(
 
 
 def _superposed_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List[int]:
-    """Detection flags via fault-per-lane superposition.
+    """Detection flags via fault-per-lane superposition (also the pool
+    workers' per-chunk protocol).
 
     Each pass replicates the packed pattern streams into ``lanes``
     contiguous ``n_patterns``-bit fields (an integer multiply by the field
@@ -196,30 +193,6 @@ def _superposed_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List
     return flags
 
 
-def _compiled_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List[int]:
-    """Detection flags via one compiled evaluation per fault."""
-    compiled = state["compiled"]
-    inputs = state["inputs"]
-    mask = state["mask"]
-    reference = state["reference"]
-    flags = []
-    for fault in faults:
-        faulty = compiled.eval_outputs_list(
-            inputs, mask, compiled.fault_args(fault, mask)
-        )
-        flags.append(int(faulty != reference))
-    return flags
-
-
-def _ppsfp_chunk_flags(
-    state: Dict[str, object], faults: Sequence[Fault], engine: str = "superposed"
-) -> List[int]:
-    """Per-fault detection flags for one chunk (the pool's batch protocol)."""
-    if engine == "superposed":
-        return _superposed_flags(state, faults)
-    return _compiled_flags(state, faults)
-
-
 def _interpreted_flags(
     netlist: Netlist,
     packed: Dict[str, int],
@@ -251,9 +224,9 @@ def simulate_patterns(
 ) -> CombinationalCoverage:
     """Fault coverage of an explicit pattern set on a combinational block.
 
-    ``engine`` selects between the lane-superposed kernel (default), the
-    per-fault compiled kernel, and the interpreted serial walker (the
-    oracle) -- verdicts are bit-identical, only the wall clock changes.
+    ``engine`` selects between the lane-superposed kernel (default) and
+    the interpreted serial walker (the oracle) -- verdicts are
+    bit-identical, only the wall clock changes.
     Unfrozen netlists cannot compile and silently take the interpreted
     path.  ``pool`` fans the fault universe out over a persistent
     :class:`~repro.faults.pool.CampaignPool` whose workers keep the
@@ -302,7 +275,6 @@ def simulate_patterns(
             patterns,
             schedule if explicit else None,
             total=len(schedule),
-            engine=engine,
             collapse=collapse,
         )
     else:
@@ -310,8 +282,8 @@ def simulate_patterns(
         if engine == "interpreted" or not netlist.frozen:
             flags = _interpreted_flags(netlist, packed, mask, schedule)
         else:
-            flags = _ppsfp_chunk_flags(
-                _ppsfp_state(netlist, patterns, packed, mask), schedule, engine
+            flags = _superposed_flags(
+                _ppsfp_state(netlist, patterns, packed, mask), schedule
             )
     if fault_map is not None:
         if collapse == "equiv":

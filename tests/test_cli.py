@@ -403,6 +403,12 @@ class TestParserChoices:
         assert self._choices(command, "collapse") == COLLAPSE_MODES
         assert self._choices(command, "prescreen") == PRESCREEN_MODES
 
+    def test_coverage_has_no_serial_fallback_flag(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["coverage", "shiftreg", "--serial-fallback"])
+
     @pytest.mark.parametrize("command", ["sweep", "submit", "lint"])
     def test_architecture(self, command):
         from repro.suite.sweep import SWEEP_ARCHITECTURES

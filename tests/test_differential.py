@@ -1,7 +1,7 @@
 """Cross-engine differential suite: every campaign engine, one verdict.
 
 The engine zoo has grown -- interpreted session loops, compiled kernels,
-exact fault dropping, lane-superposed fallback sessions, and the
+exact fault dropping with lane-superposed fallback sessions, and the
 chunk-steal campaign pool -- and each refactor so far was guarded
 only by per-pair spot checks.  This module locks the whole matrix down in
 the spirit of synthesized complete-test suites: for a corpus of
@@ -11,8 +11,8 @@ asserts that
 * every campaign engine produces a **bit-identical**
   :class:`CoverageReport` (dataclass equality: totals, per-block tallies,
   undetected-fault order),
-* every PPSFP engine -- interpreted walker, per-fault compiled kernels,
-  lane-superposed kernel, and the persistent worker pool -- produces a
+* every PPSFP engine -- interpreted walker, lane-superposed kernel, and
+  the persistent worker pool -- produces a
   **bit-identical** :class:`CombinationalCoverage` on each machine's
   exhaustively driven combinational block,
 * compiled self-test sessions produce the **same MISR signatures** as the
@@ -100,10 +100,6 @@ ENGINES = {
     ),
     "superposed": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, dropping=True, collapse=COLLAPSE
-    ),
-    "dropping-serial": lambda c, seed: measure_coverage(
-        c, cycles=CYCLES, seed=seed, dropping=True, superpose=False,
-        collapse=COLLAPSE,
     ),
     "workers": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, workers=WORKERS, dropping=True,
@@ -263,9 +259,6 @@ PPSFP_BLOCKS = {
 
 PPSFP_ENGINE_THUNKS = {
     "interpreted": lambda n, p: simulate_patterns(n, p, engine="interpreted"),
-    "compiled": lambda n, p: simulate_patterns(
-        n, p, engine="compiled", collapse=COLLAPSE
-    ),
     "superposed": lambda n, p: simulate_patterns(
         n, p, engine="superposed", collapse=COLLAPSE
     ),

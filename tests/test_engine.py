@@ -10,6 +10,8 @@ Three layers of equivalence:
   list order).
 """
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,11 @@ from repro.faults.coverage import measure_coverage
 from repro.faults.engine import (
     LinearCompactor,
     campaign_telemetry,
+    run_campaign,
     stream_errors,
     transpose_words,
 )
+from repro.faults.pool import CampaignPool
 from repro.ostr.search import search_ostr
 
 _WIDTHS = (1, 4, 5, 8, 12)
@@ -191,3 +195,41 @@ def test_bbtas_all_architectures_dropping_identical():
     for label, controller in _controllers("bbtas").items():
         oracle = measure_coverage(controller)
         assert measure_coverage(controller, dropping=True) == oracle, label
+
+
+@pytest.mark.parametrize(
+    "label", ("conventional", "parallel", "doubled", "pipeline")
+)
+def test_dropping_campaign_skips_the_fault_free_self_test(
+    dk27_controllers, label, monkeypatch
+):
+    """A dropping campaign grades faults against its screening bundle
+    only; the complete fault-free self-test is never run."""
+    controller = dk27_controllers[label]
+    oracle = measure_coverage(controller)
+    fault_free_runs = []
+    original = type(controller).self_test_signatures
+
+    def counting(self, fault=None, *args, **kwargs):
+        if fault is None:
+            fault_free_runs.append(kwargs)
+        return original(self, fault, *args, **kwargs)
+
+    monkeypatch.setattr(type(controller), "self_test_signatures", counting)
+    assert run_campaign(controller, dropping=True) == oracle
+    assert fault_free_runs == []
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+def test_unknown_session_option_fails_fast(dk27_controllers, workers):
+    """A misspelt session option raises TypeError in the caller, before
+    any worker runs (so nothing retries a deterministic failure)."""
+    controller = dk27_controllers["pipeline"]
+    with pytest.raises(TypeError):
+        measure_coverage(controller, dropping=True, workers=workers, bogus=1)
+    assert multiprocessing.active_children() == []
+    with CampaignPool(2) as pool:
+        with pytest.raises(TypeError):
+            measure_coverage(controller, dropping=True, pool=pool, bogus=1)
+        assert pool.stats["retries"] == 0
+        assert pool.stats["campaigns"] == 0

@@ -110,3 +110,8 @@ class TestSimulation:
     def test_exhaustive_pattern_guard(self):
         with pytest.raises(FaultError):
             exhaustive_patterns(25)
+
+    def test_unknown_engine_rejected(self):
+        netlist = and_netlist()
+        with pytest.raises(FaultError, match="unknown PPSFP engine"):
+            simulate_patterns(netlist, exhaustive_patterns(2), engine="compiled")

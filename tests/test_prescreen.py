@@ -178,8 +178,8 @@ class TestDifferentialCorpus:
 
     @pytest.mark.parametrize("config", [
         {"dropping": False},
-        {"dropping": True, "superpose": True},
-        {"dropping": True, "superpose": True, "collapse": "equiv"},
+        {"dropping": True},
+        {"dropping": True, "collapse": "equiv"},
     ], ids=["serial", "superposed", "collapsed"])
     def test_validate_never_fires_on_corpus(self, config):
         proved_somewhere = 0
