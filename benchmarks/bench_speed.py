@@ -7,7 +7,8 @@ the optimised results are bit-identical to the reference paths:
 * **coverage**: a full ``measure_coverage`` BIST campaign -- seed serial
   path (interpreted netlist evaluation, no dropping) versus the engine
   (compiled kernels + exact fault dropping + ``workers=N`` fan-out on a
-  preloaded ephemeral pool);
+  preloaded ephemeral pool), plus the same dropping campaign in-process
+  (``inprocess_s``), so the pool's fork cost is visible;
 * **superposition**: the pipeline architecture's ``C1``/``C2`` faults
   (whose response errors perturb the in-loop compactor and the
   ``lambda*`` stream) -- the serial oracle, one complete compiled
@@ -89,6 +90,8 @@ def _timed(fn):
 
 
 def bench_coverage(name: str, architecture: str, workers: int) -> dict:
+    """``optimized_s`` is the ``workers=N`` pool; ``inprocess_s`` the same
+    dropping campaign without one, so the pool's fork cost shows."""
     controller = build_controller(suite.load(name), architecture)
     reference, baseline_s = _timed(
         lambda: measure_coverage(controller, engine="interpreted")
@@ -96,15 +99,19 @@ def bench_coverage(name: str, architecture: str, workers: int) -> dict:
     optimized, engine_s = _timed(
         lambda: measure_coverage(controller, workers=workers, dropping=True)
     )
+    inprocess, inprocess_s = _timed(
+        lambda: measure_coverage(controller, dropping=True)
+    )
     return {
         "bench": f"coverage/{name}/{architecture}",
         "faults": reference.total,
         "coverage": round(reference.coverage, 6),
         "baseline_s": round(baseline_s, 4),
         "optimized_s": round(engine_s, 4),
+        "inprocess_s": round(inprocess_s, 4),
         "speedup": round(baseline_s / engine_s, 2) if engine_s else float("inf"),
         "workers": workers,
-        "identical": optimized == reference,
+        "identical": optimized == reference and inprocess == reference,
     }
 
 
@@ -534,6 +541,8 @@ def main(argv=None) -> int:
         print(
             f"{outcome['bench']}: {outcome['faults']} faults, "
             f"{outcome['baseline_s']:.2f}s -> {outcome['optimized_s']:.2f}s "
+            f"on {outcome['workers']} workers, "
+            f"{outcome['inprocess_s']:.2f}s in-process "
             f"(x{outcome['speedup']}, identical={outcome['identical']})"
         )
     superposition = bench_superposition("dk14")

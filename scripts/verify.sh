@@ -48,8 +48,9 @@ python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
 echo "== chaos suite (injected crashes/hangs/pipe-close vs serial oracle) =="
 python -m pytest tests/test_chaos.py -q
 
-echo "== synthesis equivalence (bitset kernels vs label/string oracles, Table-1 golden stats) =="
-python -m pytest tests/test_prop_partitions.py tests/test_search_fast.py \
+echo "== synthesis equivalence (bitset kernels vs label/string oracles, pair-algebra laws, Table-1 golden stats) =="
+python -m pytest tests/test_prop_partitions.py tests/test_prop_pairs.py \
+  tests/test_prop_ostr.py tests/test_search_fast.py \
   tests/test_table1_golden.py tests/test_espresso.py tests/test_prop_logic.py \
   tests/test_synth_multi.py -q
 

@@ -149,10 +149,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         rows = experiments.run_coverage(
             machine,
             cycles=args.cycles,
-            # The interpreted oracle only decides verdicts on the serial
-            # per-fault path; dropping would resolve them through the
-            # compiled screening kernels instead.
-            dropping=not args.reference and args.engine != "interpreted",
+            dropping=not args.reference,
             chunk_size=args.chunk_size,
             pool=pool,
             engine=args.engine,

@@ -325,9 +325,14 @@ def _campaign_state(controller, cycles, seed, dropping, options):
 
     Only one of the two is built: a dropping campaign on a controller
     with ``campaign_reference`` needs just the bundle, any other campaign
-    just the fault-free signatures.
+    just the fault-free signatures.  The bundle grades with compiled
+    kernels, so ``engine="interpreted"`` always takes the signature path.
     """
-    if dropping and hasattr(controller, "campaign_reference"):
+    if (
+        dropping
+        and options.get("engine", "compiled") != "interpreted"
+        and hasattr(controller, "campaign_reference")
+    ):
         bundle = controller.campaign_reference(cycles=cycles, seed=seed, **options)
         return None, bundle
     reference = controller.self_test_signatures(

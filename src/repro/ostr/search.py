@@ -29,10 +29,18 @@ engine: partitions live as block bitmasks (:class:`~repro.partitions.
 kernel.BitsetKernel`), ``m`` is maintained *incrementally* along DFS edges
 through the join-homomorphism ``m(pi v rho) = m(pi) v m(rho)`` (m is the
 smallest half of a pair algebra, hence a complete join-morphism), and
-``M`` is only computed on nodes that survive the Lemma-1 test -- if
-``m(pi) ∩ pi ⊄ epsilon`` then no candidate can exist at the node, because
-``M(pi) ∩ pi ⊆ epsilon`` together with ``m(pi) ⊆ M(pi)`` would force the
-m-side condition.  Most nodes prune, and most of those are decided
+``M`` is only computed on symmetric nodes that survive the Lemma-1 test.
+If ``m(pi) ∩ pi ⊄ epsilon`` then no candidate can exist at the node,
+because ``M(pi) ∩ pi ⊆ epsilon`` together with ``m(pi) ⊆ M(pi)`` would
+force the m-side condition.  A survivor is symmetric iff ``m(pi) ⊆
+M(pi)``, which by the Galois connection ``pair(a, b) <=> a ⊆ M(b)`` is
+``pair(m(pi), pi)``: a scan of ``m(pi)``'s nontrivial blocks against
+``pi``'s owner array, with no ``M`` at all -- and on the corpus machines
+only a handful of survivors per search pass it.  DFS edges join on
+element lists (each basis element's nontrivial blocks as tuples of
+state indices, built once per search), so a block already inside one
+``pi`` block costs one owner lookup per element and no tuple is built
+for a redundant edge.  Most nodes prune, and most of those are decided
 before ``m(pi)`` is even joined: for ``pi = parent v b`` the engine first
 tries the join-free sufficient conditions ``m(b) ∩ b``, ``m(b) ∩ pi`` and
 ``m(parent) ∩ pi ⊄ epsilon``, each of which implies the exact test
@@ -149,12 +157,12 @@ def search_ostr(
 
     The default engine is bitset-native (see the module docstring): block
     bitmasks from :func:`~repro.partitions.kernel.bitset_kernel`, ``m``
-    carried incrementally along DFS edges, ``M`` only on unpruned nodes,
-    and memo caches keyed by the canonical mask tuples for both node
-    evaluations and the ``join(pi, basis[i])`` DFS edges.  Pass
-    ``reference=True`` for the seed's label-tuple operator-by-operator
-    oracle; solutions and every search statistic are identical across
-    the engines, only the wall clock differs.
+    carried incrementally along DFS edges, ``M`` only on unpruned
+    symmetric nodes, and memo caches keyed by the canonical mask tuples
+    for both node evaluations and the ``join(pi, basis[i])`` DFS edges.
+    Pass ``reference=True`` for the seed's label-tuple operator-by-operator
+    oracle; solutions and every search statistic are identical across the
+    engines, only the wall clock differs.
     """
     if policy not in _POLICIES:
         raise SearchError(f"unknown policy {policy!r}; choose from {_POLICIES}")
@@ -284,7 +292,7 @@ def _run_bitset(
     Same tree, same statistics as :func:`_run_reference`; the partition
     algebra runs on block bitmasks in the canonical *sparse* form
     (nontrivial blocks only, singletons implied -- see the kernel module)
-    with four structural savings:
+    with five structural savings:
 
     * ``m(pi)`` is carried down DFS edges as ``join(m(parent),
       m(basis[i]))`` -- m is a join-morphism, so no node recomputes the
@@ -307,22 +315,34 @@ def _run_bitset(
       exact test run.  A pre-tested entry stores no ``m`` (a pruned node
       is never expanded); with ``prune=False`` every node computes
       ``m(pi)``, because its children extend it;
-    * ``M(pi)`` is only computed on nodes that pass the Lemma-1 test
-      (``m(pi) ∩ pi ⊆ epsilon``): for a failing node ``meet(M(pi), pi) ⊆
-      epsilon`` would imply the m-side condition via ``m(pi) ⊆ M(pi)``,
-      so no candidate exists and the subtree is pruned without touching
-      ``M`` -- on the Table-1 machines ~99% of investigated nodes prune;
-    * a fully redundant DFS edge (``basis[i] <= pi``) returns the parent
-      object itself from the join, so the ``skip_redundant`` test is an
+    * ``M(pi)`` is only computed on symmetric nodes that pass the
+      Lemma-1 test (``m(pi) ∩ pi ⊆ epsilon``).  For a failing node
+      ``meet(M(pi), pi) ⊆ epsilon`` would imply the m-side condition via
+      ``m(pi) ⊆ M(pi)``, so no candidate exists and the subtree is pruned
+      without touching ``M`` -- on the Table-1 machines ~99% of
+      investigated nodes prune.  A survivor is first tested for symmetry
+      as ``is_pair(m(pi), pi)`` (equivalent to ``m(pi) ⊆ M(pi)`` by the
+      Galois connection) against ``pi``'s owner array; only the rare
+      symmetric ones (1 of dk16's 3,286 survivors, 2 of tbk's 178) build
+      ``M(pi)`` for the M-side test;
+    * DFS edges, and the incremental ``m`` join, take the basis element
+      (or its ``m`` image) as element lists precomputed once per search:
+      each block resolves to ``owner[e0] | owner[e1] | ...`` through the
+      parent's owner array, and a block whose union is ``owner[e0]``
+      already lies in one ``pi`` block.  A fully redundant edge
+      (``basis[i] <= pi``) therefore returns the parent object itself
+      without building a tuple, so the ``skip_redundant`` test is an
       identity check instead of a join-and-compare.
     """
     kern = kernel.bitset_kernel(succ)
     n_basis = len(basis)
     basis_masks = [kern.from_labels(b) for b in basis]
-    # The basis in sparse form: nontrivial blocks double as the join
-    # constraint tuples for the DFS edges.
+    # The basis and its m images in sparse form (for the Lemma-1
+    # pre-tests) and as element lists (the DFS-edge join constraints).
     basis_nt = [kern.nontrivial(masks) for masks in basis_masks]
     basis_m_nt = [kern.nontrivial(kern.m(masks)) for masks in basis_masks]
+    basis_el = [kern.element_blocks(nt) for nt in basis_nt]
+    basis_m_el = [kern.element_blocks(nt) for nt in basis_m_nt]
     eps_owner = kern.arrays(kern.from_labels(epsilon))[1]
 
     def escapes(a: Masks, b: Masks) -> bool:
@@ -344,6 +364,7 @@ def _run_bitset(
     to_labels = kern.to_labels
     sparse_owner = kern.sparse_owner
     join_sparse = kern.join_sparse
+    is_pair_owner = kern.is_pair_owner
     extended = policy == "extended"
 
     # Memo tables: node evaluations are keyed by the sparse mask tuple
@@ -391,26 +412,27 @@ def _run_bitset(
             ):
                 mu = None  # Lemma 1 decided without m(pi), see the docstring
             else:  # incremental: m(pi v basis[i]) == m(pi) v m(basis[i])
-                mu = join_sparse(parent_mu, basis_m_nt[via_index])
+                mu = join_sparse(parent_mu, basis_m_el[via_index])
             if mu is None or escapes(mu, masks):
                 # No candidate can exist here (see the docstring): prune
                 # without computing M at all.
                 entry = ((), True, mu, len(evaluation_cache), masks)
             else:
-                full = from_sparse(masks)
-                mu_full = from_sparse(mu)
-                big = kern.big_m(full)
                 candidates: List[Tuple[Labels, Labels]] = []
-                if kern.refines(mu_full, big):  # symmetry of the Mm-pair
+                # Symmetry of the Mm-pair, m(pi) <= M(pi), is pair(m(pi), pi)
+                # by the Galois connection; M(pi) is only built when it holds.
+                if is_pair_owner(mu, sparse_owner(masks)):
+                    full = from_sparse(masks)
+                    big = kern.big_m(full)
                     labels = to_labels(full)
                     if kern.meet_refines_owner(big, full, eps_owner):
                         candidates.append((to_labels(big), labels))
                     else:  # m side is known to hold here
-                        candidates.append((to_labels(mu_full), labels))
+                        candidates.append((to_labels(from_sparse(mu)), labels))
                     if extended:
                         candidates.extend(
                             _extended_candidates(
-                                succ, to_labels(mu_full), to_labels(big),
+                                succ, to_labels(from_sparse(mu)), to_labels(big),
                                 labels, epsilon,
                             )
                         )
@@ -444,7 +466,7 @@ def _run_bitset(
                 key = edge_base + child_index
                 child = join_get(key)
                 if child is None:
-                    child = join_sparse(masks, basis_nt[child_index], owner)
+                    child = join_sparse(masks, basis_el[child_index], owner)
                     join_cache[key] = child
                 if child is masks:  # basis[i] <= pi: redundant edge
                     if skip_redundant:

@@ -465,12 +465,12 @@ class BitsetLattice:
     ) -> Optional[List[int]]:
         """Resolve constraint masks through ``owner`` into merged masks.
 
-        The shared core of :meth:`join_constraints` and :meth:`join_sparse`:
-        each constraint visits one representative bit per distinct block
-        (the rest cleared with a single AND) and accumulates the union of
-        the blocks it touches; constraints already inside one block are
-        dropped, and overlapping accumulated masks are unioned.  Returns
-        ``None`` when every constraint was a no-op (the join is ``base``).
+        The core of :meth:`join_constraints`: each constraint visits one
+        representative bit per distinct block (the rest cleared with a
+        single AND) and accumulates the union of the blocks it touches;
+        constraints already inside one block are dropped, and overlapping
+        accumulated masks are unioned.  Returns ``None`` when every
+        constraint was a no-op (the join is ``base``).
         """
         merged: Optional[List[int]] = None
         for constraint in constraints:
@@ -495,34 +495,70 @@ class BitsetLattice:
             merged.append(acc)
         return merged
 
+    @staticmethod
+    def element_blocks(sparse: Masks) -> Tuple[Tuple[int, ...], ...]:
+        """Each block of ``sparse`` as the tuple of its element indices.
+
+        The constraint form :meth:`join_sparse` takes; the search builds it
+        once per basis element and reuses it on every DFS edge.
+        """
+        out: List[Tuple[int, ...]] = []
+        for mask in sparse:
+            elements: List[int] = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                elements.append(low.bit_length() - 1)
+                rest ^= low
+            out.append(tuple(elements))
+        return tuple(out)
+
     def join_sparse(
         self,
         base: Masks,
-        constraints: Sequence[int],
+        blocks: Sequence[Sequence[int]],
         owner: Optional[List[int]] = None,
     ) -> Masks:
-        """:meth:`join_constraints` on the nontrivial-blocks representation.
+        """Join a sparse partition with constraint blocks given as element lists.
 
-        Identical merge logic, but the assembly only walks the nontrivial
-        blocks: absorbed ones are dropped, each merged mask is inserted,
-        and the small result list is re-sorted into the canonical sparse
-        (integer) order, so a canonical ``base`` gives a canonical result.
-        A fully redundant call returns ``base`` itself.
+        ``base`` is in the canonical sparse form (:meth:`nontrivial`) and
+        ``owner`` its owner array (:meth:`sparse_owner`).  Each constraint
+        block resolves to ``acc = owner[e0] | owner[e1] | ...``; when that
+        equals ``owner[e0]`` the block already lies inside one ``base``
+        block and adds nothing, so deciding ``blocks <= base`` costs one
+        owner lookup per element and builds no tuple.  Overlapping ``acc``
+        masks are unioned (the running ``union`` skips the overlap scan
+        for disjoint ones), absorbed ``base`` blocks dropped, and the small
+        result re-sorted into canonical sparse (integer) order.  A fully
+        redundant call returns ``base`` itself, so the search's redundancy
+        test is an identity check.
         """
-        if not constraints:
-            return base
         if owner is None:
             owner = self.sparse_owner(base)
-        merged = self._resolve_constraints(owner, constraints)
-        if merged is None:
-            return base
+        merged: List[int] = []
         union = 0
-        for acc in merged:
+        for block in blocks:
+            first = owner[block[0]]
+            acc = first
+            for element in block:
+                acc |= owner[element]
+            if acc == first:
+                continue  # block already inside one base block: no-op
+            if acc & union:
+                for i in range(len(merged) - 1, -1, -1):
+                    other = merged[i]
+                    if other & acc:
+                        acc |= other
+                        del merged[i]
+            merged.append(acc)
             union |= acc
-        out = [mask for mask in base if not mask & union]
-        out += merged
-        out.sort()
-        return tuple(out)
+        if not merged:
+            return base
+        for mask in base:
+            if not mask & union:
+                merged.append(mask)
+        merged.sort()
+        return tuple(merged)
 
     # -- lattice operations -------------------------------------------------
 
@@ -553,16 +589,15 @@ class BitsetLattice:
     ) -> Masks:
         """Coarsen ``base`` until every constraint mask lies inside one block.
 
-        The workhorse behind :meth:`join` and :meth:`BitsetKernel.m`, and
-        the hot form for the search (which passes each basis element's
-        pre-extracted nontrivial blocks).  Each constraint's reach is
-        resolved through the owner array into one merged mask -- visiting
-        a single representative bit per distinct block, the rest cleared
-        with one AND -- overlapping merged masks are unioned, and the
-        result is assembled in canonical order by emitting each merged
-        mask in place of its lowest block.  Constraints already inside one
-        block are dropped on the fly, so a fully redundant call returns
-        ``base`` itself without rebuilding it.
+        The workhorse behind :meth:`join` and :meth:`BitsetKernel.m` (the
+        search joins on the sparse form, :meth:`join_sparse`).  Each
+        constraint's reach is resolved through the owner array into one
+        merged mask -- visiting a single representative bit per distinct
+        block, the rest cleared with one AND -- overlapping merged masks
+        are unioned, and the result is assembled in canonical order by
+        emitting each merged mask in place of its lowest block.
+        Constraints already inside one block are dropped on the fly, so a
+        fully redundant call returns ``base`` itself without rebuilding it.
         """
         if not constraints:
             return base
@@ -735,10 +770,16 @@ class BitsetKernel(BitsetLattice):
 
     def is_pair(self, a: Masks, b: Masks) -> bool:
         """Definition 4 on masks: each ``a``-block's images stay in ``b`` blocks."""
-        owner_b = self.arrays(b)[1]
-        for am in self.nontrivial(a):
-            for i in range(self.n_inputs):
-                img = self.image(am, i)
+        return self.is_pair_owner(self.nontrivial(a), self.arrays(b)[1])
+
+    def is_pair_owner(self, a_blocks: Iterable[int], owner_b: List[int]) -> bool:
+        """:meth:`is_pair` for ``a``'s nontrivial blocks against ``b``'s
+        owner array (full or :meth:`sparse_owner`)."""
+        image = self.image
+        inputs = range(self.n_inputs)
+        for am in a_blocks:
+            for i in inputs:
+                img = image(am, i)
                 if img & ~owner_b[(img & -img).bit_length() - 1]:
                     return False
         return True

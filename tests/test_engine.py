@@ -33,6 +33,7 @@ from repro.faults.engine import (
     transpose_words,
 )
 from repro.faults.pool import CampaignPool
+from repro.netlist.netlist import Netlist
 from repro.ostr.search import search_ostr
 
 _WIDTHS = (1, 4, 5, 8, 12)
@@ -218,6 +219,28 @@ def test_dropping_campaign_skips_the_fault_free_self_test(
     monkeypatch.setattr(type(controller), "self_test_signatures", counting)
     assert run_campaign(controller, dropping=True) == oracle
     assert fault_free_runs == []
+
+
+@pytest.mark.parametrize("label", ("conventional", "pipeline"))
+def test_dropping_campaign_honours_the_interpreted_engine(
+    dk27_controllers, label, monkeypatch
+):
+    """``engine="interpreted"`` grades every fault on the interpreted
+    netlists even when dropping is asked for; the compiled screening
+    bundle must not take the campaign over."""
+    controller = dk27_controllers[label]
+    oracle = measure_coverage(controller, engine="interpreted")
+    calls = []
+    original = Netlist.evaluate_interpreted
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Netlist, "evaluate_interpreted", counting)
+    report = measure_coverage(controller, dropping=True, engine="interpreted")
+    assert len(calls) > 0
+    assert report == oracle
 
 
 @pytest.mark.parametrize("workers", (0, 2))

@@ -217,12 +217,44 @@ def test_join_sparse_matches_full_join(case):
     succ, (a, b, _) = case
     kern = kernel.BitsetKernel(succ)
     am, bm = kern.from_labels(a), kern.from_labels(b)
-    sparse = kern.join_sparse(kern.nontrivial(am), kern.nontrivial(bm))
+    base = kern.nontrivial(am)
+    sparse = kern.join_sparse(base, kern.element_blocks(kern.nontrivial(bm)))
     joined = kern.join(am, bm)
     # The sparse tuple itself is the search's evaluation-cache key, so it
     # must be the canonical sparse form, not merely an equal partition.
     assert sparse == kern.nontrivial(joined)
     assert kern.from_sparse(sparse) == joined
+    # A redundant join hands back ``base`` itself (the search's identity
+    # test for redundant DFS edges).
+    assert (sparse is base) == (joined == am)
+
+
+def test_join_sparse_merges_overlapping_constraints():
+    """A constraint spanning three base blocks, a disjoint one, then one
+    overlapping the first: the two overlapping merges must fuse."""
+    kern = kernel.bitset_lattice(10)
+    pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    base = kern.nontrivial(kern.from_labels(kernel.from_blocks(10, pairs)))
+    blocks = ((0, 2, 4), (8, 9), (5, 6))
+    joined = kern.join_sparse(base, blocks)
+    assert joined == (0b0011111111, 0b1100000000)
+    assert joined == kern.nontrivial(
+        kern.from_labels(kernel.from_blocks(10, pairs + list(blocks)))
+    )
+    assert kern.join_sparse(base, ((0, 1), (6, 7))) is base
+
+
+@given(kernel_cases())
+def test_symmetry_test_is_pair_of_m_with_its_argument(case):
+    """The search's shortcut: ``m(p) <= M(p)`` iff ``(m(p), p)`` is a pair."""
+    succ, (a, _, _) = case
+    kern = kernel.BitsetKernel(succ)
+    p = kern.from_labels(a)
+    mu = kern.m(p)
+    assert kern.is_pair(mu, p) == kern.refines(mu, kern.big_m(p))
+    assert kern.is_pair_owner(
+        kern.nontrivial(mu), kern.sparse_owner(kern.nontrivial(p))
+    ) == kern.is_pair(mu, p)
 
 
 @given(kernel_cases())

@@ -100,21 +100,46 @@ def test_fast_search_identical_across_basis_orders():
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2**16),
     st.booleans(),
+    st.sampled_from(("paper", "extended")),
     st.data(),
 )
-def test_fast_search_identical_on_random_machines(n_states, n_inputs, seed, prune, data):
+def test_fast_search_identical_on_random_machines(
+    n_states, n_inputs, seed, prune, policy, data
+):
     """Every statistic and the solution match the reference engine, with
-    and without Lemma-1 pruning and under any node-limit cutoff."""
+    and without Lemma-1 pruning, under any node-limit cutoff and under
+    both candidate policies."""
     limits = st.integers(min_value=1, max_value=300)
     # Without pruning the tree is only bounded by the node limit.
     node_limit = data.draw(st.none() | limits if prune else limits)
     machine = random_mealy(
         n_states, n_inputs, 2, seed=seed, ensure_connected=False
     )
-    _assert_same_search(machine, prune=prune, node_limit=node_limit)
+    _assert_same_search(
+        machine, prune=prune, node_limit=node_limit, policy=policy
+    )
 
 
 def test_fast_search_identical_extended_policy():
     from repro import suite
 
     _assert_same_search(suite.load("mc"), policy="extended")
+
+
+def test_big_m_only_on_symmetric_nodes(monkeypatch):
+    """``M(pi)`` is built only where the Mm-pair is symmetric, and every
+    symmetric node yields at least one candidate, so the search calls
+    ``big_m`` at most once per evaluated candidate."""
+    from repro import suite
+
+    calls = []
+    original = kernel.BitsetKernel.big_m
+
+    def counting(self, masks):
+        calls.append(masks)
+        return original(self, masks)
+
+    monkeypatch.setattr(kernel.BitsetKernel, "big_m", counting)
+    result = search_ostr(suite.load("dk512"))
+    assert result.stats.investigated > 10_000
+    assert 0 < len(calls) <= result.stats.candidates_evaluated
