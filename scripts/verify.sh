@@ -41,9 +41,10 @@ else
   python -m pytest -x -q
 fi
 
-echo "== differential suite (cross-engine + PPSFP matrix, golden signatures, pool lifecycle) =="
+echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, field screening, collapse tables, golden signatures, pool lifecycle) =="
 python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
-  tests/test_prop_ppsfp.py tests/test_pool.py -q
+  tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_collapse.py \
+  tests/test_pool.py -q
 
 echo "== chaos suite (injected crashes/hangs/pipe-close vs serial oracle) =="
 python -m pytest tests/test_chaos.py -q

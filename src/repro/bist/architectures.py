@@ -40,6 +40,7 @@ from ..encoding import (
 )
 from ..exceptions import BistError
 from ..faults.coverage import FAULT_DETECTED, FAULT_DROPPED, FAULT_MISSED
+from ..faults.simulator import lane_passes, superposed_fields
 from ..faults.stuck_at import all_faults
 from ..fsm import MealyMachine
 from ..fsm.machine import Symbol
@@ -61,17 +62,6 @@ BlockFault = Tuple[str, Fault]
 #: register content of a controller (a state code, or the R1/R2 pair).
 Registers = TypeVar("Registers")
 
-#: lane budget of one superposed fallback evaluation (lane 0 is reserved
-#: for the fault-free machine, so each pass packs LANE_WIDTH - 1 faults).
-#: 128-bit words keep Python's big-int ops cheap while amortising the two
-#: per-cycle netlist evaluations over ~100 faulty machines.
-LANE_WIDTH = 128
-
-
-def _lane_groups(items: List, group: int) -> List[List]:
-    """Split ``items`` into runs of at most ``group`` (order preserved)."""
-    return [items[start : start + group] for start in range(0, len(items), group)]
-
 
 def _lane_fault_assignments(compiled, faults: Sequence[Fault]):
     """(lane_mask, overrides) packing ``faults`` into lanes 1..len(faults).
@@ -91,17 +81,19 @@ def _lane_signature_outcomes(
     n_faults: int,
     session_label: str,
 ) -> List[int]:
-    """Per-lane final-signature verdicts against the serial reference.
+    """Per-lane final-signature verdicts against the fault-free reference.
 
     ``banks`` are the session's signature registers in tuple order; lane 0
     must reproduce the fault-free reference exactly (any divergence means
     the superposed replay is broken, so fail loudly rather than mis-grade
-    the whole batch).
+    the whole batch).  The reference comes from code the lane replay does
+    not share: the serial session of the parallel self-test, and the
+    bit-parallel :meth:`PipelineController._session_reference`.
     """
     if tuple(bank.lane_signature(0) for bank in banks) != reference:
         raise BistError(
             f"superposed {session_label}: fault-free lane diverged from "
-            "the serial reference signatures"
+            "the reference signatures"
         )
     outcomes = []
     for lane in range(1, n_faults + 1):
@@ -109,6 +101,26 @@ def _lane_signature_outcomes(
         outcomes.append(
             FAULT_DETECTED if signatures != reference else FAULT_MISSED
         )
+    return outcomes
+
+
+def _scatter_blocks(
+    block_faults: Sequence[BlockFault],
+    resolve: Callable[[str, List[Fault]], List[int]],
+) -> List[int]:
+    """Resolve a batch one block at a time, codes back in batch order.
+
+    ``resolve(block, faults)`` returns one outcome code per fault of that
+    block; grouping lets each block's faults share field-packed passes.
+    """
+    positions: Dict[str, List[int]] = {}
+    for index, (block, _fault) in enumerate(block_faults):
+        positions.setdefault(block, []).append(index)
+    outcomes = [FAULT_MISSED] * len(block_faults)
+    for block, indices in positions.items():
+        codes = resolve(block, [block_faults[index][1] for index in indices])
+        for index, code in zip(indices, codes):
+            outcomes[index] = code
     return outcomes
 
 
@@ -165,6 +177,17 @@ def _linear_session_signature(
     return response_register.signature
 
 
+def _prpg_words(width: int, seed: int, cycles: int) -> List[int]:
+    """The first ``cycles`` states of a free-running complete-cycle PRPG:
+    the fault-independent pattern words of a session."""
+    prpg = Lfsr.from_any_seed(width, seed, complete=True)
+    words = []
+    for _ in range(cycles):
+        words.append(prpg.state)
+        prpg.step()
+    return words
+
+
 def _linear_session_reference(
     network, generator_width: int, misr_width: int, cycles: int, seed: int
 ) -> Dict[str, object]:
@@ -175,12 +198,7 @@ def _linear_session_reference(
     ``cycles``-bit integer per block input and per block output, plus the
     GF(2) model of the compacting MISR (see :mod:`repro.faults.engine`).
     """
-    generator = Lfsr.from_any_seed(generator_width, seed, complete=True)
-    words = []
-    for _ in range(cycles):
-        words.append(generator.state)
-        generator.step()
-    streams = transpose_words(words, generator_width)
+    streams = transpose_words(_prpg_words(generator_width, seed, cycles), generator_width)
     mask = (1 << cycles) - 1
     return {
         "cycles": cycles,
@@ -191,25 +209,31 @@ def _linear_session_reference(
     }
 
 
-def _linear_session_outcome(network, session: Dict[str, object], fault: Fault) -> int:
-    """Exact campaign outcome for one linear session (with fault dropping).
+def _linear_session_outcomes(
+    network, session: Dict[str, object], faults: Sequence[Fault]
+) -> List[int]:
+    """Exact campaign outcomes for one linear session (with fault dropping).
 
-    One pattern-parallel faulty evaluation yields the session's complete
-    response-error stream; no errors drops the fault immediately, otherwise
-    the final MISR signature difference -- aliasing included -- follows from
-    folding the error stream through the linear compactor.
+    The faulty response streams of the whole session come from
+    fault-per-field evaluations (:func:`superposed_fields`); a fault with
+    no response error is dropped, otherwise the final MISR signature
+    difference -- aliasing included -- follows from folding its error
+    stream through the linear compactor.
     """
-    compiled = network.compile()
-    mask = session["mask"]
-    faulty = compiled.eval_outputs_list(
-        session["streams"], mask, compiled.fault_args(fault, mask)
-    )
-    errors = stream_errors(faulty, session["ref_out"])
-    if not errors:
-        return FAULT_DROPPED
-    if session["compactor"].fold_errors(errors, session["cycles"]) != 0:
-        return FAULT_DETECTED
-    return FAULT_MISSED
+    reference = session["ref_out"]
+    compactor = session["compactor"]
+    outcomes = []
+    for faulty in superposed_fields(
+        network.compile(), session["streams"], session["mask"], reference, faults
+    ):
+        errors = stream_errors(faulty, reference)
+        if not errors:
+            outcomes.append(FAULT_DROPPED)
+        elif compactor.fold_errors(errors, session["cycles"]) != 0:
+            outcomes.append(FAULT_DETECTED)
+        else:
+            outcomes.append(FAULT_MISSED)
+    return outcomes
 
 
 class PlainController:
@@ -251,7 +275,7 @@ class PlainController:
             {net: int(state_code[pos]) for pos, net in enumerate(self.state_nets)}
         )
         inputs.update({net: int(input_code[pos]) for pos, net in enumerate(self.x_nets)})
-        values = self.network.evaluate(inputs, mask=1, fault=fault)
+        values = self.network.evaluate_outputs(inputs, mask=1, fault=fault)
         next_code = "".join(str(values[net] & 1) for net in self.ns_nets)
         output_code = "".join(str(values[net] & 1) for net in self.z_nets)
         return next_code, output_code
@@ -424,20 +448,19 @@ class ConventionalBistController:
     ) -> List[int]:
         """Outcome codes for a batch of faults (the engine's chunk protocol).
 
-        The session is fully linear (free-running PRPG patterns), so every
-        fault resolves in its own single pattern-parallel evaluation; the
-        batch form exists to report drop/alias outcomes uniformly with the
-        superposing architectures.
+        The session is fully linear (free-running PRPG patterns), so the
+        ``C`` faults resolve through fault-per-field evaluations of the
+        whole session; ``FEEDBACK`` faults carry no live data on R -> T
+        and are dropped.
         """
-        outcomes = []
-        for block, fault in block_faults:
-            if block != "C":
-                outcomes.append(FAULT_DROPPED)  # no live data on R -> T
-            else:
-                outcomes.append(
-                    _linear_session_outcome(self.plain.network, bundle, fault)
-                )
-        return outcomes
+        return _scatter_blocks(
+            block_faults,
+            lambda block, faults: (
+                _linear_session_outcomes(self.plain.network, bundle, faults)
+                if block == "C"
+                else [FAULT_DROPPED] * len(faults)
+            ),
+        )
 
     def _default_cycles(self, cycles: Optional[int]) -> int:
         """Default: one complete generator cycle (exhaustive patterns for C)."""
@@ -620,7 +643,7 @@ class ParallelSelfTestController:
     ) -> List[int]:
         """Superposed campaign: every fault simulates in its own bit lane."""
         outcomes: List[int] = []
-        for group in _lane_groups(list(block_faults), LANE_WIDTH - 1):
+        for group in lane_passes(list(block_faults)):
             outcomes.extend(
                 self._superposed_outcomes(
                     bundle["cycles"],
@@ -793,10 +816,12 @@ class DoubledController:
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
     ) -> List[int]:
         """Outcome codes per fault; both sessions are fully linear."""
-        return [
-            _linear_session_outcome(self.plain.network, bundle[block], fault)
-            for block, fault in block_faults
-        ]
+        return _scatter_blocks(
+            block_faults,
+            lambda block, faults: _linear_session_outcomes(
+                self.plain.network, bundle[block], faults
+            ),
+        )
 
     def _default_cycles(self, cycles: Optional[int]) -> int:
         """Default: one complete generator cycle (exhaustive patterns for C)."""
@@ -1006,6 +1031,29 @@ class PipelineController:
     ) -> Tuple[int, ...]:
         return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
 
+    def _session_geometry(self, generator: str) -> Tuple[Netlist, int, int, int]:
+        """(block under test, source width, in-loop MISR width, output MISR
+        width) of the session ``generator`` drives.
+
+        The in-loop compactor is exactly R1/R2 in MISR mode (that is the
+        architecture's point).  The session's *output* signature register
+        -- free test hardware in any BIST -- compacts all observable lines
+        of the block under test (lambda outputs and the next-state lines
+        feeding the compacting register); its width is chosen >= 4 so
+        deterministic parity aliasing of 1-2 bit registers does not mask
+        structurally testable faults.
+        """
+        if generator == "R1":
+            block, source_width, response_width = self.c1, self.w1, self.w2
+        else:
+            block, source_width, response_width = self.c2, self.w2, self.w1
+        return (
+            block,
+            source_width,
+            max(1, response_width),
+            max(4, self.output_width + response_width),
+        )
+
     def _session(
         self,
         generator: str,
@@ -1013,32 +1061,13 @@ class PipelineController:
         seed: int,
         faults: Dict[str, Fault],
         engine: str = "compiled",
-        trace: Optional[List[Tuple[int, int, int, int]]] = None,
     ) -> Tuple[int, int]:
-        """One state-logic session; returns (in-loop MISR, output MISR).
-
-        ``trace`` (compiled engine only) receives one ``(pattern,
-        response, lambda* input, lambda* output)`` tuple per cycle -- the
-        words :meth:`campaign_reference` turns into screening streams.
-        """
-        if generator == "R1":
-            source_width = self.w1
-            misr = Misr(max(1, self.w2))
-            block = self.c1
-            response_width = self.w2
-        else:
-            source_width = self.w2
-            misr = Misr(max(1, self.w1))
-            block = self.c2
-            response_width = self.w1
-        # The in-loop compactor is exactly R1/R2 in MISR mode (that is the
-        # architecture's point).  The session's *output* signature register
-        # -- free test hardware in any BIST -- compacts all observable
-        # lines of the block under test (lambda outputs and the next-state
-        # lines feeding the compacting register); its width is chosen >= 4
-        # so deterministic parity aliasing of 1-2 bit registers does not
-        # mask structurally testable faults.
-        output_misr = Misr(max(4, self.output_width + response_width))
+        """One state-logic session; returns (in-loop MISR, output MISR)."""
+        block, source_width, misr_width, output_misr_width = (
+            self._session_geometry(generator)
+        )
+        misr = Misr(misr_width)
+        output_misr = Misr(output_misr_width)
         # One complete-cycle PRPG spans the generating register and the
         # primary inputs, so the block under test sees every input vector
         # (pseudo-exhaustive session, refs [4, 17] of the paper).
@@ -1106,8 +1135,6 @@ class PipelineController:
                 r1_value, r2_value = misr.signature, register_value
             lam_bits = r1_value | (r2_value << w1) | (x_value << (w1 + w2))
             lam_out = lambda_step(lam_bits, lambda_args)
-            if trace is not None:
-                trace.append((state, response, lam_bits, lam_out))
             output_misr.absorb(lam_out | (response << output_width))
             prpg.step()
         return (misr.signature, output_misr.signature)
@@ -1148,45 +1175,69 @@ class PipelineController:
     def _session_reference(
         self, generator: str, cycles: int, seed: int
     ) -> Dict[str, object]:
-        """Fault-free run of one session, recorded as screening streams."""
-        if generator == "R1":
-            source_width, block, response_width = self.w1, self.c1, self.w2
-        else:
-            source_width, block, response_width = self.w2, self.c2, self.w1
-        trace: List[Tuple[int, int, int, int]] = []
-        signatures = self._session(generator, cycles, seed, {}, trace=trace)
-        patterns, responses, lambda_in, lambda_out = (
-            list(zip(*trace)) if trace else ([], [], [], [])
+        """Fault-free run of one session, built bit-parallel.
+
+        The block's patterns come from the free-running PRPG, so its
+        response streams are one fault-free evaluation over all cycles.
+        The in-loop MISR trajectory then follows by integer updates alone,
+        which gives the ``lambda*`` input streams -- one more evaluation --
+        and the output MISR signature.  The result equals :meth:`_session`
+        on the fault-free machine, signatures included.
+        """
+        from_r1 = generator == "R1"
+        block, source_width, misr_width, output_misr_width = (
+            self._session_geometry(generator)
+        )
+        pattern_width = source_width + self.input_width
+        patterns = _prpg_words(pattern_width, seed, cycles)
+        mask = (1 << cycles) - 1
+        streams = transpose_words(patterns, pattern_width)
+        ref_out = block.compile().eval_outputs_list(streams, mask)
+        responses = transpose_words(ref_out, cycles)
+        compacted = LinearCompactor(misr_width).trajectory(responses)
+        source_mask = (1 << source_width) - 1
+        w1, w2 = self.w1, self.w2
+        lambda_in = []
+        for pattern, register in zip(patterns, compacted):
+            source = pattern & source_mask
+            r1, r2 = (source, register) if from_r1 else (register, source)
+            lambda_in.append(
+                r1 | (r2 << w1) | ((pattern >> source_width) << (w1 + w2))
+            )
+        lambda_streams = transpose_words(lambda_in, w1 + w2 + self.input_width)
+        ref_lambda_out = self.lambda_net.compile().eval_outputs_list(
+            lambda_streams, mask
+        )
+        out_compactor = LinearCompactor(output_misr_width)
+        observed = out_compactor.trajectory(
+            [
+                lam_out | (response << self.output_width)
+                for lam_out, response in zip(
+                    transpose_words(ref_lambda_out, cycles), responses
+                )
+            ]
         )
         return {
             "generator": generator,
             "block": block,
             "cycles": cycles,
             "seed": seed,
-            "mask": (1 << cycles) - 1,
-            "streams": transpose_words(patterns, source_width + self.input_width),
-            "ref_out": transpose_words(responses, len(block.outputs)),
-            "lambda_streams": transpose_words(
-                lambda_in, self.w1 + self.w2 + self.input_width
+            "mask": mask,
+            "streams": streams,
+            "ref_out": ref_out,
+            "lambda_streams": lambda_streams,
+            "ref_lambda_out": ref_lambda_out,
+            "out_compactor": out_compactor,
+            "signatures": (
+                compacted[-1] if compacted else 0,
+                observed[-1] if observed else 0,
             ),
-            "ref_lambda_out": transpose_words(
-                lambda_out, len(self.lambda_net.outputs)
-            ),
-            "out_compactor": LinearCompactor(
-                max(4, self.output_width + response_width)
-            ),
-            "signatures": signatures,
         }
 
     def _chained_lambda_reference(self, seed: int) -> Dict[str, object]:
         total_width = self.w1 + self.w2 + self.input_width
         cycles = min(4096, 2 ** total_width)
-        prpg = Lfsr.from_any_seed(total_width, seed, complete=True)
-        words: List[int] = []
-        for _ in range(cycles):
-            words.append(prpg.state)
-            prpg.step()
-        streams = transpose_words(words, total_width)
+        streams = transpose_words(_prpg_words(total_width, seed, cycles), total_width)
         mask = (1 << cycles) - 1
         return {
             "cycles": cycles,
@@ -1203,68 +1254,82 @@ class PipelineController:
     ) -> List[int]:
         """Outcome codes for a batch of faults, superposing the fallbacks.
 
-        ``LAMBDA`` faults resolve linearly per fault (their block responses
-        are fault-free); ``C1``/``C2`` faults are first screened pattern-
-        parallel against their session's PRPG streams, and the survivors --
-        whose response errors perturb the in-loop compactor and with it the
-        ``lambda*`` input stream -- are replayed *together*, one faulty
-        machine per bit lane, instead of one serial run each.
+        ``LAMBDA`` faults resolve linearly (their block responses are
+        fault-free); ``C1``/``C2`` faults are first screened against their
+        session's PRPG streams, one fault per field
+        (:func:`superposed_fields`), and the survivors -- whose response
+        errors perturb the in-loop compactor and with it the ``lambda*``
+        input stream -- are replayed *together*, one faulty machine per
+        bit lane, instead of one serial run each.
         """
         sessions = bundle["sessions"]
-        outcomes: List[int] = [FAULT_MISSED] * len(block_faults)
-        pending: Dict[str, List[Tuple[int, Fault]]] = {"A": [], "B": []}
-        for index, (block, fault) in enumerate(block_faults):
-            if block == "LAMBDA":
-                outcomes[index] = self._lambda_outcome(sessions, fault)
-                continue
-            key = "A" if block == "C1" else "B"
-            if self._block_session_excited(sessions[key], fault):
-                pending[key].append((index, fault))
-            else:
-                outcomes[index] = FAULT_DROPPED
-        for key, survivors in pending.items():
-            session = sessions[key]
-            for group in _lane_groups(survivors, LANE_WIDTH - 1):
-                verdicts = self._superposed_session_outcomes(
-                    session, [fault for _index, fault in group]
-                )
-                for (index, _fault), outcome in zip(group, verdicts):
-                    outcomes[index] = outcome
-        return outcomes
 
-    def _lambda_outcome(self, sessions: Dict[str, Dict], fault: Fault) -> int:
+        def resolve(block: str, faults: List[Fault]) -> List[int]:
+            if block == "LAMBDA":
+                return self._lambda_outcomes(sessions, faults)
+            session = sessions["A" if block == "C1" else "B"]
+            reference = session["ref_out"]
+            outcomes = [FAULT_DROPPED] * len(faults)
+            survivors = [
+                index
+                for index, faulty in enumerate(
+                    superposed_fields(
+                        session["block"].compile(),
+                        session["streams"],
+                        session["mask"],
+                        reference,
+                        faults,
+                    )
+                )
+                if faulty != reference
+            ]
+            for group in lane_passes(survivors):
+                verdicts = self._superposed_session_outcomes(
+                    session, [faults[index] for index in group]
+                )
+                for index, outcome in zip(group, verdicts):
+                    outcomes[index] = outcome
+            return outcomes
+
+        return _scatter_blocks(block_faults, resolve)
+
+    def _lambda_outcomes(
+        self, sessions: Dict[str, Dict], faults: Sequence[Fault]
+    ) -> List[int]:
         """LAMBDA faults: the observation path is linear in the lambda
         output errors in every session, because block responses are
-        fault-free."""
+        fault-free.  A fault is detected when any session's signature
+        difference is non-zero, missed when it shows errors but every
+        difference aliases to zero, and dropped when no session shows
+        an error."""
         compiled = self.lambda_net.compile()
-        excited = False
+        outcomes = [FAULT_DROPPED] * len(faults)
         for session in sessions.values():
-            mask = session["mask"]
-            faulty = compiled.eval_outputs_list(
-                session["lambda_streams"], mask, compiled.fault_args(fault, mask)
-            )
-            errors = stream_errors(faulty, session["ref_lambda_out"])
-            if not errors:
-                continue
-            excited = True
-            if session["out_compactor"].fold_errors(errors, session["cycles"]) != 0:
-                return FAULT_DETECTED
-        return FAULT_MISSED if excited else FAULT_DROPPED
-
-    def _block_session_excited(self, session: Dict[str, object], fault: Fault) -> bool:
-        """Pattern-parallel screen: does any cycle show a response error?
-
-        The session's block patterns come from the free-running PRPG, so
-        the complete faulty response stream is one bit-parallel evaluation;
-        a fault with no error provably leaves the signatures untouched.
-        """
-        block = session["block"]
-        compiled = block.compile()
-        mask = session["mask"]
-        faulty = compiled.eval_outputs_list(
-            session["streams"], mask, compiled.fault_args(fault, mask)
-        )
-        return bool(stream_errors(faulty, session["ref_out"]))
+            pending = [
+                index
+                for index, outcome in enumerate(outcomes)
+                if outcome != FAULT_DETECTED
+            ]
+            reference = session["ref_lambda_out"]
+            compactor = session["out_compactor"]
+            for index, faulty in zip(
+                pending,
+                superposed_fields(
+                    compiled,
+                    session["lambda_streams"],
+                    session["mask"],
+                    reference,
+                    [faults[index] for index in pending],
+                ),
+            ):
+                errors = stream_errors(faulty, reference)
+                if not errors:
+                    continue
+                if compactor.fold_errors(errors, session["cycles"]) != 0:
+                    outcomes[index] = FAULT_DETECTED
+                else:
+                    outcomes[index] = FAULT_MISSED
+        return outcomes
 
     def _superposed_session_outcomes(
         self, session: Dict[str, object], faults: Sequence[Fault]
@@ -1279,15 +1344,15 @@ class PipelineController:
         aliasing included; detection remains the signature comparison.
         """
         generator = session["generator"]
-        block = session["block"]
+        block, source_width, misr_width, output_misr_width = (
+            self._session_geometry(generator)
+        )
         compiled = block.compile()
         lambda_compiled = self.lambda_net.compile()
         lane_mask, overrides = _lane_fault_assignments(compiled, faults)
         from_r1 = generator == "R1"
-        source_width = self.w1 if from_r1 else self.w2
-        response_width = self.w2 if from_r1 else self.w1
-        misr = LaneMisr(max(1, response_width))
-        output_misr = LaneMisr(max(4, self.output_width + response_width))
+        misr = LaneMisr(misr_width)
+        output_misr = LaneMisr(output_misr_width)
         prpg = Lfsr.from_any_seed(
             source_width + self.input_width, session["seed"], complete=True
         )

@@ -72,6 +72,19 @@ class LinearCompactor:
             index += 1
         return state
 
+    def trajectory(self, data_words: Sequence[int]) -> List[int]:
+        """MISR states after each absorb of ``data_words``, from state 0.
+
+        The fault-free session references are built from this: one cheap
+        integer update per cycle, no netlist evaluation.
+        """
+        state = 0
+        states = []
+        for data in data_words:
+            state = self.step(state) ^ data
+            states.append(state)
+        return states
+
     def fold_errors(self, errors: Sequence[Tuple[int, int]], total_cycles: int) -> int:
         """Final signature difference from a sparse error stream.
 

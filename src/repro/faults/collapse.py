@@ -43,9 +43,20 @@ Dominance (``mode="dominance"``, opt-in)
 :class:`FaultMap` packages both modes for the campaign engines: build it
 from a controller (block-tagged universe) or a netlist, schedule
 ``representatives`` instead of the full universe, and -- for equivalence
--- ``expand()`` the per-representative outcome codes back.  The class
-tables are cached per netlist object (weakly), so repeated campaigns and
-long-lived pool workers pay the union-find once per subject.
+-- ``expand()`` the per-representative outcome codes back.
+
+The tables are integer-indexed.  A fault's canonical index is its
+position in ``all_faults(netlist)``, worked out arithmetically: a stem
+fault on net slot ``s`` is ``2*s + v``, a branch fault on pin ``p`` of
+gate ``g`` is ``gate_base[g] + 2*p + v``.  Union-find runs over these
+indices, class ids and dominated ids live in a list and a set, and a
+:class:`FaultMap` keys each fault by its block's offset plus its class
+id -- no ``Fault`` is hashed.  A fault outside the canonical universe (a
+custom probe) stays a singleton keyed by its own value.
+:func:`equivalence_classes` still returns a ``Dict[Fault, int]``, built
+on demand.  The tables are cached per netlist object (weakly), so
+repeated campaigns and long-lived pool workers pay the union-find once
+per subject.
 """
 
 from __future__ import annotations
@@ -69,28 +80,68 @@ __all__ = [
 #: but changes the reported universe.
 COLLAPSE_MODES = ("none", "equiv", "dominance")
 
-#: netlist -> (class_of, dominated class ids); weak so netlists keep their
-#: normal lifetime.  Workers of a persistent pool hit this cache through
-#: their cached subjects, which is what keeps repeat collapsed jobs cheap.
+#: netlist -> its :class:`_Tables`; weak so netlists keep their normal
+#: lifetime.  Workers of a persistent pool hit this cache through their
+#: cached subjects, which is what keeps repeat collapsed jobs cheap.
 _TABLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _build_classes(netlist: Netlist) -> Dict[Fault, int]:
-    """Union-find over the canonical fault universe of one netlist."""
-    faults = all_faults(netlist)
-    index_of = {fault: index for index, fault in enumerate(faults)}
-    parent = list(range(len(faults)))
+class _Tables:
+    """Collapse tables of one netlist over canonical fault indices.
+
+    The index of a fault is its position in ``all_faults(netlist)``: a
+    stem fault on net slot ``s`` (inputs, then gate outputs) is
+    ``2*s + v``, a branch fault on pin ``p`` of gate ``g`` is
+    ``gate_base[g] + 2*p + v``.  ``class_of[i]`` is the dense class id of
+    fault ``i``; ``dominated`` holds the class ids the dominance pass
+    drops.
+    """
+
+    __slots__ = ("net_slot", "gates", "gate_base", "class_of", "dominated")
+
+    def __init__(self, netlist: Netlist) -> None:
+        nets = netlist.nets()
+        self.net_slot: Dict[str, int] = {net: slot for slot, net in enumerate(nets)}
+        self.gates = netlist.gates
+        self.gate_base: List[int] = []
+        offset = 2 * len(nets)
+        for gate in self.gates:
+            self.gate_base.append(offset)
+            offset += 2 * len(gate.inputs)
+        self.class_of = _build_classes(netlist, self.net_slot, self.gate_base, offset)
+        self.dominated = _build_dominated(netlist, self.class_of, self.gate_base)
+
+    def index(self, fault: Fault) -> Optional[int]:
+        """Canonical index of ``fault``; ``None`` for a fault outside
+        ``all_faults(netlist)`` (a custom probe)."""
+        gate_index = fault.gate_index
+        if gate_index is None:
+            slot = self.net_slot.get(fault.net)
+            if slot is None or fault.pin is not None:
+                return None
+            return 2 * slot + fault.stuck_at
+        pin = fault.pin
+        if not 0 <= gate_index < len(self.gates) or pin is None:
+            return None
+        pins = self.gates[gate_index].inputs
+        if not 0 <= pin < len(pins) or pins[pin] != fault.net:
+            return None
+        return self.gate_base[gate_index] + 2 * pin + fault.stuck_at
+
+
+def _build_classes(
+    netlist: Netlist, net_slot: Dict[str, int], gate_base: List[int], total: int
+) -> List[int]:
+    """Union-find over the canonical fault indices of one netlist."""
+    parent = list(range(total))
 
     def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:  # path compression
-            parent[node], node = root, parent[node]
-        return root
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]  # path halving
+        return node
 
-    def union(a: Fault, b: Fault) -> None:
-        root_a, root_b = find(index_of[a]), find(index_of[b])
+    def union(a: int, b: int) -> None:
+        root_a, root_b = find(a), find(b)
         if root_a != root_b:
             parent[root_b] = root_a
 
@@ -100,49 +151,44 @@ def _build_classes(netlist: Netlist) -> Dict[Fault, int]:
         for net in gate.inputs:
             fanout[net] = fanout.get(net, 0) + 1
 
+    n_inputs = len(netlist.inputs)
     for index, gate in enumerate(netlist.gates):
-        def branch(pin: int, value: int) -> Fault:
-            return Fault(
-                net=gate.inputs[pin], stuck_at=value, gate_index=index, pin=pin
-            )
-
+        base = gate_base[index]  # branch s-a-v on pin p: base + 2*p + v
         for pin, net in enumerate(gate.inputs):
             # Fanout-free stem == branch -- but a net that is also a
             # primary output is observed there directly, so its stem is
             # strictly more visible than the lone branch: never merged.
             if fanout[net] == 1 and net not in outputs:
-                union(Fault(net=net, stuck_at=0), branch(pin, 0))
-                union(Fault(net=net, stuck_at=1), branch(pin, 1))
+                stem = 2 * net_slot[net]
+                union(stem, base + 2 * pin)
+                union(stem + 1, base + 2 * pin + 1)
         if not gate.inputs:
             continue  # CONST0/CONST1
-        out0 = Fault(net=gate.output, stuck_at=0)
-        out1 = Fault(net=gate.output, stuck_at=1)
+        out0 = 2 * (n_inputs + index)  # output stem s-a-0; s-a-1 is out0 + 1
         if len(gate.inputs) == 1:
             # Single-input AND/OR/XOR/BUF compute identity, NOT inverts;
             # either way the lone branch fixes the output completely.
             if gate.kind is GateKind.NOT:
-                union(out1, branch(0, 0))
-                union(out0, branch(0, 1))
+                union(out0 + 1, base)
+                union(out0, base + 1)
             else:
-                union(out0, branch(0, 0))
-                union(out1, branch(0, 1))
+                union(out0, base)
+                union(out0 + 1, base + 1)
         elif gate.kind is GateKind.AND:
             for pin in range(len(gate.inputs)):
-                union(out0, branch(pin, 0))
+                union(out0, base + 2 * pin)
         elif gate.kind is GateKind.OR:
             for pin in range(len(gate.inputs)):
-                union(out1, branch(pin, 1))
+                union(out0 + 1, base + 2 * pin + 1)
         # multi-input XOR has no controlling value: no gate-local merges.
 
-    class_of: Dict[Fault, int] = {}
     dense: Dict[int, int] = {}
-    for index, fault in enumerate(faults):
-        root = find(index)
-        class_of[fault] = dense.setdefault(root, len(dense))
-    return class_of
+    return [dense.setdefault(find(index), len(dense)) for index in range(total)]
 
 
-def _build_dominated(netlist: Netlist, class_of: Dict[Fault, int]) -> Set[int]:
+def _build_dominated(
+    netlist: Netlist, class_of: List[int], gate_base: List[int]
+) -> Set[int]:
     """Class ids droppable by the gate-local dominance pass.
 
     AND output s-a-1 (OR output s-a-0) is dominated by every input branch
@@ -154,6 +200,7 @@ def _build_dominated(netlist: Netlist, class_of: Dict[Fault, int]) -> Set[int]:
     merged by equivalence keep themselves).  Chains of drops stay covered
     transitively: keepers sit strictly upstream in the DAG.
     """
+    n_inputs = len(netlist.inputs)
     dropped: Set[int] = set()
     for index, gate in enumerate(netlist.gates):
         if len(gate.inputs) < 2:
@@ -164,28 +211,25 @@ def _build_dominated(netlist: Netlist, class_of: Dict[Fault, int]) -> Set[int]:
             value = 0
         else:
             continue
-        out_class = class_of[Fault(net=gate.output, stuck_at=value)]
-        keepers = [
-            class_of[
-                Fault(net=net, stuck_at=value, gate_index=index, pin=pin)
-            ]
-            for pin, net in enumerate(gate.inputs)
-        ]
-        if any(keeper != out_class for keeper in keepers):
+        out_class = class_of[2 * (n_inputs + index) + value]
+        base = gate_base[index]
+        if any(
+            class_of[base + 2 * pin + value] != out_class
+            for pin in range(len(gate.inputs))
+        ):
             dropped.add(out_class)
     return dropped
 
 
-def _tables(netlist: Netlist) -> Tuple[Dict[Fault, int], Set[int]]:
-    """(class_of, dominated ids) of one netlist, weakly cached."""
+def _tables(netlist: Netlist) -> _Tables:
+    """The collapse tables of one netlist, weakly cached."""
     try:
         cached = _TABLE_CACHE.get(netlist)
     except TypeError:  # un-weakref-able stand-in (tests)
         cached = None
     if cached is not None:
         return cached
-    class_of = _build_classes(netlist)
-    tables = (class_of, _build_dominated(netlist, class_of))
+    tables = _Tables(netlist)
     try:
         _TABLE_CACHE[netlist] = tables
     except TypeError:
@@ -198,14 +242,15 @@ def equivalence_classes(netlist: Netlist) -> Dict[Fault, int]:
 
     Ids are assigned by first appearance in the canonical fault order, so
     they are deterministic across processes (the pool workers rely on
-    that).
+    that).  The dict is built on each call from the cached integer
+    tables.
     """
-    return _tables(netlist)[0]
+    return dict(zip(all_faults(netlist), _tables(netlist).class_of))
 
 
 def dominated_classes(netlist: Netlist) -> Set[int]:
     """Class ids the opt-in dominance pass drops from the universe."""
-    return _tables(netlist)[1]
+    return _tables(netlist).dominated
 
 
 def _check_mode(mode: str) -> None:
@@ -267,12 +312,21 @@ class FaultMap:
         a class is its first member *present in the list*.
         """
         _check_mode(mode)
-        universe = list(all_faults(netlist) if faults is None else faults)
-        class_of, dominated = _tables(netlist)
-        # A fault outside the canonical universe (custom probes) stays a
-        # singleton keyed by its own value.
-        keys = [class_of.get(fault, ("x", fault)) for fault in universe]
-        return cls(mode, universe, keys, dropped_keys=dominated)
+        tables = _tables(netlist)
+        if faults is None:
+            universe = all_faults(netlist)
+            keys: List = list(tables.class_of)
+        else:
+            universe = list(faults)
+            keys = []
+            for fault in universe:
+                # A fault outside the canonical universe (custom probes)
+                # stays a singleton keyed by its own value.
+                index = tables.index(fault)
+                keys.append(
+                    ("x", fault) if index is None else tables.class_of[index]
+                )
+        return cls(mode, universe, keys, dropped_keys=tables.dominated)
 
     @classmethod
     def for_controller(
@@ -294,21 +348,27 @@ class FaultMap:
             controller.fault_universe() if faults is None else faults
         )
         blocks = getattr(controller, "fault_blocks", dict)() or {}
-        tables = {
-            block: _tables(netlist)
-            for block, netlist in blocks.items()
-            if netlist is not None
-        }
-        keys: List = []
+        # Each block's class ids are shifted into their own integer range,
+        # so a key is one int; faults of blocks without a netlist and
+        # non-canonical probes stay singletons keyed ``(block, "x", fault)``.
+        tables: Dict[str, Tuple[_Tables, int]] = {}
         dropped: Set = set()
-        for block, netlist in tables.items():
-            dropped.update((block, class_id) for class_id in netlist[1])
+        offset = 0
+        for block, netlist in blocks.items():
+            if netlist is None:
+                continue
+            table = _tables(netlist)
+            tables[block] = (table, offset)
+            dropped.update(offset + class_id for class_id in table.dominated)
+            offset += len(table.class_of)
+        keys: List = []
         for block, fault in universe:
-            table = tables.get(block)
-            if table is None or fault not in table[0]:
+            entry = tables.get(block)
+            index = None if entry is None else entry[0].index(fault)
+            if index is None:
                 keys.append((block, "x", fault))
             else:
-                keys.append((block, table[0][fault]))
+                keys.append(entry[1] + entry[0].class_of[index])
         return cls(mode, universe, keys, dropped_keys=dropped)
 
     # -- campaign protocol ---------------------------------------------------

@@ -20,14 +20,20 @@ the engine drops faults without ever approximating the final signature:
 1. **Session relevance.**  A self-test session's signature depends only on
    the blocks it exercises; faults in other blocks are skipped outright
    (e.g. a ``C2`` fault cannot disturb the pipeline's session A).
-2. **Pattern-parallel screening.**  Where a session's block-under-test sees
-   patterns that do not depend on compactor state (true for the
+2. **Fault-parallel field screening.**  Where a session's block-under-test
+   sees patterns that do not depend on compactor state (true for the
    conventional, doubled and pipeline sessions, whose patterns come from a
-   free-running PRPG), the whole session's response stream is computed in
-   *one* bit-parallel evaluation of the compiled netlist -- bit ``t`` of
-   every net is its value in cycle ``t``.  A fault with no response error
-   in any cycle provably leaves the session signature untouched and is
-   dropped after that single evaluation.
+   free-running PRPG), the whole session's response stream is computed
+   bit-parallel -- bit ``t`` of every net is its value in cycle ``t`` --
+   and many faults share one evaluation: each gets its own ``cycles``-bit
+   field of the compiled lane kernel, next to a fault-free field that is
+   checked against the reference
+   (:func:`~repro.faults.simulator.superposed_fields`, the PPSFP kernel's
+   packing, under the same ``PPSFP_LANE_BITS`` budget).  A fault with no
+   response error in any cycle provably leaves the session signature
+   untouched and is dropped.  The fault-free references themselves are
+   built the same way, bit-parallel from the fault-free kernel; only the
+   compacting registers' integer updates run cycle by cycle.
 3. **Linear signature-difference compaction.**  MISR state update is linear
    over GF(2): ``state' = L(state) xor data`` with ``L`` the shift-and-
    feedback map.  The faulty/fault-free signature difference therefore
@@ -42,9 +48,10 @@ the engine drops faults without ever approximating the final signature:
    under a ``C1``/``C2`` fault, and the Figure-1 parallel self-test
    entirely) cannot be unrolled over cycles -- but they *can* be unrolled
    over faults.  The controllers' ``campaign_detects_batch`` packs one
-   faulty machine per bit lane (lane 0 fault-free) and replays all of them
-   in one multi-lane evaluation per cycle: per-lane fault overrides in the
-   compiled kernel (:meth:`CompiledNetlist.lane_eval`), bit-sliced MISR
+   faulty machine per bit lane (lane 0 fault-free, up to
+   ``PPSFP_LANE_BITS - 1`` faults per replay) and replays all of them in
+   one multi-lane evaluation per cycle: per-lane fault overrides in the
+   same compiled lane kernel (:meth:`CompiledNetlist.lane_eval`), bit-sliced MISR
    banks (:class:`~repro.bist.compaction.LaneMisr`) for every register
    trajectory, and per-lane final-signature comparison, so verdicts --
    aliasing included -- are bit-identical to one serial replay per fault.

@@ -11,13 +11,15 @@ sequential fallback sessions over *faults* the same way this module does.
 Two engines share the verdicts bit for bit:
 
 ``engine="superposed"`` (default)
-    One fault per bit *lane* on top of the per-lane pattern packing: lane
-    ``l`` of every net carries the complete pattern-set response of fault
-    ``l`` (lane 0 fault-free, checked in-band against the reference), so a
+    One fault per *field* on top of the pattern packing: field ``l`` of
+    every net carries the complete pattern-set response of fault ``l``
+    (field 0 fault-free, checked in-band against the reference), so a
     single :meth:`CompiledNetlist.lane_eval_outputs` pass screens
-    ``lanes x patterns`` fault/pattern pairs.  The lane budget
+    ``lanes x patterns`` fault/pattern pairs.  The bit budget
     (:data:`PPSFP_LANE_BITS`) bounds the superposed word width; larger
-    fault lists simply take several passes.
+    fault lists simply take several passes.  :func:`superposed_fields`
+    is the one implementation, shared with the campaign screens of
+    :mod:`repro.bist.architectures`.
 ``engine="interpreted"``
     The original dict-keyed serial walker, kept as the equivalence oracle.
     Unfrozen netlists have no compiled kernels and always take this path.
@@ -38,19 +40,21 @@ Equivalence of both engines (and the pool) is enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import FaultError
 from ..netlist.netlist import Fault, Netlist
 from .collapse import COLLAPSE_MODES, FaultMap
 from .stuck_at import all_faults
 
-#: bit budget of one superposed PPSFP evaluation.  Each pass packs
-#: ``PPSFP_LANE_BITS // n_patterns`` faults (plus the fault-free lane 0)
-#: into contiguous pattern-set fields of one big integer; the value trades
-#: Python interpreter dispatch (amortised over lanes) against big-int limb
-#: work (which grows with the superposed word) and is tuned on the bench's
-#: exhaustive blocks.
+#: bit budget of one superposed evaluation.  Each pass packs
+#: ``PPSFP_LANE_BITS // n`` faults (plus the fault-free field 0) into
+#: contiguous ``n``-bit pattern or cycle fields of one big integer; the
+#: value trades Python interpreter dispatch (amortised over lanes) against
+#: big-int limb work (which grows with the superposed word) and is tuned on
+#: the bench's exhaustive blocks.  The campaign screens use the same
+#: packing, and the superposed fallback sessions, one bit per faulty
+#: machine, the same budget (:func:`lane_passes`).
 PPSFP_LANE_BITS = 1 << 13
 
 PPSFP_ENGINES = ("superposed", "interpreted")
@@ -112,11 +116,6 @@ def detects(
 # ---------------------------------------------------------------------------
 
 
-def _groups(items: List, size: int) -> List[List]:
-    """Split ``items`` into runs of at most ``size`` (order preserved)."""
-    return [items[start : start + size] for start in range(0, len(items), size)]
-
-
 def _ppsfp_state(
     netlist: Netlist,
     patterns: Sequence[str],
@@ -137,60 +136,102 @@ def _ppsfp_state(
         "compiled": compiled,
         "inputs": inputs,
         "mask": mask,
-        "n_patterns": len(patterns),
         "reference": compiled.eval_outputs_list(inputs, mask),
     }
 
 
-def _superposed_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List[int]:
-    """Detection flags via fault-per-lane superposition (also the pool
-    workers' per-chunk protocol).
+def lane_passes(items: Sequence) -> List[List]:
+    """Split ``items`` into passes of one item per bit lane (order kept).
 
-    Each pass replicates the packed pattern streams into ``lanes``
-    contiguous ``n_patterns``-bit fields (an integer multiply by the field
-    replicator), pins fault ``l`` into field ``l`` only
-    (:meth:`CompiledNetlist.lane_overrides` with the field as the lane
-    mask), and compares every fault's output field against the fault-free
-    reference.  Lane 0 stays fault-free as the in-band sanity check.
+    A pass holds at most ``PPSFP_LANE_BITS - 1`` items, lane 0 being the
+    fault-free machine: the single-bit-lane counterpart of the field
+    packing in :func:`superposed_fields`, under the same budget.
     """
-    compiled = state["compiled"]
-    inputs = state["inputs"]
-    mask = state["mask"]
-    n_patterns = state["n_patterns"]
-    reference = state["reference"]
-    if n_patterns == 0 or not faults:
-        return [0] * len(faults)
-    per_pass = max(1, PPSFP_LANE_BITS // n_patterns)
-    flags: List[int] = []
-    for group in _groups(list(faults), per_pass):
+    size = PPSFP_LANE_BITS - 1
+    return [list(items[start : start + size]) for start in range(0, len(items), size)]
+
+
+def _replicate(word: int, field_bits: int, fields: int) -> int:
+    """``word`` copied into ``fields`` contiguous ``field_bits``-bit fields
+    (shift-or doubling: O(log fields) big-int operations)."""
+    filled = 1
+    while filled < fields:
+        word |= word << (filled * field_bits)
+        filled *= 2
+    return word & ((1 << (fields * field_bits)) - 1)
+
+
+def superposed_fields(
+    compiled,
+    inputs: Sequence[int],
+    mask: int,
+    reference: Sequence[int],
+    faults: Sequence[Fault],
+) -> Iterator[List[int]]:
+    """Each fault's output streams, one ``mask``-wide field per fault.
+
+    ``inputs`` are slot-ordered input streams of ``n = mask.bit_length()``
+    bits (patterns, or the cycles of a session whose patterns do not
+    depend on the fault) and ``reference`` is their fault-free output
+    streams.  Each pass replicates the streams into ``lanes`` contiguous
+    ``n``-bit fields, pins fault ``l`` into field ``l`` only
+    (:meth:`CompiledNetlist.lane_overrides` with the field as the lane
+    mask) and evaluates once.  Field 0 stays fault-free and must equal
+    ``reference`` (the in-band check).  Yields, in fault order, the list
+    of output streams of each fault (``reference`` itself when ``n`` is
+    0).  A pass packs at most ``PPSFP_LANE_BITS // n`` faults (at least
+    one); the streams are replicated once per call, and a shorter last
+    pass takes their low fields.
+    """
+    n_bits = mask.bit_length()
+    if not n_bits:  # empty streams: every fault looks fault-free
+        for _fault in faults:
+            yield list(reference)
+        return
+    if not faults:
+        return
+    per_pass = max(1, PPSFP_LANE_BITS // n_bits)
+    fields = min(per_pass, len(faults)) + 1
+    words = [_replicate(value, n_bits, fields) for value in inputs]
+    word_mask = _replicate(mask, n_bits, fields)
+    for start in range(0, len(faults), per_pass):
+        group = faults[start : start + per_pass]
         lanes = len(group) + 1
-        replicator = 0
-        for lane in range(lanes):
-            replicator |= 1 << (lane * n_patterns)
-        words = [value * replicator for value in inputs]
+        if lanes < fields:
+            cut = (1 << (lanes * n_bits)) - 1
+            words = [word & cut for word in words]
+            word_mask &= cut
         overrides = compiled.lane_overrides(
             [
-                (fault, mask << ((lane + 1) * n_patterns))
-                for lane, fault in enumerate(group)
+                (fault, mask << (lane * n_bits))
+                for lane, fault in enumerate(group, start=1)
             ]
         )
-        out = compiled.lane_eval_outputs(words, mask * replicator, overrides)
-        if [word & mask for word in out] != reference:
+        out = compiled.lane_eval_outputs(words, word_mask, overrides)
+        if [word & mask for word in out] != list(reference):
             raise FaultError(
-                "superposed PPSFP: fault-free lane diverged from the "
+                "superposed fields: the fault-free field diverged from the "
                 "reference evaluation"
             )
         for lane in range(1, lanes):
-            shift = lane * n_patterns
-            flags.append(
-                int(
-                    any(
-                        ((word >> shift) & mask) != ref
-                        for word, ref in zip(out, reference)
-                    )
-                )
-            )
-    return flags
+            shift = lane * n_bits
+            yield [(word >> shift) & mask for word in out]
+
+
+def _superposed_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List[int]:
+    """Detection flags via fault-per-field superposition
+    (:func:`superposed_fields`; also the pool workers' per-chunk protocol).
+
+    A fault is detected when any of its output fields differs from the
+    fault-free reference.
+    """
+    reference = state["reference"]
+    return [
+        int(fields != reference)
+        for fields in superposed_fields(
+            state["compiled"], state["inputs"], state["mask"], reference, faults
+        )
+    ]
 
 
 def _interpreted_flags(

@@ -8,51 +8,51 @@ module compiles a frozen netlist into straight-line Python source
 local variables indexed by *slot* -- primary inputs first, then gate outputs
 in topological order -- and evaluates with zero dict traffic.
 
-Eight evaluators in four specialisations are generated from the same gate
-list:
+Eight evaluators in four families are generated from the same gate list:
 
-``good_all(I, mask)``
-    Fault-free bit-parallel evaluation; returns the value of every net as a
-    list in slot order.
-``fault_all(I, mask, fs, stuck, fg, fp)``
-    The same with the per-fault override hook: ``fs`` pins net slot ``fs``
-    to ``stuck`` (stem fault), ``fg``/``fp`` re-evaluates gate ``fg`` with
-    input pin ``fp`` pinned (branch fault).  Sentinel ``-1`` disables either
-    hook, so a single generated function serves the whole fault universe.
+``good_all(I, mask)`` / ``good_out(I, mask)``
+    Fault-free bit-parallel evaluation; ``good_all`` returns the value of
+    every net as a list in slot order, ``good_out`` only the marked
+    outputs.  The sweep's controller build check and every fault-free
+    campaign reference use ``good_out``.
+``fault_all`` / ``fault_out(I, mask, fs, stuck, fg, fp)``
+    The same with one fault hook: ``fs`` pins net slot ``fs`` to
+    ``stuck`` (stem fault), ``fg``/``fp`` re-evaluates gate ``fg`` with
+    input pin ``fp`` pinned (branch fault).  Sentinel ``-1`` disables
+    either hook, so a single generated function serves the whole fault
+    universe.  These serve :meth:`Netlist.evaluate` with a fault and the
+    serial oracles; no dropping campaign calls them.
 ``step_good(bits)`` / ``step_fault(bits, fs, stuck, fg, fp)``
-    Single-pattern (``mask == 1``) kernels for sequential BIST sessions:
-    primary inputs arrive packed in one integer (bit ``i`` = input ``i``)
-    and the marked outputs come back packed the same way, which is exactly
-    the register-transfer shape of the session loops in
-    :mod:`repro.bist.architectures`.
-``lane_all(I, mask, so, br)``
-    Multi-lane evaluation with *per-lane* fault overrides: bit ``l`` of
-    every net is its value in lane ``l``, where each lane simulates one
-    faulty copy of the circuit (lane 0 conventionally fault-free).  ``so``
-    maps net slots to ``(or_mask, and_mask)`` stem overrides and ``br``
-    maps gate indices to pinned-pin branch overrides, each scoped to its
-    lane's bit only.  This is what lets the sequential fallback sessions
-    of :mod:`repro.bist.architectures` superpose many faulty machines --
-    every lane carrying its own register/``lambda*`` trajectory -- into
-    one evaluation per cycle instead of one serial replay per fault.
-    A "lane" is really an arbitrary bit *field*: the PPSFP kernel of
-    :mod:`repro.faults.simulator` hands each fault a whole pattern-set
-    field (``mask << (lane * n_patterns)``) so one evaluation screens
-    ``lanes x patterns`` fault/pattern pairs at once.
-``good_out`` / ``fault_out`` / ``lane_out``
-    Output-slot-only twins of the three ``*_all`` evaluators above; the
-    per-fault screening loops and the PPSFP kernels only ever look at the
-    marked outputs, so these skip materialising the full net list on
-    every call.
+    Single-pattern (``mask == 1``) kernels for the serial BIST sessions
+    (the ``dropping=False`` oracle): primary inputs arrive packed in one
+    integer (bit ``i`` = input ``i``) and the marked outputs come back
+    packed the same way, which is exactly the register-transfer shape of
+    the session loops in :mod:`repro.bist.architectures`.
+``lane_all`` / ``lane_out(I, mask, hit, fix)``
+    The compact multi-lane kernel every faulty evaluation of a dropping
+    campaign goes through.  Bit ``l`` of every net is its value in lane
+    ``l``, where each lane simulates one faulty copy of the circuit
+    (lane 0 conventionally fault-free).  Each slot has one hook line,
+    ``if hit[s]: v = fix(s, v, operands)``; :meth:`lane_overrides` builds
+    the ``hit`` table and the fixer from per-lane fault assignments.  The
+    fixer applies every pin override of a gate at once, evaluates the gate
+    once and applies the slot's stem masks after -- exact because each
+    lane carries at most one fault.  A "lane" may be a single bit (the
+    superposed fallback sessions, where every lane carries its own
+    register trajectory) or a whole ``n``-bit field of patterns or cycles
+    (``mask << (lane * n)``: the PPSFP kernel and the campaign screens,
+    :func:`repro.faults.simulator.superposed_fields`), so one evaluation
+    covers ``lanes x patterns`` fault/pattern pairs.
 
 Each evaluator is compiled on its first call, at most once per netlist:
 :class:`CompiledNetlist` (cached per frozen netlist, see
 :meth:`Netlist.compile`) only builds the slot index, and every evaluator
 slot starts as a stub that compiles the real function and installs it in
-its place, so later calls pay nothing extra.  A sweep calls only some of
-the eight on any one netlist, and never compiles the rest.  The compiled
-object is deliberately excluded from pickling so controllers can be
-shipped to worker processes and recompile lazily on the other side.
+its place, so later calls pay nothing extra.  A sweep compiles only
+``good_out`` and ``lane_out`` of each netlist.  The compile runs in the
+first caller's time, not in :class:`CompiledNetlist`'s constructor.  The
+compiled object is deliberately excluded from pickling so controllers can
+be shipped to worker processes and recompile lazily on the other side.
 
 Equivalence with the interpreted evaluator -- all nets, stem and branch
 faults, arbitrary masks -- is enforced by property tests
@@ -61,16 +61,17 @@ faults, arbitrary masks -- is enforced by property tests
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import NetlistError
 from .netlist import Fault, GateKind, Netlist
 
-#: ``lane_overrides()`` result: stem ``slot -> (or_mask, and_mask)`` plus
-#: branch ``gate_index -> [(pin, stuck_word, lane_mask), ...]`` tables.
-LaneOverrides = Tuple[
-    Dict[int, Tuple[int, int]], Dict[int, List[Tuple[int, int, int]]]
-]
+#: ``lane_overrides()`` result: a per-slot hit table plus the fixer
+#: ``fix(slot, value, operands) -> value`` that the lane kernel calls on
+#: every hit slot.
+LaneOverrides = Tuple[bytearray, Callable[[int, int, tuple], int]]
 
 #: fault-hook sentinel: no stem override, no branch override.
 NO_FAULT = (-1, 0, -1, -1)
@@ -128,49 +129,17 @@ def _make_refault(
     return _refault
 
 
-def _make_lane_refault(
-    kinds: Tuple[GateKind, ...],
-) -> Callable[[int, Sequence[Tuple[int, int, int]], int, tuple, int], int]:
-    """Per-lane branch-fault merge for the multi-lane kernel.
-
-    ``entries`` is the list of ``(pin, stuck_word, lane_mask)`` overrides
-    attached to one gate: the gate is re-evaluated with input ``pin``
-    pinned to ``stuck_word`` and the result replaces ``current`` in the
-    ``lane_mask`` bits only, so each faulty lane sees its own pin value
-    while every other lane keeps the shared computation.
-    """
-
-    def _lane_refault(
-        gate_index: int,
-        entries: Sequence[Tuple[int, int, int]],
-        mask: int,
-        ops: tuple,
-        current: int,
-    ) -> int:
-        kind = kinds[gate_index]
-        for pin, stuck_word, lane_mask in entries:
-            operands = list(ops)
-            operands[pin] = stuck_word
-            if kind is GateKind.AND:
-                value = mask
-                for operand in operands:
-                    value &= operand
-            elif kind is GateKind.OR:
-                value = 0
-                for operand in operands:
-                    value |= operand
-            elif kind is GateKind.XOR:
-                value = 0
-                for operand in operands:
-                    value ^= operand
-            elif kind is GateKind.NOT:
-                value = ~operands[0] & mask
-            else:  # BUF (CONST gates have no pins)
-                value = operands[0]
-            current = (current & ~lane_mask) | (value & lane_mask)
-        return current
-
-    return _lane_refault
+#: operator a gate with pin overrides recomputes with (``reduce`` over its
+#: operands; a lone operand reduces to itself, so BUF takes any of them).
+#: NOT maps to ``None``: it flips exactly the changed bits, needing no
+#: mask.  CONST gates have no pins and never recompute.
+_REDUCE: Dict[GateKind, Optional[Callable[[int, int], int]]] = {
+    GateKind.AND: and_,
+    GateKind.OR: or_,
+    GateKind.XOR: xor,
+    GateKind.BUF: or_,
+    GateKind.NOT: None,
+}
 
 
 #: evaluator name -> (argument list, body family, returned nets).  The
@@ -183,8 +152,8 @@ _EVALUATORS: Dict[str, Tuple[str, str, str]] = {
     "fault_out": ("I, mask, fs, stuck, fg, fp", "fault", "out"),
     "step_good": ("bits", "step_good", "packed"),
     "step_fault": ("bits, fs, stuck, fg, fp", "step_fault", "packed"),
-    "lane_all": ("I, mask, so, br", "lane", "all"),
-    "lane_out": ("I, mask, so, br", "lane", "out"),
+    "lane_all": ("I, mask, hit, fix", "lane", "all"),
+    "lane_out": ("I, mask, hit, fix", "lane", "out"),
 }
 
 
@@ -256,10 +225,7 @@ class CompiledNetlist:
         caller ever sees a half-built evaluator.
         """
         kinds = tuple(g.kind for g in self._gates)
-        namespace: Dict[str, Any] = {
-            "_refault": _make_refault(kinds),
-            "_lane_refault": _make_lane_refault(kinds),
-        }
+        namespace: Dict[str, Any] = {"_refault": _make_refault(kinds)}
         source = self._source(evaluator)
         filename = f"<compiled netlist {self.name!r}: {evaluator}>"
         exec(compile(source, filename, "exec"), namespace)
@@ -274,8 +240,6 @@ class CompiledNetlist:
         faulty = family in ("fault", "step_fault")
         lane = family == "lane"
         body = [f"def {evaluator}({arguments}):"]
-        if lane:
-            body.append("    g = so.get")
         for slot in range(self.n_inputs):
             if step:
                 unpack = "bits & 1" if slot == 0 else f"(bits >> {slot}) & 1"
@@ -285,8 +249,7 @@ class CompiledNetlist:
             if faulty:
                 body.append(f"    if fs == {slot}: v{slot} = stuck")
             if lane:
-                body.append(f"    t = g({slot})")
-                body.append(f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]")
+                body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, ())")
         mask = "1" if step else "mask"
         for gate_index, gate in enumerate(self._gates):
             slot = self.n_inputs + gate_index
@@ -295,7 +258,7 @@ class CompiledNetlist:
                 body.append(f"    v{slot} = {operands[0]} ^ 1")
             else:
                 body.append(f"    v{slot} = {_operand_expr(gate.kind, operands, mask)}")
-            pinned = f"({', '.join(operands)},)"
+            pinned = f"({', '.join(operands)},)" if operands else "()"
             if faulty:
                 if gate.inputs:
                     body.append(
@@ -304,14 +267,7 @@ class CompiledNetlist:
                     )
                 body.append(f"    if fs == {slot}: v{slot} = stuck")
             if lane:
-                if gate.inputs:
-                    body.append(f"    e = br.get({gate_index})")
-                    body.append(
-                        f"    if e is not None: v{slot} = _lane_refault("
-                        f"{gate_index}, e, mask, {pinned}, v{slot})"
-                    )
-                body.append(f"    t = g({slot})")
-                body.append(f"    if t is not None: v{slot} = (v{slot} | t[0]) & t[1]")
+                body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, {pinned})")
         if returned == "packed":
             packed = " | ".join(
                 f"v{slot}" if position == 0 else f"(v{slot} << {position})"
@@ -342,38 +298,76 @@ class CompiledNetlist:
     def lane_overrides(
         self, assignments: Sequence[Tuple[Optional[Fault], int]]
     ) -> LaneOverrides:
-        """Per-lane fault assignments -> the ``lane_all`` override tables.
+        """Per-lane fault assignments -> the lane kernel's ``(hit, fix)``.
 
         ``assignments`` is a sequence of ``(fault, lane_mask)`` pairs; each
         fault is applied only in the bit positions of its ``lane_mask``
-        (normally a single lane bit).  Stem faults merge into one
-        ``slot -> (or_mask, and_mask)`` table; branch faults collect per
-        gate as ``(pin, stuck_word, lane_mask)`` entries.  A stem fault on
-        a net unknown to this netlist degrades to a no-op, exactly like
-        :meth:`fault_args`.  Lanes are independent because every lane
-        carries at most one fault, so override order within a table cannot
-        matter.
+        (one lane bit, or one whole pattern field).  ``hit[slot]`` is set
+        for every net slot that carries an override: a stem fault on the
+        net, or a branch fault on a pin of the gate driving it.  On a hit
+        slot ``fix`` ORs/ANDs every pin override of the gate into its
+        operands at once, evaluates the gate once, and then applies the
+        slot's stem masks.  That is exact because every lane carries at
+        most one fault: the lanes a pin override leaves alone see their
+        own operands and recompute their own value.  A fault on a net or
+        pin unknown to this netlist degrades to a no-op, like
+        :meth:`fault_args`.
         """
-        stem: Dict[int, Tuple[int, int]] = {}
-        branch: Dict[int, List[Tuple[int, int, int]]] = {}
+        gates = self._gates
+        n_inputs = self.n_inputs
+        net_slot = self.index
+        stems: Dict[int, List[int]] = {}
+        pins: Dict[int, Dict[int, List[int]]] = {}
         for fault, lane_mask in assignments:
             if fault is None:
                 continue
-            if fault.is_stem:
-                slot = self.index.get(fault.net)
+            gate_index = fault.gate_index
+            if gate_index is None:
+                slot = net_slot.get(fault.net)
                 if slot is None:
                     continue
-                or_mask, and_mask = stem.get(slot, (0, -1))
-                if fault.stuck_at:
-                    or_mask |= lane_mask
-                else:
-                    and_mask &= ~lane_mask
-                stem[slot] = (or_mask, and_mask)
+                masks = stems.get(slot) or stems.setdefault(slot, [0, -1])
             else:
-                branch.setdefault(fault.gate_index, []).append(
-                    (fault.pin, lane_mask if fault.stuck_at else 0, lane_mask)
-                )
-        return (stem, branch)
+                pin = fault.pin
+                if not (
+                    0 <= gate_index < len(gates)
+                    and 0 <= pin < len(gates[gate_index].inputs)
+                ):
+                    continue
+                gate_pins = pins.setdefault(n_inputs + gate_index, {})
+                masks = gate_pins.get(pin) or gate_pins.setdefault(pin, [0, -1])
+            if fault.stuck_at:
+                masks[0] |= lane_mask
+            else:
+                masks[1] &= ~lane_mask
+        hit = bytearray(len(self.net_names))
+        entries: List[Any] = [None] * len(hit)
+        for slot, (stem_or, stem_and) in stems.items():
+            hit[slot] = 1
+            entries[slot] = ((), None, stem_or, stem_and)
+        for slot, gate_pins in pins.items():
+            hit[slot] = 1
+            stem_or, stem_and = stems.get(slot, (0, -1))
+            entries[slot] = (
+                [(pin, masks[0], masks[1]) for pin, masks in gate_pins.items()],
+                _REDUCE[gates[slot - n_inputs].kind],
+                stem_or,
+                stem_and,
+            )
+
+        def fix(slot: int, value: int, operands: tuple) -> int:
+            pin_masks, operator, stem_or, stem_and = entries[slot]
+            if pin_masks:
+                ops = list(operands)
+                for pin, or_mask, and_mask in pin_masks:
+                    ops[pin] = (ops[pin] | or_mask) & and_mask
+                if operator is None:  # NOT
+                    value ^= operands[0] ^ ops[0]
+                else:
+                    value = reduce(operator, ops)
+            return (value | stem_or) & stem_and
+
+        return (hit, fix)
 
     def pack_inputs(self, input_values: Dict[str, int]) -> List[int]:
         """Dict-keyed input values -> slot-ordered list (with presence check)."""
@@ -431,7 +425,7 @@ class CompiledNetlist:
         """
         if overrides is None:
             return self._good_all(input_words, mask)
-        return self._lane_all(input_words, mask, overrides[0], overrides[1])
+        return self._lane_all(input_words, mask, *overrides)
 
     def lane_eval_outputs(
         self,
@@ -442,4 +436,4 @@ class CompiledNetlist:
         """Marked-output lane words only, in output order."""
         if overrides is None:
             return self._good_out(input_words, mask)
-        return self._lane_out(input_words, mask, overrides[0], overrides[1])
+        return self._lane_out(input_words, mask, *overrides)

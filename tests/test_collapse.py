@@ -277,3 +277,130 @@ def test_custom_probe_faults_stay_singletons():
     probe = Fault(net="t", stuck_at=0, gate_index=1, pin=1)  # not canonical
     fault_map = FaultMap.for_netlist(netlist, faults=[probe, probe], mode="equiv")
     assert fault_map.scheduled == 1  # equal probes still share one class
+
+
+# -- integer tables: faulty functions, parent-identical maps, probes ----------
+
+
+@given(random_netlists())
+@settings(max_examples=150)
+def test_class_members_compute_one_faulty_function(netlist):
+    """Every member of a class computes the same faulty output function
+    over all input patterns (interpreted evaluator, exhaustive)."""
+    n_inputs = len(netlist.inputs)
+    n_patterns = 1 << n_inputs
+    packed = {
+        name: sum(
+            1 << pattern for pattern in range(n_patterns) if (pattern >> position) & 1
+        )
+        for position, name in enumerate(netlist.inputs)
+    }
+    mask = (1 << n_patterns) - 1
+    functions = {}
+    for fault, class_id in equivalence_classes(netlist).items():
+        values = netlist.evaluate_interpreted(packed, mask=mask, fault=fault)
+        function = tuple(values[net] for net in netlist.outputs)
+        assert functions.setdefault(class_id, function) == function, fault
+
+
+def _collapse_digest(controller) -> str:
+    """Digest of the equivalence map (representatives, stats, expansion)
+    and of the dominance map (kept representatives, stats)."""
+    import hashlib
+    import json
+
+    payload = []
+    for mode in ("equiv", "dominance"):
+        fault_map = FaultMap.for_controller(controller, mode=mode)
+        payload.append(
+            [[block, fault.describe()] for block, fault in fault_map.representatives]
+        )
+        payload.append(fault_map.stats())
+        if mode == "equiv":
+            payload.append(fault_map.rep_index)
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+#: ``_collapse_digest`` and the equivalence-scheduled count of every
+#: Table-1 machine's pipeline and doubled controllers, recorded with the
+#: ``Fault``-keyed union-find these integer tables replaced.
+TABLE1_COLLAPSE = {
+    "bbara/pipeline": ("1ea46b6c1fd6ad06", 297),
+    "bbara/doubled": ("a4927597a65c3952", 414),
+    "bbtas/pipeline": ("368ec296c59b137e", 311),
+    "bbtas/doubled": ("04a20f8a3d71c83c", 264),
+    "dk14/pipeline": ("069e54b885b7b578", 758),
+    "dk14/doubled": ("910139b4f60f8069", 726),
+    "dk15/pipeline": ("1acfc16a3190f376", 347),
+    "dk15/doubled": ("458bc33ffef97a86", 352),
+    "dk16/pipeline": ("7fd6af25199d4100", 1359),
+    "dk16/doubled": ("f3f4a23f129f5965", 1402),
+    "dk17/pipeline": ("de57f718331286fc", 446),
+    "dk17/doubled": ("d04e711f26dc493c", 416),
+    "dk27/pipeline": ("5b76cc161ee19047", 189),
+    "dk27/doubled": ("26af132311498a17", 186),
+    "dk512/pipeline": ("caf776507aeba2eb", 505),
+    "dk512/doubled": ("aa828159286622a9", 386),
+    "mc/pipeline": ("b2ced4129efbb51c", 354),
+    "mc/doubled": ("6fc4bcc15bb9b0f5", 384),
+    "s1/pipeline": ("7d8c63049a5feba3", 3254),
+    "s1/doubled": ("60197e85f4196523", 3080),
+    "shiftreg/pipeline": ("20b1f5cd5463860a", 18),
+    "shiftreg/doubled": ("4178fe9485773679", 16),
+    "tav/pipeline": ("4a3223b0cad92e87", 70),
+    "tav/doubled": ("d6fd8f172b95e078", 136),
+    "tbk/pipeline": ("7b8be719eef30f53", 1235),
+    "tbk/doubled": ("4c3f72c65065d30d", 1428),
+}
+
+
+def test_table1_collapse_maps_unchanged():
+    """Representatives, ``stats()``, expansion and the dominance drops of
+    every Table-1 controller match the recorded maps."""
+    from repro import suite
+    from repro.ostr.search import search_ostr
+    from repro.pipeline import build_controller
+
+    seen = {}
+    for name in suite.names():
+        machine = suite.load(name)
+        result = search_ostr(machine, **suite.entry(name).search_kwargs)
+        for architecture in ("pipeline", "doubled"):
+            controller = build_controller(machine, architecture, result)
+            seen[f"{name}/{architecture}"] = (
+                _collapse_digest(controller),
+                FaultMap.for_controller(controller).scheduled,
+            )
+    assert seen == TABLE1_COLLAPSE
+
+
+def test_controller_probe_faults_key_on_block_and_value(shiftreg):
+    """A non-canonical probe in an explicit controller list is its own
+    class, keyed by (block, "x", fault): equal probes in one block share
+    it, the same probe in the other block does not, and no probe merges
+    with a canonical fault."""
+    from repro.bist.architectures import build_doubled
+
+    controller = build_doubled(shiftreg)
+    network = controller.plain.network
+    gate = network.gates[0]
+    probe = Fault(net=gate.inputs[0], stuck_at=0, gate_index=0, pin=len(gate.inputs))
+    canonical = controller.fault_universe()[0]
+    faults = [("C_a", probe), canonical, ("C_a", probe), ("C_b", probe)]
+    fault_map = FaultMap.for_controller(controller, faults=faults, mode="equiv")
+    assert fault_map.representatives == [("C_a", probe), canonical, ("C_b", probe)]
+    assert fault_map.rep_index == [0, 1, 0, 2]
+    assert fault_map.n_classes == 3
+    # A branch fault naming the wrong net for its pin is a probe too, not
+    # the canonical branch fault at that position.
+    branch = Fault(net=gate.inputs[0], stuck_at=0, gate_index=0, pin=0)
+    wrong_net = Fault(
+        net=next(net for net in network.nets() if net != gate.inputs[0]),
+        stuck_at=0,
+        gate_index=0,
+        pin=0,
+    )
+    fault_map = FaultMap.for_controller(
+        controller, faults=[("C_a", branch), ("C_a", wrong_net)], mode="equiv"
+    )
+    assert fault_map.scheduled == 2

@@ -165,6 +165,9 @@ def test_evaluators_compile_on_first_call(monkeypatch):
     assert compiled == []
     stem = engine.fault_args(Fault(net="ab", stuck_at=1))
     overrides = engine.lane_overrides([(Fault(net="na", stuck_at=0), 2)])
+    hit, _fix = overrides  # the lane kernel takes (I, mask, hit, fix)
+    assert list(hit) == [int(net == "na") for net in engine.net_names]
+    assert compiled == []
     calls = [
         ("good_all", lambda: engine.eval_list([1, 1], 1)),
         ("fault_all", lambda: engine.eval_list([1, 1], 1, stem)),

@@ -77,3 +77,38 @@ def test_static_analysis_observation_override(machine):
     controller = build_controller(machine)
     analysis = static_analysis(controller, observed=())
     assert all(report.has_errors for report in analysis.blocks.values())
+
+
+def test_sweep_path_compiles_good_out_and_lane_out_only(monkeypatch):
+    """Build check plus the sweep-default campaign on a pipeline controller
+    compile exactly ``good_out`` and ``lane_out`` of each block netlist:
+    six evaluators per controller, no ``fault_out`` and no ``step_good``."""
+    import builtins
+
+    import repro.netlist.compiled as compiled_module
+    from repro.faults import measure_coverage
+    from repro.suite.sweep import SweepConfig
+
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return builtins.compile(source, filename, mode)
+
+    monkeypatch.setattr(compiled_module, "compile", counting_compile, raising=False)
+    config = SweepConfig()
+    controller = build_controller(suite.load("dk27"), "pipeline")
+    measure_coverage(
+        controller,
+        cycles=config.cycles,
+        seed=config.seed,
+        workers=config.workers,
+        dropping=True,
+        collapse=config.collapse,
+        prescreen=config.prescreen,
+    )
+    assert sorted(compiled) == sorted(
+        f"<compiled netlist {netlist.name!r}: {evaluator}>"
+        for netlist in (controller.c1, controller.c2, controller.lambda_net)
+        for evaluator in ("good_out", "lane_out")
+    )

@@ -202,3 +202,166 @@ def test_broadcast_lanes_replicates_bits(value, count, lanes):
     for position, word in enumerate(words):
         expected = lane_mask if (value >> position) & 1 else 0
         assert word == expected
+
+
+# -- the lane kernel's per-slot hook: pins of one gate, stems, CONST gates --
+
+_ALL_KINDS = _KINDS + (GateKind.CONST0, GateKind.CONST1)
+
+
+@st.composite
+def netlists_with_constants(draw, max_inputs=3, max_gates=8):
+    """Random netlists mixing CONST0/CONST1 (no pins) and single-input
+    gates with multi-input ones; gate 0 always has two or three pins."""
+    n_inputs = draw(st.integers(min_value=1, max_value=max_inputs))
+    n_gates = draw(st.integers(min_value=1, max_value=max_gates))
+    netlist = Netlist("hyp-const")
+    nets = [netlist.add_input(f"i{position}") for position in range(n_inputs)]
+    for position in range(n_gates):
+        if position == 0:
+            kind = draw(st.sampled_from((GateKind.AND, GateKind.OR, GateKind.XOR)))
+            count = draw(st.integers(min_value=2, max_value=3))
+        else:
+            kind = draw(st.sampled_from(_ALL_KINDS))
+            if kind in (GateKind.CONST0, GateKind.CONST1):
+                count = 0
+            elif kind in (GateKind.NOT, GateKind.BUF):
+                count = 1
+            else:
+                count = draw(st.integers(min_value=1, max_value=3))
+        operands = [nets[draw(st.integers(0, len(nets) - 1))] for _ in range(count)]
+        nets.append(netlist.add_gate(kind, f"g{position}", operands))
+    marked = draw(
+        st.lists(st.integers(0, len(nets) - 1), min_size=1, max_size=4, unique=True)
+    )
+    for position in sorted(marked):
+        netlist.mark_output(nets[position])
+    return netlist.freeze()
+
+
+@st.composite
+def same_gate_lanes(draw):
+    """Faults on different pins of one gate, a stem fault on that gate's
+    output in another lane, stems on CONST outputs, plus random faults;
+    and a pattern set packed into each lane's field."""
+    netlist = draw(netlists_with_constants())
+    gates = netlist.gates
+    target = draw(
+        st.sampled_from([index for index, gate in enumerate(gates) if gate.inputs])
+    )
+    gate = gates[target]
+    pins = draw(
+        st.lists(
+            st.integers(0, len(gate.inputs) - 1),
+            min_size=1,
+            max_size=len(gate.inputs),
+            unique=True,
+        )
+    )
+    faults = [
+        Fault(
+            net=gate.inputs[pin],
+            stuck_at=draw(st.integers(0, 1)),
+            gate_index=target,
+            pin=pin,
+        )
+        for pin in pins
+    ]
+    faults.append(Fault(net=gate.output, stuck_at=draw(st.integers(0, 1))))
+    for constant in gates:
+        if not constant.inputs:
+            faults.append(Fault(net=constant.output, stuck_at=draw(st.integers(0, 1))))
+    nets = netlist.nets()
+    pinned = [index for index, candidate in enumerate(gates) if candidate.inputs]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        stuck = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            faults.append(Fault(net=draw(st.sampled_from(nets)), stuck_at=stuck))
+        else:
+            index = draw(st.sampled_from(pinned))
+            pin = draw(st.integers(0, len(gates[index].inputs) - 1))
+            faults.append(
+                Fault(
+                    net=gates[index].inputs[pin],
+                    stuck_at=stuck,
+                    gate_index=index,
+                    pin=pin,
+                )
+            )
+    faults = draw(st.permutations(faults))
+    n_patterns = draw(st.integers(min_value=1, max_value=6))
+    patterns = [
+        [draw(st.integers(0, 1)) for _ in netlist.inputs] for _ in range(n_patterns)
+    ]
+    return netlist, faults, patterns
+
+
+def _assert_lanes_match_serial(netlist, faults, patterns):
+    """Every field of one lane evaluation == that fault's serial runs."""
+    compiled = netlist.compile()
+    n_patterns = len(patterns)
+    mask = (1 << n_patterns) - 1
+    packed = [
+        sum(pattern[position] << cycle for cycle, pattern in enumerate(patterns))
+        for position in range(len(netlist.inputs))
+    ]
+    fields = len(faults) + 1
+    words = [
+        sum(value << (lane * n_patterns) for lane in range(fields)) for value in packed
+    ]
+    word_mask = (1 << (fields * n_patterns)) - 1
+    overrides = compiled.lane_overrides(
+        [(fault, mask << (lane * n_patterns)) for lane, fault in enumerate(faults, 1)]
+    )
+    lane_out = compiled.lane_eval_outputs(words, word_mask, overrides)
+    lane_all = compiled.lane_eval(words, word_mask, overrides)
+    named = dict(zip(netlist.inputs, packed))
+    for lane, fault in enumerate([None] + list(faults)):
+        shift = lane * n_patterns
+        serial = compiled.eval_outputs_list(packed, mask, compiled.fault_args(fault, mask))
+        interpreted = netlist.evaluate_interpreted(named, mask=mask, fault=fault)
+        assert [(word >> shift) & mask for word in lane_out] == serial, fault
+        assert serial == [interpreted[net] for net in netlist.outputs], fault
+        assert [(word >> shift) & mask for word in lane_all] == [
+            interpreted[net] for net in compiled.net_names
+        ], fault
+
+
+@given(same_gate_lanes())
+@settings(max_examples=200, deadline=None)
+def test_lane_kernel_pins_of_one_gate_equal_serial(data):
+    """Several pin overrides of one gate are applied in one recompute, the
+    gate's stem fault in its own lane after it; every lane must still be
+    its own fault's serial and interpreted evaluation."""
+    _assert_lanes_match_serial(*data)
+
+
+def test_lane_kernel_const_gates():
+    """Input-less CONST gates get an empty operand tuple in the lane hook
+    (never ``(,)``), and their stem faults flip the constant per lane."""
+    netlist = Netlist("consts")
+    netlist.add_input("a")
+    netlist.add_gate(GateKind.CONST0, "zero", [])
+    netlist.add_gate(GateKind.CONST1, "one", [])
+    netlist.add_gate(GateKind.AND, "y", ["a", "one"])
+    netlist.add_gate(GateKind.OR, "z", ["zero", "a"])
+    netlist.add_gate(GateKind.XOR, "w", ["zero", "one", "a"])
+    netlist.add_gate(GateKind.NOT, "n", ["w"])
+    for net in ("zero", "one", "y", "z", "n"):
+        netlist.mark_output(net)
+    netlist.freeze()
+    source = netlist.compile()._source("lane_out")
+    assert "(,)" not in source
+    assert "fix(1, v1, ())" in source and "fix(2, v2, ())" in source
+    faults = [
+        Fault(net="zero", stuck_at=1),
+        Fault(net="one", stuck_at=0),
+        Fault(net="one", stuck_at=0, gate_index=2, pin=1),
+        Fault(net="a", stuck_at=1, gate_index=2, pin=0),
+        Fault(net="y", stuck_at=1),
+        Fault(net="zero", stuck_at=1, gate_index=4, pin=0),
+        Fault(net="one", stuck_at=0, gate_index=4, pin=1),
+        Fault(net="w", stuck_at=1, gate_index=5, pin=0),
+        Fault(net="n", stuck_at=0),
+    ]
+    _assert_lanes_match_serial(netlist, faults, [[0], [1]])
