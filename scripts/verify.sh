@@ -59,6 +59,11 @@ echo "== corpus + sweep harness (golden shards, manifest ledger, KISS round trip
 python -m pytest tests/test_corpus_golden.py tests/test_sweep.py \
   tests/test_prop_kiss.py -q
 
+echo "== member workers (crash re-run, WorkerCrash/JobTimeout jobs, byte-identical ledgers at any worker or slot count) =="
+python -m pytest tests/test_sweep.py tests/test_service.py \
+  tests/test_service_chaos.py -q \
+  -k "MemberWorker or member_worker or scheduler_independent or byte_identical"
+
 echo "== campaign service (job engine, HTTP surface, chaos, sweep bit-identity) =="
 python -m pytest tests/test_service.py -q
 

@@ -155,7 +155,7 @@ def _linear_session_signature(
     dict-driven loop as the bit-identical reference.
     """
     width = plain.state_width
-    generator = Lfsr.from_any_seed(width + plain.input_width, seed, complete=True)
+    generator = _prpg(width + plain.input_width, seed)
     response_register = Misr(max(4, width + plain.output_width))
     if engine == "interpreted":
         for _ in range(cycles):
@@ -177,10 +177,31 @@ def _linear_session_signature(
     return response_register.signature
 
 
+class _EmptyPrpg:
+    """The generator of a session with no source bits.
+
+    A block whose generating register and input encoding are both zero
+    bits wide has exactly one input pattern, the empty one; the session
+    applies it on every clock.
+    """
+
+    state = 0
+
+    def step(self) -> int:
+        return 0
+
+
+def _prpg(width: int, seed: int):
+    """A session's free-running complete-cycle PRPG (``width`` may be 0)."""
+    if width == 0:
+        return _EmptyPrpg()
+    return Lfsr.from_any_seed(width, seed, complete=True)
+
+
 def _prpg_words(width: int, seed: int, cycles: int) -> List[int]:
     """The first ``cycles`` states of a free-running complete-cycle PRPG:
     the fault-independent pattern words of a session."""
-    prpg = Lfsr.from_any_seed(width, seed, complete=True)
+    prpg = _prpg(width, seed)
     words = []
     for _ in range(cycles):
         words.append(prpg.state)
@@ -993,7 +1014,7 @@ class PipelineController:
     ) -> Tuple[int]:
         """Session C: R1+R2 chained into one PRPG, lambda* exhaustively driven."""
         total_width = self.w1 + self.w2 + self.input_width
-        prpg = Lfsr.from_any_seed(total_width, seed, complete=True)
+        prpg = _prpg(total_width, seed)
         output_misr = Misr(max(4, self.output_width))
         cycles = min(4096, 2 ** total_width)
         if engine == "interpreted":
@@ -1071,9 +1092,7 @@ class PipelineController:
         # One complete-cycle PRPG spans the generating register and the
         # primary inputs, so the block under test sees every input vector
         # (pseudo-exhaustive session, refs [4, 17] of the paper).
-        prpg = Lfsr.from_any_seed(
-            source_width + self.input_width, seed, complete=True
-        )
+        prpg = _prpg(source_width + self.input_width, seed)
         fault_key = "C1" if generator == "R1" else "C2"
         if engine == "interpreted":
             for _ in range(cycles):
@@ -1353,9 +1372,7 @@ class PipelineController:
         from_r1 = generator == "R1"
         misr = LaneMisr(misr_width)
         output_misr = LaneMisr(output_misr_width)
-        prpg = Lfsr.from_any_seed(
-            source_width + self.input_width, session["seed"], complete=True
-        )
+        prpg = _prpg(source_width + self.input_width, session["seed"])
         w1, w2 = self.w1, self.w2
         output_width = self.output_width
         for _ in range(session["cycles"]):

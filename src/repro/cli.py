@@ -14,7 +14,7 @@ Subcommands
                                  with a manifest ledger (see ``--list``,
                                  ``--verify``, ``--reproduce``, ``--service``)
 * ``serve``                   -- the campaign service: an HTTP job queue
-                                 over sharded persistent worker pools
+                                 over forked member workers
                                  (``--journal`` arms crash recovery)
 * ``submit``                  -- submit one machine to a running service
                                  and stream the result back
@@ -338,7 +338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.address
     print(
         f"campaign service on http://{host}:{port} "
-        f"({args.shards} shard(s) x {args.pool_workers} pool worker(s), "
+        f"({args.shards} shard(s) x {args.pool_workers} member worker(s), "
         f"queue limit {args.max_queued})",
         flush=True,
     )
@@ -351,13 +351,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{recovery['restored_failed']} failed / "
             f"{recovery['restored_cancelled']} cancelled restored, "
             f"{recovery['requeued']} requeued"
-            + (", torn tail dropped" if recovery["torn_tail"] else "")
-            + (
-                f", {recovery['checkpoints_removed']} stale checkpoint(s) "
-                "removed"
-                if recovery["checkpoints_removed"]
-                else ""
-            ),
+            + (", torn tail dropped" if recovery["torn_tail"] else ""),
             flush=True,
         )
     # SIGTERM (and a first ^C) drain gracefully: queued and running jobs
@@ -790,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="serve every campaign of the sweep from one pool of N worker "
-        "processes (wall-clock only; the metrics ledger is "
-        "scheduler-independent)",
+        help="run whole members in N forked worker processes, largest "
+        "first (N > 1; wall-clock only: records are written in selection "
+        "order and the metrics ledger is the same at any N)",
     )
     sweep.add_argument(
         "--no-timings", action="store_true",
@@ -820,17 +814,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="run the campaign service (HTTP job queue over persistent pools)",
+        help="run the campaign service (HTTP job queue over member workers)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8337)
     serve.add_argument(
         "--shards", type=int, default=1,
-        help="parallel pool shards (bounds in-flight jobs)",
+        help="executor shards; with --pool-workers N there are shards x N "
+        "slots, all pulling from one queue (bounds in-flight jobs)",
     )
     serve.add_argument(
         "--pool-workers", type=int, default=2, metavar="N",
-        help="persistent worker processes per shard (0 = in-process campaigns)",
+        help="forked member workers per shard, each running whole jobs "
+        "(search, build and campaign) in parallel; 0 = one in-process "
+        "slot per shard",
     )
     serve.add_argument(
         "--max-queued", type=int, default=64, metavar="N",

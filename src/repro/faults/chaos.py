@@ -8,7 +8,9 @@ are exercised on purpose.  This module is the fault model for the test
 infrastructure: small, deterministic injection plans that the worker
 processes consult at well-defined hook points, gated off entirely unless
 a plan is supplied (parameter) or armed in the environment
-(:data:`CHAOS_ENV`).
+(:data:`CHAOS_ENV`).  Pool-scope events also arm in the member workers
+of :mod:`repro.suite.worker`, where a "chunk" is one whole member: the
+hook fires as each member starts.
 
 Supported event kinds
 ---------------------

@@ -12,8 +12,8 @@ uninterrupted run.  :class:`CampaignCheckpoint` is that prefix on disk:
   mode, and a digest of the exact scheduled fault sequence), so a stale
   checkpoint from a different campaign is ignored, never merged.  The
   subject digest is the same SHA-256-of-pickle identity the
-  :class:`~repro.faults.pool.CampaignPool` subject cache and the campaign
-  service's job dedupe use (it was SHA-1 before the unification, so
+  :class:`~repro.faults.pool.CampaignPool` subject cache uses (it was
+  SHA-1 before the unification, so
   checkpoints from older versions key differently and are treated as
   "no checkpoint" -- the campaign restarts from scratch rather than
   resuming from a mismatched snapshot);

@@ -439,8 +439,7 @@ def _campaign_checkpoint(
 
     The subject digest is the SHA-256 of the pickled controller -- the
     same content identity the :class:`~repro.faults.pool.CampaignPool`
-    subject cache and the campaign service's job dedupe key on, so one
-    digest scheme identifies a subject everywhere.  (It was SHA-1 before
+    subject cache keys on.  (It was SHA-1 before
     the unification; checkpoints written by older versions therefore key
     differently and are ignored as stale -- a safe failure mode, the
     campaign just starts fresh.)

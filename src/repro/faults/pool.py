@@ -1,14 +1,13 @@
-"""Campaign worker pools: the one multi-process campaign scheduler.
+"""Campaign worker pools: multi-process fault campaigns of one controller.
 
-Every multi-process fault campaign runs here.  A caller that sweeps many
-campaigns (:mod:`repro.experiments`, :mod:`repro.suite.sweep`, the
-campaign service, the benchmark harness) opens one long-lived
-:class:`CampaignPool` and reuses it, so fork and per-controller state
-rebuild (compiled netlist kernels, reference signatures, screening
-bundles, packed pattern streams) are paid once.  A single
-``run_campaign(workers=N)`` opens an ephemeral pool for that campaign,
-with the controller preloaded into every worker's cache at fork time
-(``preload=``), so even a one-off campaign ships and recompiles nothing.
+:class:`CampaignPool` splits one campaign's fault universe across worker
+processes.  It serves ``repro coverage --workers N`` and
+:mod:`repro.experiments` (one long-lived pool for a machine's
+architectures), and a single ``run_campaign(workers=N)`` opens an
+ephemeral pool with the controller preloaded into every worker at fork
+time (``preload=``), so a one-off campaign ships and recompiles nothing.
+Whole sweep members -- the unit a sweep or the campaign service runs in
+parallel -- go to :mod:`repro.suite.worker` instead.
 
 * **Long-lived workers.**  ``workers`` processes are spawned once,
   inheriting the shared scheduling state (next-chunk counter, per-fault
@@ -16,15 +15,13 @@ with the controller preloaded into every worker's cache at fork time
   per-worker duplex pipes.  Two job kinds share the protocol: full
   ``measure_coverage`` campaigns and PPSFP pattern-set simulations.
 * **Subject + state caches.**  A job references its subject (controller or
-  netlist) by the SHA-256 of its pickled bytes (:func:`subject_digest` --
-  the one content-identity scheme shared with the corpus/sweep ledgers,
-  campaign checkpoints and the campaign service's job dedupe); the
-  payload ships only to
+  netlist) by the SHA-256 of its pickled bytes (:func:`subject_digest`,
+  the key campaign checkpoints use too); the payload ships only to
   workers that have not cached that digest yet ("reuse hits"), and every
   worker keeps the unpickled subject -- with its lazily compiled netlist
   kernels -- plus the per-(subject, session-parameters) campaign state
-  across jobs.  Repeated campaigns therefore skip fork, unpickle,
-  recompile *and* reference-signature rebuild.
+  across jobs.  Repeated campaigns therefore skip unpickle, recompile
+  *and* reference-signature rebuild.
 * **Chunk stealing, deterministic merge.**  Within a job, workers steal
   index chunks from the shared counter, so the tail stays balanced even
   when chunks finish unevenly (with dropping they always do: screened-out
@@ -95,11 +92,8 @@ __all__ = ["CampaignPool", "subject_digest"]
 def subject_digest(payload: bytes) -> str:
     """Content identity of a pickled subject: hex SHA-256 of the bytes.
 
-    One digest scheme identifies a subject everywhere -- the pool's
-    worker-side subject caches, the campaign checkpoint keys
-    (:mod:`repro.faults.checkpoint`) and the campaign service's
-    duplicate-job detection all key on this value, so a cache hit in one
-    layer implies the same subject in every other.
+    The pool's worker-side subject caches and the campaign checkpoint
+    keys (:mod:`repro.faults.checkpoint`) both key on this value.
     """
     return hashlib.sha256(payload).hexdigest()
 
@@ -532,29 +526,6 @@ class CampaignPool:
     def _ensure_open(self) -> None:
         if self._closed:
             raise PoolClosed("campaign pool is closed")
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        """A coherent, JSON-able copy of the pool's telemetry.
-
-        ``stats`` and ``last_job`` are live mutable dicts; a reader in
-        another thread (the service's ``/metrics`` endpoint) would see
-        them mid-update.  This returns plain copies plus the pool shape
-        (worker count, slab capacity, configured deadline/retry budget,
-        liveness), safe to serialise at any time -- including on a closed
-        pool, where it reports ``closed: True`` instead of raising.
-        """
-        return {
-            "workers": self.workers,
-            "capacity": self._capacity,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "closed": self._closed,
-            "stats": dict(self.stats),
-            "last_job": {
-                key: (list(value) if isinstance(value, list) else value)
-                for key, value in self.last_job.items()
-            },
-        }
 
     def close(self, timeout: float = 5.0) -> None:
         """Shut the workers down; idempotent.

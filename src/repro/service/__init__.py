@@ -1,16 +1,16 @@
-"""Campaign service: an async batch job engine over :class:`CampaignPool`.
+"""Campaign service: an async batch job engine over member workers.
 
 The production-shaped front half of the repro stack: clients submit
 synthesis→BIST-campaign jobs over HTTP and stream the resulting
 :class:`~repro.faults.coverage.CoverageReport`-bearing metrics records
-back as they finish, while the service multiplexes the work across
-sharded persistent worker pools with priority scheduling, bounded
-queues, SHA-256 content dedupe and graceful drain.
+back as they finish, while the service runs each job whole in a forked
+member worker (:mod:`repro.suite.worker`) fed from one priority queue,
+with bounded queues, SHA-256 content dedupe and graceful drain.
 
 Three layers, each usable on its own:
 
 * :class:`~repro.service.jobs.JobEngine` -- the in-process engine
-  (priority heaps, shard executors, admission control, dedupe).
+  (priority queue, executor slots, admission control, dedupe).
 * :class:`~repro.service.app.CampaignServer` -- the stdlib
   ``http.server`` REST front-end (``repro serve``).
 * :class:`~repro.service.client.ServiceClient` -- the typed HTTP client
@@ -28,7 +28,7 @@ service is bit-identical to the in-process path -- *including* a sweep
 that survived a server crash and restart mid-batch.
 """
 
-from .app import CampaignServer, serve
+from .app import CampaignServer
 from .client import ServiceClient, ServiceError
 from .jobs import AdhocMember, Job, JobEngine, job_payload_key
 from .journal import JobJournal, JournalRecord, JournalReplay
@@ -44,5 +44,4 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "job_payload_key",
-    "serve",
 ]

@@ -6,7 +6,7 @@ A thin, dependency-free REST surface over :class:`~repro.service.jobs.JobEngine`
 Method  Path                   Meaning
 ======  =====================  ==================================================
 GET     ``/healthz``           liveness: ``{"ok": true, "draining": ...}``
-GET     ``/metrics``           engine counters + per-shard pool/campaign telemetry
+GET     ``/metrics``           engine counters + per-slot worker/campaign telemetry
 POST    ``/jobs``              submit one job (``{...}``) or a batch (``[{...}]``);
                                429 + ``Retry-After`` when admission control refuses
 GET     ``/jobs``              list jobs (records omitted)
@@ -19,8 +19,7 @@ POST    ``/shutdown``          graceful drain: stop admitting, finish queued wor
 ======  =====================  ==================================================
 
 The server is a ``ThreadingHTTPServer`` speaking HTTP/1.1, so streams and
-polls proceed concurrently while the engine's shard threads run the
-campaigns.  All request/response bodies are JSON; errors come back as
+polls proceed concurrently while the engine's slots run the jobs.  All request/response bodies are JSON; errors come back as
 ``{"error": ...}`` with a meaningful status code (400 malformed payload,
 404 unknown job/route, 429 admission control, 503 draining).
 
@@ -44,7 +43,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..exceptions import AdmissionError, PoolClosed, ReproError
 from .jobs import JobEngine
 
-__all__ = ["CampaignServer", "serve"]
+__all__ = ["CampaignServer"]
 
 _MAX_BODY = 16 << 20  # refuse request bodies past 16 MiB
 
@@ -252,7 +251,6 @@ class CampaignServer:
         journal_dir: Optional[str] = None,
         fsync: str = "always",
         fsync_interval: float = 1.0,
-        checkpoint_max_age: float = 7 * 86400.0,
         chaos=None,
     ) -> None:
         self.engine = JobEngine(
@@ -263,7 +261,6 @@ class CampaignServer:
             journal_dir=journal_dir,
             fsync=fsync,
             fsync_interval=fsync_interval,
-            checkpoint_max_age=checkpoint_max_age,
             chaos=chaos,
         )
         try:
@@ -360,25 +357,3 @@ class CampaignServer:
     def __exit__(self, *_exc_info) -> None:
         self.close()
 
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8337,
-    shards: int = 1,
-    pool_workers: int = 2,
-    max_queued: int = 64,
-    verbose: bool = True,
-    journal_dir: Optional[str] = None,
-    fsync: str = "always",
-) -> CampaignServer:
-    """Build a :class:`CampaignServer` with CLI-friendly defaults."""
-    return CampaignServer(
-        host=host,
-        port=port,
-        shards=shards,
-        pool_workers=pool_workers,
-        max_queued=max_queued,
-        verbose=verbose,
-        journal_dir=journal_dir,
-        fsync=fsync,
-    )

@@ -1,36 +1,33 @@
-"""The campaign job engine: priority scheduling over sharded pools.
+"""The campaign job engine: one priority queue over member workers.
 
 :class:`JobEngine` turns the library's synthesis→BIST-campaign unit of
 work (:func:`repro.suite.sweep.sweep_member`) into a long-running,
-multi-tenant batch facility -- the "millions of users" shape of the
-ROADMAP, where clients submit jobs to a shared service instead of each
-linking the library and owning one in-process pool:
+multi-tenant batch facility, where clients submit jobs to a shared
+service instead of each linking the library:
 
 * **Priority queue with admission control.**  Jobs carry an integer
   ``priority`` (higher runs earlier; FIFO within a priority).  The queue
   is bounded: once ``max_queued`` jobs are waiting, further submissions
   raise :exc:`~repro.exceptions.AdmissionError` (HTTP 429 at the service
   boundary) instead of growing without bound.
-* **Sharded persistent pools, bounded in-flight work.**  The engine runs
-  ``shards`` executor threads, each owning one long-lived
-  :class:`~repro.faults.pool.CampaignPool` (``pool_workers`` processes;
-  ``pool_workers=0`` runs campaigns in-process).  A job is pinned to the
-  shard ``int(subject_sha256, 16) % shards``, so repeated submissions of
-  the same subject land on the same pool and hit its compiled-subject
-  cache.  At most one job runs per shard, so in-flight work is bounded by
-  the shard count.
+* **Executor slots, bounded in-flight work.**  The engine runs
+  ``shards * pool_workers`` executor slots, each a thread that owns one
+  forked :class:`~repro.suite.worker.MemberWorker` and runs whole jobs
+  in it -- search, build and campaign, in parallel across CPUs.  With
+  ``pool_workers=0`` there are ``shards`` slots that run jobs on their
+  own thread.  Every slot pulls from the one queue and runs one job at
+  a time, so in-flight work is bounded by the slot count.
 * **SHA-256 content dedupe.**  A job's identity is the SHA-256 over its
   canonical payload (the subject's content hash -- the same
-  SHA-256-of-content scheme as the corpus ledger, the pool subject cache
-  and the checkpoint keys -- plus the deterministic config fields).
+  SHA-256-of-content scheme as the corpus ledger -- plus the
+  deterministic config fields).
   Submitting a job whose identity matches a queued, running or completed
   job returns *that* job instead of recomputing ("dedupe hits"
   telemetry); failed and cancelled jobs are not reused.
-* **Cancellation.**  Queued jobs cancel immediately; a running campaign
-  is never preempted (its pool workers would be left mid-slab) and
-  reports ``"running"`` back instead.
+* **Cancellation.**  Queued jobs cancel immediately; a running job is
+  never preempted and reports ``"running"`` back instead.
 * **Graceful drain.**  ``close(drain=True)`` stops admission, lets every
-  queued and running job finish, then shuts the pools down;
+  queued and running job finish, then stops the member workers;
   ``drain=False`` cancels the queue and only waits for the in-flight
   jobs.
 * **Durability (opt-in).**  ``journal_dir=`` arms a write-ahead job
@@ -39,18 +36,15 @@ linking the library and owning one in-process pool:
   *before* the in-memory state reflects it.  A restarted engine replays
   the journal -- completed results and the dedupe table come back
   verbatim, jobs that were queued or running when the process died are
-  requeued (their campaigns resume from per-job
-  :class:`~repro.faults.checkpoint.CampaignCheckpoint` snapshots under
-  ``<journal_dir>/checkpoints/``, which startup also garbage-collects)
-  -- so a ``kill -9`` mid-sweep loses no admitted job and double-reports
-  none.
+  requeued and run again from the start -- so a ``kill -9`` mid-sweep
+  loses no admitted job and double-reports none.
 
 Everything here is deterministic where it matters: the *record* a job
 produces is a pure function of its member and config (see
 :func:`~repro.suite.sweep.sweep_member`), so a sweep driven through the
 engine is bit-identical to the in-process path regardless of priorities,
-shard assignment, dedupe or retries.  Campaign telemetry travels in the
-record itself (its ``telemetry`` block), so shards never share it.
+slot assignment, dedupe or re-runs.  Campaign telemetry travels in the
+record itself (its ``telemetry`` block), so slots never share it.
 """
 
 from __future__ import annotations
@@ -71,15 +65,16 @@ from ..faults.chaos import ChaosState, service_generation
 from ..fsm import kiss
 from ..suite import corpus as corpus_mod
 from ..suite.sweep import SweepConfig, sweep_member
+from ..suite.worker import WORKER_OPTIONS, MemberWorker
 from .journal import JobJournal
 
 __all__ = ["AdhocMember", "Job", "JobEngine", "job_payload_key"]
 
 #: job lifecycle states.  ``done`` means the member record exists and has
 #: ``status == "ok"``; ``failed`` covers both an error record (the
-#: campaign raised a structured :exc:`~repro.exceptions.ReproError`, e.g.
-#: a :exc:`~repro.exceptions.WorkerCrash` after chaos killed a pool
-#: worker) and an unexpected executor exception.
+#: member raised a structured :exc:`~repro.exceptions.ReproError`, e.g.
+#: a :exc:`~repro.exceptions.WorkerCrash` after its member worker died
+#: twice) and an unexpected executor exception.
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
@@ -181,11 +176,16 @@ class Job:
     member: object
     config: SweepConfig
     priority: int
-    shard: int
     state: str = QUEUED
+    slot: Optional[int] = None
     submitted_unix: float = field(default_factory=time.time)
     started_unix: Optional[float] = None
     finished_unix: Optional[float] = None
+    #: wall seconds on the slot (journal appends included), and of those
+    #: the ``sweep_member`` call itself, timed where it ran: in the member
+    #: worker, or in-process.
+    run_s: Optional[float] = None
+    member_s: Optional[float] = None
     record: Optional[Dict[str, object]] = None
     error: Optional[str] = None
     dedupe_hits: int = 0
@@ -202,15 +202,20 @@ class Job:
             "subject_sha256": self.subject_sha256,
             "member": getattr(self.member, "member_id", str(self.member)),
             "priority": self.priority,
-            "shard": self.shard,
             "state": self.state,
             "submitted_unix": round(self.submitted_unix, 3),
             "dedupe_hits": self.dedupe_hits,
         }
+        if self.slot is not None:
+            out["slot"] = self.slot
         if self.started_unix is not None:
             out["started_unix"] = round(self.started_unix, 3)
         if self.finished_unix is not None:
             out["finished_unix"] = round(self.finished_unix, 3)
+        if self.run_s is not None and self.member_s is not None:
+            out["run_s"] = round(self.run_s, 6)
+            out["member_s"] = round(self.member_s, 6)
+            out["dispatch_s"] = round(self.run_s - self.member_s, 6)
         if self.error is not None:
             out["error"] = self.error
         if full and self.record is not None:
@@ -219,7 +224,12 @@ class Job:
 
 
 class JobEngine:
-    """Async batch job engine over sharded :class:`CampaignPool`\\ s."""
+    """Async batch job engine: one priority queue, ``shards * pool_workers``
+    member-worker slots (``shards`` in-process slots at ``pool_workers=0``).
+
+    ``pool_kwargs`` holds member-worker options (``timeout``, ``retries``,
+    ``chaos``; see :class:`~repro.suite.worker.MemberWorker`).
+    """
 
     def __init__(
         self,
@@ -231,7 +241,6 @@ class JobEngine:
         journal_dir: Optional[str] = None,
         fsync: str = "always",
         fsync_interval: float = 1.0,
-        checkpoint_max_age: float = 7 * 86400.0,
         chaos=None,
     ) -> None:
         if shards < 1:
@@ -242,15 +251,21 @@ class JobEngine:
             raise ReproError(f"max_queued must be >= 1, got {max_queued}")
         if retention < 1:
             raise ReproError(f"retention must be >= 1, got {retention}")
+        worker_kwargs = dict(pool_kwargs or {})
+        unknown = sorted(set(worker_kwargs) - set(WORKER_OPTIONS))
+        if unknown:
+            raise ReproError(
+                f"unknown member-worker options {unknown}; "
+                f"choose from {list(WORKER_OPTIONS)}"
+            )
         self.shards = shards
         self.pool_workers = pool_workers
+        self.slots = shards * pool_workers if pool_workers else shards
         self.max_queued = max_queued
         self.retention = retention
         self._cond = threading.Condition()
         self._seq = itertools.count()
-        self._heaps: List[List[Tuple[int, int, str]]] = [
-            [] for _ in range(shards)
-        ]
+        self._heap: List[Tuple[int, int, str]] = []
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}
         self._finished_order: List[str] = []
@@ -266,8 +281,8 @@ class JobEngine:
             "rejected": 0,
             "dedupe_hits": 0,
         }
-        #: per shard, the ``telemetry`` block of its last finished record
-        self._shard_telemetry: List[object] = [None] * shards
+        #: per slot, the ``telemetry`` block of its last finished record
+        self._slot_telemetry: List[object] = [None] * self.slots
         # Service-scope chaos (kill_server / torn_tail / http_stall);
         # generation-gated through the environment so a supervisor's
         # restart runs recovery chaos-free.
@@ -275,10 +290,9 @@ class JobEngine:
             chaos, scope="service", worker_index=0,
             generation=service_generation(),
         )
-        # Durability: checkpoint GC, then journal replay, both before the
-        # shard threads can observe (or race) any restored state.
+        # Durability: journal replay before the slot threads can observe
+        # (or race) any restored state.
         self.journal: Optional[JobJournal] = None
-        self._checkpoint_dir: Optional[str] = None
         self.recovery: Dict[str, object] = {
             "replayed_records": 0,
             "restored_done": 0,
@@ -286,17 +300,9 @@ class JobEngine:
             "restored_cancelled": 0,
             "requeued": 0,
             "torn_tail": False,
-            "checkpoints_removed": 0,
         }
         if journal_dir is not None:
-            from ..faults.checkpoint import CampaignCheckpoint
-
             os.makedirs(journal_dir, exist_ok=True)
-            self._checkpoint_dir = os.path.join(journal_dir, "checkpoints")
-            swept = CampaignCheckpoint.gc(
-                self._checkpoint_dir, max_age=checkpoint_max_age
-            )
-            self.recovery["checkpoints_removed"] = len(swept["removed"])
             self.journal = JobJournal(
                 os.path.join(journal_dir, "journal.jsonl"),
                 fsync=fsync,
@@ -304,24 +310,19 @@ class JobEngine:
                 chaos=self.chaos_state if self.chaos_state.armed else None,
             )
             self._replay_journal()
-        self._pools = []
-        if pool_workers:
-            from ..faults.pool import CampaignPool
-
-            kwargs = dict(pool_kwargs or {})
-            self._pools = [
-                CampaignPool(pool_workers, **kwargs) for _ in range(shards)
-            ]
-        else:
-            self._pools = [None] * shards
+        # Workers fork here, before any slot thread exists.
+        self._workers: List[Optional[MemberWorker]] = [
+            MemberWorker(index, **worker_kwargs) if pool_workers else None
+            for index in range(self.slots)
+        ]
         self._threads = [
             threading.Thread(
-                target=self._shard_loop,
+                target=self._slot_loop,
                 args=(index,),
-                name=f"repro-shard-{index}",
+                name=f"repro-slot-{index}",
                 daemon=True,
             )
-            for index in range(shards)
+            for index in range(self.slots)
         ]
         for thread in self._threads:
             thread.start()
@@ -347,7 +348,7 @@ class JobEngine:
 
     def _replay_journal(self) -> None:
         """Rebuild job state from the journal (constructor-only: runs
-        before the shard threads start, so no locking is needed).
+        before the slot threads start, so no locking is needed).
 
         Completed jobs come back verbatim -- record, error, dedupe-table
         entry -- and jobs that were queued or running when the process
@@ -383,7 +384,6 @@ class JobEngine:
                     member=member,
                     config=config,
                     priority=int(data.get("priority", 0)),
-                    shard=int(subject_sha[:16], 16) % self.shards,
                 )
                 submitted = data.get("submitted_unix")
                 if isinstance(submitted, (int, float)):
@@ -433,13 +433,12 @@ class JobEngine:
                 # Queued -- or running when the process died, which the
                 # write-ahead ordering makes indistinguishable from "not
                 # finished": requeue with the original seq so FIFO within
-                # a priority survives the restart.  An interrupted
-                # campaign resumes from its checkpoint snapshot.
+                # a priority survives the restart.  An interrupted member
+                # runs again from the start.
                 job.state = QUEUED
                 job.started_unix = None
                 heapq.heappush(
-                    self._heaps[job.shard],
-                    (-job.priority, seqs.get(job_id, 0), job_id),
+                    self._heap, (-job.priority, seqs.get(job_id, 0), job_id)
                 )
                 self._by_key[job.key] = job_id
                 self._queued += 1
@@ -504,7 +503,6 @@ class JobEngine:
                     f"(limit {self.max_queued}); retry later"
                 )
             seq = next(self._seq)
-            shard = int(subject_sha[:16], 16) % self.shards
             job = Job(
                 job_id=f"j{seq:06d}",
                 key=key,
@@ -512,7 +510,6 @@ class JobEngine:
                 member=member,
                 config=config,
                 priority=int(priority),
-                shard=shard,
             )
             # Write-ahead: the submission is durable before it becomes
             # visible -- a failed append refuses the job (the client can
@@ -533,7 +530,7 @@ class JobEngine:
             )
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
-            heapq.heappush(self._heaps[shard], (-job.priority, seq, job.job_id))
+            heapq.heappush(self._heap, (-job.priority, seq, job.job_id))
             self._queued += 1
             self.stats["submitted"] += 1
             self._cond.notify_all()
@@ -643,31 +640,32 @@ class JobEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _next_job(self, shard: int) -> Optional[Job]:
-        """Pop the highest-priority queued job of one shard (caller holds
-        the lock); lazily discards entries whose job was cancelled."""
-        heap = self._heaps[shard]
-        while heap:
-            _neg_priority, _seq, job_id = heapq.heappop(heap)
+    def _next_job(self) -> Optional[Job]:
+        """Pop the highest-priority queued job (caller holds the lock);
+        lazily discards entries whose job was cancelled."""
+        while self._heap:
+            _neg_priority, _seq, job_id = heapq.heappop(self._heap)
             job = self._jobs.get(job_id)
             if job is not None and job.state == QUEUED:
                 return job
         return None
 
-    def _shard_loop(self, shard: int) -> None:
-        pool = self._pools[shard]
+    def _slot_loop(self, slot: int) -> None:
+        worker = self._workers[slot]
         while True:
             with self._cond:
-                job = self._next_job(shard)
+                job = self._next_job()
                 while job is None and not self._closed:
                     self._cond.wait(0.5)
-                    job = self._next_job(shard)
+                    job = self._next_job()
                 if job is None:
                     return  # closed and drained
                 job.state = RUNNING
+                job.slot = slot
                 job.started_unix = time.time()
                 self._queued -= 1
                 self._running += 1
+            started = time.perf_counter()
             # Best-effort transition record: losing it merely requeues
             # the job on restart, which the terminal-result write-ahead
             # below makes safe anyway.
@@ -682,15 +680,16 @@ class JobEngine:
             )
             record = None
             error = None
+            member_s = 0.0
             try:
-                extra: Dict[str, object] = {}
-                if self._checkpoint_dir is not None:
-                    extra["checkpoint"] = os.path.join(
-                        self._checkpoint_dir, f"{job.key}.ckpt"
-                    )
-                record = sweep_member(job.member, job.config, pool, **extra)
+                if worker is None:
+                    member_start = time.perf_counter()
+                    record = sweep_member(job.member, job.config)
+                    member_s = time.perf_counter() - member_start
+                else:
+                    record, member_s = worker.run(job.member, job.config)
             # A failed job must transition to FAILED with its traceback
-            # attached, never take the shard's executor thread down --
+            # attached, never take the slot's executor thread down --
             # capturing everything here *is* the error path.
             except BaseException:  # repro-lint: disable=RL006
                 error = traceback.format_exc()
@@ -699,11 +698,10 @@ class JobEngine:
                     final_state: str = DONE
                     final_error: Optional[str] = None
                 else:
-                    # A structured campaign failure (ReproError --
-                    # including WorkerCrash/JobTimeout from the pool) is
-                    # already folded into the record by sweep_member;
-                    # surface it as a failed job rather than a hung or
-                    # "ok" one.
+                    # A structured failure (ReproError -- including the
+                    # member worker's WorkerCrash/JobTimeout) is already
+                    # folded into the record; surface it as a failed job
+                    # rather than a hung or "ok" one.
                     final_state = FAILED
                     final_error = str(record.get("error"))
             else:
@@ -712,7 +710,7 @@ class JobEngine:
             # Write-ahead: the terminal outcome hits the journal before
             # any client can observe it, so a crash after this point
             # cannot double-run the job, and a crash before it requeues
-            # cleanly (the campaign resumes from its checkpoint).
+            # the job cleanly.
             self._journal_append(
                 "result",
                 {
@@ -725,10 +723,12 @@ class JobEngine:
                 required=False,
             )
             self.chaos_state.after_job_result()
+            run_s = time.perf_counter() - started
             with self._cond:
                 job.finished_unix = time.time()
+                job.run_s, job.member_s = run_s, member_s
                 self._running -= 1
-                self._shard_telemetry[shard] = (
+                self._slot_telemetry[slot] = (
                     record.get("telemetry") if record is not None else None
                 )
                 job.record = record
@@ -755,9 +755,13 @@ class JobEngine:
     # -- telemetry / shutdown ------------------------------------------------
 
     def metrics(self) -> Dict[str, object]:
-        """The ``/metrics`` payload: engine counters + pool + campaign
-        telemetry, all plain JSON-able values."""
+        """The ``/metrics`` payload: engine counters, per-slot member-worker
+        counters (``pools``; ``None`` for an in-process slot) and campaign
+        telemetry, all plain JSON-able values.  ``member_s`` and
+        ``dispatch_s`` sum the finished jobs' time inside ``sweep_member``
+        and the rest of their time on a slot."""
         with self._cond:
+            timed = [job for job in self._jobs.values() if job.run_s is not None]
             service = {
                 **self.stats,
                 "queued": self._queued,
@@ -765,15 +769,19 @@ class JobEngine:
                 "max_queued": self.max_queued,
                 "shards": self.shards,
                 "pool_workers": self.pool_workers,
-                "max_inflight": self.shards,
+                "max_inflight": self.slots,
                 "draining": self._draining,
                 "jobs_tracked": len(self._jobs),
+                "member_s": round(sum(job.member_s for job in timed), 6),
+                "dispatch_s": round(
+                    sum(job.run_s - job.member_s for job in timed), 6
+                ),
             }
-            campaigns = list(self._shard_telemetry)
-        pools = [
-            pool.stats_snapshot() if pool is not None else None
-            for pool in self._pools
-        ]
+            campaigns = list(self._slot_telemetry)
+            pools = [
+                {"stats": dict(worker.stats)} if worker is not None else None
+                for worker in self._workers
+            ]
         journal: Optional[Dict[str, object]] = None
         if self.journal is not None:
             journal = self.journal.stats_snapshot()
@@ -795,7 +803,7 @@ class JobEngine:
 
         ``drain=True`` (the graceful path) refuses new admissions, lets
         every queued and running job finish, then stops the executor
-        threads and closes the pools.  ``drain=False`` cancels the queue
+        threads and the member workers.  ``drain=False`` cancels the queue
         first and only waits for the in-flight jobs.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -825,9 +833,9 @@ class JobEngine:
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
-        for pool in self._pools:
-            if pool is not None:
-                pool.close()
+        for worker in self._workers:
+            if worker is not None:
+                worker.close()
         if self.journal is not None:
             self.journal.close()
 

@@ -272,10 +272,6 @@ def families() -> Dict[str, CorpusFamily]:
     return {family.name: family for family in family_list}
 
 
-def family_names() -> List[str]:
-    return list(families())
-
-
 def members(
     family_filter: Optional[Sequence[str]] = None,
     limit: Optional[int] = None,

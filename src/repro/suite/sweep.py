@@ -22,10 +22,10 @@ pattern, with no hand-edited numbers anywhere:
     aggregates over the run (coverage distribution, exact/inexact search
     counts, collapse reduction, failures).
 
-Work shards across CI cells with the corpus's stable member sharding; the
-campaigns run through the existing engine stack (``CampaignPool``,
-collapse, resilience) -- all of which guarantee bit-identical reports,
-which is what makes the ledger meaningful.
+Work shards across CI cells with the corpus's stable member sharding.
+Within a run, ``workers=N`` runs whole members in N forked member
+workers (:mod:`repro.suite.worker`); every member's record is the same
+either way, which is what makes the ledger meaningful.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import json
 import os
 import platform
 import time
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from . import corpus as corpus_mod
@@ -57,9 +58,10 @@ class SweepConfig:
 
     All fields are JSON-able; the manifest embeds ``to_dict()`` and
     :meth:`from_dict` rebuilds the exact configuration for reproduction.
-    ``workers`` is a wall-clock knob (``> 1`` serves every campaign of
-    the sweep from one ``CampaignPool(workers)``): the campaign engine
-    guarantees bit-identical reports across schedulers, so it may be
+    ``workers`` is a wall-clock knob: ``> 1`` runs whole members in that
+    many forked member workers (:mod:`repro.suite.worker`), largest
+    first, and writes the records in selection order.  Each record is a
+    pure function of its member and the other fields, so it may be
     changed on re-run without perturbing the metrics ledger.
     """
 
@@ -111,8 +113,7 @@ class SweepConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Older manifests and journals carry a separate ``pool`` worker
-        count; it folds into ``workers`` (the larger of the two), which
-        now sizes the sweep's one pool.
+        count; it folds into ``workers`` (the larger of the two).
         """
         kwargs = dict(payload)
         if "pool" in kwargs:
@@ -206,9 +207,7 @@ def _static_block(controller) -> Dict[str, object]:
     }
 
 
-def sweep_member(
-    member, config: SweepConfig, pool=None, checkpoint: Optional[str] = None
-) -> Dict[str, object]:
+def sweep_member(member, config: SweepConfig) -> Dict[str, object]:
     """Synthesis→BIST campaign on one corpus member; one metrics record.
 
     This is the unit of work shared by the in-process sweep loop and the
@@ -219,11 +218,8 @@ def sweep_member(
     config fields, never of who ran the campaign.  ``member`` is anything
     with the :class:`~repro.suite.corpus.CorpusMember` duck surface
     (``member_id``/``family``/``name``/``kind``/``build()``/``sha256()``).
-    ``checkpoint`` names a crash-safe campaign snapshot file (see
-    :class:`~repro.faults.checkpoint.CampaignCheckpoint`): like the
-    wall-clock knobs it cannot change the record -- resume is
-    bit-identical -- it only lets an interrupted campaign avoid
-    recomputing finished fault outcomes.
+    The campaign runs in-process; parallelism is across members
+    (:mod:`repro.suite.worker`).
     """
     from ..faults import measure_coverage
     from ..faults.engine import deterministic_telemetry
@@ -270,12 +266,9 @@ def sweep_member(
                 controller,
                 cycles=config.cycles,
                 seed=config.seed,
-                workers=config.workers,
                 dropping=True,
-                pool=pool,
                 collapse=config.collapse,
                 prescreen=config.prescreen,
-                checkpoint=checkpoint,
             )
             wall["coverage_s"] = round(time.perf_counter() - start, 4)
             record["coverage"] = {
@@ -364,13 +357,13 @@ def _summarize(
 
 
 def _service_records(
-    service: str, members, config: SweepConfig, progress=None
-) -> List[Dict[str, object]]:
+    service: str, members, config: SweepConfig
+) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Run the sweep's member jobs through a live campaign service.
 
     Submits one job per member (admission-control-aware batching) and
-    reassembles the finished records *in member order*, so the metrics
-    file written from them is bit-identical to the in-process loop's.
+    yields ``(index, record)`` *in member order*, so the metrics file
+    written from them is bit-identical to the in-process loop's.
     A job that failed without producing a record (an unexpected server
     exception, not a structured campaign error) aborts the sweep --
     silently dropping a member would corrupt the ledger.
@@ -382,9 +375,7 @@ def _service_records(
         {"member": member.to_manifest(), "config": config.to_dict()}
         for member in members
     ]
-    finished = client.run_batch(jobs)
-    records: List[Dict[str, object]] = []
-    for index, job in enumerate(finished):
+    for index, job in enumerate(client.run_batch(jobs)):
         record = job.get("record")
         if record is None:
             raise ReproError(
@@ -392,10 +383,7 @@ def _service_records(
                 f"ended {job.get('state')!r} without a metrics record: "
                 f"{job.get('error')}"
             )
-        records.append(record)
-        if progress is not None:
-            progress(index, len(members), record)
-    return records
+        yield index, record
 
 
 def run_sweep(
@@ -429,34 +417,25 @@ def run_sweep(
     started = time.perf_counter()
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     if service is not None:
-        records = _service_records(service, members, config, progress)
-        with open(metrics_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(
-                    json.dumps(record, sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
-    else:
-        pool = None
-        if config.workers > 1:
-            from ..faults.pool import CampaignPool
+        results = _service_records(service, members, config)
+    elif config.workers > 1:
+        from .worker import run_members
 
-            pool = CampaignPool(config.workers)
-        records = []
-        try:
-            with open(metrics_path, "w", encoding="utf-8") as handle:
-                for index, member in enumerate(members):
-                    record = sweep_member(member, config, pool)
-                    records.append(record)
-                    handle.write(
-                        json.dumps(record, sort_keys=True, separators=(",", ":"))
-                        + "\n"
-                    )
-                    if progress is not None:
-                        progress(index, len(members), record)
-        finally:
-            if pool is not None:
-                pool.close()
+        results = run_members(members, config, config.workers)
+    else:
+        results = (
+            (index, sweep_member(member, config))
+            for index, member in enumerate(members)
+        )
+    records = []
+    with open(metrics_path, "w", encoding="utf-8") as handle, closing(results):
+        for index, record in results:
+            records.append(record)
+            handle.write(
+                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            )
+            if progress is not None:
+                progress(index, len(members), record)
     elapsed = time.perf_counter() - started
 
     summary = _summarize(

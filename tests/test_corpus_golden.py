@@ -79,7 +79,7 @@ def build_shard(index: int) -> dict:
     }
     by_id = {member.member_id: member for member in members}
     for member_id in deep_ids(members):
-        record = sweep_member(by_id[member_id], DEEP_CONFIG, pool=None)
+        record = sweep_member(by_id[member_id], DEEP_CONFIG)
         assert record["status"] == "ok", record
         payload["deep"][member_id] = json.loads(canonical_record(record))
     return payload
@@ -110,7 +110,7 @@ def test_shard_matches_golden(index, update_golden):
         assert structural_record(by_id[member_id]) == expected, member_id
     assert sorted(golden["deep"]) == sorted(deep_ids(members))
     for member_id, expected in golden["deep"].items():
-        record = sweep_member(by_id[member_id], DEEP_CONFIG, pool=None)
+        record = sweep_member(by_id[member_id], DEEP_CONFIG)
         assert json.loads(canonical_record(record)) == expected, member_id
 
 

@@ -39,6 +39,8 @@ ARCHITECTURES = ("pipeline", "conventional", "doubled")
 
 
 def _prpg_words(width: int, seed: int, cycles: int) -> List[int]:
+    if width == 0:
+        return [0] * cycles  # the one empty pattern, every clock
     prpg = Lfsr.from_any_seed(width, seed, complete=True)
     words = []
     for _ in range(cycles):
@@ -200,11 +202,9 @@ def test_superposed_fields_equal_serial_per_fault(n_inputs, n_faults, per_pass, 
 
 @st.composite
 def random_controllers(draw):
-    # Two or more inputs keep every session generator at least one bit
-    # wide (a zero-width PRPG has no self-test at all).
     machine = random_mealy(
-        draw(st.integers(min_value=2, max_value=5)),
-        draw(st.integers(min_value=2, max_value=3)),
+        draw(st.integers(min_value=1, max_value=5)),
+        draw(st.integers(min_value=1, max_value=3)),
         draw(st.integers(min_value=1, max_value=3)),
         seed=draw(st.integers(min_value=0, max_value=10_000)),
     )
@@ -216,6 +216,16 @@ def _check(controller, cycles: Optional[int], seed: int) -> None:
     fast = measure_coverage(controller, cycles=cycles, seed=seed, dropping=True)
     assert fast == oracle
     assert fast.telemetry["dropped"] == direct_dropped(controller, cycles, seed)
+
+
+def test_zero_width_session_generators():
+    """A pipeline controller whose generating registers and input
+    encoding are all zero bits wide applies its one empty pattern per
+    clock: the campaign runs, and dropping agrees with the oracle."""
+    controller = build_controller(random_mealy(3, 1, 2, seed=0), "pipeline")
+    assert (controller.w1, controller.w2, controller.input_width) == (0, 0, 0)
+    _check(controller, None, 1)
+    _check(controller, 5, 7)
 
 
 @given(

@@ -14,20 +14,24 @@ Covers the contract of :mod:`repro.service`:
   :exc:`~repro.exceptions.AdmissionError` (HTTP 429 through the client),
 * the full HTTP surface -- submit/poll/stream/cancel/metrics -- through
   :class:`~repro.service.client.ServiceClient` against a live server,
-* chaos: a pool worker killed mid-campaign surfaces as a *failed job*
-  (never a hung request), and the pool self-heals for the next job,
+* member workers: a chaos crash at member start is re-run once in a
+  fresh worker; a crash or hang in every worker surfaces as a *failed
+  job* carrying ``WorkerCrash`` / ``JobTimeout`` (never a hung
+  request), and the next job runs on a fresh worker,
 * ``repro sweep --service`` writes a ``metrics.jsonl`` byte-identical
-  to the in-process path.
+  to the in-process path for every shard / member-worker layout.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
 from repro.exceptions import AdmissionError, ReproError
+from repro.faults.chaos import CHAOS_ENV, ChaosEvent, ChaosPlan
 from repro.fsm import kiss
 from repro.service import (
     AdhocMember,
@@ -50,6 +54,14 @@ def payload(bits: int = 2, **config) -> dict:
         "name": f"sr{bits}",
         "config": merged,
     }
+
+
+def _sr_record(bits: int = 2) -> dict:
+    """The in-process record of a small shift-register job."""
+    return sweep_member(
+        AdhocMember(name=f"sr{bits}", text=kiss.dumps(shift_register(bits))),
+        SweepConfig(record_timings=False),
+    )
 
 
 @pytest.fixture()
@@ -94,11 +106,7 @@ class TestEngine:
         assert not deduped
         finished = engine.wait(job.job_id, timeout=60.0)
         assert finished.state == "done"
-        expected = sweep_member(
-            AdhocMember(name="sr2", text=kiss.dumps(shift_register(2))),
-            SweepConfig(record_timings=False),
-        )
-        assert finished.record == expected
+        assert finished.record == _sr_record()
 
     def test_priority_runs_higher_first(self, gated):
         with JobEngine(shards=1, pool_workers=0, max_queued=8) as engine:
@@ -296,62 +304,138 @@ class TestHttpSurface:
         assert job.state == "done"
 
 
-class TestChaosResilience:
-    def test_killed_pool_worker_fails_job_then_pool_heals(self):
-        """A chaos-crashed worker surfaces as a *failed job* -- the
-        request never hangs -- and the pool respawns for the next job."""
-        from repro.faults.chaos import ChaosEvent, ChaosPlan
-
+class TestMemberWorkers:
+    def test_crash_at_member_start_reruns_and_converges(self):
+        """A chaos crash kills the worker as the member starts; the
+        member runs again in a fresh worker and the job succeeds."""
         plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0)])
         with JobEngine(
-            shards=1,
-            pool_workers=2,
-            max_queued=8,
-            pool_kwargs={"chaos": plan, "retries": 0, "backoff": 0.01},
+            shards=1, pool_workers=1, pool_kwargs={"chaos": plan}
         ) as engine:
+            job, _ = engine.submit(payload())
+            finished = engine.wait(job.job_id, timeout=60.0)
+            assert finished.state == "done"
+            assert finished.record == _sr_record()
+            stats = engine.metrics()["pools"][0]["stats"]
+        assert stats == {
+            "members": 1, "respawns": 1, "retries": 1,
+            "timeouts": 0, "crashes": 1,
+        }
+
+    def test_sticky_crash_fails_job_then_next_job_runs_fresh(
+        self, monkeypatch
+    ):
+        """A crash in every worker generation exhausts the re-run: the
+        job fails with WorkerCrash.  The next job gets a fresh worker
+        (spawned after the plan was disarmed) and succeeds."""
+        plan = ChaosPlan([ChaosEvent(kind="crash", sticky=True)])
+        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+        with JobEngine(shards=1, pool_workers=1, max_queued=8) as engine:
             doomed, _ = engine.submit(payload())
             failed = engine.wait(doomed.job_id, timeout=60.0)
             assert failed.state == "failed"
             assert failed.record["status"] == "error"
-            assert "WorkerCrash" in failed.error
+            assert failed.error.startswith("WorkerCrash: ")
+            monkeypatch.delenv(CHAOS_ENV)
             # a failed job is not a dedupe target: the same payload is
-            # admitted as a fresh job...
+            # admitted as a fresh job
             healed, deduped = engine.submit(payload())
             assert not deduped and healed.job_id != doomed.job_id
-            # ...and succeeds on the respawned (chaos-free) workers
             finished = engine.wait(healed.job_id, timeout=60.0)
             assert finished.state == "done"
+            assert finished.record == _sr_record()
             assert engine.stats == {
-                **engine.stats,
-                "failed": 1,
-                "completed": 1,
+                **engine.stats, "failed": 1, "completed": 1,
             }
-            pool_stats = engine.metrics()["pools"][0]["stats"]
-            assert pool_stats["respawns"] >= 1
+            stats = engine.metrics()["pools"][0]["stats"]
+        assert stats["crashes"] == 2 and stats["respawns"] == 2
+
+    def test_hang_with_timeout_fails_as_job_timeout(self):
+        """A worker hung at member start is killed at the deadline, the
+        re-run hangs again, and the job fails as JobTimeout within the
+        two deadlines (plus spawn and reap time)."""
+        plan = ChaosPlan([ChaosEvent(kind="hang", sticky=True)])
+        with JobEngine(
+            shards=1, pool_workers=1,
+            pool_kwargs={"chaos": plan, "timeout": 0.5},
+        ) as engine:
+            started = time.monotonic()
+            job, _ = engine.submit(payload())
+            failed = engine.wait(job.job_id, timeout=60.0)
+            elapsed = time.monotonic() - started
+            assert failed.state == "failed"
+            assert failed.error.startswith("JobTimeout: ")
+            assert elapsed < 2 * 0.5 + 5.0
+            assert engine.metrics()["pools"][0]["stats"]["timeouts"] == 2
+
+    def test_unknown_worker_option_is_refused_before_any_job(self):
+        with pytest.raises(ReproError, match="unknown member-worker options"):
+            JobEngine(shards=1, pool_workers=1, pool_kwargs={"backoff": 0.1})
+
+    def test_jobs_report_member_and_dispatch_time(self):
+        with JobEngine(shards=2, pool_workers=1) as engine:
+            jobs = [engine.submit(payload(bits))[0] for bits in (2, 3, 4)]
+            views = [
+                engine.wait(job.job_id, timeout=60.0).describe(full=False)
+                for job in jobs
+            ]
+            service = engine.metrics()["service"]
+        assert service["max_inflight"] == 2
+        for view in views:
+            assert view["slot"] in (0, 1)
+            assert 0.0 < view["member_s"] <= view["run_s"]
+            assert view["dispatch_s"] == pytest.approx(
+                view["run_s"] - view["member_s"], abs=1e-5
+            )
+        assert service["member_s"] == pytest.approx(
+            sum(view["member_s"] for view in views), abs=1e-4
+        )
+        assert service["dispatch_s"] == pytest.approx(
+            sum(view["dispatch_s"] for view in views), abs=1e-4
+        )
+
+    def test_close_leaves_no_child_process(self):
+        engine = JobEngine(shards=2, pool_workers=2)
+        assert len(multiprocessing.active_children()) == 4
+        job, _ = engine.submit(payload())
+        engine.wait(job.job_id, timeout=60.0)
+        engine.close()
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def local_sweep(tmp_path_factory):
+    """The in-process sweep every service sweep must reproduce."""
+    from repro.suite.sweep import run_sweep
+
+    out = tmp_path_factory.mktemp("local")
+    result = run_sweep(SERVICE_SLICE, str(out))
+    return result, (out / "metrics.jsonl").read_bytes()
+
+
+SERVICE_SLICE = SweepConfig(
+    families=("sequential", "pop-small"), limit=2, record_timings=False
+)
 
 
 class TestServiceSweep:
-    def test_service_sweep_is_byte_identical(self, tmp_path):
+    def test_service_sweep_is_byte_identical(self, local_sweep, tmp_path):
         """--service against a live server writes the same bytes as the
-        in-process sweep (the PR's acceptance criterion, in miniature)."""
+        in-process sweep, for every shard x member-worker layout."""
         from repro.suite.sweep import run_sweep
 
-        config = SweepConfig(
-            families=("sequential",), limit=2, record_timings=False
-        )
-        local = run_sweep(config, str(tmp_path / "local"))
-        with CampaignServer(port=0, shards=2, pool_workers=0) as srv:
-            remote = run_sweep(
-                config, str(tmp_path / "remote"), service=srv.url
-            )
-        assert (
-            remote.canonical_sha256
-            == local.canonical_sha256
-        )
-        local_bytes = (tmp_path / "local" / "metrics.jsonl").read_bytes()
-        remote_bytes = (tmp_path / "remote" / "metrics.jsonl").read_bytes()
-        assert remote_bytes == local_bytes
-        assert (
-            remote.manifest["metrics"]["file_sha256"]
-            == local.manifest["metrics"]["file_sha256"]
-        )
+        local, local_bytes = local_sweep
+        for shards in (1, 2):
+            for pool_workers in (0, 1, 2):
+                out = tmp_path / f"remote-{shards}-{pool_workers}"
+                with CampaignServer(
+                    port=0, shards=shards, pool_workers=pool_workers
+                ) as srv:
+                    remote = run_sweep(SERVICE_SLICE, str(out), service=srv.url)
+                assert remote.canonical_sha256 == local.canonical_sha256
+                assert (out / "metrics.jsonl").read_bytes() == local_bytes
+                assert (
+                    remote.manifest["metrics"]["file_sha256"]
+                    == local.manifest["metrics"]["file_sha256"]
+                )
+                assert multiprocessing.active_children() == []

@@ -14,10 +14,12 @@ Covers PR-level durability of :mod:`repro.service`:
 * :class:`~repro.service.client.ServiceClient` transient-fault retries,
   the capped-exponential 429 backoff, and ``run_batch`` surviving the
   server being torn down and restarted mid-batch,
+* an interrupted member re-runs from the start in a member worker,
 * :meth:`CampaignCheckpoint.gc` housekeeping,
 * subprocess signal delivery: ``SIGTERM`` drains like ``POST /shutdown``,
   and the acceptance flow -- ``kill -9`` mid-sweep, restart on the same
-  journal, byte-identical ``metrics.jsonl``.
+  journal, byte-identical ``metrics.jsonl``, and no member worker of the
+  killed server left running.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.service import (
 from repro.service.jobs import resolve_member
 from repro.service.journal import JobJournal
 from repro.suite import shift_register
-from repro.suite.sweep import SweepConfig
+from repro.suite.sweep import SweepConfig, sweep_member
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 CONFIG = {"record_timings": False}
@@ -67,8 +69,7 @@ class _Stub:
     ``behave["block"]`` parks the next call on ``release`` (signalling
     ``entered``) -- the knob recovery tests use to freeze a job
     mid-flight, "crash" the engine around it, and later unstick the
-    abandoned thread harmlessly.  Every call records the member name and
-    the ``checkpoint=`` kwarg it received.
+    abandoned thread harmlessly.  Every call records the member name.
     """
 
     def __init__(self):
@@ -76,11 +77,9 @@ class _Stub:
         self.release = threading.Event()
         self.behave = {"block": False}
         self.order = []
-        self.checkpoints = []
 
-    def __call__(self, member, config, pool=None, checkpoint=None):
+    def __call__(self, member, config):
         self.order.append(member.name)
-        self.checkpoints.append(checkpoint)
         if self.behave["block"]:
             self.behave["block"] = False
             self.entered.set()
@@ -262,20 +261,37 @@ class TestEngineRecovery:
         ) as healed:
             assert healed.recovery["replayed_records"] == 0
 
-    def test_checkpoint_path_passed_only_with_journal(self, tmp_path, stub):
-        with JobEngine(shards=1, pool_workers=0) as plain:
-            job, _ = plain.submit(payload(2))
-            plain.wait(job.job_id, timeout=30.0)
-        assert stub.checkpoints == [None]
-        journal_dir = str(tmp_path / "svc")
-        with JobEngine(
-            shards=1, pool_workers=0, journal_dir=journal_dir
-        ) as journaled:
-            job, _ = journaled.submit(payload(2))
-            journaled.wait(job.job_id, timeout=30.0)
-        assert stub.checkpoints[1] == os.path.join(
-            journal_dir, "checkpoints", f"{job.key}.ckpt"
+    def test_interrupted_member_reruns_in_a_member_worker(self, tmp_path):
+        """A job journaled as running when the server died is requeued
+        and runs again from the start in a member worker."""
+        journal_dir = tmp_path / "svc"
+        job = payload(2)
+        member, subject_sha = resolve_member(job)
+        config = SweepConfig(record_timings=False)
+        journal = JobJournal(str(journal_dir / "journal.jsonl"))
+        journal.append(
+            "submit",
+            {
+                "job": "j000000",
+                "key": job_payload_key(member.member_id, subject_sha, config),
+                "subject_sha256": subject_sha,
+                "priority": 0,
+                "seq": 0,
+                "subject": {"kiss": job["kiss"], "name": job["name"]},
+                "config": config.to_dict(),
+                "submitted_unix": 0.0,
+            },
         )
+        journal.append("state", {"job": "j000000", "state": "running"})
+        journal.close()
+        with JobEngine(
+            shards=1, pool_workers=1, journal_dir=str(journal_dir)
+        ) as revived:
+            assert revived.recovery["requeued"] == 1
+            restored = revived.wait("j000000", timeout=60.0)
+            assert restored.state == "done"
+            assert restored.record == sweep_member(member, config)
+            assert revived.metrics()["pools"][0]["stats"]["members"] == 1
 
 
 class TestChaosHooks:
@@ -448,6 +464,19 @@ class TestCheckpointGc:
             CampaignCheckpoint.gc(str(tmp_path), max_age=-1.0)
 
 
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie counts as exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
 def _wait_for_line(process, prefix, timeout=30.0):
     """Read child stdout until a line starting with ``prefix`` appears."""
     deadline = time.monotonic() + timeout
@@ -462,14 +491,16 @@ def _wait_for_line(process, prefix, timeout=30.0):
 
 
 _SERVE_SCRIPT = """
+import multiprocessing
 import sys
 sys.path.insert(0, %(src)r)
 from repro.service import CampaignServer
 server = CampaignServer(
-    host="127.0.0.1", port=%(port)d, shards=1, pool_workers=0,
+    host="127.0.0.1", port=%(port)d, shards=1, pool_workers=%(workers)d,
     max_queued=8, journal_dir=%(journal)r,
 )
 server.install_signal_handlers()
+print("WORKERS", *[child.pid for child in multiprocessing.active_children()])
 print("URL", server.url, flush=True)
 server.serve_forever()
 print("DRAINED", flush=True)
@@ -486,7 +517,7 @@ class TestSignalDelivery:
     def test_sigterm_drains_like_post_shutdown(self, tmp_path):
         journal_dir = str(tmp_path / "svc")
         script = _SERVE_SCRIPT % {
-            "src": SRC, "port": 0, "journal": journal_dir,
+            "src": SRC, "port": 0, "journal": journal_dir, "workers": 0,
         }
         process = subprocess.Popen(
             [sys.executable, "-c", script],
@@ -525,9 +556,9 @@ class TestSignalDelivery:
 
 class TestKillNineAcceptance:
     def test_kill9_midsweep_restart_is_byte_identical(self, tmp_path):
-        """The PR's acceptance flow: a ``kill -9``'d server restarted on
-        the same journal completes ``sweep --service`` with a
-        ``metrics.jsonl`` byte-identical to the in-process path."""
+        """A ``kill -9``'d server restarted on the same journal completes
+        ``sweep --service`` with a ``metrics.jsonl`` byte-identical to the
+        in-process path, and its member worker does not outlive it."""
         from repro.suite.sweep import SweepConfig, run_sweep
 
         config = SweepConfig(
@@ -547,6 +578,7 @@ class TestKillNineAcceptance:
             env[GENERATION_ENV] = str(generation)
             script = _SERVE_SCRIPT % {
                 "src": SRC, "port": port, "journal": journal_dir,
+                "workers": 1,
             }
             process = subprocess.Popen(
                 [sys.executable, "-c", script],
@@ -555,10 +587,15 @@ class TestKillNineAcceptance:
                 text=True,
                 env=env,
             )
+            workers = [
+                int(pid)
+                for pid in _wait_for_line(process, "WORKERS").split()[1:]
+            ]
+            assert len(workers) == 1
             _wait_for_line(process, "URL")
-            return process
+            return process, workers
 
-        process = boot(0)
+        process, orphans = boot(0)
         outcome = {}
 
         def remote_sweep():
@@ -577,8 +614,14 @@ class TestKillNineAcceptance:
             # chaos SIGKILLs the server right after the first journaled
             # result -- the honest mid-sweep crash
             assert process.wait(timeout=300.0) == -signal.SIGKILL
+            # the killed server's member worker sees its pipe close and
+            # exits
+            deadline = time.monotonic() + 30.0
+            while not all(_gone(pid) for pid in orphans):
+                assert time.monotonic() < deadline, "member worker orphaned"
+                time.sleep(0.05)
             # supervisor restart: generation 1 runs recovery chaos-free
-            process = boot(1)
+            process, _workers = boot(1)
             thread.join(300.0)
             assert not thread.is_alive(), "client never recovered"
             assert "error" not in outcome, outcome.get("error")
@@ -605,3 +648,6 @@ class TestKillNineAcceptance:
             if process.poll() is None:
                 process.kill()
                 process.wait(10.0)
+            for pid in orphans:  # only alive if the check above failed
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)

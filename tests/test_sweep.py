@@ -11,13 +11,16 @@ scratch copy (``REPRO_CORPUS_ROOT``) so corruption is safe.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 
 import pytest
 
 from repro.exceptions import ReproError
+from repro.faults.chaos import CHAOS_ENV, ChaosEvent, ChaosPlan
 from repro.suite import corpus
 from repro.suite.sweep import (
     SweepConfig,
@@ -163,16 +166,73 @@ def test_generated_members_reproduce_without_any_corpus_tree(
     assert outcome["identical"]
 
 
-def test_canonical_ledger_is_scheduler_independent(scratch_corpus, tmp_path):
-    """``workers`` (a sweep-lifetime pool) changes wall-clock only, never
-    the ledger."""
-    config = SweepConfig(families=("mcnc",), limit=1, record_timings=False)
-    serial = run_sweep(config, str(tmp_path / "serial"))
-    parallel = run_sweep(
-        SweepConfig(families=("mcnc",), limit=1, record_timings=False, workers=2),
-        str(tmp_path / "parallel"),
+@pytest.fixture(scope="module")
+def serial_bytes(tmp_path_factory):
+    """``metrics.jsonl`` of the in-process (``workers=0``) sweep of
+    ``WORKER_SLICE``, against the real corpus."""
+    out = tmp_path_factory.mktemp("serial")
+    run_sweep(WORKER_SLICE, str(out))
+    return (out / "metrics.jsonl").read_bytes()
+
+
+WORKER_SLICE = SweepConfig(
+    families=("mcnc", "pop-small", "sequential"), limit=3, record_timings=False
+)
+
+
+def test_canonical_ledger_is_scheduler_independent(serial_bytes, tmp_path):
+    """``workers`` runs whole members in forked member workers, largest
+    first; the records, written in selection order, are the bytes of
+    the in-process sweep, and the manifest reproduces at any count
+    (4 workers oversubscribe a 2-CPU host)."""
+    for workers in (0, 1, 2, 4):
+        out = tmp_path / f"run-{workers}"
+        seen = []
+        result = run_sweep(
+            dataclasses.replace(WORKER_SLICE, workers=workers), str(out),
+            progress=lambda index, total, record: seen.append(index),
+        )
+        assert (out / "metrics.jsonl").read_bytes() == serial_bytes
+        assert seen == list(range(result.records))
+        for rerun_workers in (0, 2):
+            manifest = load_manifest(str(out))
+            manifest["config"]["workers"] = rerun_workers
+            path = tmp_path / f"manifest-{workers}-{rerun_workers}.json"
+            path.write_text(json.dumps(manifest))
+            rerun = tmp_path / f"rerun-{workers}-{rerun_workers}"
+            assert reproduce_run(str(path), str(rerun))["identical"]
+            assert (rerun / "metrics.jsonl").read_bytes() == serial_bytes
+    assert multiprocessing.active_children() == []
+
+
+def test_member_worker_crash_is_rerun_and_converges(
+    serial_bytes, tmp_path, monkeypatch
+):
+    """A chaos crash at member start kills every first-generation
+    worker; each member runs again in a fresh (chaos-free) worker and
+    the ledger is unchanged."""
+    plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0)])
+    monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+    config = dataclasses.replace(WORKER_SLICE, workers=2)
+    run_sweep(config, str(tmp_path / "run"))
+    assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == serial_bytes
+
+
+def test_sticky_member_worker_crash_becomes_an_error_record(
+    tmp_path, monkeypatch
+):
+    plan = ChaosPlan([ChaosEvent(kind="crash", sticky=True)])
+    monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+    config = SweepConfig(
+        families=("sequential",), limit=2, record_timings=False, workers=2
     )
-    assert serial.canonical_sha256 == parallel.canonical_sha256
+    result = run_sweep(config, str(tmp_path / "run"))
+    assert result.summary["errors"] == 2
+    for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        assert record["status"] == "error"
+        assert record["error"].startswith("WorkerCrash: ")
+        assert "failed in 2 worker(s)" in record["error"]
 
 
 def test_timed_records_share_the_untimed_canonical_ledger(scratch_corpus, tmp_path):
