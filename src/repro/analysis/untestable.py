@@ -143,11 +143,19 @@ def ternary_values(
     net *after* its driver is evaluated (which is how a fault site's stem
     is abstracted to ``X`` for the soundness argument above).
     """
+    return _ternary(netlist.inputs, netlist.gates, forced)
+
+
+def _ternary(
+    inputs: Sequence[str],
+    gates: Sequence[Gate],
+    forced: Optional[Mapping[str, str]] = None,
+) -> Dict[str, str]:
     forced = forced or {}
     values: Dict[str, str] = {}
-    for net in netlist.inputs:
+    for net in inputs:
         values[net] = forced.get(net, "X")
-    for gate in netlist.gates:
+    for gate in gates:
         value = _eval_gate(gate, [values[n] for n in gate.inputs])
         values[gate.output] = forced.get(gate.output, value)
     return values
@@ -175,7 +183,7 @@ def _pin_blocked(
 
 
 def _observability(
-    netlist: Netlist,
+    gates: Sequence[Gate],
     values: Mapping[str, str],
     observed: Iterable[str],
 ) -> Tuple[Set[str], Set[Tuple[int, int]]]:
@@ -188,7 +196,6 @@ def _observability(
     """
     observable: Set[str] = set(observed)
     open_pins: Set[Tuple[int, int]] = set()
-    gates = netlist.gates
     for index in range(len(gates) - 1, -1, -1):
         gate = gates[index]
         if gate.output not in observable:
@@ -201,12 +208,18 @@ def _observability(
 
 
 class _ProverTables:
-    """Per-netlist valuations and observability cones, computed lazily."""
+    """Per-netlist valuations and observability cones, computed lazily.
+
+    Keeps the netlist's inputs and gates, not the netlist: the netlist is
+    its tables' key in the weak ``_TABLE_CACHE``, which a reference from
+    the tables would keep alive for the life of the process.
+    """
 
     def __init__(self, netlist: Netlist, observed: Tuple[str, ...]) -> None:
-        self.netlist = netlist
+        self.inputs = netlist.inputs
+        self.gates = netlist.gates
         self.observed = observed
-        self.baseline = ternary_values(netlist)
+        self.baseline = _ternary(self.inputs, self.gates)
         self._cones: Dict[
             Optional[str], Tuple[Set[str], Set[Tuple[int, int]]]
         ] = {}
@@ -218,7 +231,7 @@ class _ProverTables:
             return self.baseline
         cached = self._site_values.get(net)
         if cached is None:
-            cached = ternary_values(self.netlist, forced={net: "X"})
+            cached = _ternary(self.inputs, self.gates, forced={net: "X"})
             self._site_values[net] = cached
         return cached
 
@@ -230,7 +243,7 @@ class _ProverTables:
         cached = self._cones.get(key)
         if cached is None:
             cached = _observability(
-                self.netlist, self.site_values(net), self.observed
+                self.gates, self.site_values(net), self.observed
             )
             self._cones[key] = cached
         return cached
@@ -283,7 +296,7 @@ def _prove_one(tables: _ProverTables, fault: Fault) -> FaultVerdict:
             )
         return FaultVerdict(fault, UNKNOWN, "")
     index, pin = fault.gate_index, fault.pin
-    gates = tables.netlist.gates
+    gates = tables.gates
     if (
         index is None
         or pin is None

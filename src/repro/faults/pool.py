@@ -48,7 +48,8 @@ parallel -- go to :mod:`repro.suite.worker` instead.
   plain :exc:`ResilienceError` for persistent soft job errors.
   ``close()`` shuts the workers down with join -> terminate -> kill
   escalation (a stuck process is never silently abandoned), is
-  idempotent, and using a closed pool raises :exc:`PoolClosed`.
+  idempotent, and using a closed pool raises :exc:`PoolClosed`.  A
+  worker whose owner was killed sees its pipe close and exits.
 * **Chaos hooks.**  Workers consult :mod:`repro.faults.chaos` at their
   hook points (chunk steal, subject unpickle); with no plan armed --
   neither the ``chaos=`` parameter nor the :data:`~repro.faults.chaos.CHAOS_ENV`
@@ -86,7 +87,7 @@ from .collapse import FaultMap
 from .simulator import _ppsfp_state, _superposed_flags
 from .stuck_at import all_faults
 
-__all__ = ["CampaignPool", "subject_digest"]
+__all__ = ["CampaignPool", "release_owner_end", "spawn_worker", "subject_digest"]
 
 
 def subject_digest(payload: bytes) -> str:
@@ -96,6 +97,46 @@ def subject_digest(payload: bytes) -> str:
     keys (:mod:`repro.faults.checkpoint`) both key on this value.
     """
     return hashlib.sha256(payload).hexdigest()
+
+
+#: the owner-side pipe ends of this process's live workers -- campaign
+#: pool workers and the member workers of :mod:`repro.suite.worker`.  A
+#: forked worker closes its inherited copies before anything else, so
+#: each worker's pipe reaches EOF as soon as its owner is gone -- even
+#: after a ``kill -9``.
+_OWNER_ENDS: set = set()
+
+
+def spawn_worker(context, target: Callable, args: tuple, name=None):
+    """Fork a daemon ``target(connection, *args)`` over a fresh pipe.
+
+    Returns ``(process, owner_end)``; hand ``owner_end`` back through
+    :func:`release_owner_end` once the worker is joined.
+    """
+    owner_end, child_end = context.Pipe()
+    process = context.Process(
+        target=_run_worker,
+        args=(target, child_end) + tuple(args),
+        name=name,
+        daemon=True,
+    )
+    _OWNER_ENDS.add(owner_end)  # the child closes its copy of this too
+    process.start()
+    child_end.close()
+    return process, owner_end
+
+
+def _run_worker(target: Callable, connection, *args) -> None:
+    for end in _OWNER_ENDS:
+        end.close()
+    target(connection, *args)
+
+
+def release_owner_end(end) -> None:
+    """Close the owner end of a joined worker's pipe."""
+    _OWNER_ENDS.discard(end)
+    end.close()
+
 
 #: grace period (seconds) the parent keeps waiting for surviving workers
 #: after it has observed a crashed sibling -- a dead worker can leave the
@@ -299,8 +340,8 @@ def _worker_run_job(
 
 
 def _pool_worker(
-    worker_index,
     connection,
+    worker_index,
     next_index,
     outcomes,
     steal_counts,
@@ -472,12 +513,11 @@ class CampaignPool:
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, index: int) -> None:
-        parent_end, child_end = self._context.Pipe()
-        process = self._context.Process(
-            target=_pool_worker,
-            args=(
+        process, parent_end = spawn_worker(
+            self._context,
+            _pool_worker,
+            (
                 index,
-                child_end,
                 self._next_index,
                 self._outcomes,
                 self._steal_counts,
@@ -485,10 +525,7 @@ class CampaignPool:
                 self._generations[index],
                 self._preload,
             ),
-            daemon=True,
         )
-        process.start()
-        child_end.close()
         self._generations[index] += 1
         self._members[index] = (process, parent_end)
         self._worker_cache[index] = OrderedDict(
@@ -517,7 +554,7 @@ class CampaignPool:
         for index, (process, connection) in enumerate(self._members):
             if process.is_alive():
                 process.terminate()
-            connection.close()
+            release_owner_end(connection)
             process.join()
             self._spawn(index)
             self.stats["respawns"] += 1
@@ -551,7 +588,7 @@ class CampaignPool:
             if process.is_alive():
                 process.kill()
                 process.join()
-            connection.close()
+            release_owner_end(connection)
 
     def __enter__(self) -> "CampaignPool":
         return self

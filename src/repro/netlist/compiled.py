@@ -8,20 +8,18 @@ module compiles a frozen netlist into straight-line Python source
 local variables indexed by *slot* -- primary inputs first, then gate outputs
 in topological order -- and evaluates with zero dict traffic.
 
-Eight evaluators in four families are generated from the same gate list:
+Six evaluators in three families are generated from the same gate list:
 
-``good_all(I, mask)`` / ``good_out(I, mask)``
-    Fault-free bit-parallel evaluation; ``good_all`` returns the value of
-    every net as a list in slot order, ``good_out`` only the marked
-    outputs.  The sweep's controller build check and every fault-free
-    campaign reference use ``good_out``.
 ``fault_all`` / ``fault_out(I, mask, fs, stuck, fg, fp)``
-    The same with one fault hook: ``fs`` pins net slot ``fs`` to
-    ``stuck`` (stem fault), ``fg``/``fp`` re-evaluates gate ``fg`` with
-    input pin ``fp`` pinned (branch fault).  Sentinel ``-1`` disables
-    either hook, so a single generated function serves the whole fault
-    universe.  These serve :meth:`Netlist.evaluate` with a fault and the
-    serial oracles; no dropping campaign calls them.
+    Bit-parallel evaluation (bit ``k`` of every net is its value under
+    pattern ``k``) with one fault hook; ``fault_all`` returns the value of
+    every net as a list in slot order, ``fault_out`` only the marked
+    outputs.  ``fs`` pins net slot ``fs`` to ``stuck`` (stem fault),
+    ``fg``/``fp`` re-evaluates gate ``fg`` with input pin ``fp`` pinned
+    (branch fault).  Sentinel ``-1`` disables either hook, so a single
+    generated function serves the whole fault universe.  These serve
+    :meth:`Netlist.evaluate` with a fault and the serial oracles; no
+    dropping campaign calls them.
 ``step_good(bits)`` / ``step_fault(bits, fs, stuck, fg, fp)``
     Single-pattern (``mask == 1``) kernels for the serial BIST sessions
     (the ``dropping=False`` oracle): primary inputs arrive packed in one
@@ -42,14 +40,18 @@ Eight evaluators in four families are generated from the same gate list:
     register trajectory) or a whole ``n``-bit field of patterns or cycles
     (``mask << (lane * n)``: the PPSFP kernel and the campaign screens,
     :func:`repro.faults.simulator.superposed_fields`), so one evaluation
-    covers ``lanes x patterns`` fault/pattern pairs.
+    covers ``lanes x patterns`` fault/pattern pairs.  Fault-free
+    bit-parallel evaluation (:meth:`CompiledNetlist.eval_list` and friends
+    with no fault) is the same kernel with an all-zero ``hit`` table and
+    no fixer: the sweep's controller build check and every fault-free
+    campaign reference run ``lane_out`` that way.
 
 Each evaluator is compiled on its first call, at most once per netlist:
 :class:`CompiledNetlist` (cached per frozen netlist, see
 :meth:`Netlist.compile`) only builds the slot index, and every evaluator
 slot starts as a stub that compiles the real function and installs it in
 its place, so later calls pay nothing extra.  A sweep compiles only
-``good_out`` and ``lane_out`` of each netlist.  The compile runs in the
+``lane_out`` of each netlist.  The compile runs in the
 first caller's time, not in :class:`CompiledNetlist`'s constructor.  The
 compiled object is deliberately excluded from pickling so controllers can
 be shipped to worker processes and recompile lazily on the other side.
@@ -146,8 +148,6 @@ _REDUCE: Dict[GateKind, Optional[Callable[[int, int], int]]] = {
 #: families share one straight-line body between their all-nets and
 #: outputs-only variants (identical arguments, only the return differs).
 _EVALUATORS: Dict[str, Tuple[str, str, str]] = {
-    "good_all": ("I, mask", "good", "all"),
-    "good_out": ("I, mask", "good", "out"),
     "fault_all": ("I, mask, fs, stuck, fg, fp", "fault", "all"),
     "fault_out": ("I, mask, fs, stuck, fg, fp", "fault", "out"),
     "step_good": ("bits", "step_good", "packed"),
@@ -169,23 +169,20 @@ class CompiledNetlist:
         "output_names",
         "output_slots",
         "_gates",
-        "_good_all",
+        "_no_overrides",
         "_fault_all",
         "_step_good",
         "_step_fault",
         "_lane_all",
-        "_good_out",
         "_fault_out",
         "_lane_out",
     )
 
     # Evaluator slots: a first-call stub until compiled, then the function.
-    _good_all: Callable[..., List[int]]
     _fault_all: Callable[..., List[int]]
     _step_good: Callable[..., int]
     _step_fault: Callable[..., int]
     _lane_all: Callable[..., List[int]]
-    _good_out: Callable[..., List[int]]
     _fault_out: Callable[..., List[int]]
     _lane_out: Callable[..., List[int]]
 
@@ -204,6 +201,9 @@ class CompiledNetlist:
         self.output_slots: Tuple[int, ...] = tuple(
             self.index[net] for net in outputs
         )
+        #: the lane kernel's ``(hit, fix)`` for fault-free evaluation: an
+        #: immutable all-zero hit table, so the fixer is never called.
+        self._no_overrides: Tuple[bytes, None] = (bytes(len(self.net_names)), None)
         # Every evaluator slot starts as a stub that compiles the real
         # evaluator on its first call and replaces itself with it.
         for evaluator in _EVALUATORS:
@@ -389,7 +389,7 @@ class CompiledNetlist:
     ) -> List[int]:
         """All net values (slot order) for slot-ordered packed inputs."""
         if fault_args == NO_FAULT:
-            return self._good_all(packed_inputs, mask)
+            return self._lane_all(packed_inputs, mask, *self._no_overrides)
         return self._fault_all(packed_inputs, mask, *fault_args)
 
     def eval_outputs_list(
@@ -400,7 +400,7 @@ class CompiledNetlist:
     ) -> List[int]:
         """Marked-output values only, in output order."""
         if fault_args == NO_FAULT:
-            return self._good_out(packed_inputs, mask)
+            return self._lane_out(packed_inputs, mask, *self._no_overrides)
         return self._fault_out(packed_inputs, mask, *fault_args)
 
     def step(self, bits: int, fault_args: Tuple[int, int, int, int] = NO_FAULT) -> int:
@@ -421,11 +421,9 @@ class CompiledNetlist:
         positions index superposed *lanes* (machine copies) instead of
         patterns; ``overrides`` comes from :meth:`lane_overrides` and pins
         each lane's fault in that lane's bit only.  ``None`` overrides
-        degrade to the plain bit-parallel evaluator.
+        evaluate fault-free (no slot is hit).
         """
-        if overrides is None:
-            return self._good_all(input_words, mask)
-        return self._lane_all(input_words, mask, *overrides)
+        return self._lane_all(input_words, mask, *(overrides or self._no_overrides))
 
     def lane_eval_outputs(
         self,
@@ -434,6 +432,4 @@ class CompiledNetlist:
         overrides: Optional[LaneOverrides] = None,
     ) -> List[int]:
         """Marked-output lane words only, in output order."""
-        if overrides is None:
-            return self._good_out(input_words, mask)
-        return self._lane_out(input_words, mask, *overrides)
+        return self._lane_out(input_words, mask, *(overrides or self._no_overrides))

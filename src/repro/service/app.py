@@ -273,6 +273,7 @@ class CampaignServer:
         self._httpd.drain_and_stop = self._drain_and_stop  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        self._served = False  # a serve loop was started
         self._closed = False
 
     @property
@@ -286,6 +287,7 @@ class CampaignServer:
 
     def start(self) -> "CampaignServer":
         """Serve on a background thread; returns self for chaining."""
+        self._served = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.1},
@@ -297,6 +299,7 @@ class CampaignServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until ``/shutdown`` or interrupt."""
+        self._served = True
         try:
             self._httpd.serve_forever(poll_interval=0.1)
         finally:
@@ -309,7 +312,17 @@ class CampaignServer:
         with a refusal instead of waiting unanswered in the backlog.
         """
         self.engine.close(drain=True)
-        self._httpd.shutdown()
+        self._stop_serving()
+
+    def _stop_serving(self) -> None:
+        """Stop the HTTP loop and close the listening socket.
+
+        ``httpd.shutdown()`` waits for a serve loop to exit, so it runs
+        only if one was started; on a server that never served it would
+        block forever.
+        """
+        if self._served:
+            self._httpd.shutdown()
         self._httpd.server_close()
 
     def install_signal_handlers(self) -> None:
@@ -345,8 +358,7 @@ class CampaignServer:
             return
         self._closed = True
         self.engine.close(drain=True)
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._stop_serving()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

@@ -110,7 +110,8 @@ class AdhocMember:
     def build(self):
         return kiss.loads(self.text, name=self.name)
 
-    def sha256(self) -> str:
+    def sha256(self, machine=None) -> str:
+        """SHA-256 of the text; ``machine`` (the built subject) is unused."""
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 

@@ -111,22 +111,31 @@ class CorpusMember:
             return built
         raise ReproError(f"unknown corpus member kind {self.kind!r}")
 
-    def sha256(self) -> str:
-        """Ledger hash: file bytes for kiss members, canonical dump otherwise."""
+    def sha256(self, machine: Optional[MealyMachine] = None) -> str:
+        """Ledger hash: file bytes for kiss members, canonical dump otherwise.
+
+        ``machine`` is this member's already built machine, if the caller
+        has one; a generated member then hashes it instead of building
+        again.
+        """
         if self.kind == "kiss":
             with open(self.path, "rb") as handle:
                 return hashlib.sha256(handle.read()).hexdigest()
-        return canonical_sha256(self.build())
+        return canonical_sha256(machine if machine is not None else self.build())
 
-    def to_manifest(self) -> Dict[str, object]:
-        """The manifest/ledger record (everything a re-run needs)."""
+    def to_manifest(self, sha256: Optional[str] = None) -> Dict[str, object]:
+        """The manifest/ledger record (everything a re-run needs).
+
+        ``sha256`` is the member's ledger hash if already known (a sweep
+        record carries it); otherwise it is computed.
+        """
         return {
             "id": self.member_id,
             "family": self.family,
             "name": self.name,
             "kind": self.kind,
             "spec": dict(self.spec),
-            "sha256": self.sha256(),
+            "sha256": sha256 if sha256 is not None else self.sha256(),
         }
 
 

@@ -217,8 +217,9 @@ def sweep_member(member, config: SweepConfig) -> Dict[str, object]:
     metrics ledger is a pure function of the member and the deterministic
     config fields, never of who ran the campaign.  ``member`` is anything
     with the :class:`~repro.suite.corpus.CorpusMember` duck surface
-    (``member_id``/``family``/``name``/``kind``/``build()``/``sha256()``).
-    The campaign runs in-process; parallelism is across members
+    (``member_id``/``family``/``name``/``kind``/``build()``/``sha256()``);
+    the member is built once and ``sha256`` hashes that machine.  The
+    campaign runs in-process; parallelism is across members
     (:mod:`repro.suite.worker`).
     """
     from ..faults import measure_coverage
@@ -235,7 +236,7 @@ def sweep_member(member, config: SweepConfig) -> Dict[str, object]:
     wall: Dict[str, float] = {}
     try:
         machine = member.build()
-        record["sha256"] = member.sha256()
+        record["sha256"] = member.sha256(machine)
         record["n_states"] = machine.n_states
         record["n_inputs"] = machine.n_inputs
         record["n_outputs"] = machine.n_outputs
@@ -357,29 +358,29 @@ def _summarize(
 
 
 def _service_records(
-    service: str, members, config: SweepConfig
+    service: str, member_records: Sequence[Mapping], config: SweepConfig
 ) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Run the sweep's member jobs through a live campaign service.
 
-    Submits one job per member (admission-control-aware batching) and
-    yields ``(index, record)`` *in member order*, so the metrics file
-    written from them is bit-identical to the in-process loop's.
-    A job that failed without producing a record (an unexpected server
-    exception, not a structured campaign error) aborts the sweep --
-    silently dropping a member would corrupt the ledger.
+    Submits one job per member manifest record (admission-control-aware
+    batching) and yields ``(index, record)`` *in member order*, so the
+    metrics file written from them is bit-identical to the in-process
+    loop's.  A job that failed without producing a record (an unexpected
+    server exception, not a structured campaign error) aborts the sweep
+    -- silently dropping a member would corrupt the ledger.
     """
     from ..service.client import ServiceClient
 
     client = ServiceClient(service)
     jobs = [
-        {"member": member.to_manifest(), "config": config.to_dict()}
-        for member in members
+        {"member": member_record, "config": config.to_dict()}
+        for member_record in member_records
     ]
     for index, job in enumerate(client.run_batch(jobs)):
         record = job.get("record")
         if record is None:
             raise ReproError(
-                f"service job {job.get('job')} for {members[index].member_id} "
+                f"service job {job.get('job')} for {member_records[index]['id']} "
                 f"ended {job.get('state')!r} without a metrics record: "
                 f"{job.get('error')}"
             )
@@ -412,12 +413,11 @@ def run_sweep(
         )
     os.makedirs(out_dir, exist_ok=True)
 
-    member_records = [member.to_manifest() for member in members]
-
     started = time.perf_counter()
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     if service is not None:
-        results = _service_records(service, members, config)
+        member_records = [member.to_manifest() for member in members]
+        results = _service_records(service, member_records, config)
     elif config.workers > 1:
         from .worker import run_members
 
@@ -437,6 +437,14 @@ def run_sweep(
             if progress is not None:
                 progress(index, len(members), record)
     elapsed = time.perf_counter() - started
+    if service is None:
+        # Each record carries the hash of the machine its member built; a
+        # record without one (a worker crash, a member that failed to
+        # build) has its member hashed here.
+        member_records = [
+            member.to_manifest(record.get("sha256"))
+            for member, record in zip(members, records)
+        ]
 
     summary = _summarize(
         records, config, elapsed if config.record_timings else None

@@ -41,6 +41,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import JobTimeout, PoolClosed, ReproError, WorkerCrash
+from ..faults.pool import release_owner_end, spawn_worker
 
 __all__ = ["WORKER_OPTIONS", "MemberWorker", "run_members"]
 
@@ -51,19 +52,12 @@ WORKER_OPTIONS = ("timeout", "retries", "chaos")
 #: seconds ``close`` waits at each step of join -> terminate -> kill.
 _JOIN_S = 5.0
 
-#: the owner-side pipe ends of this process's live workers.  A forked
-#: worker closes its inherited copies, so each worker's pipe reaches EOF
-#: as soon as its owner is gone -- even after a ``kill -9``.
-_OWNER_ENDS: set = set()
-
 
 def _serve(connection, chaos_plan, index: int, generation: int) -> None:
     """Worker main loop: run members until shutdown or parent exit."""
     from ..faults.chaos import ChaosState
     from . import sweep
 
-    for end in _OWNER_ENDS:
-        end.close()
     # The owner decides when a worker stops; a terminal ^C or a drain
     # handler inherited from a serving process must not act here.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -131,18 +125,13 @@ class MemberWorker:
         self._spawn()
 
     def _spawn(self) -> None:
-        parent_end, child_end = self._context.Pipe()
-        process = self._context.Process(
-            target=_serve,
-            args=(child_end, self._chaos, self.index, self._generation),
+        self._process, self._connection = spawn_worker(
+            self._context,
+            _serve,
+            (self._chaos, self.index, self._generation),
             name=f"repro-member-{self.index}",
-            daemon=True,
         )
-        _OWNER_ENDS.add(parent_end)  # the child closes its copy of this too
-        process.start()
-        child_end.close()
         self._generation += 1
-        self._process, self._connection = process, parent_end
 
     def _stop(self) -> None:
         """Join the current process (terminate, then kill, if it lingers)."""
@@ -161,8 +150,7 @@ class MemberWorker:
         if process.is_alive():
             process.kill()
             process.join()
-        _OWNER_ENDS.discard(connection)
-        connection.close()
+        release_owner_end(connection)
 
     def _attempt(self, member, config) -> Tuple[str, Any]:
         """One try: ``("ok", (record, member_s))`` or a failure kind."""

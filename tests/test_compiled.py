@@ -168,22 +168,23 @@ def test_evaluators_compile_on_first_call(monkeypatch):
     hit, _fix = overrides  # the lane kernel takes (I, mask, hit, fix)
     assert list(hit) == [int(net == "na") for net in engine.net_names]
     assert compiled == []
+    # Fault-free evaluation runs the lane kernel with no hit slot, so it
+    # compiles (and then shares) ``lane_all``/``lane_out``.
     calls = [
-        ("good_all", lambda: engine.eval_list([1, 1], 1)),
+        ("lane_all", lambda: engine.eval_list([1, 1], 1)),
         ("fault_all", lambda: engine.eval_list([1, 1], 1, stem)),
-        ("good_out", lambda: engine.eval_outputs_list([1, 1], 1)),
+        ("lane_out", lambda: engine.eval_outputs_list([1, 1], 1)),
         ("fault_out", lambda: engine.eval_outputs_list([1, 1], 1, stem)),
         ("step_good", lambda: engine.step(3)),
         ("step_fault", lambda: engine.step(3, stem)),
-        ("lane_all", lambda: engine.lane_eval([3, 3], 3, overrides)),
-        ("lane_out", lambda: engine.lane_eval_outputs([3, 3], 3, overrides)),
     ]
     for evaluator, call in calls:
         before = len(compiled)
         first = call()
         assert call() == first
         assert compiled[before:] == [f"<compiled netlist 'tiny': {evaluator}>"]
-    # ``overrides=None`` reuses the already compiled fault-free evaluators.
-    engine.lane_eval([3, 3], 3)
+    # Faulty lanes and ``overrides=None`` reuse the same two evaluators.
+    assert engine.lane_eval([1, 3], 3, overrides) != engine.lane_eval([1, 3], 3)
+    engine.lane_eval_outputs([3, 3], 3, overrides)
     engine.lane_eval_outputs([3, 3], 3)
     assert len(compiled) == len(calls)

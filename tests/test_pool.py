@@ -318,6 +318,74 @@ class TestLifecycle:
         assert "leaked" not in result.stderr, result.stderr
 
 
+_HOLD_WORKERS = {
+    "campaign-pool": (
+        "from repro.faults import CampaignPool\n"
+        "pool = CampaignPool(2)\n"
+        "pids = [process.pid for process, _ in pool._members]\n"
+    ),
+    "member-workers": (
+        "from repro.suite.worker import MemberWorker\n"
+        "workers = [MemberWorker(index) for index in range(2)]\n"
+        "pids = [worker._process.pid for worker in workers]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(_HOLD_WORKERS))
+def test_workers_exit_when_their_owner_is_killed(owner):
+    """``kill -9`` of a process holding two workers: each worker sees its
+    pipe reach EOF (no worker keeps an owner-side pipe end open) and
+    exits on its own."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    script = (
+        "import sys, time\n"
+        f"sys.path.insert(0, {os.path.join(os.path.dirname(__file__), os.pardir, 'src')!r})\n"
+        + _HOLD_WORKERS[owner]
+        + "print('PIDS', *pids, flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+    )
+    pids = []
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("PIDS"), line
+        pids = [int(token) for token in line.split()[1:]]
+        assert len(pids) == 2
+        process.kill()
+        process.wait(30.0)
+        deadline = time.monotonic() + 30.0
+        while not all(_exited(pid) for pid in pids):
+            assert time.monotonic() < deadline, f"orphan workers: {pids}"
+            time.sleep(0.05)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(10.0)
+        process.stdout.close()
+        for pid in pids:  # only alive if the check above failed
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` has exited; an orphan zombie nobody reaped
+    counts as exited."""
+    if not _pid_alive(pid):
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

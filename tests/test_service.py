@@ -193,6 +193,16 @@ def client(server):
     return ServiceClient(server.url, timeout=60.0)
 
 
+def test_close_of_a_never_started_server_returns():
+    """``close()`` on a server whose serve loop never ran must not wait
+    for one; run on a thread so a regression fails instead of hanging."""
+    srv = CampaignServer(port=0, shards=1, pool_workers=0)
+    closer = threading.Thread(target=srv.close, daemon=True)
+    closer.start()
+    closer.join(30.0)
+    assert not closer.is_alive(), "close() of a never-started server hung"
+
+
 class TestHttpSurface:
     def test_health_and_metrics(self, client):
         health = client.health()

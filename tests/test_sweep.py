@@ -235,6 +235,49 @@ def test_sticky_member_worker_crash_becomes_an_error_record(
         assert "failed in 2 worker(s)" in record["error"]
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_each_member_is_built_once(workers, tmp_path, monkeypatch):
+    """A sweep builds every member's machine exactly once -- the record's
+    hash and the manifest's corpus ledger reuse that build -- and the
+    ledger equals the members' own manifest records.  The counter is a
+    file so builds inside forked member workers count too."""
+    config = SweepConfig(
+        families=("pop-structured",), limit=3, workers=workers,
+        record_timings=False,
+    )
+    selected = corpus.members(family_filter=config.families, limit=config.limit)
+    expected = [member.to_manifest() for member in selected]
+    log = tmp_path / "builds.log"
+    original = corpus.CorpusMember.build
+
+    def counting_build(self):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(self.member_id + "\n")
+        return original(self)
+
+    monkeypatch.setattr(corpus.CorpusMember, "build", counting_build)
+    result = run_sweep(config, str(tmp_path / "run"))
+    assert result.manifest["corpus"]["members"] == expected
+    assert sorted(log.read_text().split()) == sorted(
+        member.member_id for member in selected
+    )
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_generated_member_that_cannot_build_fails_the_sweep(workers, tmp_path):
+    """The corpus ledger needs every member's hash, so a generated member
+    that cannot be built still aborts the sweep with its build error."""
+    good = corpus.members(family_filter=("sequential",), limit=1)[0]
+    bad = corpus.CorpusMember(
+        family="sequential", name="bad", kind="generated",
+        spec={"generator": "no-such-generator", "name": "bad"},
+    )
+    config = SweepConfig(workers=workers, record_timings=False)
+    with pytest.raises(ReproError, match="unknown generator"):
+        run_sweep(config, str(tmp_path / "run"), members=[good, bad])
+    assert multiprocessing.active_children() == []
+
+
 def test_timed_records_share_the_untimed_canonical_ledger(scratch_corpus, tmp_path):
     """``wall`` and ``telemetry`` are the only non-canonical keys: a
     timed run's canonical ledger equals the untimed run's, and the
