@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""End-to-end speed benchmark for the compiled/parallel performance engine.
+"""End-to-end speed benchmark for the compiled performance engine.
 
 Measures the two hot paths the engine accelerates, always verifying that
 the optimised results are bit-identical to the reference paths:
 
 * **coverage**: a full ``measure_coverage`` BIST campaign -- seed serial
-  path (interpreted netlist evaluation, no dropping) versus the engine
-  (compiled kernels + exact fault dropping + ``workers=N`` fan-out on a
-  preloaded ephemeral pool), plus the same dropping campaign in-process
-  (``inprocess_s``), so the pool's fork cost is visible;
+  path (interpreted netlist evaluation, no dropping) versus the in-process
+  engine (compiled kernels + exact fault dropping);
 * **superposition**: the pipeline architecture's ``C1``/``C2`` faults
   (whose response errors perturb the in-loop compactor and the
   ``lambda*`` stream) -- the serial oracle, one complete compiled
@@ -25,11 +23,6 @@ the optimised results are bit-identical to the reference paths:
   expands the verdicts back, so the reports must stay field-for-field
   identical while the wall clock drops multiplicatively on top of
   dropping/superposition;
-* **pool-reuse**: a sweep of repeated campaigns -- a preloaded ephemeral
-  pool per campaign (``workers=N``: workers forked with the controller
-  already compiled, reference state rebuilt every campaign) versus one
-  persistent ``CampaignPool`` whose workers keep the controller compiled
-  and its campaign state cached across campaigns;
 * **synthesis_table1**: the Table-1 depth-first OSTR sweep --
   ``search_ostr`` on the label-tuple reference engine versus the
   bitset-native engine (identical solutions and search statistics);
@@ -52,7 +45,7 @@ logs.  ``--smoke`` runs a seconds-scale subset for CI.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_speed.py [--smoke] [--workers N]
+    PYTHONPATH=src python benchmarks/bench_speed.py [--smoke]
 """
 
 from __future__ import annotations
@@ -70,7 +63,6 @@ sys.path.insert(
 from repro import suite  # noqa: E402
 from repro.faults.coverage import measure_coverage  # noqa: E402
 from repro.faults.engine import run_campaign  # noqa: E402
-from repro.faults.pool import CampaignPool  # noqa: E402
 from repro.faults.simulator import (  # noqa: E402
     exhaustive_patterns,
     simulate_patterns,
@@ -89,17 +81,13 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def bench_coverage(name: str, architecture: str, workers: int) -> dict:
-    """``optimized_s`` is the ``workers=N`` pool; ``inprocess_s`` the same
-    dropping campaign without one, so the pool's fork cost shows."""
+def bench_coverage(name: str, architecture: str) -> dict:
+    """The interpreted oracle vs the in-process dropping campaign."""
     controller = build_controller(suite.load(name), architecture)
     reference, baseline_s = _timed(
         lambda: measure_coverage(controller, engine="interpreted")
     )
     optimized, engine_s = _timed(
-        lambda: measure_coverage(controller, workers=workers, dropping=True)
-    )
-    inprocess, inprocess_s = _timed(
         lambda: measure_coverage(controller, dropping=True)
     )
     return {
@@ -108,10 +96,8 @@ def bench_coverage(name: str, architecture: str, workers: int) -> dict:
         "coverage": round(reference.coverage, 6),
         "baseline_s": round(baseline_s, 4),
         "optimized_s": round(engine_s, 4),
-        "inprocess_s": round(inprocess_s, 4),
         "speedup": round(baseline_s / engine_s, 2) if engine_s else float("inf"),
-        "workers": workers,
-        "identical": optimized == reference and inprocess == reference,
+        "identical": optimized == reference,
     }
 
 
@@ -200,59 +186,6 @@ def bench_collapse(name: str) -> dict:
             round(baseline_s / collapsed_s, 2) if collapsed_s else float("inf")
         ),
         "identical": collapsed == baseline,
-    }
-
-
-def bench_pool_reuse(names, workers: int, rounds: int = 2, pipelines: bool = True) -> dict:
-    """Campaign sweep: a preloaded ephemeral pool per campaign vs one
-    persistent pool.
-
-    The Table-style shape the persistent pool exists for: many campaigns
-    over many controllers, repeated.  The baseline runs every campaign
-    with ``workers=N``, i.e. on its own ephemeral pool whose workers are
-    forked with the controller preloaded (no payload, no recompile) but
-    rebuild reference signatures and screening bundles every campaign;
-    the persistent pool keeps the workers -- and their per-controller
-    subject/state caches -- alive across the whole sweep, so every
-    repeated campaign is a cache hit.
-    """
-    controllers = [build_controller(suite.load(name), "conventional") for name in names]
-    if pipelines:
-        controllers += [build_controller(suite.load(name)) for name in names]
-    campaigns = len(controllers) * rounds
-    ephemeral_reports, ephemeral_s = _timed(
-        lambda: [
-            run_campaign(controller, workers=workers, dropping=True)
-            for _ in range(rounds)
-            for controller in controllers
-        ]
-    )
-
-    def pooled_sweep():
-        with CampaignPool(workers) as pool:
-            return (
-                [
-                    run_campaign(controller, dropping=True, pool=pool)
-                    for _ in range(rounds)
-                    for controller in controllers
-                ],
-                dict(pool.stats),
-            )
-
-    (pool_reports, stats), pool_s = _timed(pooled_sweep)
-    return {
-        "bench": f"pool-reuse/sweep-{len(controllers)}x{rounds}",
-        "machines": list(names),
-        "faults": sum(report.total for report in ephemeral_reports),
-        "campaigns": campaigns,
-        "workers": workers,
-        "baseline": "preloaded ephemeral pool per campaign",
-        "optimized": "one persistent pool",
-        "baseline_s": round(ephemeral_s, 4),
-        "optimized_s": round(pool_s, 4),
-        "speedup": round(ephemeral_s / pool_s, 2) if pool_s else float("inf"),
-        "reuse_hits": stats["reuse_hits"],
-        "identical": ephemeral_reports == pool_reports,
     }
 
 
@@ -491,9 +424,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true", help="seconds-scale subset for CI"
     )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="engine worker processes"
-    )
     parser.add_argument("--no-json-file", action="store_true")
     args = parser.parse_args(argv)
 
@@ -501,9 +431,6 @@ def main(argv=None) -> int:
         coverage_cases = [("dk27", "conventional"), ("dk27", "pipeline")]
         sweep_names = [n for n in suite.names() if n not in HEAVY]
         ppsfp_name = "dk16"  # widest block outside the heavy OSTR cases
-        pool_case = dict(
-            names=("shiftreg", "tav", "dk27"), workers=2, pipelines=False
-        )
         collapse_name = "dk27"
         kernel_case = dict(name="dk512", repeats=5)
         logic_case = dict(n_functions=12, max_inputs=7)
@@ -517,9 +444,6 @@ def main(argv=None) -> int:
         ]
         sweep_names = list(suite.names())
         ppsfp_name = "s1"  # the suite's widest combinational block
-        pool_case = dict(
-            names=("shiftreg", "tav", "dk27", "bbtas"), workers=2
-        )
         collapse_name = "dk14"
         kernel_case = dict(name="dk16", repeats=5)
         logic_case = dict(n_functions=40, max_inputs=8)
@@ -536,13 +460,11 @@ def main(argv=None) -> int:
 
     results = []
     for name, architecture in coverage_cases:
-        outcome = bench_coverage(name, architecture, args.workers)
+        outcome = bench_coverage(name, architecture)
         results.append(outcome)
         print(
             f"{outcome['bench']}: {outcome['faults']} faults, "
             f"{outcome['baseline_s']:.2f}s -> {outcome['optimized_s']:.2f}s "
-            f"on {outcome['workers']} workers, "
-            f"{outcome['inprocess_s']:.2f}s in-process "
             f"(x{outcome['speedup']}, identical={outcome['identical']})"
         )
     superposition = bench_superposition("dk14")
@@ -568,17 +490,6 @@ def main(argv=None) -> int:
         f"({100.0 * collapse['reduction']:.1f}% fewer), "
         f"{collapse['baseline_s']:.2f}s -> {collapse['optimized_s']:.2f}s "
         f"(x{collapse['speedup']}, identical={collapse['identical']})"
-    )
-    pool_reuse = bench_pool_reuse(**pool_case)
-    results.append(pool_reuse)
-    print(
-        f"{pool_reuse['bench']}: {pool_reuse['campaigns']} campaigns / "
-        f"{pool_reuse['faults']} faults total, "
-        f"ephemeral pool per campaign {pool_reuse['baseline_s']:.2f}s -> "
-        f"persistent pool {pool_reuse['optimized_s']:.2f}s "
-        f"(x{pool_reuse['speedup']}, "
-        f"{pool_reuse['reuse_hits']} reuse hits, "
-        f"identical={pool_reuse['identical']})"
     )
     sweep = bench_synthesis_table1(sweep_names)
     results.append(sweep)

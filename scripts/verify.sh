@@ -41,13 +41,12 @@ else
   python -m pytest -x -q
 fi
 
-echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, field screening, collapse tables, golden signatures, pool lifecycle) =="
+echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, field screening, collapse tables, golden signatures) =="
 python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
-  tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_collapse.py \
-  tests/test_pool.py -q
+  tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_collapse.py -q
 
-echo "== chaos suite (injected crashes/hangs/pipe-close vs serial oracle) =="
-python -m pytest tests/test_chaos.py -q
+echo "== chaos suite (seeded crashes/pipe-close/jitter in member workers vs the in-process ledger, checkpoint resume) =="
+python -m pytest tests/test_chaos.py tests/test_sweep.py -q
 
 echo "== synthesis equivalence (bitset kernels vs label/string oracles, pair-algebra laws, Table-1 golden stats) =="
 python -m pytest tests/test_prop_partitions.py tests/test_prop_pairs.py \

@@ -250,9 +250,8 @@ class _ProverTables:
 
 
 #: (netlist, default-observed) -> tables; weak so netlists keep their
-#: normal lifetime.  Mirrors the collapse table cache: pool workers hit
-#: it through their cached subjects, so repeated prescreened campaigns
-#: pay the propagation once per subject.
+#: normal lifetime.  Mirrors the collapse table cache: repeated
+#: prescreened campaigns pay the propagation once per subject.
 _TABLE_CACHE: "weakref.WeakKeyDictionary[Netlist, _ProverTables]" = (
     weakref.WeakKeyDictionary()
 )

@@ -140,104 +140,47 @@ def _cmd_arch(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
-    pool = None
-    if args.workers > 1:
-        from .faults.pool import CampaignPool
-
-        pool = CampaignPool(args.workers)
-    try:
-        rows = experiments.run_coverage(
-            machine,
-            cycles=args.cycles,
-            dropping=not args.reference,
-            chunk_size=args.chunk_size,
-            pool=pool,
-            engine=args.engine,
-            collapse=args.collapse,
-            prescreen=args.prescreen,
-            timeout=args.timeout,
-            retries=args.retries,
-            checkpoint=args.checkpoint,
-            degrade=args.degrade,
+    rows = experiments.run_coverage(
+        machine,
+        cycles=args.cycles,
+        dropping=not args.reference,
+        engine=args.engine,
+        collapse=args.collapse,
+        prescreen=args.prescreen,
+        checkpoint=args.checkpoint,
+    )
+    print(experiments.format_coverage(rows))
+    # The lines below describe the pipeline campaign, the last row.
+    telemetry: Dict[str, Any] = rows[-1].telemetry
+    stats = telemetry.get("collapse")
+    if stats:
+        note = (
+            "verdicts expanded back to the full universe"
+            if stats["mode"] == "equiv"
+            else "reported universe is the kept representatives"
         )
-        print(experiments.format_coverage(rows))
-        # The lines below describe the pipeline campaign, the last row.
-        telemetry: Dict[str, Any] = rows[-1].telemetry
-        stats = telemetry.get("collapse")
-        if stats:
-            note = (
-                "verdicts expanded back to the full universe"
-                if stats["mode"] == "equiv"
-                else "reported universe is the kept representatives"
-            )
-            print(
-                f"collapse (pipeline campaign): mode {stats['mode']}, "
-                f"{stats['universe']} faults -> {stats['scheduled']} "
-                f"scheduled ({100.0 * stats['reduction']:.1f}% fewer, "
-                f"{stats['classes']} classes); {note}"
-            )
-        stats = telemetry.get("prescreen")
-        if stats:
-            note = (
-                f"{stats['skipped']} skipped before simulation"
-                if stats["mode"] == "static"
-                else "all simulated, verdicts cross-checked"
-            )
-            tally = ", ".join(
-                f"{count} {verdict}"
-                for verdict, count in sorted(stats["by_verdict"].items())
-            ) or "none proved"
-            print(
-                f"prescreen (pipeline campaign): mode {stats['mode']}, "
-                f"{stats['proved']}/{stats['scheduled']} scheduled faults "
-                f"proved untestable ({tally}); {note}"
-            )
-        if pool is not None:
-            dropped = telemetry["dropped"]
-            dropped_note = (
-                "screening drops not tracked (interpreted rung)"
-                if dropped is None
-                else f"{dropped} faults dropped by screening"
-            )
-            print(
-                f"scheduler (pipeline campaign): {telemetry['workers']} "
-                f"workers, chunk size {telemetry['chunk_size']}, "
-                f"chunks stolen per worker {telemetry['chunks_stolen']}, "
-                + dropped_note
-            )
-            stats = pool.stats
-            print(
-                f"pool: {args.workers} persistent workers served "
-                f"{stats['campaigns']} campaigns + {stats['ppsfp']} PPSFP "
-                f"requests, {stats['reuse_hits']} compiled-subject reuse "
-                f"hits, {stats['respawns']} respawns"
-            )
-        resilience = telemetry.get("resilience")
-        if resilience and (
-            resilience["retries"]
-            or resilience["respawns"]
-            or resilience["timeouts"]
-            or resilience["fallbacks"]
-            or resilience["resumed"]
-        ):
-            line = (
-                f"resilience (pipeline campaign): {resilience['retries']} "
-                f"retries, {resilience['respawns']} worker respawns, "
-                f"{resilience['timeouts']} watchdog timeouts, "
-                f"{resilience['redispatched_chunks']} chunks "
-                f"({resilience['redispatched_faults']} faults) re-dispatched"
-            )
-            if resilience["resumed"]:
-                line += f", {resilience['resumed']} outcomes resumed from checkpoint"
-            print(line)
-            for event in resilience["fallbacks"]:
-                print(
-                    f"  degraded {event.rung_from} -> {event.rung_to} "
-                    f"({event.kind}): {event.error}"
-                )
-    finally:
-        if pool is not None:
-            pool.close()
+        print(
+            f"collapse (pipeline campaign): mode {stats['mode']}, "
+            f"{stats['universe']} faults -> {stats['scheduled']} "
+            f"scheduled ({100.0 * stats['reduction']:.1f}% fewer, "
+            f"{stats['classes']} classes); {note}"
+        )
+    stats = telemetry.get("prescreen")
+    if stats:
+        note = (
+            f"{stats['skipped']} skipped before simulation"
+            if stats["mode"] == "static"
+            else "all simulated, verdicts cross-checked"
+        )
+        tally = ", ".join(
+            f"{count} {verdict}"
+            for verdict, count in sorted(stats["by_verdict"].items())
+        ) or "none proved"
+        print(
+            f"prescreen (pipeline campaign): mode {stats['mode']}, "
+            f"{stats['proved']}/{stats['scheduled']} scheduled faults "
+            f"proved untestable ({tally}); {note}"
+        )
     return 0
 
 
@@ -669,21 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("machine", help="suite name or KISS2 file path")
     coverage.add_argument("--cycles", type=int, default=None)
     coverage.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve all four architecture campaigns and the PPSFP screens "
-        "from one pool of N worker processes (compiled state reused "
-        "across campaigns); 0 or 1 runs in-process",
-    )
-    coverage.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="steal granularity in faults (default: auto-balanced)",
-    )
-    coverage.add_argument(
         "--reference",
         action="store_true",
         help="serial oracle without fault dropping (identical report, slower)",
@@ -709,33 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
         "engine claims to detect a proved-untestable fault",
     )
     coverage.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="no-progress watchdog deadline per campaign attempt: hung "
-        "workers are killed and their chunks re-dispatched",
-    )
-    coverage.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-dispatch budget after worker crashes/timeouts on the "
-        "--workers pool (default: the pool's budget, 2)",
-    )
-    coverage.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
         help="crash-safe campaign snapshots: each architecture campaign "
         "checkpoints to PATH.archN and a rerun resumes bit-identically",
-    )
-    coverage.add_argument(
-        "--degrade",
-        action="store_true",
-        help="on an exhausted retry budget, fall back down the "
-        "pool -> serial -> interpreted ladder instead of failing",
     )
     coverage.add_argument(
         "--engine",

@@ -50,7 +50,8 @@ class FaultError(ReproError):
 
 
 class PoolClosed(ReproError):
-    """An operation was attempted on a closed :class:`CampaignPool`."""
+    """A member was sent to a closed member worker
+    (:class:`~repro.suite.worker.MemberWorker`)."""
 
 
 class PrescreenViolation(FaultError):
@@ -69,13 +70,12 @@ class PrescreenViolation(FaultError):
 
 
 class ResilienceError(ReproError):
-    """A fault-simulation job failed after exhausting its retry budget.
+    """A member failed in every worker its retry budget allowed.
 
-    Structured base for the campaign runtime's failure modes: carries the
-    number of attempts made, how many scheduled faults were still
-    unprocessed when the budget ran out, and the per-worker failure
-    details gathered along the way (one string per observed failure, in
-    worker-index order).
+    Structured base for the member workers' failure modes
+    (:class:`~repro.suite.worker.MemberWorker`): carries the number of
+    attempts made and the failure detail of each (one string per failed
+    worker, in attempt order).
     """
 
     def __init__(
@@ -83,22 +83,18 @@ class ResilienceError(ReproError):
         message: str,
         *,
         attempts: int = 1,
-        unprocessed: int = 0,
         failures=(),
     ) -> None:
         super().__init__(message)
         self.attempts = attempts
-        self.unprocessed = unprocessed
         self.failures = list(failures)
 
 
 class JobTimeout(ResilienceError):
-    """A campaign watchdog deadline expired on every retry.
+    """A member passed its deadline in every worker it ran in.
 
-    Raised when workers made no scheduling progress (the shared next-index
-    counter did not advance and no replies arrived) within ``deadline``
-    seconds, on each of ``attempts`` dispatches.  ``deadline`` is the
-    per-attempt no-progress budget in seconds.
+    ``deadline`` is the per-attempt budget in seconds; each worker that
+    passed it was killed.
     """
 
     def __init__(self, message: str, *, deadline=None, **kwargs) -> None:

@@ -270,34 +270,27 @@ _COVERAGE_ROWS = (
 def run_coverage(
     machine: MealyMachine,
     method: str = "auto",
-    pool=None,
     checkpoint: Optional[str] = None,
-    degrade: bool = False,
     **campaign,
 ) -> List[CoverageRow]:
     """Measure self-test stuck-at coverage of Figures 1-4 on one machine.
 
     ``campaign`` options go to every :func:`repro.faults.measure_coverage`
-    call.  ``pool`` (a :class:`~repro.faults.pool.CampaignPool`) serves
-    the four campaigns and the PPSFP redundancy screens from the same
-    persistent workers; ``degrade`` also lets those screens fall back to
-    in-process lanes.  ``checkpoint`` names a snapshot *prefix*: each
-    architecture campaign checkpoints to ``{checkpoint}.arch{i}``, so an
-    interrupted run resumes per architecture, bit-identically.
+    call.  ``checkpoint`` names a snapshot *prefix*: each architecture
+    campaign checkpoints to ``{checkpoint}.arch{i}``, so an interrupted
+    run resumes per architecture, bit-identically.
     """
     rows = []
     for index, (architecture, label) in enumerate(_COVERAGE_ROWS):
         controller = build_controller(machine, architecture, method=method)
         report = faults.measure_coverage(
             controller,
-            pool=pool,
             checkpoint=(
                 f"{checkpoint}.arch{index}" if checkpoint is not None else None
             ),
-            degrade=degrade,
             **campaign,
         )
-        redundant = _redundant_fault_count(controller, pool=pool, degrade=degrade)
+        redundant = _redundant_fault_count(controller)
         detectable = report.total - redundant
         structurally_missed = (
             len(controller.feedback_faults())
@@ -321,22 +314,14 @@ def run_coverage(
     return rows
 
 
-def _redundant_fault_count(controller, pool=None, degrade=False) -> int:
+def _redundant_fault_count(controller) -> int:
     """Faults no input pattern can detect (combinational redundancy)."""
     redundant = 0
     for network in controller.fault_blocks().values():
         if network is None:
             continue
         patterns = faults.exhaustive_patterns(len(network.inputs))
-        try:
-            outcome = faults.simulate_patterns(network, patterns, pool=pool)
-        except ReproError:
-            # Degradation for the PPSFP screens mirrors the campaigns':
-            # an unusable pool falls back to the in-process lanes, which
-            # compute identical flags.
-            if not degrade or pool is None:
-                raise
-            outcome = faults.simulate_patterns(network, patterns)
+        outcome = faults.simulate_patterns(network, patterns)
         redundant += outcome.total - outcome.detected
     return redundant
 

@@ -20,17 +20,14 @@ from .coverage import (
     CoverageReport,
     measure_coverage,
 )
-from .engine import DegradationEvent, LinearCompactor, run_campaign
-from .pool import CampaignPool
+from .engine import LinearCompactor, run_campaign
 from .chaos import ChaosEvent, ChaosPlan, random_plan
 from .checkpoint import CampaignCheckpoint
 
 __all__ = [
     "CampaignCheckpoint",
-    "CampaignPool",
     "ChaosEvent",
     "ChaosPlan",
-    "DegradationEvent",
     "random_plan",
     "COLLAPSE_MODES",
     "FaultMap",

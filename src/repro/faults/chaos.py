@@ -1,36 +1,32 @@
-"""Chaos injection for the fault-simulation runtime itself.
+"""Chaos injection for the runtime itself.
 
-The campaign scheduler (:mod:`repro.faults.pool`, which every
-multi-process campaign of :mod:`repro.faults.engine` runs on) promises
-bit-identical :class:`CoverageReport` objects *through* worker crashes,
-hangs and broken pipes -- promises that are worthless unless those paths
-are exercised on purpose.  This module is the fault model for the test
-infrastructure: small, deterministic injection plans that the worker
-processes consult at well-defined hook points, gated off entirely unless
-a plan is supplied (parameter) or armed in the environment
-(:data:`CHAOS_ENV`).  Pool-scope events also arm in the member workers
-of :mod:`repro.suite.worker`, where a "chunk" is one whole member: the
-hook fires as each member starts.
+Member workers (:mod:`repro.suite.worker`, which run whole sweep members
+for ``sweep --workers N`` and the campaign service's slots) promise the
+same records *through* worker crashes, hangs and broken pipes -- promises
+that are worthless unless those paths are exercised on purpose.  This
+module is the fault model for the test infrastructure: small,
+deterministic injection plans that the worker processes consult at
+well-defined hook points, gated off entirely unless a plan is supplied
+(parameter) or armed in the environment (:data:`CHAOS_ENV`).  Events with
+``target="pool"`` arm in the member workers, where a "chunk" is one whole
+member: the hook fires as each member starts.
 
 Supported event kinds
 ---------------------
 
 ``crash``
-    the worker calls ``os._exit`` before resolving its next chunk (the
-    parent sees pipe EOF / a dead process and must respawn + re-dispatch).
+    the worker calls ``os._exit`` before its next member (the owner sees
+    pipe EOF / a dead process and must re-run the member in a fresh
+    worker).
 ``hang``
-    the worker sleeps (default: an hour) instead of resolving the chunk --
-    only the parent's no-progress watchdog can recover from this.
+    the worker sleeps (default: an hour) instead of running the member --
+    only the owner's per-member deadline can recover from this.
 ``pipe_close``
     the worker closes its end of the job pipe and exits *successfully*:
-    the parent observes EOF with exit code 0, the nastiest crash flavour.
-``poison_pickle``
-    unpickling a shipped subject payload raises
-    :class:`pickle.UnpicklingError` (a *soft* job error: the worker stays
-    alive, the parent must re-dispatch).
+    the owner observes EOF with exit code 0, the nastiest crash flavour.
 ``slow``
-    the worker sleeps ``seconds`` before the chunk and then proceeds
-    normally -- jitter that must *not* trip a well-chosen watchdog.
+    the worker sleeps ``seconds`` before the member and then proceeds
+    normally -- jitter that must *not* trip a well-chosen deadline.
 
 Service-level event kinds (``target="service"``)
 ------------------------------------------------
@@ -61,25 +57,21 @@ Convergence under retries
 -------------------------
 
 Every worker process evaluates its own copy of the plan, so a naively
-re-armed event would fire again in the respawned worker and defeat any
-retry budget.  Events are therefore **generation-gated**: the parent
-passes each worker its spawn generation (0 for the initial spawn,
-incremented on every respawn / re-dispatch attempt) and a non-``sticky``
-event only fires in generation 0.  A retried job thus runs chaos-free and
-converges, while ``sticky=True`` events keep firing in every generation
--- the knob for proving that retry budgets *exhaust* and the degradation
-ladder engages.
-
-Events also fire at most once per process (the state disarms them), so a
-soft failure like ``poison_pickle`` -- which leaves the worker alive and
-in generation 0 -- does not poison the re-dispatch.
+re-armed event would fire again in the fresh worker and defeat any retry
+budget.  Events are therefore **generation-gated**: the owner passes each
+worker its spawn generation (0 for the first spawn, incremented on every
+respawn) and a non-``sticky`` event only fires in generation 0.  A
+re-run member thus runs chaos-free and converges, while ``sticky=True``
+events keep firing in every generation -- the knob for proving that a
+retry budget *exhausts* and the failure becomes a structured error
+record.  Events also fire at most once per process (the state disarms
+them).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -110,7 +102,6 @@ _KINDS = (
     "crash",
     "hang",
     "pipe_close",
-    "poison_pickle",
     "slow",
     "kill_server",
     "torn_tail",
@@ -129,12 +120,12 @@ GENERATION_ENV = "REPRO_CHAOS_GENERATION"
 class ChaosEvent:
     """One injected infrastructure fault.
 
-    ``on_chunk`` counts the worker's own hook opportunities (stolen chunks
-    for the chunk-scoped kinds, subject unpickles for ``poison_pickle``),
-    0-based; the event fires at the first opportunity whose counter is
-    ``>= on_chunk``.  ``worker`` restricts the event to one worker index
-    (``None`` = every worker).  ``target`` selects where the event arms:
-    pool workers (``"pool"``), the campaign service's serving process
+    ``on_chunk`` counts the worker's own hook opportunities (members
+    started, for the worker kinds), 0-based; the event fires at the
+    first opportunity whose counter is ``>= on_chunk``.  ``worker``
+    restricts the event to one worker index (``None`` = every worker).
+    ``target`` selects where the event arms: member workers
+    (``"pool"``), the campaign service's serving process
     (``"service"``), or both (``"any"``).
     """
 
@@ -211,12 +202,12 @@ def random_plan(
     rng,
     workers: int,
     length: Optional[int] = None,
-    kinds=("crash", "pipe_close", "poison_pickle", "slow"),
+    kinds=("crash", "pipe_close", "slow"),
     target: str = "pool",
 ) -> ChaosPlan:
     """A seeded random injection schedule (shared by tests and CI seeds).
 
-    ``hang`` is excluded by default: every hang costs a full watchdog
+    ``hang`` is excluded by default: every hang costs a full member
     deadline of wall clock, so randomised sweeps stay fast while the
     dedicated hang tests cover that path explicitly.
     """
@@ -247,7 +238,8 @@ class ChaosState:
 
     Built once at worker (or server) startup from the explicit plan
     (shipped through the spawn args) or the environment.  ``scope`` names
-    the runtime the state arms in (``"pool"`` or ``"service"``); ``generation`` is the spawn generation for the
+    the runtime the state arms in (``"pool"`` for member workers or
+    ``"service"``); ``generation`` is the spawn generation for the
     convergence gate described in the module docstring.
 
     Worker processes consult their state single-threaded; the service
@@ -275,7 +267,6 @@ class ChaosState:
             ]
         self._lock = threading.Lock()
         self._chunks = 0
-        self._unpickles = 0
         self._responses = 0
         self._results = 0
 
@@ -293,7 +284,7 @@ class ChaosState:
         return None
 
     def before_chunk(self, connection) -> None:
-        """Hook: the worker is about to resolve a stolen chunk."""
+        """Hook: the worker is about to run its next member."""
         if not self._events:
             self._chunks += 1
             return
@@ -310,18 +301,6 @@ class ChaosState:
             os._exit(0)
         elif event.kind == "slow":
             time.sleep(event.seconds)
-
-    def before_unpickle(self) -> None:
-        """Hook: the worker is about to unpickle a shipped subject."""
-        if not self._events:
-            self._unpickles += 1
-            return
-        event = self._take(("poison_pickle",), self._unpickles)
-        self._unpickles += 1
-        if event is not None:
-            raise pickle.UnpicklingError(
-                "chaos: poisoned subject payload (injected)"
-            )
 
     # -- service-scope hooks --------------------------------------------------
 

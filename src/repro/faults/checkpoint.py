@@ -11,12 +11,10 @@ uninterrupted run.  :class:`CampaignCheckpoint` is that prefix on disk:
   full campaign token (cycles, seed, dropping, session options, collapse
   mode, and a digest of the exact scheduled fault sequence), so a stale
   checkpoint from a different campaign is ignored, never merged.  The
-  subject digest is the same SHA-256-of-pickle identity the
-  :class:`~repro.faults.pool.CampaignPool` subject cache uses (it was
-  SHA-1 before the unification, so
-  checkpoints from older versions key differently and are treated as
-  "no checkpoint" -- the campaign restarts from scratch rather than
-  resuming from a mismatched snapshot);
+  subject digest is :func:`subject_digest` of the pickled subject (it
+  was SHA-1 once, so checkpoints from those versions key differently and
+  are treated as "no checkpoint" -- the campaign restarts from scratch
+  rather than resuming from a mismatched snapshot);
 * codes are stored as a JSON array aligned with the schedule,
   ``-1`` marking still-unresolved entries;
 * writes go through a temporary file + :func:`os.replace`, so a crash
@@ -26,9 +24,10 @@ uninterrupted run.  :class:`CampaignCheckpoint` is that prefix on disk:
 * ``clear`` removes the file once the campaign completes.
 
 The engine (:func:`repro.faults.engine.run_campaign`) owns the checkpoint
-object and threads resume arrays / progress callbacks through whichever
-scheduler runs the campaign; see the ``checkpoint=`` parameter there and
-on :func:`repro.faults.coverage.measure_coverage`.
+object: it resumes from :meth:`CampaignCheckpoint.load`, saves after
+every chunk of its in-process loop and flushes when the campaign raises;
+see the ``checkpoint=`` parameter there and on
+:func:`repro.faults.coverage.measure_coverage`.
 """
 
 from __future__ import annotations
@@ -41,18 +40,23 @@ from typing import List, Optional
 
 from ..exceptions import ReproError
 
-__all__ = ["CampaignCheckpoint", "campaign_key"]
+__all__ = ["CampaignCheckpoint", "campaign_key", "subject_digest"]
 
-#: outcome-code sentinel for "not resolved yet" (matches the schedulers'
-#: shared-array initialisation).
+#: outcome-code sentinel for "not resolved yet" (matches the engine's
+#: outcome-array initialisation).
 UNRESOLVED = -1
 
 _VERSION = 1
 
 
-def campaign_key(subject_digest: str, token) -> str:
+def subject_digest(payload: bytes) -> str:
+    """Content identity of a pickled subject: hex SHA-256 of the bytes."""
+    return hashlib.sha256(payload).hexdigest()
+
+
+def campaign_key(subject: str, token) -> str:
     """Stable key of one campaign: subject digest + session token digest."""
-    text = repr((subject_digest, token)).encode("utf-8")
+    text = repr((subject, token)).encode("utf-8")
     return hashlib.sha256(text).hexdigest()
 
 

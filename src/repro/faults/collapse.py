@@ -55,8 +55,7 @@ id -- no ``Fault`` is hashed.  A fault outside the canonical universe (a
 custom probe) stays a singleton keyed by its own value.
 :func:`equivalence_classes` still returns a ``Dict[Fault, int]``, built
 on demand.  The tables are cached per netlist object (weakly), so
-repeated campaigns and long-lived pool workers pay the union-find once
-per subject.
+repeated campaigns pay the union-find once per subject.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ __all__ = [
 COLLAPSE_MODES = ("none", "equiv", "dominance")
 
 #: netlist -> its :class:`_Tables`; weak so netlists keep their normal
-#: lifetime.  Workers of a persistent pool hit this cache through their
-#: cached subjects, which is what keeps repeat collapsed jobs cheap.
+#: lifetime.  Repeat collapsed campaigns on one controller hit it, which
+#: is what keeps them cheap.
 _TABLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -241,8 +240,7 @@ def equivalence_classes(netlist: Netlist) -> Dict[Fault, int]:
     """Dense class id of every fault in ``all_faults(netlist)``.
 
     Ids are assigned by first appearance in the canonical fault order, so
-    they are deterministic across processes (the pool workers rely on
-    that).  The dict is built on each call from the cached integer
+    they are deterministic across processes.  The dict is built on each call from the cached integer
     tables.
     """
     return dict(zip(all_faults(netlist), _tables(netlist).class_of))

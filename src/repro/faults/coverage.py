@@ -18,12 +18,12 @@ from ..netlist.netlist import Fault
 BlockFault = Tuple[str, Fault]
 
 #: per-fault campaign outcome codes shared by the batch-detection protocol
-#: (``campaign_detects_batch``) and the engine's shared-memory scheduler:
+#: (``campaign_detects_batch``) and the engine's outcome array:
 #: a fault is *dropped* when pattern-parallel screening proves the session
 #: never excites it, *detected* when the signatures differ, and *missed*
 #: when it is excited but the signature difference compacts to zero
 #: (aliasing).  Dropped and missed both count as undetected in the report;
-#: the distinction feeds the scheduler's telemetry only.
+#: the distinction feeds the campaign's telemetry only.
 FAULT_MISSED = 0
 FAULT_DETECTED = 1
 FAULT_DROPPED = 2
@@ -53,7 +53,7 @@ class CoverageReport:
     ``telemetry`` records how the campaign ran (see
     :func:`repro.faults.engine.run_campaign`; ``{}`` for the serial
     oracle).  It is left out of equality, so reports compare equal
-    whatever scheduled them.
+    whichever path computed them.
     """
 
     architecture: str
@@ -90,31 +90,21 @@ def measure_coverage(
     controller,
     cycles: Optional[int] = None,
     seed: int = 1,
-    workers: int = 0,
     dropping: bool = False,
-    chunk_size: Optional[int] = None,
-    pool=None,
     collapse: str = "none",
     prescreen: str = "none",
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    degrade: bool = False,
     **session_options,
 ) -> CoverageReport:
     """Fault simulation of a controller's complete self-test.
 
-    With the default ``workers=0, dropping=False`` this is the serial
-    reference oracle: one full self-test per fault, final signature tuples
-    compared.  ``dropping=True`` enables the exact fault-dropping fast
-    path (pattern-parallel screening, linear compaction and
-    lane-superposed fallback sessions) via :mod:`repro.faults.engine`,
-    which guarantees a bit-identical :class:`CoverageReport`.
-    Multi-process campaigns always run on a
-    :class:`~repro.faults.pool.CampaignPool` (same guarantee): ``pool``
-    names a caller-owned persistent pool whose workers keep controllers
-    compiled across campaigns, and ``workers=N`` without one opens an
-    ephemeral ``N``-worker pool for this campaign only.
+    Every campaign runs in the calling process.  With the defaults this
+    is the serial reference oracle: one full self-test per fault, final
+    signature tuples compared.  ``dropping=True`` enables the exact
+    fault-dropping fast path (pattern-parallel screening, linear
+    compaction and lane-superposed fallback sessions) via
+    :mod:`repro.faults.engine`, which guarantees a bit-identical
+    :class:`CoverageReport`.
 
     ``collapse="equiv"`` schedules one representative per structural
     equivalence class and expands the verdicts back
@@ -135,27 +125,20 @@ def measure_coverage(
     checked theorem).  Both compose with ``collapse=``: an equivalence
     class is untestable iff its representative is.
 
-    Resilience knobs (see :func:`repro.faults.engine.run_campaign` and the
-    engine module docstring): ``timeout`` arms the no-progress watchdog,
-    ``retries`` bounds crash/hang re-dispatches, ``checkpoint`` names a
-    crash-safe snapshot file for bit-identical resume, and
-    ``degrade=True`` walks the pool -> serial -> interpreted fallback
-    ladder instead of raising on an exhausted budget.
+    ``checkpoint`` names a crash-safe snapshot file: the campaign saves
+    its outcome codes as it goes, and a rerun after a failure resumes
+    bit-identically (see :func:`repro.faults.engine.run_campaign`).
 
     Extra keyword options (e.g. ``lambda_session=False`` for the strictly
     two-session pipeline flow) are forwarded to the controller's
-    ``self_test_signatures``.
+    ``self_test_signatures``; an option it does not take raises
+    :exc:`TypeError` before any fault is simulated.
     """
     if (
-        workers > 1
-        or dropping
-        or pool is not None
+        dropping
         or collapse != "none"
         or prescreen != "none"
-        or timeout is not None
-        or retries is not None
         or checkpoint is not None
-        or degrade
     ):
         from .engine import run_campaign
 
@@ -163,16 +146,10 @@ def measure_coverage(
             controller,
             cycles=cycles,
             seed=seed,
-            workers=workers,
             dropping=dropping,
-            chunk_size=chunk_size,
-            pool=pool,
             collapse=collapse,
             prescreen=prescreen,
-            timeout=timeout,
-            retries=retries,
             checkpoint=checkpoint,
-            degrade=degrade,
             **session_options,
         )
     else:

@@ -1,5 +1,5 @@
-"""High-throughput fault-simulation campaigns (exact dropping, superposition,
-pooled fan-out).
+"""High-throughput fault-simulation campaigns (exact dropping and lane
+superposition).
 
 This engine accelerates :func:`repro.faults.coverage.measure_coverage`
 campaigns by orders of magnitude while returning **bit-identical**
@@ -58,38 +58,23 @@ the engine drops faults without ever approximating the final signature:
    That replay is ``self_test_signatures``, which the ``dropping=False``
    oracle runs once per fault.
 
-Each campaign builds one fault-free reference per process: the screening
-bundle (``campaign_reference``) when dropping, the fault-free signature
-tuple otherwise.
-
-Multi-process scheduling (the ``workers=N`` and ``pool=`` paths)
-----------------------------------------------------------------
-
-Every multi-process campaign runs on a
-:class:`~repro.faults.pool.CampaignPool` -- see :mod:`repro.faults.pool`
-for the chunk-steal protocol, the no-progress watchdog, the retry loop
-and the deterministic index-ordered merge.  ``pool=`` routes the campaign
-over a caller-owned, long-lived pool whose workers cache each controller
-(and its per-session reference state) across campaigns.  ``workers=N``
-without a pool opens an ephemeral ``CampaignPool(N)`` for this one
-campaign; its workers are forked with the live controller -- compiled
-kernels included -- already in their subject cache, so nothing is
-pickled, shipped or recompiled.  Outcome codes, merge order and
-therefore the reports are identical either way; the report's
-``telemetry`` carries the pool's reuse/respawn counts.
+Each campaign builds one fault-free reference: the screening bundle
+(``campaign_reference``) when dropping, the fault-free signature tuple
+otherwise.  Every campaign runs in the calling process; parallelism lives
+one level up, across whole sweep members (:mod:`repro.suite.worker`).
 
 Fault collapsing (the ``collapse=`` path)
 -----------------------------------------
 
-``collapse="equiv"`` runs any of the schedules above over one
+``collapse="equiv"`` runs the campaign over one
 representative per structural equivalence class
 (:mod:`repro.faults.collapse`) and expands the per-representative outcome
-codes back onto the full universe before the deterministic merge --
+codes back onto the full universe before the report is tallied --
 equivalent faults compute the same faulty function on every observable
 output, so they provably share a verdict in every session and the report
-stays field-for-field identical while the scheduler sees a universe that
-is typically 40-60% smaller (a multiplicative speedup on top of dropping,
-superposition and fan-out).  ``collapse="dominance"`` additionally drops
+stays field-for-field identical while the campaign simulates a universe
+that is typically 40-60% smaller (a multiplicative speedup on top of
+dropping and superposition).  ``collapse="dominance"`` additionally drops
 gate-locally dominated classes; the report then covers the kept
 representatives only (the universe genuinely changes), which is why it is
 opt-in.  ``report.telemetry["collapse"]`` records class counts and the
@@ -99,79 +84,52 @@ Static prescreening (the ``prescreen=`` path)
 ---------------------------------------------
 
 ``prescreen="static"`` consults the sound untestability prover
-(:mod:`repro.analysis.untestable`) before any scheduler runs: faults it
+(:mod:`repro.analysis.untestable`) before any fault is simulated: faults it
 proves untestable -- constant sites, constant-blocked propagation cones
 -- are resolved to ``FAULT_UNTESTABLE`` up front and ride the
 already-resolved-codes machinery (the same path as a checkpoint resume),
-so every rung skips them.  Proved faults are genuinely undetected, so the
-report stays field-for-field identical to a full simulation while the
-schedulers see strictly fewer faults.  ``prescreen="validate"`` inverts
+so they are never simulated.  Proved faults are genuinely undetected, so
+the report stays field-for-field identical to a full simulation while the
+campaign simulates strictly fewer faults.  ``prescreen="validate"`` inverts
 the bargain: everything is simulated, and a detected proved-untestable
 fault raises :exc:`~repro.exceptions.PrescreenViolation` -- the prover's
 soundness (and the engines' exactness) as a continuously-checked
 theorem.  ``report.telemetry["prescreen"]`` carries the verdict
 tallies, the skip count and the per-fault proof witnesses.
 
-Resilience (deadlines, retries, checkpoints, the degradation ladder)
---------------------------------------------------------------------
+Checkpoints (the ``checkpoint=`` path)
+--------------------------------------
 
-The runtime defends against *its own* failures, not just the simulated
-ones:
-
-* ``timeout=`` arms the pool's no-progress watchdog (and a cooperative
-  per-chunk deadline on the serial path); hung workers are killed and
-  their unfinished chunks re-dispatched with bounded exponential backoff
-  up to the ``retries`` budget, after which a structured
-  :exc:`~repro.exceptions.JobTimeout` /
-  :exc:`~repro.exceptions.WorkerCrash` propagates.
-* ``checkpoint=`` periodically snapshots the per-fault outcome array to
-  disk (:mod:`repro.faults.checkpoint`), keyed by the SHA of the subject
-  and the full campaign token; a rerun resumes from the completed prefix
-  and the final report is bit-identical to an uninterrupted run.
-* ``degrade=True`` walks the degradation ladder on repeated failure:
-  pool (caller-owned or ephemeral) -> serial compiled -> serial
-  interpreted, recording each step as a :class:`DegradationEvent`.
-* every report carries ``telemetry["resilience"]``: retries, worker
-  respawns, watchdog timeouts, re-dispatched chunks/faults, checkpoint
-  resume counts, and the fallback events.  A campaign that raises
-  returns no report; its exception carries the failure details.
-
-``tests/test_chaos.py`` drives all of this with injected worker crashes,
-hangs, closed pipes and poisoned payloads (:mod:`repro.faults.chaos`) and
-asserts the reports stay field-for-field identical to the serial oracle.
+``checkpoint=`` resolves the schedule in chunks and snapshots the
+per-fault outcome array to disk after each one (rate-limited; see
+:mod:`repro.faults.checkpoint`), keyed by the SHA-256 of the subject and
+the full campaign token.  A campaign that raises flushes its snapshot
+first, so a rerun resumes from every completed chunk and the final report
+is bit-identical to an uninterrupted run (``telemetry["checkpoint"]``
+counts the resumed codes).
 
 Determinism guarantee
 ---------------------
 
-Campaign results do not depend on ``workers``, ``dropping`` or
-``chunk_size`` -- nor on crashes, retries, resumes or degradation
-fallbacks: every fault's outcome is computed independently (lanes never
-interact), the shared outcome array is indexed by the controller's
-canonical fault order, and the merge rebuilds the report in that order, so
-``CoverageReport`` equality holds field-for-field against the serial
-oracle (tests/test_engine.py, tests/test_differential.py and
-tests/test_chaos.py assert this across all architectures, engines and
-failure schedules).
+Campaign results do not depend on ``dropping``, ``collapse="equiv"``,
+``prescreen`` or checkpoint resumes: every fault's outcome is computed
+independently (lanes never interact), outcome codes are indexed by the
+controller's canonical fault order, and the report is tallied in that
+order, so ``CoverageReport`` equality holds field-for-field against the
+serial oracle (tests/test_engine.py and tests/test_differential.py assert
+this across all architectures and engines).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import inspect
 import pickle
-import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..bist.compaction import LinearCompactor, stream_errors, transpose_words
-from ..exceptions import (
-    JobTimeout,
-    PrescreenViolation,
-    ReproError,
-    WorkerCrash,
-)
-from .checkpoint import CampaignCheckpoint, campaign_key
+from ..exceptions import PrescreenViolation, ReproError
+from .checkpoint import CampaignCheckpoint, campaign_key, subject_digest
 from .collapse import COLLAPSE_MODES, FaultMap
 from .coverage import (
     FAULT_DETECTED,
@@ -191,7 +149,6 @@ __all__ = [
     "run_campaign",
     "deterministic_telemetry",
     "campaign_telemetry",
-    "DegradationEvent",
 ]
 
 
@@ -201,15 +158,14 @@ def deterministic_telemetry(telemetry: Mapping[str, Any]) -> Dict[str, object]:
     The sweep harness (:mod:`repro.suite.sweep`) embeds this in each
     ``metrics.jsonl`` record, so only fields that are a pure function of
     the campaign *configuration* belong here: the collapse class counts
-    (structural), the pattern-parallel ``dropped`` count (fixed by the
-    chunking parameters, not by which worker stole which chunk) and the
-    worker count.  Scheduling noise -- per-worker steal tallies, retries,
-    respawns -- stays in :attr:`CoverageReport.telemetry` only, because
-    metrics records must reproduce bit-identically from a manifest's
-    seeds.  The prescreen slice qualifies too: proofs are a pure function
-    of the netlist structure, so the proved/skipped tallies are
-    scheduler-independent (witness strings stay in the full telemetry).
-    The serial oracle's empty telemetry maps to all-``None`` fields.
+    (structural) and the ``dropped`` count (screening verdicts are
+    per-fault).  Checkpoint paths and resume counts stay in
+    :attr:`CoverageReport.telemetry` only, because metrics records must
+    reproduce bit-identically from a manifest's seeds.  The prescreen
+    slice qualifies too: proofs are a pure function of the netlist
+    structure, so the proved/skipped tallies are deterministic (witness
+    strings stay in the full telemetry).  The serial oracle's empty
+    telemetry maps to all-``None`` fields.
     """
     collapse = telemetry.get("collapse")
     prescreen = telemetry.get("prescreen")
@@ -223,7 +179,6 @@ def deterministic_telemetry(telemetry: Mapping[str, Any]) -> Dict[str, object]:
     return {
         "collapse": dict(collapse) if collapse else None,
         "dropped": telemetry.get("dropped"),
-        "workers": telemetry.get("workers"),
         "prescreen": prescreen_slice,
     }
 
@@ -240,50 +195,8 @@ def campaign_telemetry() -> Dict[str, object]:
     return deterministic_telemetry(getattr(_LAST_TELEMETRY, "telemetry", {}))
 
 
-#: the degradation ladder, most capable rung first.
-_LADDER = ("pool", "serial", "interpreted")
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One step down the degradation ladder, recorded in telemetry.
-
-    ``rung_from``/``rung_to`` name the scheduler rungs (``"pool"``,
-    ``"serial"``, ``"interpreted"``); ``kind`` classifies
-    the triggering failure (``"timeout"``, ``"crash"``, ``"error"``) and
-    ``error`` carries its one-line summary.
-    """
-
-    rung_from: str
-    rung_to: str
-    kind: str
-    error: str
-
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "rung_from": self.rung_from,
-            "rung_to": self.rung_to,
-            "kind": self.kind,
-            "error": self.error,
-        }
-
-
-def _blank_resilience() -> Dict[str, object]:
-    """Fresh ``telemetry["resilience"]`` record of one campaign."""
-    return {
-        "retries": 0,
-        "respawns": 0,
-        "timeouts": 0,
-        "redispatched_faults": 0,
-        "redispatched_chunks": 0,
-        "fallbacks": [],
-        "resumed": 0,
-        "checkpoint": None,
-    }
-
-
 # ---------------------------------------------------------------------------
-# per-fault / per-chunk outcome computation (shared by all schedulers)
+# per-fault outcome computation
 # ---------------------------------------------------------------------------
 
 
@@ -317,18 +230,15 @@ def _chunk_outcomes(
     ]
 
 
-def default_chunk_size(total: int, workers: int) -> int:
-    """Steal granularity of the pooled scheduler (and the serial rung's
-    checkpoint chunks).
-
-    Small enough that the tail balances across workers, large enough that
-    superposed batches still fill their fault lanes.
-    """
-    return max(1, min(256, -(-total // (workers * 4))))
+def default_chunk_size(total: int) -> int:
+    """Faults per checkpointed chunk: a quarter of the schedule, at most
+    256, so snapshots come often while superposed batches still fill
+    their fault lanes."""
+    return max(1, min(256, -(-total // 4)))
 
 
 def _campaign_state(controller, cycles, seed, dropping, options):
-    """(reference signatures, screening bundle) -- built once per process.
+    """(reference signatures, screening bundle) of one campaign.
 
     Only one of the two is built: a dropping campaign on a controller
     with ``campaign_reference`` needs just the bundle, any other campaign
@@ -348,45 +258,30 @@ def _campaign_state(controller, cycles, seed, dropping, options):
     return reference, None
 
 
-# ---------------------------------------------------------------------------
-# serial scheduler (chunked for checkpointing and cooperative deadlines)
-# ---------------------------------------------------------------------------
-
-
-def _serial_outcomes(
+def _resolve(
     controller,
     schedule: List[BlockFault],
     cycles,
     seed,
     dropping: bool,
     options,
-    resume: Optional[Sequence[int]] = None,
-    progress: Optional[Callable[[int, List[int]], None]] = None,
-    deadline: Optional[float] = None,
-    chunk_size: Optional[int] = None,
-) -> List[int]:
-    """In-process campaign, optionally chunked.
+    codes: List[int],
+    progress: Optional[Callable[[List[int]], None]] = None,
+) -> None:
+    """Fill every unresolved (negative) entry of ``codes`` in place.
 
-    Without resume/progress/deadline this is the historical single-batch
-    call.  Otherwise the schedule is processed in chunks: resumed codes
-    are skipped, ``progress(0, codes)`` fires after every chunk (the
-    checkpoint writer rate-limits actual disk writes), and a chunk whose
-    resolution exceeded ``deadline`` seconds raises
-    :exc:`~repro.exceptions.JobTimeout` cooperatively -- the in-process
-    analogue of the schedulers' no-progress watchdog.
+    Entries already resolved -- resumed from a checkpoint or proved
+    untestable -- are skipped.  Without ``progress`` the rest is one
+    batch; with it the schedule goes in :func:`default_chunk_size`
+    chunks and ``progress(codes)`` fires after each (the checkpoint
+    writer rate-limits the actual disk writes).
     """
     reference, bundle = _campaign_state(controller, cycles, seed, dropping, options)
     total = len(schedule)
-    if resume is None and progress is None and deadline is None:
-        return _chunk_outcomes(
-            controller, bundle, reference, schedule, cycles, seed, options
-        )
-    codes = list(resume) if resume is not None else [-1] * total
-    step = chunk_size if chunk_size is not None else default_chunk_size(total, 1)
+    step = default_chunk_size(total) if progress is not None else max(total, 1)
     for start in range(0, total, step):
-        chunk_started = time.monotonic()
         todo = [
-            (index, schedule[index])
+            index
             for index in range(start, min(start + step, total))
             if codes[index] < 0
         ]
@@ -395,28 +290,15 @@ def _serial_outcomes(
                 controller,
                 bundle,
                 reference,
-                [block_fault for _index, block_fault in todo],
+                [schedule[index] for index in todo],
                 cycles,
                 seed,
                 options,
             )
-            for (index, _block_fault), code in zip(todo, resolved):
+            for index, code in zip(todo, resolved):
                 codes[index] = code
         if progress is not None:
-            progress(0, codes)
-        elapsed = time.monotonic() - chunk_started
-        if deadline is not None and elapsed > deadline:
-            unprocessed = sum(1 for code in codes if code < 0)
-            if unprocessed:
-                raise JobTimeout(
-                    f"serial campaign chunk exceeded the {deadline}s "
-                    f"deadline ({elapsed:.2f}s; {unprocessed} faults "
-                    "unprocessed)",
-                    deadline=deadline,
-                    attempts=1,
-                    unprocessed=unprocessed,
-                )
-    return codes
+            progress(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +315,18 @@ def _campaign_checkpoint(
     options,
     collapse: str,
     path: str,
-    interval: float,
 ) -> CampaignCheckpoint:
     """Checkpoint keyed by the subject and the *exact* campaign.
 
-    The subject digest is the SHA-256 of the pickled controller -- the
-    same content identity the :class:`~repro.faults.pool.CampaignPool`
-    subject cache keys on.  (It was SHA-1 before
-    the unification; checkpoints written by older versions therefore key
+    The subject digest is the SHA-256 of the pickled controller
+    (:func:`~repro.faults.checkpoint.subject_digest`).  (It was SHA-1
+    before; checkpoints written by older versions therefore key
     differently and are ignored as stale -- a safe failure mode, the
     campaign just starts fresh.)
     """
-    subject_digest = hashlib.sha256(
+    subject = subject_digest(
         pickle.dumps(controller, protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()
+    )
     schedule_digest = hashlib.sha256(
         "\n".join(repr(block_fault) for block_fault in schedule).encode("utf-8")
     ).hexdigest()
@@ -459,53 +339,22 @@ def _campaign_checkpoint(
         schedule_digest,
     )
     return CampaignCheckpoint(
-        path, campaign_key(subject_digest, token), len(schedule), interval=interval
+        path, campaign_key(subject, token), len(schedule)
     )
-
-
-def _rung_pool(pool, workers: int, total: int, controller):
-    """Context manager yielding the pool rung's pool.
-
-    A caller-owned ``pool`` passes through untouched.  Otherwise the
-    campaign gets an ephemeral ``CampaignPool(workers)``, closed (workers
-    joined) on exit; its workers are forked with the live ``controller``
-    preloaded into their subject cache -- compiled kernels included -- so
-    the payload never ships and nothing recompiles.
-    """
-    if pool is not None:
-        return contextlib.nullcontext(pool)
-    from .pool import CampaignPool
-
-    return CampaignPool(min(workers, total), preload=controller)
-
-
-def _failure_kind(error: ReproError) -> str:
-    if isinstance(error, JobTimeout):
-        return "timeout"
-    if isinstance(error, WorkerCrash):
-        return "crash"
-    return "error"
 
 
 def run_campaign(
     controller,
     cycles: Optional[int] = None,
     seed: int = 1,
-    workers: int = 0,
     dropping: bool = True,
     faults: Optional[Sequence[BlockFault]] = None,
-    chunk_size: Optional[int] = None,
-    pool=None,
     collapse: str = "none",
     prescreen: str = "none",
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    checkpoint_interval: float = 5.0,
-    degrade: bool = False,
     **session_options,
 ) -> CoverageReport:
-    """Fault-simulation campaign with exact dropping and pooled fan-out.
+    """Fault-simulation campaign with exact dropping, in the calling process.
 
     Semantics are identical to the serial
     :func:`repro.faults.coverage.measure_coverage` oracle (see the module
@@ -514,52 +363,37 @@ def run_campaign(
     changes.  ``dropping=True`` resolves faults through the
     controller's screening bundle and lane-superposed replays,
     ``dropping=False`` through one ``self_test_signatures`` run per
-    fault.  ``workers <= 1`` runs in-process; larger values run the
-    campaign on an ephemeral ``CampaignPool(workers)`` whose workers are
-    forked with the controller already cached, closed when the campaign
-    ends.  ``pool`` routes the campaign over a caller-owned persistent
-    :class:`~repro.faults.pool.CampaignPool` instead (``workers`` is then
-    ignored; the pool's size applies).  ``chunk_size`` overrides the steal
-    granularity.  ``collapse`` schedules collapsed
-    representatives only -- ``"equiv"`` expands the verdicts back to the
-    full universe, ``"dominance"`` reports over the kept representatives
-    (see the module docstring).
+    fault.  ``faults`` restricts the universe.  ``collapse`` schedules
+    collapsed representatives only -- ``"equiv"`` expands the verdicts
+    back to the full universe, ``"dominance"`` reports over the kept
+    representatives (see the module docstring).
 
     ``prescreen="static"`` resolves statically-proved-untestable faults
     (:mod:`repro.analysis.untestable`) to
-    :data:`~repro.faults.coverage.FAULT_UNTESTABLE` before any scheduler
-    runs -- they ride the same already-resolved-codes machinery as a
-    checkpoint resume, so every rung skips them; the report is
-    field-for-field identical to a full simulation because proved faults
-    are genuinely undetected.  ``prescreen="validate"`` simulates the
-    full schedule and raises
+    :data:`~repro.faults.coverage.FAULT_UNTESTABLE` before any fault is
+    simulated -- they ride the same already-resolved-codes machinery as
+    a checkpoint resume; the report is field-for-field identical to a
+    full simulation because proved faults are genuinely undetected.
+    ``prescreen="validate"`` simulates the full schedule and raises
     :exc:`~repro.exceptions.PrescreenViolation` if any engine detects a
     proved fault.  Both compose with ``collapse=``: verdicts are proved
     on the scheduled representatives, and equivalence classes share them
     by construction.  Proof witnesses and the skip tally land in
     ``report.telemetry["prescreen"]``.
 
-    Resilience knobs (module docstring, "Resilience"): ``timeout`` arms
-    the pool's no-progress watchdog / the serial rung's cooperative
-    deadline, ``retries`` bounds the pool's re-dispatch loop (``None``
-    defers to the pool's defaults, ephemeral or caller-owned alike),
-    ``checkpoint`` names the snapshot file for crash-safe resume, and
-    ``degrade=True`` walks the pool -> serial -> interpreted ladder on
-    repeated failure instead of raising at the first exhausted budget.
-    All of them preserve the bit-identical report guarantee.
+    ``checkpoint`` names the snapshot file for crash-safe resume (module
+    docstring, "Checkpoints").
 
     ``session_options`` are bound against the controller's
     ``self_test_signatures`` before anything runs, so an unknown option
-    raises :exc:`TypeError` here instead of inside a pool worker (where
-    the deterministic failure would be retried).
+    -- a removed campaign knob included -- raises :exc:`TypeError` here,
+    before any fault is simulated.
 
     The report's ``telemetry`` (excluded from report equality) says what
-    the campaign did: ``workers``, ``chunk_size``, ``chunks_stolen`` (per
-    worker), ``dropped`` (faults screened out pattern-parallel, ``None``
-    when the interpreted rung ran), ``pool`` (reuse hits, campaigns and
-    respawns on the pool rung, else ``None``), ``collapse`` (class counts,
-    ``None`` when raw), ``resilience`` (see above) and ``prescreen``
-    (``None`` when off).
+    the campaign did: ``dropped`` (faults screened out pattern-parallel),
+    ``collapse`` (class counts, ``None`` when raw), ``prescreen``
+    (``None`` when off) and ``checkpoint`` (path and resumed count,
+    ``None`` without one).
     """
     if collapse not in COLLAPSE_MODES:
         raise ReproError(
@@ -581,14 +415,10 @@ def run_campaign(
     fault_map = None
     schedule = universe
     if collapse != "none":
-        # When ``faults is None`` the universe above is the controller's
-        # canonical order, so workers (which recompute it from their
-        # cached subject) derive the exact same representative sequence.
         fault_map = FaultMap.for_controller(
             controller, faults=universe, mode=collapse
         )
         schedule = fault_map.representatives
-    resilience = _blank_resilience()
 
     # -- static prescreen (sound untestability proofs) -----------------------
     prescreen_verdicts = None
@@ -618,152 +448,51 @@ def run_campaign(
             },
         }
 
-    # -- checkpoint / shared progress state ----------------------------------
+    # -- checkpoint resume ---------------------------------------------------
     ckpt: Optional[CampaignCheckpoint] = None
-    codes_state: List[int] = [-1] * len(schedule)
+    checkpoint_stats: Optional[Dict[str, object]] = None
+    codes: List[int] = [-1] * len(schedule)
     if checkpoint is not None:
         ckpt = _campaign_checkpoint(
             controller, schedule, cycles, seed, dropping, options, collapse,
-            checkpoint, checkpoint_interval,
+            checkpoint,
         )
         loaded = ckpt.load()
         if loaded is not None:
-            codes_state = loaded
-            resilience["resumed"] = sum(1 for code in codes_state if code >= 0)
-        resilience["checkpoint"] = {
+            codes = loaded
+        checkpoint_stats = {
             "path": checkpoint,
-            "resumed": resilience["resumed"],
+            "resumed": sum(1 for code in codes if code >= 0),
         }
 
     if prescreen == "static" and prescreen_verdicts is not None:
         # Proved faults ride the same already-resolved-codes machinery as
-        # a checkpoint resume: every scheduler rung skips codes >= 0, so
-        # they are never simulated.  Checkpointed codes take precedence
-        # (both are correct; the resumed code is the simulated truth).
+        # a checkpoint resume: codes >= 0 are never simulated.
+        # Checkpointed codes take precedence (both are correct; the
+        # resumed code is the simulated truth).
         skipped = 0
         for index, verdict in enumerate(prescreen_verdicts):
-            if verdict.is_untestable and codes_state[index] < 0:
-                codes_state[index] = FAULT_UNTESTABLE
+            if verdict.is_untestable and codes[index] < 0:
+                codes[index] = FAULT_UNTESTABLE
                 skipped += 1
         assert prescreen_stats is not None
         prescreen_stats["skipped"] = skipped
 
-    def note_progress(offset: int, slab_codes: List[int]) -> None:
-        codes_state[offset : offset + len(slab_codes)] = slab_codes
-        if ckpt is not None:
-            ckpt.save(codes_state)
-
-    # -- the degradation ladder ----------------------------------------------
-    parallel = pool is not None or (
-        workers and workers > 1 and len(schedule) > 1
-    )
-    start_rung = 0 if parallel else 1
-    rungs = list(_LADDER[start_rung:]) if degrade else [_LADDER[start_rung]]
-
-    codes: Optional[List[int]] = None
-    scheduler: Dict[str, object] = {}
-    for position, rung in enumerate(rungs):
-        resume = (
-            list(codes_state)
-            if any(code >= 0 for code in codes_state)
-            else None
+    try:
+        _resolve(
+            controller, schedule, cycles, seed, dropping, options, codes,
+            progress=ckpt.save if ckpt is not None else None,
         )
-        try:
-            if rung == "pool":
-                with _rung_pool(pool, workers, len(schedule), controller) as active:
-                    before = {key: active.stats[key] for key in (
-                        "respawns", "retries", "timeouts",
-                        "redispatched_faults", "redispatched_chunks",
-                    )}
-                    try:
-                        codes = active.campaign_codes(
-                            controller,
-                            total=len(schedule),
-                            faults=schedule if faults is not None else None,
-                            cycles=cycles,
-                            seed=seed,
-                            dropping=dropping,
-                            chunk_size=chunk_size,
-                            options=options,
-                            collapse=collapse,
-                            timeout=timeout,
-                            retries=retries,
-                            resume=resume,
-                            progress=note_progress,
-                        )
-                    finally:
-                        for key, value in before.items():
-                            resilience[key] += active.stats[key] - value
-                    scheduler = {
-                        "workers": active.workers,
-                        "chunk_size": active.last_job.get("chunk_size"),
-                        "chunks_stolen": list(
-                            active.last_job.get("chunks_stolen", [])
-                        ),
-                        "pool": {
-                            "reuse_hits": active.last_job.get("reuse_hits", 0),
-                            "campaigns": active.stats["campaigns"],
-                            "respawns": active.stats["respawns"],
-                        },
-                    }
-                note_progress(0, codes)
-            else:
-                rung_options = options
-                rung_dropping = dropping
-                if rung == "interpreted":
-                    # Last rung: the seed dict-keyed session loops, no
-                    # compiled kernels, no screening -- the slowest and
-                    # most battle-tested path in the library.
-                    rung_options = dict(options, engine="interpreted")
-                    rung_dropping = False
-                codes = _serial_outcomes(
-                    controller,
-                    schedule,
-                    cycles,
-                    seed,
-                    rung_dropping,
-                    rung_options,
-                    resume=resume,
-                    progress=note_progress if (ckpt or degrade) else None,
-                    deadline=timeout,
-                    chunk_size=chunk_size,
-                )
-                note_progress(0, codes)
-                scheduler = {
-                    "workers": 1,
-                    "chunk_size": (
-                        chunk_size if chunk_size is not None else len(schedule)
-                    ),
-                    "chunks_stolen": [1],
-                    "pool": None,
-                }
-            break
-        except ReproError as error:
-            if ckpt is not None:
-                ckpt.save(codes_state, flush=True)
-            if position == len(rungs) - 1:
-                raise
-            resilience["fallbacks"].append(
-                DegradationEvent(
-                    rung_from=rung,
-                    rung_to=rungs[position + 1],
-                    kind=_failure_kind(error),
-                    error=str(error).splitlines()[0],
-                )
-            )
+    except ReproError:
+        if ckpt is not None:
+            ckpt.save(codes, flush=True)
+        raise
 
-    assert codes is not None
     telemetry: Dict[str, object] = {
-        **scheduler,
-        # The interpreted rung never screens, so it has no drops to count.
-        "dropped": (
-            sum(1 for code in codes if code == FAULT_DROPPED)
-            if rung != "interpreted"
-            else None
-        ),
+        "dropped": sum(1 for code in codes if code == FAULT_DROPPED),
         "collapse": fault_map.stats() if fault_map else None,
-        "resilience": resilience,
         "prescreen": prescreen_stats,
+        "checkpoint": checkpoint_stats,
     }
     if prescreen == "validate" and prescreen_verdicts is not None:
         violations = [
@@ -789,7 +518,7 @@ def run_campaign(
         if collapse == "equiv":
             # Verdict-preserving: every class member inherits its
             # representative's code, restoring the full universe before
-            # the deterministic merge below.
+            # the report is tallied below.
             codes = fault_map.expand(codes)
         else:
             universe = schedule  # dominance reports over the kept faults

@@ -24,15 +24,12 @@ Two engines share the verdicts bit for bit:
     The original dict-keyed serial walker, kept as the equivalence oracle.
     Unfrozen netlists have no compiled kernels and always take this path.
 
-``simulate_patterns(..., pool=...)`` fans the fault universe out over a
-persistent :class:`~repro.faults.pool.CampaignPool`, whose workers cache
-the compiled netlist and packed pattern streams across requests;
-``collapse="equiv"`` additionally packs only one representative per
-structural equivalence class into the lanes and expands the verdicts back
-(:mod:`repro.faults.collapse`), shrinking the scheduled universe with a
-field-for-field identical result.
+``simulate_patterns(..., collapse="equiv")`` packs only one
+representative per structural equivalence class into the lanes and
+expands the verdicts back (:mod:`repro.faults.collapse`), shrinking the
+scheduled universe with a field-for-field identical result.
 
-Equivalence of both engines (and the pool) is enforced by
+Equivalence of both engines is enforced by
 ``tests/test_prop_ppsfp.py`` and the PPSFP axis of
 ``tests/test_differential.py``.
 """
@@ -112,32 +109,8 @@ def detects(
 
 
 # ---------------------------------------------------------------------------
-# engine internals (shared with the persistent worker pool)
+# engine internals
 # ---------------------------------------------------------------------------
-
-
-def _ppsfp_state(
-    netlist: Netlist,
-    patterns: Sequence[str],
-    packed: Optional[Dict[str, int]] = None,
-    mask: int = 0,
-) -> Dict[str, object]:
-    """Compiled kernel + slot-ordered pattern streams + fault-free reference.
-
-    Built once per (netlist, pattern set) -- in-process per call, or cached
-    across requests by each pool worker.  ``packed``/``mask`` reuse an
-    already-packed pattern set (the entry point packs while validating).
-    """
-    compiled = netlist.compile()
-    if packed is None:
-        packed, mask = pack_patterns(patterns, netlist.inputs)
-    inputs = [packed[name] for name in compiled.input_names]
-    return {
-        "compiled": compiled,
-        "inputs": inputs,
-        "mask": mask,
-        "reference": compiled.eval_outputs_list(inputs, mask),
-    }
 
 
 def lane_passes(items: Sequence) -> List[List]:
@@ -218,19 +191,24 @@ def superposed_fields(
             yield [(word >> shift) & mask for word in out]
 
 
-def _superposed_flags(state: Dict[str, object], faults: Sequence[Fault]) -> List[int]:
+def _superposed_flags(
+    netlist: Netlist,
+    packed: Dict[str, int],
+    mask: int,
+    faults: Sequence[Fault],
+) -> List[int]:
     """Detection flags via fault-per-field superposition
-    (:func:`superposed_fields`; also the pool workers' per-chunk protocol).
+    (:func:`superposed_fields`).
 
     A fault is detected when any of its output fields differs from the
     fault-free reference.
     """
-    reference = state["reference"]
+    compiled = netlist.compile()
+    inputs = [packed[name] for name in compiled.input_names]
+    reference = compiled.eval_outputs_list(inputs, mask)
     return [
         int(fields != reference)
-        for fields in superposed_fields(
-            state["compiled"], state["inputs"], state["mask"], reference, faults
-        )
+        for fields in superposed_fields(compiled, inputs, mask, reference, faults)
     ]
 
 
@@ -260,7 +238,6 @@ def simulate_patterns(
     patterns: Sequence[str],
     faults: Optional[Sequence[Fault]] = None,
     engine: str = "superposed",
-    pool=None,
     collapse: str = "none",
 ) -> CombinationalCoverage:
     """Fault coverage of an explicit pattern set on a combinational block.
@@ -269,14 +246,12 @@ def simulate_patterns(
     the interpreted serial walker (the oracle) -- verdicts are
     bit-identical, only the wall clock changes.
     Unfrozen netlists cannot compile and silently take the interpreted
-    path.  ``pool`` fans the fault universe out over a persistent
-    :class:`~repro.faults.pool.CampaignPool` whose workers keep the
-    compiled netlist and packed pattern streams cached across requests.
-    ``collapse="equiv"`` simulates one representative per structural
-    equivalence class (:mod:`repro.faults.collapse`) and expands the
-    per-class verdicts back -- the :class:`CombinationalCoverage` is
-    field-for-field identical to the uncollapsed run; ``"dominance"``
-    reports over the kept representatives only (smaller universe).
+    path.  ``collapse="equiv"`` simulates one representative per
+    structural equivalence class (:mod:`repro.faults.collapse`) and
+    expands the per-class verdicts back -- the
+    :class:`CombinationalCoverage` is field-for-field identical to the
+    uncollapsed run; ``"dominance"`` reports over the kept
+    representatives only (smaller universe).
     """
     if engine not in PPSFP_ENGINES:
         raise FaultError(
@@ -287,45 +262,17 @@ def simulate_patterns(
             f"unknown collapse mode {collapse!r}; expected one of "
             f"{COLLAPSE_MODES}"
         )
-    explicit = faults is not None
     universe: List[Fault] = list(all_faults(netlist) if faults is None else faults)
     fault_map = None
     schedule = universe
     if collapse != "none":
         fault_map = FaultMap.for_netlist(netlist, faults=universe, mode=collapse)
         schedule = fault_map.representatives
-    if pool is not None:
-        if not netlist.frozen:
-            raise FaultError(
-                "pooled PPSFP requires a frozen netlist (workers compile it)"
-            )
-        if engine == "interpreted":
-            raise FaultError(
-                "pooled PPSFP has no interpreted path; run the oracle "
-                "in-process (pool=None, engine='interpreted')"
-            )
-        # Cheap shape check only -- malformed patterns fail here with a
-        # FaultError rather than inside a worker process; the workers do
-        # (and cache) the actual packing.
-        n_inputs = len(netlist.inputs)
-        for pattern in patterns:
-            if len(pattern) != n_inputs or not set(pattern) <= {"0", "1"}:
-                raise FaultError(f"invalid pattern {pattern!r}")
-        flags = pool.ppsfp_flags(
-            netlist,
-            patterns,
-            schedule if explicit else None,
-            total=len(schedule),
-            collapse=collapse,
-        )
+    packed, mask = pack_patterns(patterns, netlist.inputs)
+    if engine == "interpreted" or not netlist.frozen:
+        flags = _interpreted_flags(netlist, packed, mask, schedule)
     else:
-        packed, mask = pack_patterns(patterns, netlist.inputs)
-        if engine == "interpreted" or not netlist.frozen:
-            flags = _interpreted_flags(netlist, packed, mask, schedule)
-        else:
-            flags = _superposed_flags(
-                _ppsfp_state(netlist, patterns, packed, mask), schedule
-            )
+        flags = _superposed_flags(netlist, packed, mask, schedule)
     if fault_map is not None:
         if collapse == "equiv":
             flags = fault_map.expand(flags)

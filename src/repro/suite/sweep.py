@@ -285,9 +285,7 @@ def sweep_member(member, config: SweepConfig) -> Dict[str, object]:
             # The collapse/prescreen telemetry slices are deterministic
             # per config but config-dependent, so canonical_record strips
             # them (like wall): the ledger must not change when a sweep
-            # merely *schedules* differently.  Worker counts / drop
-            # tallies vary with wall-clock knobs and are excluded by
-            # deterministic_telemetry() itself.
+            # merely *schedules* differently.
             telemetry = deterministic_telemetry(report.telemetry)
             record["telemetry"] = {
                 "collapse": telemetry["collapse"],

@@ -15,8 +15,8 @@ compiled twice.
   (``retries`` times, default once); if that fails too it becomes an
   error record carrying :exc:`~repro.exceptions.WorkerCrash` or
   :exc:`~repro.exceptions.JobTimeout`, never a hang.
-* **Chaos.**  Pool-scope :mod:`repro.faults.chaos` events fire as each
-  member starts.  Every spawn carries its generation, so a non-sticky
+* **Chaos.**  :mod:`repro.faults.chaos` events with ``target="pool"``
+  fire as each member starts.  Every spawn carries its generation, so a non-sticky
   event fires only in the first worker and the re-run converges.
 * **Lifetime.**  :meth:`MemberWorker.close` joins with join -> terminate
   -> kill, so no child outlives its owner and children's CPU is reaped;
@@ -38,10 +38,19 @@ import signal
 import time
 import traceback
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..exceptions import JobTimeout, PoolClosed, ReproError, WorkerCrash
-from ..faults.pool import release_owner_end, spawn_worker
 
 __all__ = ["WORKER_OPTIONS", "MemberWorker", "run_members"]
 
@@ -51,6 +60,43 @@ WORKER_OPTIONS = ("timeout", "retries", "chaos")
 
 #: seconds ``close`` waits at each step of join -> terminate -> kill.
 _JOIN_S = 5.0
+
+#: the owner-side pipe ends of this process's live member workers.  A
+#: forked worker closes its inherited copies before anything else, so
+#: each worker's pipe reaches EOF as soon as its owner is gone -- even
+#: after a ``kill -9``.
+_OWNER_ENDS: set = set()
+
+
+def spawn_worker(context, target: Callable, args: tuple, name=None):
+    """Fork a daemon ``target(connection, *args)`` over a fresh pipe.
+
+    Returns ``(process, owner_end)``; hand ``owner_end`` back through
+    :func:`release_owner_end` once the worker is joined.
+    """
+    owner_end, child_end = context.Pipe()
+    process = context.Process(
+        target=_run_worker,
+        args=(target, child_end) + tuple(args),
+        name=name,
+        daemon=True,
+    )
+    _OWNER_ENDS.add(owner_end)  # the child closes its copy of this too
+    process.start()
+    child_end.close()
+    return process, owner_end
+
+
+def _run_worker(target: Callable, connection, *args) -> None:
+    for end in _OWNER_ENDS:
+        end.close()
+    target(connection, *args)
+
+
+def release_owner_end(end) -> None:
+    """Close the owner end of a joined worker's pipe."""
+    _OWNER_ENDS.discard(end)
+    end.close()
 
 
 def _serve(connection, chaos_plan, index: int, generation: int) -> None:

@@ -1,42 +1,39 @@
-"""Crash/recovery suite for the resilient campaign runtime.
+"""Chaos plans, checkpoint resume, and seeded chaos in member workers.
 
-Injects infrastructure faults (worker crashes, hangs, closed pipes,
-poisoned payloads, jitter -- :mod:`repro.faults.chaos`) into the campaign
-pool -- caller-owned and the ephemeral one behind ``workers=N`` -- and
-asserts the central promise of the
-resilience layer: a campaign that survives injected failures through
-retries, respawns, checkpoint resume or degradation fallbacks returns a
-:class:`CoverageReport` that is **field-for-field identical** to the
-serial oracle's, and a campaign that cannot survive raises a structured
-:class:`~repro.exceptions.JobTimeout` / :class:`~repro.exceptions.WorkerCrash`
-with its attempt/unprocessed accounting intact.
+Injects infrastructure faults (worker crashes, closed pipes, jitter --
+:mod:`repro.faults.chaos`) into the member workers that run whole sweep
+members, and asserts the central promise of the runtime: a sweep that
+survives injected failures by re-running members writes a
+``metrics.jsonl`` **byte-identical** to the in-process sweep.  Campaigns
+themselves run in-process; a campaign that raises part-way leaves a
+checkpoint from which a rerun resumes to a report **field-for-field
+identical** to the serial oracle's.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
-import multiprocessing
 import os
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.bist import build_conventional_bist
-from repro.exceptions import JobTimeout, ReproError, WorkerCrash
+from repro.exceptions import ReproError
 from repro.faults import (
     CampaignCheckpoint,
-    CampaignPool,
     ChaosEvent,
     ChaosPlan,
     measure_coverage,
     random_plan,
 )
+from repro.faults import engine
 from repro.faults.chaos import CHAOS_ENV
-from repro.faults.checkpoint import campaign_key
-from repro.faults.engine import DegradationEvent
+from repro.faults.checkpoint import campaign_key, subject_digest
 from repro.suite import shift_register
+from repro.suite.sweep import SweepConfig, run_sweep
 
 CYCLES = 32
 SEED = 5
@@ -53,18 +50,6 @@ def oracle(controller):
     return measure_coverage(controller, cycles=CYCLES, seed=SEED)
 
 
-def _pooled(controller, plan, **pool_kwargs):
-    """One pooled campaign under the given injection plan."""
-    kwargs = dict(timeout=10.0, retries=3, backoff=0.01)
-    kwargs.update(pool_kwargs)
-    with CampaignPool(2, chaos=plan, **kwargs) as pool:
-        report = measure_coverage(
-            controller, cycles=CYCLES, seed=SEED, dropping=True, pool=pool
-        )
-        stats = dict(pool.stats)
-    return report, stats
-
-
 class TestPlanModel:
     def test_event_json_roundtrip(self):
         event = ChaosEvent(kind="crash", worker=1, on_chunk=2, sticky=True)
@@ -75,6 +60,9 @@ class TestPlanModel:
     def test_rejects_unknown_kind_and_target(self):
         with pytest.raises(ReproError):
             ChaosEvent(kind="meteor")
+        with pytest.raises(ReproError):
+            # no worker unpickles a shipped subject any more
+            ChaosEvent(kind="poison_pickle")
         with pytest.raises(ReproError):
             ChaosEvent(kind="crash", target="gpu")
         with pytest.raises(ReproError):
@@ -88,101 +76,6 @@ class TestPlanModel:
         assert ChaosPlan.from_env() == plan
         monkeypatch.delenv(CHAOS_ENV)
         assert ChaosPlan.from_env() is None
-
-
-class TestPoolRecovery:
-    """Injected failures the pooled scheduler must absorb bit-identically."""
-
-    def test_crash_respawns_and_matches_oracle(self, controller, oracle):
-        # worker=None arms every worker, so whichever worker reaches its
-        # second steal crashes -- a worker-pinned event could miss if the
-        # sibling drained the queue first.
-        plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=1)])
-        report, stats = _pooled(controller, plan)
-        assert report == oracle
-        assert stats["respawns"] >= 1
-
-    def test_pipe_close_is_recovered(self, controller, oracle):
-        # EOF with exit code 0: the nastiest crash flavour.
-        plan = ChaosPlan([ChaosEvent(kind="pipe_close", on_chunk=0)])
-        report, stats = _pooled(controller, plan)
-        assert report == oracle
-        assert stats["respawns"] >= 1
-
-    def test_poison_pickle_is_retried_without_respawn(self, controller, oracle):
-        # A soft job error on *every* worker: the first attempt resolves
-        # nothing, the workers stay alive (the events disarm in-process),
-        # and the re-dispatch completes without any respawn.
-        plan = ChaosPlan([ChaosEvent(kind="poison_pickle")])
-        report, stats = _pooled(controller, plan)
-        assert report == oracle
-        assert stats["retries"] >= 1
-        assert stats["respawns"] == 0
-
-    def test_slow_chunks_do_not_trip_watchdog(self, controller, oracle):
-        plan = ChaosPlan(
-            [ChaosEvent(kind="slow", worker=index, seconds=0.2) for index in (0, 1)]
-        )
-        report, stats = _pooled(controller, plan, timeout=10.0)
-        assert report == oracle
-        assert stats["timeouts"] == 0
-        assert stats["retries"] == 0
-
-    def test_hang_watchdog_kills_and_recovers(self, controller, oracle):
-        # Every worker hangs on its first steal, so the job cannot finish
-        # until the watchdog kills and re-dispatches; the respawned
-        # generation runs chaos-free (non-sticky events are gated to
-        # generation 0) and converges.
-        plan = ChaosPlan([ChaosEvent(kind="hang", on_chunk=0)])
-        report, stats = _pooled(controller, plan, timeout=1.0)
-        assert report == oracle
-        assert stats["timeouts"] >= 1
-        assert stats["respawns"] >= 1
-
-    def test_multi_worker_crash_storm(self, controller, oracle):
-        plan = ChaosPlan(
-            [
-                ChaosEvent(kind="crash", on_chunk=1),
-                ChaosEvent(kind="pipe_close", on_chunk=3),
-            ]
-        )
-        report, stats = _pooled(controller, plan)
-        assert report == oracle
-        assert stats["respawns"] >= 1
-
-
-class TestBudgetExhaustion:
-    """Failures that outlive the retry budget must raise structured errors."""
-
-    def test_sticky_crash_exhausts_budget(self, controller):
-        plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=1, sticky=True)])
-        with CampaignPool(
-            2, chaos=plan, retries=1, backoff=0.01, timeout=10.0
-        ) as pool:
-            with pytest.raises(WorkerCrash) as excinfo:
-                measure_coverage(
-                    controller,
-                    cycles=CYCLES,
-                    seed=SEED,
-                    dropping=True,
-                    pool=pool,
-                    chunk_size=1,
-                )
-        assert excinfo.value.attempts == 2
-        assert excinfo.value.unprocessed > 0
-        assert excinfo.value.failures
-
-    def test_sticky_hang_raises_job_timeout(self, controller):
-        plan = ChaosPlan([ChaosEvent(kind="hang", on_chunk=0, sticky=True)])
-        with CampaignPool(
-            2, chaos=plan, retries=0, backoff=0.01, timeout=0.5
-        ) as pool:
-            with pytest.raises(JobTimeout) as excinfo:
-                measure_coverage(
-                    controller, cycles=CYCLES, seed=SEED, dropping=True, pool=pool
-                )
-        assert excinfo.value.deadline == 0.5
-        assert excinfo.value.unprocessed > 0
 
 
 class TestCheckpointResume:
@@ -215,42 +108,39 @@ class TestCheckpointResume:
             assert json.load(handle)["completed"] == 2
 
     def test_killed_campaign_resumes_bit_identically(
-        self, controller, oracle, tmp_path
+        self, controller, oracle, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "campaign.ckpt")
-        # Phase 1: every worker crashes on its second chunk, every
-        # generation, with no retry budget -- the campaign dies with a
-        # partial on-disk snapshot (the on-failure flush).
-        plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=1, sticky=True)])
-        with CampaignPool(2, chaos=plan, retries=0, backoff=0.01) as pool:
-            with pytest.raises(WorkerCrash):
-                measure_coverage(
-                    controller,
-                    cycles=CYCLES,
-                    seed=SEED,
-                    dropping=True,
-                    pool=pool,
-                    chunk_size=1,
-                    checkpoint=path,
-                )
-        assert os.path.exists(path)
+        # Phase 1: the campaign raises from its second chunk; the
+        # snapshot of the first is flushed on the way out.
+        original = engine._chunk_outcomes
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ReproError("injected failure in the second chunk")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_chunk_outcomes", failing)
+        with pytest.raises(ReproError, match="second chunk"):
+            measure_coverage(
+                controller, cycles=CYCLES, seed=SEED, dropping=True,
+                checkpoint=path,
+            )
+        monkeypatch.setattr(engine, "_chunk_outcomes", original)
         with open(path, encoding="utf-8") as handle:
             snapshot = json.load(handle)
         assert 0 < snapshot["completed"] < snapshot["total"]
-        # Phase 2: a chaos-free rerun resumes the completed prefix and the
-        # final report equals an uninterrupted serial run field for field.
+        # Phase 2: a rerun resumes the completed chunk and the final
+        # report equals an uninterrupted serial run field for field.
         report = measure_coverage(
-            controller,
-            cycles=CYCLES,
-            seed=SEED,
-            dropping=True,
-            workers=2,
-            chunk_size=1,
+            controller, cycles=CYCLES, seed=SEED, dropping=True,
             checkpoint=path,
         )
         assert report == oracle
-        resilience = report.telemetry["resilience"]
-        assert resilience["resumed"] == snapshot["completed"]
+        resumed = report.telemetry["checkpoint"]["resumed"]
+        assert resumed == snapshot["completed"] > 0
         assert not os.path.exists(path)  # cleared on success
 
     def test_serial_checkpoint_cleared_on_success(self, controller, oracle, tmp_path):
@@ -262,88 +152,30 @@ class TestCheckpointResume:
         assert not os.path.exists(path)
 
 
-class TestEphemeralPool:
-    """``workers=N`` campaigns run on a pool that lives for one call."""
+    def test_subject_digest_is_sha256(self):
+        payload = b"some pickled subject"
+        assert subject_digest(payload) == hashlib.sha256(payload).hexdigest()
+        assert len(subject_digest(b"")) == 64  # SHA-1 would be 40
 
-    @pytest.fixture
-    def sticky_pool_crash(self, monkeypatch):
-        # The ephemeral pool takes no plan argument; its forked workers
-        # arm the plan from the inherited environment.
-        plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0, sticky=True)])
-        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
 
-    def test_success_leaves_no_live_children(self, controller, oracle):
-        report = measure_coverage(
-            controller, cycles=CYCLES, seed=SEED, workers=2, dropping=True
-        )
-        assert report == oracle
-        assert report.telemetry["workers"] == 2
-        # preloaded at fork: no worker needed the payload shipped
-        assert report.telemetry["pool"]["reuse_hits"] == 2
-        assert multiprocessing.active_children() == []
-
-    def test_exhausted_budget_raises_and_leaves_no_live_children(
-        self, controller, sticky_pool_crash
-    ):
-        with pytest.raises(WorkerCrash) as excinfo:
-            measure_coverage(
-                controller,
-                cycles=CYCLES,
-                seed=SEED,
-                dropping=True,
-                workers=2,
-                retries=1,
-            )
-        assert excinfo.value.attempts == 2
-        assert multiprocessing.active_children() == []
-
-    def test_degrade_falls_back_to_serial(
-        self, controller, oracle, sticky_pool_crash
-    ):
-        report = measure_coverage(
-            controller,
-            cycles=CYCLES,
-            seed=SEED,
-            dropping=True,
-            workers=2,
-            retries=1,
-            degrade=True,
-        )
-        assert report == oracle
-        resilience = report.telemetry["resilience"]
-        (event,) = resilience["fallbacks"]
-        assert isinstance(event, DegradationEvent)
-        assert (event.rung_from, event.rung_to, event.kind) == (
-            "pool", "serial", "crash"
-        )
-        assert event.to_dict()["rung_to"] == "serial"
-        assert resilience["retries"] == 1
-        assert resilience["respawns"] >= 2
-        assert multiprocessing.active_children() == []
+#: a slice whose members each run in a member worker.
+CHAOS_SLICE = SweepConfig(
+    families=("mcnc", "pop-small"), limit=2, record_timings=False
+)
 
 
 class TestRandomSchedules:
-    """Hypothesis-driven fault schedules: every survivable plan converges."""
+    """Seeded chaos plans in member workers: every member re-runs
+    chaos-free after a failure, so the ledger never changes."""
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[
-            HealthCheck.too_slow,
-            HealthCheck.function_scoped_fixture,
-        ],
-    )
-    def test_random_pool_plans_match_oracle(self, seed):
-        controller = build_conventional_bist(shift_register(2))
-        oracle = measure_coverage(controller, cycles=CYCLES, seed=SEED)
-        plan = random_plan(random.Random(seed), workers=2)
-        report, _stats = _pooled(controller, plan, retries=4)
-        assert report == oracle
-
-    def test_ci_seeded_schedule(self, controller, oracle):
+    def test_ci_seeded_schedule(self, tmp_path, monkeypatch):
         """The CI chaos cells pin REPRO_CHAOS_SEED and rerun this case."""
+        run_sweep(CHAOS_SLICE, str(tmp_path / "serial"))
         seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
         plan = random_plan(random.Random(seed), workers=2, length=3)
-        report, _stats = _pooled(controller, plan, retries=4)
-        assert report == oracle
+        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+        run_sweep(
+            dataclasses.replace(CHAOS_SLICE, workers=2), str(tmp_path / "chaos")
+        )
+        serial = (tmp_path / "serial" / "metrics.jsonl").read_bytes()
+        assert (tmp_path / "chaos" / "metrics.jsonl").read_bytes() == serial

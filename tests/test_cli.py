@@ -85,6 +85,10 @@ class TestTables:
         assert "2^" in out
 
 
+#: the ``coverage`` verb on the paper's worked example.
+COVERAGE = ["coverage", "paper_example"]
+
+
 class TestArchAndCoverage:
     def test_arch(self, capsys):
         code, out, _ = run_cli(capsys, "arch", "paper_example")
@@ -96,25 +100,30 @@ class TestArchAndCoverage:
         assert code == 0
         assert "coverage" in out
 
-    def test_workers_serve_every_campaign_from_one_pool(self, capsys):
-        _, serial, _ = run_cli(capsys, "coverage", "paper_example")
-        code, out, _ = run_cli(
-            capsys, "coverage", "paper_example", "--workers", "2"
-        )
-        assert code == 0
-        assert out.startswith(serial)
-        # four architecture campaigns + the PPSFP redundancy screens
-        assert "pool: 2 persistent workers served 4 campaigns + " in out
-
     @pytest.mark.parametrize(
-        "argv",
-        [["coverage", "paper_example"], ["sweep", "--limit", "0", "--out", "x"]],
+        "argv, flags",
+        [
+            pytest.param(COVERAGE, ["--pool", "2"], id="argv0"),
+            pytest.param(
+                ["sweep", "--limit", "0", "--out", "x"], ["--pool", "2"],
+                id="argv1",
+            ),
+            pytest.param(COVERAGE, ["--workers", "2"], id="workers"),
+            pytest.param(COVERAGE, ["--timeout", "1"], id="timeout"),
+            pytest.param(COVERAGE, ["--retries", "1"], id="retries"),
+            pytest.param(COVERAGE, ["--degrade"], id="degrade"),
+            pytest.param(COVERAGE, ["--chunk-size", "4"], id="chunk-size"),
+        ],
     )
-    def test_pool_option_is_gone(self, capsys, tmp_path, monkeypatch, argv):
+    def test_pool_option_is_gone(self, capsys, tmp_path, monkeypatch, argv, flags):
+        """Campaign scheduler flags are gone: each one is an argparse
+        error (exit 2), never silently ignored."""
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit):
-            main(argv + ["--pool", "2"])
-        assert "unrecognized arguments: --pool 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + flags)
+        assert excinfo.value.code == 2
+        message = f"unrecognized arguments: {' '.join(flags)}"
+        assert message in capsys.readouterr().err
 
 
 class TestExample:

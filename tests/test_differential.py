@@ -1,8 +1,8 @@
 """Cross-engine differential suite: every campaign engine, one verdict.
 
 The engine zoo has grown -- interpreted session loops, compiled kernels,
-exact fault dropping with lane-superposed fallback sessions, and the
-chunk-steal campaign pool -- and each refactor so far was guarded
+and exact fault dropping with lane-superposed fallback sessions -- and
+each refactor so far was guarded
 only by per-pair spot checks.  This module locks the whole matrix down in
 the spirit of synthesized complete-test suites: for a corpus of
 suite-registry machines and all four self-testable architectures it
@@ -11,9 +11,9 @@ asserts that
 * every campaign engine produces a **bit-identical**
   :class:`CoverageReport` (dataclass equality: totals, per-block tallies,
   undetected-fault order),
-* every PPSFP engine -- interpreted walker, lane-superposed kernel, and
-  the persistent worker pool -- produces a
-  **bit-identical** :class:`CombinationalCoverage` on each machine's
+* every PPSFP engine -- interpreted walker and lane-superposed kernel --
+  produces a **bit-identical** :class:`CombinationalCoverage` on each
+  machine's
   exhaustively driven combinational block,
 * compiled self-test sessions produce the **same MISR signatures** as the
   seed interpreted loops, fault by fault,
@@ -24,16 +24,13 @@ asserts that
   an *intentional* semantic change.
 
 CI runs this module across a seed matrix: ``REPRO_DIFF_SEED`` moves the
-campaign seed, ``REPRO_DIFF_POOL`` sizes the shared persistent worker
-pool and ``REPRO_DIFF_COLLAPSE`` (``none``/``equiv``) additionally runs
-every non-baseline engine over collapsed equivalence-class
-representatives -- the verdicts are expanded back, so the whole matrix
-must still equal the uncollapsed interpreted oracle (the golden cases pin
-their own seed and are matrix-invariant).  The ``workers`` cells run each
-campaign on its own two-worker ephemeral pool (controller preloaded at
-fork) in every matrix cell, and dedicated ``collapsed-*`` cells always
-exercise the serial, ephemeral-pool and shared-pool paths with
-``collapse="equiv"`` regardless of the environment.
+campaign seed and ``REPRO_DIFF_COLLAPSE`` (``none``/``equiv``)
+additionally runs every non-baseline engine over collapsed
+equivalence-class representatives -- the verdicts are expanded back, so
+the whole matrix must still equal the uncollapsed interpreted oracle (the
+golden cases pin their own seed and are matrix-invariant).  Dedicated
+``collapsed-*`` cells always exercise ``collapse="equiv"`` regardless of
+the environment.
 """
 
 from __future__ import annotations
@@ -52,45 +49,20 @@ from repro.bist.architectures import (
     build_pipeline,
 )
 from repro.faults.coverage import measure_coverage
-from repro.faults.pool import CampaignPool
 from repro.faults.simulator import exhaustive_patterns, simulate_patterns
 from repro.ostr.search import search_ostr
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "3"))
-WORKERS = 2
-POOL_WORKERS = int(os.environ.get("REPRO_DIFF_POOL", "2"))
 COLLAPSE = os.environ.get("REPRO_DIFF_COLLAPSE", "none")
 CYCLES = 48
 
 MACHINES = ("shiftreg", "tav", "dk27", "bbtas")
 ARCHITECTURES = ("conventional", "parallel", "doubled", "pipeline")
 
-_POOL = None
-
-
-def _pool() -> CampaignPool:
-    """One persistent pool for every pooled cell of the matrix (that IS the
-    differential point: many campaigns over the same long-lived workers)."""
-    global _POOL
-    if _POOL is None:
-        _POOL = CampaignPool(max(1, POOL_WORKERS))
-    return _POOL
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_pool():
-    yield
-    global _POOL
-    if _POOL is not None:
-        _POOL.close()
-        _POOL = None
-
-
 #: engine label -> campaign thunk; "interpreted" is the differential
 #: baseline and therefore never collapses.  The other engines collapse
 #: when the CI matrix asks for it (REPRO_DIFF_COLLAPSE); the collapsed-*
-#: cells pin ``collapse="equiv"`` so every run covers the collapse axis
-#: across the serial, ephemeral-pool and shared-pool paths.
+#: cell pins ``collapse="equiv"`` so every run covers the collapse axis.
 ENGINES = {
     "interpreted": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, engine="interpreted"
@@ -101,24 +73,8 @@ ENGINES = {
     "superposed": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, dropping=True, collapse=COLLAPSE
     ),
-    "workers": lambda c, seed: measure_coverage(
-        c, cycles=CYCLES, seed=seed, workers=WORKERS, dropping=True,
-        collapse=COLLAPSE,
-    ),
-    "pooled": lambda c, seed: measure_coverage(
-        c, cycles=CYCLES, seed=seed, dropping=True, pool=_pool(),
-        collapse=COLLAPSE,
-    ),
     "collapsed-serial": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, dropping=True, collapse="equiv"
-    ),
-    "collapsed-workers": lambda c, seed: measure_coverage(
-        c, cycles=CYCLES, seed=seed, workers=WORKERS, dropping=True,
-        collapse="equiv",
-    ),
-    "collapsed-pooled": lambda c, seed: measure_coverage(
-        c, cycles=CYCLES, seed=seed, dropping=True, pool=_pool(),
-        collapse="equiv",
     ),
 }
 
@@ -262,11 +218,7 @@ PPSFP_ENGINE_THUNKS = {
     "superposed": lambda n, p: simulate_patterns(
         n, p, engine="superposed", collapse=COLLAPSE
     ),
-    "pooled": lambda n, p: simulate_patterns(n, p, pool=_pool(), collapse=COLLAPSE),
     "collapsed": lambda n, p: simulate_patterns(n, p, collapse="equiv"),
-    "collapsed-pooled": lambda n, p: simulate_patterns(
-        n, p, pool=_pool(), collapse="equiv"
-    ),
 }
 
 _PPSFP_BASELINES = {}

@@ -4,8 +4,8 @@ Three layers of equivalence:
 
 * the GF(2) linear-compactor model against the real :class:`Misr`,
 * compiled BIST sessions against the original interpreted session loops,
-* full ``measure_coverage`` campaigns -- fault dropping on/off, workers
-  on/off -- compared as whole :class:`CoverageReport` objects (dataclass
+* full ``measure_coverage`` campaigns -- fault dropping on/off --
+  compared as whole :class:`CoverageReport` objects (dataclass
   equality covers detected counts, per-block tallies and the undetected
   list order).
 """
@@ -24,6 +24,7 @@ from repro.bist.architectures import (
     build_pipeline,
 )
 from repro.bist.misr import Misr
+from repro.faults import engine
 from repro.faults.coverage import measure_coverage
 from repro.faults.engine import (
     LinearCompactor,
@@ -32,7 +33,6 @@ from repro.faults.engine import (
     stream_errors,
     transpose_words,
 )
-from repro.faults.pool import CampaignPool
 from repro.netlist.netlist import Netlist
 from repro.ostr.search import search_ostr
 
@@ -155,13 +155,6 @@ def test_dropping_campaign_matches_interpreted_oracle(dk27_controllers):
     assert measure_coverage(controller, dropping=True) == oracle
 
 
-def test_worker_campaign_is_bit_identical(dk27_controllers):
-    controller = dk27_controllers["pipeline"]
-    oracle = measure_coverage(controller)
-    assert measure_coverage(controller, workers=2, dropping=True) == oracle
-    assert measure_coverage(controller, workers=2, dropping=False) == oracle
-
-
 def test_oracle_after_collapsed_campaign_reports_no_stale_telemetry(
     dk27_controllers,
 ):
@@ -244,15 +237,32 @@ def test_dropping_campaign_honours_the_interpreted_engine(
 
 
 @pytest.mark.parametrize("workers", (0, 2))
-def test_unknown_session_option_fails_fast(dk27_controllers, workers):
+def test_unknown_session_option_fails_fast(dk27_controllers, monkeypatch, workers):
     """A misspelt session option raises TypeError in the caller, before
-    any worker runs (so nothing retries a deterministic failure)."""
+    any fault is simulated.  ``workers=0`` passes only the misspelt
+    option; ``workers=2`` adds the removed ``workers`` knob as well."""
+    option = {"bogus": 1} if workers == 0 else {"workers": workers, "bogus": 1}
+    _assert_fails_before_simulating(dk27_controllers, monkeypatch, option)
+
+
+@pytest.mark.parametrize(
+    "option",
+    ({"workers": 2}, {"pool": object()}, {"timeout": 1}, {"degrade": True}),
+    ids=("workers", "pool", "timeout", "degrade"),
+)
+def test_removed_campaign_knob_fails_fast(dk27_controllers, monkeypatch, option):
+    """A removed campaign knob reaches session-option binding as an
+    unknown option and raises TypeError before any fault is simulated."""
+    _assert_fails_before_simulating(dk27_controllers, monkeypatch, option)
+
+
+def _assert_fails_before_simulating(dk27_controllers, monkeypatch, option):
     controller = dk27_controllers["pipeline"]
+
+    def simulated(*_args, **_kwargs):
+        raise AssertionError("a fault was simulated")
+
+    monkeypatch.setattr(engine, "_resolve", simulated)
     with pytest.raises(TypeError):
-        measure_coverage(controller, dropping=True, workers=workers, bogus=1)
+        measure_coverage(controller, dropping=True, **option)
     assert multiprocessing.active_children() == []
-    with CampaignPool(2) as pool:
-        with pytest.raises(TypeError):
-            measure_coverage(controller, dropping=True, pool=pool, bogus=1)
-        assert pool.stats["retries"] == 0
-        assert pool.stats["campaigns"] == 0

@@ -124,7 +124,6 @@ def test_sweep_path_compiles_lane_out_only(monkeypatch):
         controller,
         cycles=config.cycles,
         seed=config.seed,
-        workers=config.workers,
         dropping=True,
         collapse=config.collapse,
         prescreen=config.prescreen,

@@ -16,6 +16,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -211,7 +215,21 @@ def test_member_worker_crash_is_rerun_and_converges(
     """A chaos crash at member start kills every first-generation
     worker; each member runs again in a fresh (chaos-free) worker and
     the ledger is unchanged."""
-    plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0)])
+    _assert_ledger_survives_chaos("crash", serial_bytes, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["pipe_close", "slow"])
+def test_member_worker_chaos_is_rerun_and_converges(
+    kind, serial_bytes, tmp_path, monkeypatch
+):
+    """A closed pipe at member start is handled like a crash: the member
+    runs again in a fresh worker.  A slow start only delays the member.
+    Either way the ledger is unchanged."""
+    _assert_ledger_survives_chaos(kind, serial_bytes, tmp_path, monkeypatch)
+
+
+def _assert_ledger_survives_chaos(kind, serial_bytes, tmp_path, monkeypatch):
+    plan = ChaosPlan([ChaosEvent(kind=kind, on_chunk=0)])
     monkeypatch.setenv(CHAOS_ENV, plan.to_json())
     config = dataclasses.replace(WORKER_SLICE, workers=2)
     run_sweep(config, str(tmp_path / "run"))
@@ -233,6 +251,60 @@ def test_sticky_member_worker_crash_becomes_an_error_record(
         assert record["status"] == "error"
         assert record["error"].startswith("WorkerCrash: ")
         assert "failed in 2 worker(s)" in record["error"]
+
+
+def test_workers_exit_when_their_owner_is_killed():
+    """``kill -9`` of a process holding two member workers: each worker
+    sees its pipe reach EOF (no worker keeps an owner-side pipe end
+    open) and exits on its own."""
+    script = (
+        "import sys, time\n"
+        f"sys.path.insert(0, {os.path.join(os.path.dirname(__file__), os.pardir, 'src')!r})\n"
+        "from repro.suite.worker import MemberWorker\n"
+        "workers = [MemberWorker(index) for index in range(2)]\n"
+        "pids = [worker._process.pid for worker in workers]\n"
+        "print('PIDS', *pids, flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+    )
+    pids = []
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("PIDS"), line
+        pids = [int(token) for token in line.split()[1:]]
+        assert len(pids) == 2
+        process.kill()
+        process.wait(30.0)
+        deadline = time.monotonic() + 30.0
+        while not all(_exited(pid) for pid in pids):
+            assert time.monotonic() < deadline, f"orphan workers: {pids}"
+            time.sleep(0.05)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(10.0)
+        process.stdout.close()
+        for pid in pids:  # only alive if the check above failed
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` has exited; an orphan zombie nobody reaped
+    counts as exited."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
 
 
 @pytest.mark.parametrize("workers", [0, 2])
