@@ -23,14 +23,17 @@ machinery:
   for architecture-level pseudo-nets), which is what lets
   :mod:`repro.faults.collapse` build per-block equivalence classes,
 * ``self_test_signatures(fault=(block, Fault) | None)``: deterministic
-  signature tuple of the full self-test,
+  signature tuple of the full self-test.  Each serial session is written
+  once over :func:`_block_evaluator`; its ``engine=`` option picks the
+  kernel, the compiled lane kernel (``"compiled"``, default) or the
+  interpreted netlist walker, the reference oracle (``"interpreted"``),
 * ``system_step(...)`` / behavioural verification hooks,
 * ``flipflops`` / ``critical_path()`` / ``gate_inputs()`` area metrics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from ..encoding import (
     EncodedMachine,
@@ -39,7 +42,12 @@ from ..encoding import (
     encode_realization,
 )
 from ..exceptions import BistError
-from ..faults.coverage import FAULT_DETECTED, FAULT_DROPPED, FAULT_MISSED
+from ..faults.coverage import (
+    FAULT_DETECTED,
+    FAULT_DROPPED,
+    FAULT_MISSED,
+    SESSION_ENGINES,
+)
 from ..faults.simulator import lane_passes, superposed_fields
 from ..faults.stuck_at import all_faults
 from ..fsm import MealyMachine
@@ -76,7 +84,7 @@ def _lane_fault_assignments(compiled, faults: Sequence[Fault]):
 
 
 def _lane_signature_outcomes(
-    banks: Sequence[LaneMisr],
+    banks: Sequence[Union[LaneMisr, _EmptyRegister]],
     reference: Tuple[int, ...],
     n_faults: int,
     session_label: str,
@@ -142,37 +150,50 @@ def _int_to_code(value: int, width: int) -> str:
     return "".join("1" if (value >> position) & 1 else "0" for position in range(width))
 
 
+def _block_evaluator(
+    network: Netlist, fault: Optional[Fault], engine: str
+) -> Callable[[int], int]:
+    """``bits -> bits`` evaluator of one block under ``fault`` (``None``:
+    fault-free) -- the combinational step of every serial session.
+
+    Input ``i`` of the block is bit ``i`` of the argument and output
+    ``j`` is bit ``j`` of the result.  ``engine="compiled"`` runs the
+    compiled lane kernel with the fault in its single lane
+    (:meth:`~repro.netlist.compiled.CompiledNetlist.single_pattern`);
+    ``engine="interpreted"`` walks the dict-keyed interpreted netlist,
+    the reference oracle.
+    """
+    if engine == "compiled":
+        return network.compile().single_pattern(fault)
+    if engine != "interpreted":
+        raise BistError(
+            f"unknown session engine {engine!r}; expected one of {SESSION_ENGINES}"
+        )
+    inputs, outputs = network.inputs, network.outputs
+
+    def evaluate(bits: int) -> int:
+        values = network.evaluate_interpreted(_drive(inputs, bits), mask=1, fault=fault)
+        return _collect(values, outputs)
+
+    return evaluate
+
+
 def _linear_session_signature(
-    plain, fault: Optional[Fault], cycles: int, seed: int, engine: str
+    plain, evaluate: Callable[[int], int], cycles: int, seed: int
 ) -> int:
     """MISR signature of one PRPG -> C -> MISR session over ``plain``'s C.
 
-    The generator spans C's inputs (state bits then x bits) and the MISR
-    compacts its outputs (next-state bits then z bits).  This is the
-    session of the conventional (Figure 2) and doubled (Figure 3)
-    architectures.  ``engine="compiled"`` runs the packed single-pattern
-    kernel of the compiled netlist; ``engine="interpreted"`` keeps the
-    dict-driven loop as the bit-identical reference.
+    The generator spans C's inputs (state bits then x bits, so its state
+    is C's packed input word) and the MISR compacts its outputs
+    (next-state bits then z bits).  This is the session of the
+    conventional (Figure 2) and doubled (Figure 3) architectures;
+    ``evaluate`` is C under the session's fault (:func:`_block_evaluator`).
     """
     width = plain.state_width
     generator = _prpg(width + plain.input_width, seed)
     response_register = Misr(max(4, width + plain.output_width))
-    if engine == "interpreted":
-        for _ in range(cycles):
-            inputs = _drive(plain.state_nets, generator.state)
-            inputs.update(_drive(plain.x_nets, generator.state >> width))
-            values = plain.network.evaluate_interpreted(inputs, mask=1, fault=fault)
-            response = _collect(values, list(plain.ns_nets) + list(plain.z_nets))
-            response_register.absorb(response)
-            generator.step()
-        return response_register.signature
-    compiled = plain.network.compile()
-    fault_args = compiled.fault_args(fault, 1)
-    step = compiled.step
-    absorb = response_register.absorb
     for _ in range(cycles):
-        # C's inputs are state bits then x bits -- exactly the PRPG word.
-        absorb(step(generator.state, fault_args))
+        response_register.absorb(evaluate(generator.state))
         generator.step()
     return response_register.signature
 
@@ -188,6 +209,25 @@ class _EmptyPrpg:
     state = 0
 
     def step(self) -> int:
+        return 0
+
+
+class _EmptyRegister:
+    """The state register of a one-state machine: zero bits wide, so its
+    signature is always 0 and it feeds no input words.  Stands in for
+    :class:`Misr` in the serial session and :class:`LaneMisr` in the
+    superposed one."""
+
+    signature = 0
+    stages: Tuple[int, ...] = ()
+
+    def absorb(self, data: int) -> None:
+        pass
+
+    def absorb_words(self, words: Sequence[int]) -> None:
+        pass
+
+    def lane_signature(self, lane: int) -> int:
         return 0
 
 
@@ -225,7 +265,7 @@ def _linear_session_reference(
         "cycles": cycles,
         "mask": mask,
         "streams": streams,
-        "ref_out": network.compile().eval_outputs_list(streams, mask),
+        "ref_out": network.compile().lane_eval_outputs(streams, mask),
         "compactor": LinearCompactor(misr_width),
     }
 
@@ -364,11 +404,19 @@ def build_plain(machine: MealyMachine, method: str = "auto") -> PlainController:
     return controller
 
 
-class ConventionalBistController:
-    """Figure 2: system register R plus transparent test register T."""
+class _SelfTestController:
+    """The self-test protocol every BIST architecture shares."""
 
-    #: extra unit delay of the transparency mux in the system path
-    TRANSPARENCY_DELAY = 1
+    self_test_signatures: Callable[..., Tuple[int, ...]]
+
+    def fault_free_signatures(
+        self, cycles: Optional[int] = None, seed: int = 1, **options
+    ) -> Tuple[int, ...]:
+        return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
+
+
+class _PlainSelfTest(_SelfTestController):
+    """A self-test architecture built around the Figure-1 block C."""
 
     def __init__(self, plain: PlainController) -> None:
         self.plain = plain
@@ -377,6 +425,19 @@ class ConventionalBistController:
     @property
     def machine(self) -> MealyMachine:
         return self.plain.machine
+
+    def _default_cycles(self, cycles: Optional[int]) -> int:
+        """Default: one complete generator cycle (exhaustive patterns for C)."""
+        if cycles is not None:
+            return cycles
+        return min(4096, 2 ** (self.width + self.plain.input_width))
+
+
+class ConventionalBistController(_PlainSelfTest):
+    """Figure 2: system register R plus transparent test register T."""
+
+    #: extra unit delay of the transparency mux in the system path
+    TRANSPARENCY_DELAY = 1
 
     @property
     def flipflops(self) -> int:
@@ -427,28 +488,23 @@ class ConventionalBistController:
         """One-session self-test: T(PRPG) -> C -> R(MISR).
 
         The feedback lines R -> T carry no live data during the session, so
-        ``FEEDBACK`` faults provably cannot change the signature; they are
-        short-circuited here (the session is not even run), which is the
-        paper's point about this architecture.
+        ``FEEDBACK`` faults provably cannot change the signature; the
+        session runs fault-free for them, which is the paper's point about
+        this architecture.
 
-        ``engine="compiled"`` (default) runs the session on the packed
-        single-pattern kernel of the compiled netlist;
-        ``engine="interpreted"`` keeps the original dict-driven loop as the
-        bit-identical reference (property-tested equivalence).
+        ``engine`` picks the session kernel (:func:`_block_evaluator`):
+        ``"compiled"`` (default) or the ``"interpreted"`` reference oracle,
+        bit-identical by property test.
         """
-        if fault is not None and fault[0] == "FEEDBACK":
-            return self.fault_free_signatures(cycles=cycles, seed=seed, engine=engine)
-        network_fault = fault[1] if fault is not None else None
+        network_fault = fault[1] if fault is not None and fault[0] == "C" else None
         return (
             _linear_session_signature(
-                self.plain, network_fault, self._default_cycles(cycles), seed, engine
+                self.plain,
+                _block_evaluator(self.plain.network, network_fault, engine),
+                self._default_cycles(cycles),
+                seed,
             ),
         )
-
-    def fault_free_signatures(
-        self, cycles: Optional[int] = None, seed: int = 1, **options
-    ) -> Tuple[int, ...]:
-        return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
 
     # -- campaign fast path (see repro.faults.engine) -------------------------
 
@@ -482,12 +538,6 @@ class ConventionalBistController:
                 else [FAULT_DROPPED] * len(faults)
             ),
         )
-
-    def _default_cycles(self, cycles: Optional[int]) -> int:
-        """Default: one complete generator cycle (exhaustive patterns for C)."""
-        if cycles is not None:
-            return cycles
-        return min(4096, 2 ** (self.width + self.plain.input_width))
 
     def system_detectable_feedback_fault(
         self, fault: Fault, input_symbols: Sequence
@@ -524,7 +574,7 @@ def build_conventional_bist(
     return ConventionalBistController(build_plain(machine, method=method))
 
 
-class ParallelSelfTestController:
+class ParallelSelfTestController(_PlainSelfTest):
     """Figure-1 structure operated as a *parallel self-test*.
 
     Section 1 of the paper: "This kind of parallel self-test, where the
@@ -540,14 +590,6 @@ class ParallelSelfTestController:
     measures exactly that, and the coverage benches show the resulting
     gap against the two-session architectures.
     """
-
-    def __init__(self, plain: PlainController) -> None:
-        self.plain = plain
-        self.width = plain.state_width
-
-    @property
-    def machine(self) -> MealyMachine:
-        return self.plain.machine
 
     @property
     def flipflops(self) -> int:
@@ -581,65 +623,48 @@ class ParallelSelfTestController:
         *faults*: :meth:`campaign_detects_batch` packs one faulty machine
         per bit lane -- each lane carrying its own register trajectory --
         and replays all of them in one multi-lane evaluation per cycle.
-        :meth:`_session` remains the one-fault-at-a-time oracle, compiled
-        by default.
+        :meth:`_session` remains the one-fault-at-a-time oracle; ``engine``
+        picks its kernel (:func:`_block_evaluator`).
         """
-        return self._session(
-            fault[1] if fault is not None else None,
-            self._default_cycles(cycles),
-            seed,
-            engine,
+        evaluate = _block_evaluator(
+            self.plain.network, fault[1] if fault is not None else None, engine
         )
+        return self._session(evaluate, self._default_cycles(cycles), seed)
 
     def _session(
-        self, network_fault: Optional[Fault], cycles: int, seed: int, engine: str
+        self,
+        evaluate: Callable[[int], int],
+        cycles: int,
+        seed: int,
+        visited: Optional[Set[int]] = None,
     ) -> Tuple[int, int]:
+        """The serial session; returns (R's signature, output MISR's).
+
+        R compacts C's next-state lines and feeds its signature back as
+        C's state inputs; a free-running PRPG drives the primary inputs
+        and an output MISR compacts the z lines.  ``visited`` collects the
+        state patterns applied.  A one-state machine's R is zero bits wide
+        (:class:`_EmptyRegister`).
+        """
         plain = self.plain
-        register = Misr(self.width)
-        register.reset(seed % (1 << self.width))
-        input_register = (
-            Lfsr.from_any_seed(plain.input_width, seed, complete=True)
-            if plain.input_width
-            else None
-        )
-        output_misr = Misr(max(4, plain.output_width))
-        if engine == "interpreted":
-            for _ in range(cycles):
-                inputs = _drive(plain.state_nets, register.signature)
-                inputs.update(
-                    _drive(
-                        plain.x_nets,
-                        input_register.state if input_register is not None else 0,
-                    )
-                )
-                values = plain.network.evaluate_interpreted(
-                    inputs, mask=1, fault=network_fault
-                )
-                register.absorb(_collect(values, plain.ns_nets))
-                output_misr.absorb(_collect(values, plain.z_nets))
-                if input_register is not None:
-                    input_register.step()
-            return (register.signature, output_misr.signature)
-        compiled = plain.network.compile()
-        fault_args = compiled.fault_args(network_fault, 1)
-        step = compiled.step
         width = self.width
+        register: Union[Misr, _EmptyRegister] = (
+            Misr(width, seed % (1 << width)) if width else _EmptyRegister()
+        )
+        input_register = _prpg(plain.input_width, seed)
+        output_misr = Misr(max(4, plain.output_width))
         state_mask = (1 << width) - 1
         for _ in range(cycles):
-            bits = register.signature | (
-                (input_register.state if input_register is not None else 0) << width
-            )
-            packed = step(bits, fault_args)
+            state = register.signature
+            if visited is not None:
+                visited.add(state)
+            # C's inputs are the state bits then x; its outputs are the
+            # next-state lines then the z lines.
+            packed = evaluate(state | (input_register.state << width))
             register.absorb(packed & state_mask)
             output_misr.absorb(packed >> width)
-            if input_register is not None:
-                input_register.step()
+            input_register.step()
         return (register.signature, output_misr.signature)
-
-    def fault_free_signatures(
-        self, cycles: Optional[int] = None, seed: int = 1, **options
-    ) -> Tuple[int, ...]:
-        return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
 
     # -- campaign fast path (see repro.faults.engine) -------------------------
 
@@ -656,7 +681,9 @@ class ParallelSelfTestController:
         return {
             "cycles": cycles,
             "seed": seed,
-            "signatures": self._session(None, cycles, seed, "compiled"),
+            "signatures": self._session(
+                _block_evaluator(self.plain.network, None, "compiled"), cycles, seed
+            ),
         }
 
     def campaign_detects_batch(
@@ -693,26 +720,23 @@ class ParallelSelfTestController:
         compiled = plain.network.compile()
         lane_mask, overrides = _lane_fault_assignments(compiled, faults)
         width = self.width
-        register = LaneMisr(width, lane_mask, seed % (1 << width))
-        input_register = (
-            Lfsr.from_any_seed(plain.input_width, seed, complete=True)
-            if plain.input_width
-            else None
+        register: Union[LaneMisr, _EmptyRegister] = (
+            LaneMisr(width, lane_mask, seed % (1 << width))
+            if width
+            else _EmptyRegister()
         )
+        input_register = _prpg(plain.input_width, seed)
         output_misr = LaneMisr(max(4, plain.output_width))
         lane_eval_outputs = compiled.lane_eval_outputs
         for _ in range(cycles):
-            input_words = list(register.stages)
-            if input_register is not None:
-                input_words += broadcast_lanes(
-                    input_register.state, plain.input_width, lane_mask
-                )
+            input_words = list(register.stages) + broadcast_lanes(
+                input_register.state, plain.input_width, lane_mask
+            )
             # network outputs are the next-state lines then the z lines
             out_words = lane_eval_outputs(input_words, lane_mask, overrides)
             register.absorb_words(out_words[:width])
             output_misr.absorb_words(out_words[width:])
-            if input_register is not None:
-                input_register.step()
+            input_register.step()
         return _lane_signature_outcomes(
             (register, output_misr), reference, len(faults), "parallel self-test"
         )
@@ -725,34 +749,14 @@ class ParallelSelfTestController:
         The paper's point quantified: the signature trajectory usually
         covers only a fraction of the ``2^width`` state patterns.
         """
-        plain = self.plain
-        cycles = self._default_cycles(cycles)
-        register = Misr(self.width)
-        register.reset(seed % (1 << self.width))
-        input_register = (
-            Lfsr.from_any_seed(plain.input_width, seed, complete=True)
-            if plain.input_width
-            else None
+        visited: Set[int] = set()
+        self._session(
+            _block_evaluator(self.plain.network, None, "compiled"),
+            self._default_cycles(cycles),
+            seed,
+            visited,
         )
-        compiled = plain.network.compile()
-        step = compiled.step
-        width = self.width
-        state_mask = (1 << width) - 1
-        seen = set()
-        for _ in range(cycles):
-            seen.add(register.signature)
-            bits = register.signature | (
-                (input_register.state if input_register is not None else 0) << width
-            )
-            register.absorb(step(bits) & state_mask)
-            if input_register is not None:
-                input_register.step()
-        return (len(seen), 1 << self.width)
-
-    def _default_cycles(self, cycles: Optional[int]) -> int:
-        if cycles is not None:
-            return cycles
-        return min(4096, 2 ** (self.width + self.plain.input_width))
+        return (len(visited), 1 << self.width)
 
 
 def build_parallel_self_test(
@@ -761,16 +765,8 @@ def build_parallel_self_test(
     return ParallelSelfTestController(build_plain(machine, method=method))
 
 
-class DoubledController:
+class DoubledController(_PlainSelfTest):
     """Figure 3: duplicated register and combinational circuitry."""
-
-    def __init__(self, plain: PlainController) -> None:
-        self.plain = plain
-        self.width = plain.state_width
-
-    @property
-    def machine(self) -> MealyMachine:
-        return self.plain.machine
 
     @property
     def flipflops(self) -> int:
@@ -800,22 +796,19 @@ class DoubledController:
     ) -> Tuple[int, ...]:
         """Two sessions: each copy is exercised by the other register."""
         cycles = self._default_cycles(cycles)
-        signatures: List[int] = []
-        for session, block in enumerate(("C_a", "C_b")):
-            block_fault = (
-                fault[1] if fault is not None and fault[0] == block else None
+        return tuple(
+            _linear_session_signature(
+                self.plain,
+                _block_evaluator(
+                    self.plain.network,
+                    fault[1] if fault is not None and fault[0] == block else None,
+                    engine,
+                ),
+                cycles,
+                seed + session,
             )
-            signatures.append(
-                _linear_session_signature(
-                    self.plain, block_fault, cycles, seed + session, engine
-                )
-            )
-        return tuple(signatures)
-
-    def fault_free_signatures(
-        self, cycles: Optional[int] = None, seed: int = 1, **options
-    ) -> Tuple[int, ...]:
-        return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
+            for session, block in enumerate(("C_a", "C_b"))
+        )
 
     # -- campaign fast path (see repro.faults.engine) -------------------------
 
@@ -844,18 +837,13 @@ class DoubledController:
             ),
         )
 
-    def _default_cycles(self, cycles: Optional[int]) -> int:
-        """Default: one complete generator cycle (exhaustive patterns for C)."""
-        if cycles is not None:
-            return cycles
-        return min(4096, 2 ** (self.width + self.plain.input_width))
 
 
 def build_doubled(machine: MealyMachine, method: str = "auto") -> DoubledController:
     return DoubledController(build_plain(machine, method=method))
 
 
-class PipelineController:
+class PipelineController(_SelfTestController):
     """Figure 4/8: the paper's optimized self-testable structure."""
 
     def __init__(
@@ -993,64 +981,34 @@ class PipelineController:
         its full ``(r1, r2, x)`` input space.  The paper describes only the
         two state-logic sessions; the extension is reported separately by
         the benches (disable it for the strictly faithful architecture).
+
+        ``engine`` picks the session kernel (:func:`_block_evaluator`).
         """
         cycles = self._default_cycles(cycles)
-        block_faults = {fault[0]: fault[1]} if fault is not None else {}
-        sig_a = self._session(
-            generator="R1", cycles=cycles, seed=seed, faults=block_faults,
-            engine=engine,
-        )
-        sig_b = self._session(
-            generator="R2", cycles=cycles, seed=seed + 1, faults=block_faults,
-            engine=engine,
-        )
-        if not lambda_session:
-            return sig_a + sig_b
-        sig_c = self._lambda_session(seed=seed + 2, faults=block_faults, engine=engine)
-        return sig_a + sig_b + sig_c
+        evaluate = {
+            block: _block_evaluator(
+                network,
+                fault[1] if fault is not None and fault[0] == block else None,
+                engine,
+            )
+            for block, network in self.fault_blocks().items()
+        }
+        signatures = self._session("R1", cycles, seed, evaluate)
+        signatures += self._session("R2", cycles, seed + 1, evaluate)
+        if lambda_session:
+            signatures += self._lambda_session(seed + 2, evaluate["LAMBDA"])
+        return signatures
 
-    def _lambda_session(
-        self, seed: int, faults: Dict[str, Fault], engine: str = "compiled"
-    ) -> Tuple[int]:
+    def _lambda_session(self, seed: int, evaluate: Callable[[int], int]) -> Tuple[int]:
         """Session C: R1+R2 chained into one PRPG, lambda* exhaustively driven."""
         total_width = self.w1 + self.w2 + self.input_width
         prpg = _prpg(total_width, seed)
         output_misr = Misr(max(4, self.output_width))
-        cycles = min(4096, 2 ** total_width)
-        if engine == "interpreted":
-            for _ in range(cycles):
-                r1_value = prpg.state & ((1 << self.w1) - 1)
-                r2_value = (prpg.state >> self.w1) & ((1 << self.w2) - 1)
-                x_value = prpg.state >> (self.w1 + self.w2)
-                lam_inputs = _drive(self.lambda_net.inputs[: self.w1], r1_value)
-                lam_inputs.update(
-                    _drive(
-                        self.lambda_net.inputs[self.w1 : self.w1 + self.w2], r2_value
-                    )
-                )
-                lam_inputs.update(
-                    _drive(self.lambda_net.inputs[self.w1 + self.w2 :], x_value)
-                )
-                lam_values = self.lambda_net.evaluate_interpreted(
-                    lam_inputs, mask=1, fault=faults.get("LAMBDA")
-                )
-                output_misr.absorb(_collect(lam_values, self.lambda_net.outputs))
-                prpg.step()
-            return (output_misr.signature,)
-        compiled = self.lambda_net.compile()
-        fault_args = compiled.fault_args(faults.get("LAMBDA"), 1)
-        step = compiled.step
-        absorb = output_misr.absorb
-        for _ in range(cycles):
+        for _ in range(min(4096, 2 ** total_width)):
             # lambda*'s inputs are (r1, r2, x) low-to-high -- the PRPG word.
-            absorb(step(prpg.state, fault_args))
+            output_misr.absorb(evaluate(prpg.state))
             prpg.step()
         return (output_misr.signature,)
-
-    def fault_free_signatures(
-        self, cycles: Optional[int] = None, seed: int = 1, **options
-    ) -> Tuple[int, ...]:
-        return self.self_test_signatures(fault=None, cycles=cycles, seed=seed, **options)
 
     def _session_geometry(self, generator: str) -> Tuple[Netlist, int, int, int]:
         """(block under test, source width, in-loop MISR width, output MISR
@@ -1080,63 +1038,24 @@ class PipelineController:
         generator: str,
         cycles: int,
         seed: int,
-        faults: Dict[str, Fault],
-        engine: str = "compiled",
+        evaluate: Dict[str, Callable[[int], int]],
     ) -> Tuple[int, int]:
-        """One state-logic session; returns (in-loop MISR, output MISR)."""
-        block, source_width, misr_width, output_misr_width = (
+        """One state-logic session; returns (in-loop MISR, output MISR).
+
+        ``evaluate`` maps each block to its evaluator under the session's
+        fault (:func:`_block_evaluator`).
+        """
+        _block, source_width, misr_width, output_misr_width = (
             self._session_geometry(generator)
         )
+        evaluate_block = evaluate["C1" if generator == "R1" else "C2"]
+        evaluate_lambda = evaluate["LAMBDA"]
         misr = Misr(misr_width)
         output_misr = Misr(output_misr_width)
         # One complete-cycle PRPG spans the generating register and the
         # primary inputs, so the block under test sees every input vector
         # (pseudo-exhaustive session, refs [4, 17] of the paper).
         prpg = _prpg(source_width + self.input_width, seed)
-        fault_key = "C1" if generator == "R1" else "C2"
-        if engine == "interpreted":
-            for _ in range(cycles):
-                register_value = prpg.state & ((1 << source_width) - 1)
-                x_value = prpg.state >> source_width
-                inputs = _drive(block.inputs[:source_width], register_value)
-                inputs.update(_drive(block.inputs[source_width:], x_value))
-                values = block.evaluate_interpreted(
-                    inputs, mask=1, fault=faults.get(fault_key)
-                )
-                response = _collect(values, block.outputs)
-                misr.absorb(response)
-
-                # lambda* sees (r1, r2, x); the generator provides one operand,
-                # the compactor's current state the other.
-                if generator == "R1":
-                    r1_value, r2_value = register_value, misr.signature
-                else:
-                    r1_value, r2_value = misr.signature, register_value
-                lam_inputs = _drive(self.lambda_net.inputs[: self.w1], r1_value)
-                lam_inputs.update(
-                    _drive(
-                        self.lambda_net.inputs[self.w1 : self.w1 + self.w2], r2_value
-                    )
-                )
-                lam_inputs.update(
-                    _drive(self.lambda_net.inputs[self.w1 + self.w2 :], x_value)
-                )
-                lam_values = self.lambda_net.evaluate_interpreted(
-                    lam_inputs, mask=1, fault=faults.get("LAMBDA")
-                )
-                observed = _collect(lam_values, self.lambda_net.outputs)
-                observed |= response << self.output_width
-                output_misr.absorb(observed)
-
-                prpg.step()
-            return (misr.signature, output_misr.signature)
-
-        block_compiled = block.compile()
-        block_args = block_compiled.fault_args(faults.get(fault_key), 1)
-        block_step = block_compiled.step
-        lambda_compiled = self.lambda_net.compile()
-        lambda_args = lambda_compiled.fault_args(faults.get("LAMBDA"), 1)
-        lambda_step = lambda_compiled.step
         source_mask = (1 << source_width) - 1
         w1, w2 = self.w1, self.w2
         output_width = self.output_width
@@ -1144,17 +1063,17 @@ class PipelineController:
         for _ in range(cycles):
             state = prpg.state
             # The block's inputs are its register bits then x -- the PRPG word.
-            response = block_step(state, block_args)
+            response = evaluate_block(state)
             misr.absorb(response)
+            # lambda* sees (r1, r2, x); the generator provides one operand,
+            # the compactor's current state the other.
             register_value = state & source_mask
-            x_value = state >> source_width
             if from_r1:
                 r1_value, r2_value = register_value, misr.signature
             else:
                 r1_value, r2_value = misr.signature, register_value
-            lam_bits = r1_value | (r2_value << w1) | (x_value << (w1 + w2))
-            lam_out = lambda_step(lam_bits, lambda_args)
-            output_misr.absorb(lam_out | (response << output_width))
+            lam_bits = r1_value | (r2_value << w1) | ((state >> source_width) << (w1 + w2))
+            output_misr.absorb(evaluate_lambda(lam_bits) | (response << output_width))
             prpg.step()
         return (misr.signature, output_misr.signature)
 
@@ -1211,7 +1130,7 @@ class PipelineController:
         patterns = _prpg_words(pattern_width, seed, cycles)
         mask = (1 << cycles) - 1
         streams = transpose_words(patterns, pattern_width)
-        ref_out = block.compile().eval_outputs_list(streams, mask)
+        ref_out = block.compile().lane_eval_outputs(streams, mask)
         responses = transpose_words(ref_out, cycles)
         compacted = LinearCompactor(misr_width).trajectory(responses)
         source_mask = (1 << source_width) - 1
@@ -1224,7 +1143,7 @@ class PipelineController:
                 r1 | (r2 << w1) | ((pattern >> source_width) << (w1 + w2))
             )
         lambda_streams = transpose_words(lambda_in, w1 + w2 + self.input_width)
-        ref_lambda_out = self.lambda_net.compile().eval_outputs_list(
+        ref_lambda_out = self.lambda_net.compile().lane_eval_outputs(
             lambda_streams, mask
         )
         out_compactor = LinearCompactor(output_misr_width)
@@ -1262,7 +1181,7 @@ class PipelineController:
             "cycles": cycles,
             "mask": mask,
             "lambda_streams": streams,
-            "ref_lambda_out": self.lambda_net.compile().eval_outputs_list(
+            "ref_lambda_out": self.lambda_net.compile().lane_eval_outputs(
                 streams, mask
             ),
             "out_compactor": LinearCompactor(max(4, self.output_width)),

@@ -9,10 +9,12 @@ aliasing therefore counts as a miss, as it does in real BIST).
 
 from __future__ import annotations
 
+import inspect
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..exceptions import FaultError
 from ..netlist.netlist import Fault
 
 BlockFault = Tuple[str, Fault]
@@ -39,6 +41,10 @@ FAULT_UNTESTABLE = 3
 #: :exc:`~repro.exceptions.PrescreenViolation` if any engine detects a
 #: proved fault.
 PRESCREEN_MODES = ("none", "static", "validate")
+
+#: accepted values of the ``engine=`` session option: the compiled lane
+#: kernel, or the interpreted netlist walker (the reference oracle).
+SESSION_ENGINES = ("compiled", "interpreted")
 
 #: the ``telemetry`` of the last report :func:`measure_coverage` returned,
 #: per thread.  Only ``measure_coverage`` writes it; only
@@ -130,9 +136,11 @@ def measure_coverage(
     bit-identically (see :func:`repro.faults.engine.run_campaign`).
 
     Extra keyword options (e.g. ``lambda_session=False`` for the strictly
-    two-session pipeline flow) are forwarded to the controller's
+    two-session pipeline flow, ``engine="interpreted"`` for the reference
+    netlist walker) are forwarded to the controller's
     ``self_test_signatures``; an option it does not take raises
-    :exc:`TypeError` before any fault is simulated.
+    :exc:`TypeError`, an unknown ``engine`` :exc:`FaultError`, before any
+    fault is simulated.
     """
     if (
         dropping
@@ -153,6 +161,7 @@ def measure_coverage(
             **session_options,
         )
     else:
+        check_session_options(controller, cycles, seed, session_options)
         reference = controller.self_test_signatures(
             fault=None, cycles=cycles, seed=seed, **session_options
         )
@@ -167,6 +176,26 @@ def measure_coverage(
         report = tally_report(controller, universe, hits, cycles, {})
     _LAST_TELEMETRY.telemetry = report.telemetry
     return report
+
+
+def check_session_options(
+    controller, cycles: Optional[int], seed: int, options: Mapping[str, Any]
+) -> None:
+    """Reject bad session options before any fault is simulated.
+
+    ``options`` are bound against ``controller.self_test_signatures``, so
+    an option it does not take -- a removed campaign knob included --
+    raises :exc:`TypeError`; an unknown ``engine`` raises
+    :exc:`~repro.exceptions.FaultError`.
+    """
+    inspect.signature(controller.self_test_signatures).bind(
+        fault=None, cycles=cycles, seed=seed, **options
+    )
+    engine = options.get("engine", "compiled")
+    if engine not in SESSION_ENGINES:
+        raise FaultError(
+            f"unknown session engine {engine!r}; expected one of {SESSION_ENGINES}"
+        )
 
 
 def tally_report(

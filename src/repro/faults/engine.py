@@ -56,7 +56,11 @@ the engine drops faults without ever approximating the final signature:
    trajectory, and per-lane final-signature comparison, so verdicts --
    aliasing included -- are bit-identical to one serial replay per fault.
    That replay is ``self_test_signatures``, which the ``dropping=False``
-   oracle runs once per fault.
+   oracle runs once per fault.  Its ``engine=`` option picks the serial
+   sessions' kernel: ``"compiled"`` runs the same lane kernel with the
+   fault in a single lane, ``"interpreted"`` the interpreted netlist
+   walker.  The screening bundle grades with the lane kernel only, so an
+   ``engine="interpreted"`` campaign always runs the oracle sessions.
 
 Each campaign builds one fault-free reference: the screening bundle
 (``campaign_reference``) when dropping, the fault-free signature tuple
@@ -123,7 +127,6 @@ this across all architectures and engines).
 from __future__ import annotations
 
 import hashlib
-import inspect
 import pickle
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -139,6 +142,7 @@ from .coverage import (
     BlockFault,
     CoverageReport,
     _LAST_TELEMETRY,
+    check_session_options,
     tally_report,
 )
 
@@ -384,10 +388,12 @@ def run_campaign(
     ``checkpoint`` names the snapshot file for crash-safe resume (module
     docstring, "Checkpoints").
 
-    ``session_options`` are bound against the controller's
-    ``self_test_signatures`` before anything runs, so an unknown option
-    -- a removed campaign knob included -- raises :exc:`TypeError` here,
-    before any fault is simulated.
+    ``session_options`` are checked before anything runs
+    (:func:`~repro.faults.coverage.check_session_options`): an option the
+    controller's ``self_test_signatures`` does not take -- a removed
+    campaign knob included -- raises :exc:`TypeError`, and an unknown
+    ``engine`` raises :exc:`~repro.exceptions.FaultError`, before any
+    fault is simulated.
 
     The report's ``telemetry`` (excluded from report equality) says what
     the campaign did: ``dropped`` (faults screened out pattern-parallel),
@@ -406,9 +412,7 @@ def run_campaign(
             f"{PRESCREEN_MODES}"
         )
     options = dict(session_options)
-    inspect.signature(controller.self_test_signatures).bind(
-        fault=None, cycles=cycles, seed=seed, **options
-    )
+    check_session_options(controller, cycles, seed, options)
     universe: List[BlockFault] = (
         list(controller.fault_universe()) if faults is None else list(faults)
     )

@@ -205,7 +205,7 @@ def _superposed_flags(
     """
     compiled = netlist.compile()
     inputs = [packed[name] for name in compiled.input_names]
-    reference = compiled.eval_outputs_list(inputs, mask)
+    reference = compiled.lane_eval_outputs(inputs, mask)
     return [
         int(fields != reference)
         for fields in superposed_fields(compiled, inputs, mask, reference, faults)

@@ -263,12 +263,6 @@ class Cover:
         """Total literal count (the classic two-level cost measure)."""
         return sum(cube_literals(cube) for cube in self.cubes)
 
-    def covers_all(self, minterms: Iterable[str]) -> bool:
-        return all(self.evaluate(minterm) for minterm in minterms)
-
-    def covers_none(self, minterms: Iterable[str]) -> bool:
-        return not any(self.evaluate(minterm) for minterm in minterms)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.cubes)
 

@@ -8,29 +8,13 @@ module compiles a frozen netlist into straight-line Python source
 local variables indexed by *slot* -- primary inputs first, then gate outputs
 in topological order -- and evaluates with zero dict traffic.
 
-Six evaluators in three families are generated from the same gate list:
+Two evaluators of one family are generated from the same gate list:
 
-``fault_all`` / ``fault_out(I, mask, fs, stuck, fg, fp)``
-    Bit-parallel evaluation (bit ``k`` of every net is its value under
-    pattern ``k``) with one fault hook; ``fault_all`` returns the value of
-    every net as a list in slot order, ``fault_out`` only the marked
-    outputs.  ``fs`` pins net slot ``fs`` to ``stuck`` (stem fault),
-    ``fg``/``fp`` re-evaluates gate ``fg`` with input pin ``fp`` pinned
-    (branch fault).  Sentinel ``-1`` disables either hook, so a single
-    generated function serves the whole fault universe.  These serve
-    :meth:`Netlist.evaluate` with a fault and the serial oracles; no
-    dropping campaign calls them.
-``step_good(bits)`` / ``step_fault(bits, fs, stuck, fg, fp)``
-    Single-pattern (``mask == 1``) kernels for the serial BIST sessions
-    (the ``dropping=False`` oracle): primary inputs arrive packed in one
-    integer (bit ``i`` = input ``i``) and the marked outputs come back
-    packed the same way, which is exactly the register-transfer shape of
-    the session loops in :mod:`repro.bist.architectures`.
 ``lane_all`` / ``lane_out(I, mask, hit, fix)``
-    The compact multi-lane kernel every faulty evaluation of a dropping
-    campaign goes through.  Bit ``l`` of every net is its value in lane
-    ``l``, where each lane simulates one faulty copy of the circuit
-    (lane 0 conventionally fault-free).  Each slot has one hook line,
+    The compact multi-lane kernel every evaluation goes through.  Bit
+    ``l`` of every net is its value in lane ``l``; ``lane_all`` returns
+    the value of every net as a list in slot order, ``lane_out`` only the
+    marked outputs.  Each slot has one hook line,
     ``if hit[s]: v = fix(s, v, operands)``; :meth:`lane_overrides` builds
     the ``hit`` table and the fixer from per-lane fault assignments.  The
     fixer applies every pin override of a gate at once, evaluates the gate
@@ -40,24 +24,30 @@ Six evaluators in three families are generated from the same gate list:
     register trajectory) or a whole ``n``-bit field of patterns or cycles
     (``mask << (lane * n)``: the PPSFP kernel and the campaign screens,
     :func:`repro.faults.simulator.superposed_fields`), so one evaluation
-    covers ``lanes x patterns`` fault/pattern pairs.  Fault-free
-    bit-parallel evaluation (:meth:`CompiledNetlist.eval_list` and friends
-    with no fault) is the same kernel with an all-zero ``hit`` table and
-    no fixer: the sweep's controller build check and every fault-free
-    campaign reference run ``lane_out`` that way.
+    covers ``lanes x patterns`` fault/pattern pairs.  A single fault on
+    every pattern, as in :meth:`Netlist.evaluate`, is one lane spanning
+    the whole mask: ``lane_overrides([(fault, mask)])``.  Fault-free evaluation is the
+    same kernel with an all-zero ``hit`` table and no fixer: the sweep's
+    controller build check and every fault-free campaign reference run
+    ``lane_out`` that way.
+
+Single-pattern evaluation (:meth:`CompiledNetlist.single_pattern`, the
+serial BIST sessions of :mod:`repro.bist.architectures`) is not generated:
+it unpacks the packed input bits, calls ``lane_out`` with mask 1 and packs
+the outputs.
 
 Each evaluator is compiled on its first call, at most once per netlist:
 :class:`CompiledNetlist` (cached per frozen netlist, see
 :meth:`Netlist.compile`) only builds the slot index, and every evaluator
 slot starts as a stub that compiles the real function and installs it in
-its place, so later calls pay nothing extra.  A sweep compiles only
-``lane_out`` of each netlist.  The compile runs in the
-first caller's time, not in :class:`CompiledNetlist`'s constructor.  The
+its place, so later calls pay nothing extra.  A sweep, and the serial
+oracle too, compiles only ``lane_out`` of each netlist.  The compile runs
+in the first caller's time, not in :class:`CompiledNetlist`'s constructor.  The
 compiled object is deliberately excluded from pickling so controllers can
 be shipped to worker processes and recompile lazily on the other side.
 
 Equivalence with the interpreted evaluator -- all nets, stem and branch
-faults, arbitrary masks -- is enforced by property tests
+faults, arbitrary masks, single patterns -- is enforced by property tests
 (``tests/test_compiled.py``).
 """
 
@@ -74,9 +64,6 @@ from .netlist import Fault, GateKind, Netlist
 #: ``fix(slot, value, operands) -> value`` that the lane kernel calls on
 #: every hit slot.
 LaneOverrides = Tuple[bytearray, Callable[[int, int, tuple], int]]
-
-#: fault-hook sentinel: no stem override, no branch override.
-NO_FAULT = (-1, 0, -1, -1)
 
 
 def _operand_expr(kind: GateKind, operands: Sequence[str], mask_expr: str) -> str:
@@ -96,41 +83,6 @@ def _operand_expr(kind: GateKind, operands: Sequence[str], mask_expr: str) -> st
     return mask_expr  # CONST1
 
 
-def _make_refault(
-    kinds: Tuple[GateKind, ...],
-) -> Callable[[int, int, int, int, tuple], int]:
-    """Generic re-evaluation of one gate with a pinned input (branch fault).
-
-    Runs at most once per evaluation (the single fault matches a single
-    gate), so it trades speed for sharing one closure across all gates.
-    """
-
-    def _refault(gate_index: int, pin: int, stuck: int, mask: int, ops: tuple) -> int:
-        operands = list(ops)
-        operands[pin] = stuck
-        kind = kinds[gate_index]
-        if kind is GateKind.AND:
-            result = mask
-            for operand in operands:
-                result &= operand
-            return result
-        if kind is GateKind.OR:
-            result = 0
-            for operand in operands:
-                result |= operand
-            return result
-        if kind is GateKind.XOR:
-            result = 0
-            for operand in operands:
-                result ^= operand
-            return result
-        if kind is GateKind.NOT:
-            return ~operands[0] & mask
-        return operands[0]  # BUF (CONST gates have no pins)
-
-    return _refault
-
-
 #: operator a gate with pin overrides recomputes with (``reduce`` over its
 #: operands; a lone operand reduces to itself, so BUF takes any of them).
 #: NOT maps to ``None``: it flips exactly the changed bits, needing no
@@ -144,17 +96,9 @@ _REDUCE: Dict[GateKind, Optional[Callable[[int, int], int]]] = {
 }
 
 
-#: evaluator name -> (argument list, body family, returned nets).  The
-#: families share one straight-line body between their all-nets and
-#: outputs-only variants (identical arguments, only the return differs).
-_EVALUATORS: Dict[str, Tuple[str, str, str]] = {
-    "fault_all": ("I, mask, fs, stuck, fg, fp", "fault", "all"),
-    "fault_out": ("I, mask, fs, stuck, fg, fp", "fault", "out"),
-    "step_good": ("bits", "step_good", "packed"),
-    "step_fault": ("bits, fs, stuck, fg, fp", "step_fault", "packed"),
-    "lane_all": ("I, mask, hit, fix", "lane", "all"),
-    "lane_out": ("I, mask, hit, fix", "lane", "out"),
-}
+#: evaluator name -> returned nets; both take ``(I, mask, hit, fix)`` and
+#: share one straight-line body.
+_EVALUATORS: Dict[str, str] = {"lane_all": "all", "lane_out": "out"}
 
 
 class CompiledNetlist:
@@ -170,20 +114,12 @@ class CompiledNetlist:
         "output_slots",
         "_gates",
         "_no_overrides",
-        "_fault_all",
-        "_step_good",
-        "_step_fault",
         "_lane_all",
-        "_fault_out",
         "_lane_out",
     )
 
     # Evaluator slots: a first-call stub until compiled, then the function.
-    _fault_all: Callable[..., List[int]]
-    _step_good: Callable[..., int]
-    _step_fault: Callable[..., int]
     _lane_all: Callable[..., List[int]]
-    _fault_out: Callable[..., List[int]]
     _lane_out: Callable[..., List[int]]
 
     def __init__(self, netlist: Netlist) -> None:
@@ -224,8 +160,7 @@ class CompiledNetlist:
         installs a complete function with one attribute store, so no
         caller ever sees a half-built evaluator.
         """
-        kinds = tuple(g.kind for g in self._gates)
-        namespace: Dict[str, Any] = {"_refault": _make_refault(kinds)}
+        namespace: Dict[str, Any] = {}
         source = self._source(evaluator)
         filename = f"<compiled netlist {self.name!r}: {evaluator}>"
         exec(compile(source, filename, "exec"), namespace)
@@ -235,65 +170,24 @@ class CompiledNetlist:
 
     def _source(self, evaluator: str) -> str:
         """Straight-line Python source of one evaluator."""
-        arguments, family, returned = _EVALUATORS[evaluator]
-        step = family.startswith("step")
-        faulty = family in ("fault", "step_fault")
-        lane = family == "lane"
-        body = [f"def {evaluator}({arguments}):"]
+        body = [f"def {evaluator}(I, mask, hit, fix):"]
         for slot in range(self.n_inputs):
-            if step:
-                unpack = "bits & 1" if slot == 0 else f"(bits >> {slot}) & 1"
-                body.append(f"    v{slot} = {unpack}")
-            else:
-                body.append(f"    v{slot} = I[{slot}] & mask")
-            if faulty:
-                body.append(f"    if fs == {slot}: v{slot} = stuck")
-            if lane:
-                body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, ())")
-        mask = "1" if step else "mask"
+            body.append(f"    v{slot} = I[{slot}] & mask")
+            body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, ())")
         for gate_index, gate in enumerate(self._gates):
             slot = self.n_inputs + gate_index
             operands = tuple(f"v{self.index[net]}" for net in gate.inputs)
-            if step and gate.kind is GateKind.NOT:
-                body.append(f"    v{slot} = {operands[0]} ^ 1")
-            else:
-                body.append(f"    v{slot} = {_operand_expr(gate.kind, operands, mask)}")
+            body.append(f"    v{slot} = {_operand_expr(gate.kind, operands, 'mask')}")
             pinned = f"({', '.join(operands)},)" if operands else "()"
-            if faulty:
-                if gate.inputs:
-                    body.append(
-                        f"    if fg == {gate_index}: v{slot} = "
-                        f"_refault({gate_index}, fp, stuck, {mask}, {pinned})"
-                    )
-                body.append(f"    if fs == {slot}: v{slot} = stuck")
-            if lane:
-                body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, {pinned})")
-        if returned == "packed":
-            packed = " | ".join(
-                f"v{slot}" if position == 0 else f"(v{slot} << {position})"
-                for position, slot in enumerate(self.output_slots)
-            )
-            body.append(f"    return {packed or 0}")
+            body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, {pinned})")
+        if _EVALUATORS[evaluator] == "all":
+            slots: Sequence[int] = range(len(self.net_names))
         else:
-            slots = range(len(self.net_names)) if returned == "all" else self.output_slots
-            body.append(f"    return [{', '.join(f'v{slot}' for slot in slots)}]")
+            slots = self.output_slots
+        body.append(f"    return [{', '.join(f'v{slot}' for slot in slots)}]")
         return "\n".join(body) + "\n"
 
     # -- fault plumbing ------------------------------------------------------
-
-    def fault_args(self, fault: Optional[Fault], mask: int = 1) -> Tuple[int, int, int, int]:
-        """Translate a :class:`Fault` into the ``(fs, stuck, fg, fp)`` hook.
-
-        A stem fault on a net unknown to this netlist degrades to a no-op,
-        matching the interpreted evaluator (architecture-level pseudo-nets
-        such as the Figure-2 feedback lines rely on this).
-        """
-        if fault is None:
-            return NO_FAULT
-        stuck = mask if fault.stuck_at else 0
-        if fault.is_stem:
-            return (self.index.get(fault.net, -1), stuck, -1, -1)
-        return (-1, stuck, fault.gate_index, fault.pin)
 
     def lane_overrides(
         self, assignments: Sequence[Tuple[Optional[Fault], int]]
@@ -310,8 +204,9 @@ class CompiledNetlist:
         slot's stem masks.  That is exact because every lane carries at
         most one fault: the lanes a pin override leaves alone see their
         own operands and recompute their own value.  A fault on a net or
-        pin unknown to this netlist degrades to a no-op, like
-        :meth:`fault_args`.
+        pin unknown to this netlist degrades to a no-op, matching the
+        interpreted evaluator on unknown nets (architecture-level
+        pseudo-nets such as the Figure-2 feedback lines rely on this).
         """
         gates = self._gates
         n_inputs = self.n_inputs
@@ -381,33 +276,27 @@ class CompiledNetlist:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_list(
-        self,
-        packed_inputs: Sequence[int],
-        mask: int,
-        fault_args: Tuple[int, int, int, int] = NO_FAULT,
-    ) -> List[int]:
-        """All net values (slot order) for slot-ordered packed inputs."""
-        if fault_args == NO_FAULT:
-            return self._lane_all(packed_inputs, mask, *self._no_overrides)
-        return self._fault_all(packed_inputs, mask, *fault_args)
+    def single_pattern(self, fault: Optional[Fault] = None) -> Callable[[int], int]:
+        """``bits -> bits`` evaluator of the marked outputs under ``fault``.
 
-    def eval_outputs_list(
-        self,
-        packed_inputs: Sequence[int],
-        mask: int,
-        fault_args: Tuple[int, int, int, int] = NO_FAULT,
-    ) -> List[int]:
-        """Marked-output values only, in output order."""
-        if fault_args == NO_FAULT:
-            return self._lane_out(packed_inputs, mask, *self._no_overrides)
-        return self._fault_out(packed_inputs, mask, *fault_args)
+        Input ``i`` is bit ``i`` of the argument and output ``j`` bit ``j``
+        of the result -- the register-transfer shape of the serial BIST
+        sessions.  Each call runs ``lane_out`` with mask 1 and the fault's
+        one-lane overrides; the kernel is looked up on every call, so the
+        first call's compile is installed and later calls reuse it.
+        """
+        hit, fix = self.lane_overrides([(fault, 1)])
+        positions = range(self.n_inputs)
 
-    def step(self, bits: int, fault_args: Tuple[int, int, int, int] = NO_FAULT) -> int:
-        """Single-pattern kernel: packed input bits -> packed output bits."""
-        if fault_args == NO_FAULT:
-            return self._step_good(bits)
-        return self._step_fault(bits, *fault_args)
+        def evaluate(bits: int) -> int:
+            packed = 0
+            for position, value in enumerate(
+                self._lane_out([(bits >> i) & 1 for i in positions], 1, hit, fix)
+            ):
+                packed |= value << position
+            return packed
+
+        return evaluate
 
     def lane_eval(
         self,
@@ -417,10 +306,10 @@ class CompiledNetlist:
     ) -> List[int]:
         """Multi-lane evaluation: bit ``l`` of every net = value in lane ``l``.
 
-        ``input_words`` is slot-ordered like :meth:`eval_list`, but bit
-        positions index superposed *lanes* (machine copies) instead of
-        patterns; ``overrides`` comes from :meth:`lane_overrides` and pins
-        each lane's fault in that lane's bit only.  ``None`` overrides
+        ``input_words`` is slot-ordered (primary inputs in netlist order);
+        bit positions index patterns, superposed *lanes* (machine copies)
+        or both.  ``overrides`` comes from :meth:`lane_overrides` and pins
+        each lane's fault in that lane's bits only.  ``None`` overrides
         evaluate fault-free (no slot is hit).
         """
         return self._lane_all(input_words, mask, *(overrides or self._no_overrides))

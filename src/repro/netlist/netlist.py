@@ -252,16 +252,17 @@ class Netlist:
         implements bounded negation).  ``fault`` optionally pins one stem or
         branch to a constant.
 
-        Frozen netlists evaluate through the compiled slot-indexed kernels
-        of :mod:`repro.netlist.compiled`; :meth:`evaluate_interpreted` keeps
-        the original walker available as the equivalence oracle.
+        Frozen netlists evaluate through the compiled slot-indexed lane
+        kernel of :mod:`repro.netlist.compiled`, the fault as one lane
+        spanning ``mask``; :meth:`evaluate_interpreted` keeps the original
+        walker available as the equivalence oracle.
         """
         if self._frozen:
             compiled = self.compile()
-            values_list = compiled.eval_list(
+            values_list = compiled.lane_eval(
                 compiled.pack_inputs(input_values),
                 mask,
-                compiled.fault_args(fault, mask),
+                None if fault is None else compiled.lane_overrides([(fault, mask)]),
             )
             return dict(zip(compiled.net_names, values_list))
         return self.evaluate_interpreted(input_values, mask=mask, fault=fault)
@@ -327,10 +328,10 @@ class Netlist:
         """Like :meth:`evaluate` but returns only the marked outputs."""
         if self._frozen:
             compiled = self.compile()
-            outputs = compiled.eval_outputs_list(
+            outputs = compiled.lane_eval_outputs(
                 compiled.pack_inputs(input_values),
                 mask,
-                compiled.fault_args(fault, mask),
+                None if fault is None else compiled.lane_overrides([(fault, mask)]),
             )
             return dict(zip(compiled.output_names, outputs))
         values = self.evaluate_interpreted(input_values, mask=mask, fault=fault)

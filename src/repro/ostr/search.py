@@ -97,10 +97,6 @@ class SearchStats:
         """Did the search cover the whole (pruned) tree?"""
         return not (self.timed_out or self.node_limit_hit)
 
-    @property
-    def tree_size_log2(self) -> int:
-        return self.basis_size
-
 
 @dataclass
 class OstrResult:

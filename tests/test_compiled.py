@@ -3,7 +3,8 @@
 The compiled evaluators (exec-generated, slot-indexed) replace the
 interpreted walker in every hot loop, so these property tests pin the full
 contract: all nets, arbitrary masks, stem and branch faults, the packed
-single-pattern ``step`` kernel, and pickling (workers recompile lazily).
+single-pattern wrapper over the lane kernel, and pickling (workers
+recompile lazily).
 """
 
 import pickle
@@ -83,16 +84,20 @@ def test_compiled_matches_interpreted_all_faults(netlist, n_patterns, rng):
 
 @given(random_netlists(), st.randoms())
 def test_step_kernel_matches_interpreted(netlist, rng):
+    """``single_pattern`` (packed bits through ``lane_out`` with mask 1)
+    equals the interpreted walker under every fault."""
     compiled = netlist.compile()
     for fault in _all_faults(netlist):
-        bits = rng.randrange(1 << len(netlist.inputs))
-        inputs = {net: (bits >> i) & 1 for i, net in enumerate(netlist.inputs)}
-        reference = netlist.evaluate_interpreted(inputs, mask=1, fault=fault)
-        packed = sum(
-            (reference[net] & 1) << position
-            for position, net in enumerate(netlist.outputs)
-        )
-        assert compiled.step(bits, compiled.fault_args(fault, 1)) == packed
+        evaluate = compiled.single_pattern(fault)
+        for _ in range(3):
+            bits = rng.randrange(1 << len(netlist.inputs))
+            inputs = {net: (bits >> i) & 1 for i, net in enumerate(netlist.inputs)}
+            reference = netlist.evaluate_interpreted(inputs, mask=1, fault=fault)
+            packed = sum(
+                (reference[net] & 1) << position
+                for position, net in enumerate(netlist.outputs)
+            )
+            assert evaluate(bits) == packed
 
 
 def _tiny_netlist():
@@ -147,12 +152,14 @@ def test_pickle_roundtrip_recompiles():
 
 
 def test_evaluators_compile_on_first_call(monkeypatch):
-    """``compile()`` generates nothing; each entry point compiles only its
-    own evaluator, exactly once."""
+    """``compile()`` generates nothing; the netlist has two evaluators,
+    each entry point compiles only its own, exactly once, and faulty,
+    fault-free and single-pattern evaluation all share them."""
     import builtins
 
     import repro.netlist.compiled as compiled_module
 
+    assert set(compiled_module._EVALUATORS) == {"lane_all", "lane_out"}
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -163,28 +170,24 @@ def test_evaluators_compile_on_first_call(monkeypatch):
     netlist = _tiny_netlist().freeze()
     engine = netlist.compile()
     assert compiled == []
-    stem = engine.fault_args(Fault(net="ab", stuck_at=1))
     overrides = engine.lane_overrides([(Fault(net="na", stuck_at=0), 2)])
     hit, _fix = overrides  # the lane kernel takes (I, mask, hit, fix)
     assert list(hit) == [int(net == "na") for net in engine.net_names]
+    step = engine.single_pattern(Fault(net="ab", stuck_at=1))
     assert compiled == []
-    # Fault-free evaluation runs the lane kernel with no hit slot, so it
-    # compiles (and then shares) ``lane_all``/``lane_out``.
-    calls = [
-        ("lane_all", lambda: engine.eval_list([1, 1], 1)),
-        ("fault_all", lambda: engine.eval_list([1, 1], 1, stem)),
-        ("lane_out", lambda: engine.eval_outputs_list([1, 1], 1)),
-        ("fault_out", lambda: engine.eval_outputs_list([1, 1], 1, stem)),
-        ("step_good", lambda: engine.step(3)),
-        ("step_fault", lambda: engine.step(3, stem)),
-    ]
-    for evaluator, call in calls:
-        before = len(compiled)
-        first = call()
-        assert call() == first
-        assert compiled[before:] == [f"<compiled netlist 'tiny': {evaluator}>"]
-    # Faulty lanes and ``overrides=None`` reuse the same two evaluators.
+    # The single-pattern wrapper runs ``lane_out``: its first call compiles
+    # it, and later calls -- and every other wrapper -- reuse it.
+    assert step(0) == 1 and step(1) == 1  # out = ab | ~a with ab stuck at 1
+    assert compiled == ["<compiled netlist 'tiny': lane_out>"]
+    assert engine.single_pattern()(1) == 0
+    stuck = Fault(net="ab", stuck_at=1)
+    assert netlist.evaluate_outputs({"a": 1, "b": 0}, fault=stuck) == {"out": 1}
+    assert len(compiled) == 1
+    # Whole-net evaluation compiles ``lane_all`` once, faulty or not.
     assert engine.lane_eval([1, 3], 3, overrides) != engine.lane_eval([1, 3], 3)
+    netlist.evaluate({"a": 1, "b": 1}, fault=Fault(net="ab", stuck_at=0))
     engine.lane_eval_outputs([3, 3], 3, overrides)
-    engine.lane_eval_outputs([3, 3], 3)
-    assert len(compiled) == len(calls)
+    assert compiled == [
+        "<compiled netlist 'tiny': lane_out>",
+        "<compiled netlist 'tiny': lane_all>",
+    ]

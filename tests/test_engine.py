@@ -24,6 +24,7 @@ from repro.bist.architectures import (
     build_pipeline,
 )
 from repro.bist.misr import Misr
+from repro.exceptions import FaultError
 from repro.faults import engine
 from repro.faults.coverage import measure_coverage
 from repro.faults.engine import (
@@ -254,6 +255,25 @@ def test_removed_campaign_knob_fails_fast(dk27_controllers, monkeypatch, option)
     """A removed campaign knob reaches session-option binding as an
     unknown option and raises TypeError before any fault is simulated."""
     _assert_fails_before_simulating(dk27_controllers, monkeypatch, option)
+
+
+@pytest.mark.parametrize("dropping", (False, True))
+@pytest.mark.parametrize("label", ("conventional", "parallel", "doubled", "pipeline"))
+def test_unknown_engine_fails_fast(dk27_controllers, monkeypatch, label, dropping):
+    """A misspelt ``engine`` raises a ReproError before any session runs,
+    on the serial oracle and on the dropping path alike (the dropping
+    path never reads the option otherwise)."""
+    import repro.bist.architectures as architectures
+
+    def simulated(*_args, **_kwargs):
+        raise AssertionError("a session was run")
+
+    monkeypatch.setattr(engine, "_resolve", simulated)
+    monkeypatch.setattr(architectures, "_block_evaluator", simulated)
+    with pytest.raises(FaultError, match="interpretd"):
+        measure_coverage(
+            dk27_controllers[label], dropping=dropping, engine="interpretd"
+        )
 
 
 def _assert_fails_before_simulating(dk27_controllers, monkeypatch, option):

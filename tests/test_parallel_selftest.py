@@ -5,7 +5,9 @@ import pytest
 from repro import suite
 from repro.bist import build_parallel_self_test, build_pipeline
 from repro.faults import measure_coverage
+from repro.fsm import random_mealy
 from repro.ostr import search_ostr
+from repro.pipeline import build_controller
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,21 @@ class TestPaperClaim:
             parallel = build_parallel_self_test(suite.load(name))
             rates[name] = measure_coverage(parallel).coverage
         assert rates["tav"] > rates["shiftreg"]
+
+
+class TestOneStateMachine:
+    """A one-state machine's R is zero bits wide: its signature is always
+    0 and it feeds no state input into C."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_zero_width_register(self, seed):
+        controller = build_controller(random_mealy(1, 2, 2, seed=seed), "parallel")
+        assert controller.width == 0
+        oracle = measure_coverage(controller)
+        assert oracle == measure_coverage(controller, dropping=True)
+        assert oracle == measure_coverage(controller, engine="interpreted")
+        assert controller.fault_free_signatures()[0] == 0
+        assert controller.pattern_statistics() == (1, 1)
 
 
 class TestExperimentIntegration:

@@ -104,7 +104,8 @@ def test_sweep_path_compiles_lane_out_only(monkeypatch):
     """Build check plus the sweep-default campaign on a pipeline controller
     compile exactly ``lane_out`` of each block netlist -- the fault-free
     references run the same kernel with no hit slot: three evaluators per
-    controller, no ``fault_out`` and no ``step_good``."""
+    controller.  The serial oracle's single-pattern sessions run
+    ``lane_out`` too, so it compiles nothing more."""
     import builtins
 
     import repro.netlist.compiled as compiled_module
@@ -128,7 +129,10 @@ def test_sweep_path_compiles_lane_out_only(monkeypatch):
         collapse=config.collapse,
         prescreen=config.prescreen,
     )
-    assert sorted(compiled) == sorted(
+    expected = sorted(
         f"<compiled netlist {netlist.name!r}: lane_out>"
         for netlist in (controller.c1, controller.c2, controller.lambda_net)
     )
+    assert sorted(compiled) == expected
+    measure_coverage(controller)
+    assert sorted(compiled) == expected

@@ -5,7 +5,7 @@ against its serial counterpart cycle-for-cycle so hypothesis shrinks any
 divergence down to the offending fault:
 
 * the multi-lane compiled kernel (``lane_eval`` with per-lane fault
-  overrides) against one ``fault_args`` evaluation per fault,
+  overrides) against one interpreted evaluation per fault,
 * the bit-sliced :class:`LaneMisr` bank against independent
   :class:`Misr` registers,
 * a full feedback session -- netlist outputs compacted by a register that
@@ -86,6 +86,14 @@ def netlist_faults_patterns(draw):
     return netlist, faults, patterns
 
 
+def _interpreted_outputs(netlist, values, mask, fault):
+    """Serial reference: the interpreted walker's marked outputs, in order."""
+    named = netlist.evaluate_interpreted(
+        dict(zip(netlist.inputs, values)), mask=mask, fault=fault
+    )
+    return [named[net] for net in netlist.outputs]
+
+
 @given(netlist_faults_patterns())
 def test_lane_eval_equals_serial_per_fault(data):
     """One multi-lane evaluation == one serial evaluation per fault, per cycle."""
@@ -98,12 +106,10 @@ def test_lane_eval_equals_serial_per_fault(data):
     for pattern in patterns:
         words = [lane_mask if bit else 0 for bit in pattern]
         lane_out = compiled.lane_eval_outputs(words, lane_mask, overrides)
-        good = compiled.eval_outputs_list(pattern, 1)
+        good = _interpreted_outputs(netlist, pattern, 1, None)
         assert [(word >> 0) & 1 for word in lane_out] == good, "fault-free lane 0"
         for lane, fault in enumerate(faults, start=1):
-            serial = compiled.eval_outputs_list(
-                pattern, 1, compiled.fault_args(fault, 1)
-            )
+            serial = _interpreted_outputs(netlist, pattern, 1, fault)
             assert [(word >> lane) & 1 for word in lane_out] == serial, fault
 
 
@@ -156,13 +162,12 @@ def test_superposed_feedback_session_equals_serial_runs(data, seed):
     def serial_states(fault):
         register = Misr(width, seed=seed % (1 << width))
         states = []
-        args = compiled.fault_args(fault, 1)
         for pattern in patterns:
             bits = [
                 (register.signature >> position) & 1 if position < fed else pattern[position]
                 for position in range(n_inputs)
             ]
-            outputs = compiled.eval_outputs_list(bits, 1, args)
+            outputs = _interpreted_outputs(netlist, bits, 1, fault)
             data_word = 0
             for position, value in enumerate(outputs):
                 data_word |= (value & 1) << position
@@ -318,10 +323,10 @@ def _assert_lanes_match_serial(netlist, faults, patterns):
     named = dict(zip(netlist.inputs, packed))
     for lane, fault in enumerate([None] + list(faults)):
         shift = lane * n_patterns
-        serial = compiled.eval_outputs_list(packed, mask, compiled.fault_args(fault, mask))
         interpreted = netlist.evaluate_interpreted(named, mask=mask, fault=fault)
-        assert [(word >> shift) & mask for word in lane_out] == serial, fault
-        assert serial == [interpreted[net] for net in netlist.outputs], fault
+        assert [(word >> shift) & mask for word in lane_out] == [
+            interpreted[net] for net in netlist.outputs
+        ], fault
         assert [(word >> shift) & mask for word in lane_all] == [
             interpreted[net] for net in compiled.net_names
         ], fault
