@@ -1,6 +1,6 @@
 """Single-stuck-at fault model, collapsing, simulation, and BIST coverage."""
 
-from .stuck_at import all_faults, branch_faults, collapse_trivial, stem_faults
+from .stuck_at import all_faults, branch_faults, stem_faults
 from .collapse import (
     COLLAPSE_MODES,
     FaultMap,
@@ -36,7 +36,6 @@ __all__ = [
     "stem_faults",
     "branch_faults",
     "all_faults",
-    "collapse_trivial",
     "equivalence_classes",
     "dominated_classes",
     "pack_patterns",

@@ -20,8 +20,7 @@ Equivalence (``mode="equiv"``)
     * fanout-free stem == branch: a net read by exactly one gate pin pins
       to the same faulty function whether the stem or the branch is stuck
       -- **unless the net is also a primary output**, where the stem is
-      directly observable but the branch is not (the historical
-      ``collapse_trivial`` bug this module replaces).
+      directly observable but the branch is not.
 
     Classes are closed under union-find, one canonical representative per
     class (the first member in the canonical fault order).  Equivalence

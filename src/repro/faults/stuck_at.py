@@ -13,14 +13,11 @@ collapsing is verdict-preserving -- campaigns schedule one representative
 per class and expand the verdicts back, so reports stay field-for-field
 identical to the uncollapsed oracle -- while *dominance* collapsing
 changes the reported universe and is therefore opt-in.
-:func:`collapse_trivial` remains as the cheap single-fanout subset of the
-equivalence rules (primary-output nets are observation points and never
-collapse their branches).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..netlist.netlist import Fault, Netlist
 
@@ -48,26 +45,3 @@ def all_faults(netlist: Netlist) -> List[Fault]:
     """The full uncollapsed single-stuck-at universe."""
     return stem_faults(netlist) + branch_faults(netlist)
 
-
-def collapse_trivial(netlist: Netlist, faults: List[Fault]) -> List[Fault]:
-    """Drop branch faults on single-fanout nets (equivalent to their stems).
-
-    A net that also drives a primary output is an observation point: its
-    stem is directly visible there while the lone branch is not, so the
-    two are *not* equivalent and the branch is kept.
-    """
-    outputs = set(netlist.outputs)
-    fanout: Dict[str, int] = {}
-    for gate in netlist.gates:
-        for net in gate.inputs:
-            fanout[net] = fanout.get(net, 0) + 1
-    kept = []
-    for fault in faults:
-        if (
-            not fault.is_stem
-            and fanout.get(fault.net, 0) <= 1
-            and fault.net not in outputs
-        ):
-            continue
-        kept.append(fault)
-    return kept

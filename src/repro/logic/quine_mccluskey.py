@@ -195,6 +195,11 @@ def _branch_and_bound(
     ties in index order.
     """
     pivots = sorted(_bits(uncovered), key=lambda position: len(covering[position]))
+    # reach[p]: every minterm that shares an option with minterm p.
+    reach = [0] * (max(pivots) + 1)
+    for position in pivots:
+        for index in covering[position]:
+            reach[position] |= rows[index]
     # (cost, selection) of the best cover so far; the sentinel cost loses to any.
     best: List[Tuple[Tuple[int, int], Tuple[int, ...]]] = [((len(rows) + 1, 0), ())]
 
@@ -205,6 +210,17 @@ def _branch_and_bound(
         if not uncovered:
             best[0] = (cost, selection)
             return
+        # Minterms no two of which share an option each need a cube of
+        # their own: a subtree that needs more cubes than the best cover
+        # cannot beat it (strict, so the first optimum found is kept).
+        spare = best[0][0][0] - len(selection)
+        independent = uncovered
+        for position in pivots:
+            if independent >> position & 1:
+                spare -= 1
+                if spare < 0:
+                    return
+                independent &= ~reach[position]
         pivot = next(p for p in pivots if uncovered >> p & 1)
         options = sorted(
             covering[pivot], key=lambda index: -(rows[index] & uncovered).bit_count()

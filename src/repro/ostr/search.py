@@ -46,6 +46,18 @@ tries the join-free sufficient conditions ``m(b) ∩ b``, ``m(b) ∩ pi`` and
 ``m(parent) ∩ pi ⊄ epsilon``, each of which implies the exact test
 because ``m(pi)`` lies above ``m(b)`` and ``m(parent)``, ``pi`` lies above
 ``b``, and "⊄ epsilon" is upward closed (details in ``_run_bitset``).
+A node's subtree depends only on its join and its ``next_index``, and
+different subsets reach the same join, so the engine also *replays*
+finished subtrees: when an expanded node's subtree is done, a post-order
+marker records what it added to ``investigated``, ``pruned_subtrees``,
+``skipped_redundant`` and ``candidates_evaluated``; a later node with the
+same join and ``next_index`` adds those counts instead of walking the
+subtree again, as long as the node limit would not cut inside it
+(otherwise it is walked, so the limit cuts at exactly the same node).
+``unique_joins`` is unchanged, because every join of a finished subtree
+is already in the evaluation cache, and so is ``improvements``: every
+candidate of the subtree was already compared, the incumbent only ever
+improves, and :func:`~repro.ostr.problem.better` is a strict ``<``.
 ``reference=True`` runs the seed's label-tuple interpreters operator by
 operator instead; both produce identical solutions and identical search
 statistics (asserted by the equivalence tests and the Table-1
@@ -374,11 +386,20 @@ def _run_bitset(
     eval_get = evaluation_cache.get
     join_get = join_cache.get
 
+    # Finished subtrees: (node id, next_index) -> what the subtree added to
+    # (investigated, pruned_subtrees, skipped_redundant,
+    # candidates_evaluated).  Written by the post-order marker an expanded
+    # node leaves under its children; see the module docstring.
+    replay: Dict[int, Tuple[int, int, int, int]] = {}
+    replay_get = replay.get
+    replay_stride = n_basis + 1
+
     investigated = 0
     candidates_evaluated = 0
     improvements = 0
     pruned_subtrees = 0
     skipped_redundant = 0
+    ticks = 0  # loop iterations, for the deadline (replays jump investigated)
     limit = float("inf") if node_limit is None else node_limit
 
     root: Masks = ()  # sparse identity: no nontrivial blocks
@@ -387,17 +408,39 @@ def _run_bitset(
     pop = stack.pop
 
     while stack:
+        item = pop()
+        masks = item[0]
+        if masks is None:  # post-order marker: the subtree below is done
+            _, key, inv0, pruned0, skipped0, cand0 = item
+            replay[key] = (
+                investigated - inv0,
+                pruned_subtrees - pruned0,
+                skipped_redundant - skipped0,
+                candidates_evaluated - cand0,
+            )
+            continue
         if investigated >= limit:
             stats.node_limit_hit = True
             break
-        if deadline is not None and not investigated & 127:
-            if time.perf_counter() > deadline:
+        if deadline is not None:
+            ticks += 1
+            if not ticks & 127 and time.perf_counter() > deadline:
                 stats.timed_out = True
                 break
-        masks, parent_mu, via_index, next_index = pop()
-        investigated += 1
+        _, parent_mu, via_index, next_index = item
 
         entry = eval_get(masks)
+        if entry is not None:
+            done = replay_get(entry[3] * replay_stride + next_index)
+            if done is not None and investigated + done[0] <= limit:
+                # A finished subtree, walked again node for node, adds the
+                # same counts and finds no improvement (see the docstring).
+                investigated += done[0]
+                pruned_subtrees += done[1]
+                skipped_redundant += done[2]
+                candidates_evaluated += done[3]
+                continue
+        investigated += 1
         if entry is None:
             if parent_mu is None:  # root: m(identity) computed outright
                 mu = kern.nontrivial(kern.m(from_sparse(masks)))
@@ -456,6 +499,11 @@ def _run_bitset(
             continue
 
         if next_index < n_basis:
+            push((
+                None, node_id * replay_stride + next_index, investigated - 1,
+                pruned_subtrees, skipped_redundant,
+                candidates_evaluated - len(candidates),
+            ))
             owner = sparse_owner(masks)
             edge_base = node_id * n_basis
             for child_index in range(n_basis - 1, next_index - 1, -1):

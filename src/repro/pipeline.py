@@ -64,24 +64,27 @@ def build_controller(
 class StaticAnalysis:
     """Verifier reports of a controller's netlist blocks (by block name;
     pseudo-blocks without a netlist are skipped) and the prover's
-    verdicts, index-aligned with ``controller.fault_universe()``."""
+    verdicts, index-aligned with the faults proved (by default
+    ``controller.fault_universe()``)."""
 
     blocks: Dict[str, structure.StructureReport]
     verdicts: List[untestable.FaultVerdict]
 
 
 def static_analysis(
-    controller, observed: Optional[Iterable[str]] = None
+    controller,
+    observed: Optional[Iterable[str]] = None,
+    faults: Optional[List] = None,
 ) -> StaticAnalysis:
     """Run the structural verifier on every netlist block of ``controller``
     (``observed`` overrides each block's observation points) and the
-    untestability prover on its fault universe."""
+    untestability prover on ``faults`` (default: its fault universe)."""
     blocks = {
         block: structure.verify(netlist, observed)
         for block, netlist in sorted(controller.fault_blocks().items())
         if netlist is not None
     }
-    return StaticAnalysis(blocks, untestable.prove_controller(controller))
+    return StaticAnalysis(blocks, untestable.prove_controller(controller, faults))
 
 
 __all__ = ["ARCHITECTURES", "StaticAnalysis", "build_controller", "static_analysis"]

@@ -181,26 +181,38 @@ def _corpus_ledger_digest(member_records: Sequence[Mapping]) -> str:
     return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
 
 
-def _static_block(controller) -> Dict[str, object]:
+def _static_block(controller, report=None) -> Dict[str, object]:
     """Canonical static-analysis block of one controller's metrics record.
 
     Pure function of the controller's netlist structure -- verifier
     diagnostic tallies per block plus the untestability-prover verdict
     tally over the full fault universe -- so it belongs in the canonical
     ledger and reproduces bit-identically from a manifest's seeds.
+
+    Given the campaign's ``report`` over that full universe, only
+    ``report.undetected`` is proved: the prover is sound, so a fault the
+    campaign detected never gets an untestable verdict, and the tally is
+    the full universe's (``prescreen="validate"`` checks that soundness on
+    every fault it simulates).  Without a report the whole universe is
+    proved.
     """
     from ..analysis.untestable import verdict_tally
     from ..pipeline import static_analysis
 
-    analysis = static_analysis(controller)
+    if report is None:
+        analysis = static_analysis(controller)
+        universe = len(analysis.verdicts)
+    else:
+        analysis = static_analysis(controller, faults=report.undetected)
+        universe = report.total
     by_verdict = verdict_tally(analysis.verdicts)
     return {
         "structure": {
-            block: {"counts": report.counts(), "by_code": report.by_code()}
-            for block, report in analysis.blocks.items()
+            block: {"counts": verified.counts(), "by_code": verified.by_code()}
+            for block, verified in analysis.blocks.items()
         },
         "untestable": {
-            "universe": len(analysis.verdicts),
+            "universe": universe,
             "proved": sum(by_verdict.values()),
             "by_verdict": by_verdict,
         },
@@ -291,7 +303,10 @@ def sweep_member(member, config: SweepConfig) -> Dict[str, object]:
                 "collapse": telemetry["collapse"],
                 "prescreen": telemetry["prescreen"],
             }
-            record["static"] = _static_block(controller)
+            # A dominance-collapsed report covers only the kept classes.
+            record["static"] = _static_block(
+                controller, None if config.collapse == "dominance" else report
+            )
         record["status"] = "ok"
     except ReproError as error:
         record["status"] = "error"

@@ -4,9 +4,9 @@ The load-bearing claims of :mod:`repro.faults.collapse`:
 
 * equivalence classes **partition** the canonical fault universe,
 * every member of a class receives the **identical detect flag** on any
-  pattern set (the property the old ``collapse_trivial`` violated on
-  primary-output nets -- hypothesis hammers exactly that corner because
-  the netlists here mark arbitrary net subsets as outputs),
+  pattern set (primary-output nets are the tricky corner -- hypothesis
+  hammers it because the netlists here mark arbitrary net subsets as
+  outputs),
 * collapsed ``simulate_patterns`` / ``measure_coverage`` are
   field-for-field identical to the uncollapsed runs,
 * dominance only ever shrinks the kept universe and is never expanded.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.exceptions import FaultError, ReproError
-from repro.faults import all_faults, collapse_trivial
+from repro.faults import all_faults
 from repro.faults.collapse import (
     COLLAPSE_MODES,
     FaultMap,
@@ -152,8 +152,7 @@ def test_fault_map_consistency(netlist):
 
 def po_branch_netlist() -> Netlist:
     """``t = BUF(a)`` drives both the AND gate (single fanout) *and* a
-    primary output -- the exact shape the old ``collapse_trivial``
-    mis-collapsed."""
+    primary output, so its stem and its lone branch are not equivalent."""
     netlist = Netlist("po_branch")
     netlist.add_input("a")
     netlist.add_input("b")
@@ -172,18 +171,6 @@ def test_po_stem_and_branch_verdicts_differ():
     # Pattern a=1, b=0: stem flips output t, the branch is masked by b=0.
     outcome = simulate_patterns(netlist, ["10"], faults=[stem, branch])
     assert outcome.undetected == (branch,)
-
-
-def test_collapse_trivial_keeps_branches_on_output_nets():
-    """The bugfix: a net in ``netlist.outputs`` never collapses its branch."""
-    netlist = po_branch_netlist()
-    kept = collapse_trivial(netlist, all_faults(netlist))
-    branches = [fault for fault in kept if not fault.is_stem]
-    assert any(
-        fault.net == "t" and fault.gate_index == 1 for fault in branches
-    ), "branch on the primary-output net t was collapsed into its stem"
-    # ... while plain single-fanout nets still collapse (a feeds only BUF).
-    assert not any(fault.net == "a" for fault in branches)
 
 
 def test_equivalence_respects_output_observability():

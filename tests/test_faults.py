@@ -6,8 +6,8 @@ from repro.exceptions import FaultError
 from repro.faults import (
     all_faults,
     branch_faults,
-    collapse_trivial,
     detects,
+    equivalence_classes,
     exhaustive_patterns,
     pack_patterns,
     simulate_patterns,
@@ -42,15 +42,19 @@ class TestFaultLists:
 
     def test_collapse_drops_single_fanout_branches(self):
         netlist = and_netlist()
-        collapsed = collapse_trivial(netlist, all_faults(netlist))
-        # a and b feed exactly one pin each: their branch faults collapse.
-        assert len(collapsed) == 6
+        class_of = equivalence_classes(netlist)
+        # a and b feed exactly one pin each: each branch joins its stem.
+        for pin, net in enumerate(("a", "b")):
+            for value in (0, 1):
+                stem = Fault(net=net, stuck_at=value)
+                branch = Fault(net=net, stuck_at=value, gate_index=0, pin=pin)
+                assert class_of[stem] == class_of[branch]
 
     def test_collapse_keeps_branch_on_primary_output_net(self):
         # Regression: t has a single fanout (the AND pin) but also drives
         # a primary output, so stem and branch verdicts can differ --
         # under a=1, b=0 the stem t/0 is seen at output t while the
-        # branch is masked by b=0.  collapse_trivial must keep the branch.
+        # branch is masked by b=0.  Collapsing must keep the branch apart.
         netlist = Netlist("po")
         netlist.add_input("a")
         netlist.add_input("b")
@@ -63,8 +67,8 @@ class TestFaultLists:
         branch = Fault(net="t", stuck_at=0, gate_index=1, pin=0)
         outcome = simulate_patterns(netlist, ["10"], faults=[stem, branch])
         assert outcome.undetected == (branch,)  # the verdicts really differ
-        collapsed = collapse_trivial(netlist, all_faults(netlist))
-        assert branch in collapsed
+        class_of = equivalence_classes(netlist)
+        assert class_of[stem] != class_of[branch]
 
 
 class TestSimulation:

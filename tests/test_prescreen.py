@@ -21,6 +21,7 @@ from repro.exceptions import FaultError, PrescreenViolation
 from repro.faults import measure_coverage
 from repro.faults.engine import deterministic_telemetry, run_campaign
 from repro.ostr import search_ostr
+from repro.pipeline import ARCHITECTURES, build_controller
 from repro.suite import corpus, paper_example, shift_register
 
 
@@ -192,3 +193,79 @@ class TestDifferentialCorpus:
         # The differential is vacuous unless the prover actually proved
         # something across the slice.
         assert proved_somewhere >= 10
+
+
+class TestStaticBlockFromUndetected:
+    """The sweep's ``static`` block proves only the faults its campaign
+    left undetected.  The prover is sound, so the tally must be the one
+    the full fault universe gives, whatever the campaign's settings.
+    Every architecture with a self-test is checked (``plain`` has none,
+    so no campaign)."""
+
+    @pytest.fixture(scope="class")
+    def machines(self):
+        built = [paper_example(), shift_register(3)]
+        built += [
+            member.build()
+            for member in corpus.members(family_filter=["table1", "mcnc"], limit=2)
+        ]
+        return built
+
+    @pytest.mark.parametrize(
+        "architecture", sorted(set(ARCHITECTURES) - {"plain"})
+    )
+    def test_block_matches_full_universe(self, machines, architecture):
+        from repro.analysis.untestable import verdict_tally
+        from repro.pipeline import static_analysis
+        from repro.suite.sweep import _static_block
+
+        proved_somewhere = 0
+        for machine in machines:
+            controller = build_controller(
+                machine, architecture, search_ostr(machine)
+            )
+            full = static_analysis(controller)
+            full_tally = verdict_tally(full.verdicts)
+            proved_somewhere += sum(full_tally.values())
+            expected = _static_block(controller)
+            assert expected["untestable"] == {
+                "universe": len(full.verdicts),
+                "proved": sum(full_tally.values()),
+                "by_verdict": full_tally,
+            }
+            for collapse in ("none", "equiv"):
+                for prescreen in ("none", "static"):
+                    report = measure_coverage(
+                        controller,
+                        dropping=True,
+                        collapse=collapse,
+                        prescreen=prescreen,
+                    )
+                    assert _static_block(controller, report) == expected, (
+                        machine.name, collapse, prescreen,
+                    )
+        # Only pipeline controllers carry provably untestable faults on
+        # this slice; there the differential must not be vacuous.
+        assert proved_somewhere > 0 or architecture != "pipeline"
+
+    def test_dominance_sweep_proves_the_full_universe(self):
+        """A dominance-collapsed report covers only the kept classes, so
+        the sweep proves the whole universe for its static block."""
+        from repro.suite.sweep import SweepConfig, _static_block, sweep_member
+
+        member = corpus.members(family_filter=["mcnc"], limit=2)[1]
+        config = SweepConfig(collapse="dominance", record_timings=False)
+        record = sweep_member(member, config)
+        machine = member.build()
+        controller = build_controller(
+            machine,
+            "pipeline",
+            search_ostr(
+                machine,
+                node_limit=config.node_limit,
+                basis_order=config.basis_order,
+            ),
+        )
+        assert record["coverage"]["total"] < record["static"]["untestable"]["universe"]
+        assert record["static"] == _static_block(controller)
+

@@ -1,11 +1,22 @@
 """Tests for the exact Quine-McCluskey minimizer."""
 
 import os
+import subprocess
+import sys
+import random
+import textwrap
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.exceptions import LogicError
-from repro.logic import minimize_exact, prime_implicants, verify_cover
+from repro.logic import (
+    minimize_exact,
+    minimize_exact_reference,
+    prime_implicants,
+    verify_cover,
+)
 
 
 def full_off_set(on_set, dc_set, n):
@@ -166,6 +177,25 @@ class TestDk16CyclicCore:
             ), (block, position)
         assert cores == {"c1": [8, 31], "c2": [7, 9]}[block]
 
+    def test_c1_cover_search_is_bounded(self, tables):
+        """The independent-set lower bound cuts C1's cyclic-core search
+        (163,790 calls without it) to a few thousand."""
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "recurse":
+                calls[0] += 1
+
+        table = tables["c1"]
+        sys.setprofile(count)
+        try:
+            for position in range(table.n_outputs):
+                on, dc = table.output_column(position)
+                minimize_exact(on, dc, table.n_inputs)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls[0] <= 10_000
+
     def test_lambda_columns_match_reference(self, tables):
         """λ has 12 inputs, past ``exact_limit``, so the sweep minimizes it
         heuristically.  The exact cover must still be a valid cover no
@@ -183,3 +213,61 @@ class TestDk16CyclicCore:
             assert len(exact) <= len(minimize(on, dc, n))
             if os.environ.get("REPRO_GOLDEN_HEAVY"):
                 assert exact == minimize_exact_reference(on, dc, n)
+
+
+@st.composite
+def dense_functions(draw):
+    """Incompletely specified functions of 4 to 6 inputs, dense enough
+    that many leave a cyclic core for the branch and bound."""
+    n = draw(st.integers(min_value=4, max_value=6))
+    dc_density = draw(st.floats(min_value=0.1, max_value=0.35))
+    on_density = draw(st.floats(min_value=0.35, max_value=0.65))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    on, dc = [], []
+    for value in range(2 ** n):
+        roll = rng.random()
+        minterm = format(value, f"0{n}b")
+        if roll < dc_density:
+            dc.append(minterm)
+        elif roll < dc_density + (1.0 - dc_density) * on_density:
+            on.append(minterm)
+    return n, on, dc
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_functions())
+@example((
+    5,
+    ["00001", "00010", "00011", "00100", "00101", "00110", "10101", "10111"],
+    ["10100"],
+))
+def test_exact_cover_identical_to_string_oracle(function):
+    """The bounded branch and bound keeps the oracle's first optimum.  The
+    explicit example has two 4-cube covers whose literal counts differ,
+    so a bound that also cut ties on the cube count would lose it."""
+    n, on, dc = function
+    assert minimize_exact(on, dc, n) == minimize_exact_reference(on, dc, n)
+
+
+@pytest.mark.parametrize("shape", [(17, 16, 2), (32, 8, 4)])
+def test_large_cyclic_cores_build_in_bounded_time(shape):
+    """Random machines whose exact covers once searched without end; the
+    build runs in a subprocess so a stall fails instead of hanging."""
+    n_states, n_inputs, n_outputs = shape
+    script = textwrap.dedent(f"""
+        from repro.fsm import random_mealy
+        from repro.pipeline import build_controller
+        machine = random_mealy({n_states}, {n_inputs}, {n_outputs}, seed=1)
+        build_controller(machine, "pipeline")
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    try:
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=60
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"random_mealy{shape} did not build within 60 s")

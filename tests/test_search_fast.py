@@ -7,6 +7,7 @@ stay identical to the label-tuple reference traversal (``reference=True``).
 """
 
 import dataclasses
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,56 @@ def test_fast_search_identical_on_random_machines(
     _assert_same_search(
         machine, prune=prune, node_limit=node_limit, policy=policy
     )
+
+
+def test_fast_search_identical_at_limits_inside_replays():
+    """shiftreg4's 14,117-node tree re-enters many finished subtrees, which
+    the bitset engine replays from their recorded counts.  Node limits
+    spread over the whole tree cut inside such subtrees, and the cut must
+    fall on exactly the reference engine's node."""
+    from repro.suite import shift_register
+
+    machine = shift_register(4)
+    total = search_ostr(machine).stats.investigated
+    assert total == 14117
+    for limit in sorted({1 + i * (total - 1) // 19 for i in range(20)}):
+        _assert_same_search(machine, node_limit=limit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=12),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.integers(min_value=1, max_value=3000),
+)
+def test_fast_search_identical_with_replays_on_random_machines(
+    n_states, n_inputs, n_outputs, seed, skip_redundant, node_limit
+):
+    """Larger random trees than the test above -- few input symbols and
+    outputs keep Lemma 1 from pruning them small -- so finished subtrees
+    are re-entered and replayed, and the node limit cuts anywhere."""
+    machine = random_mealy(
+        n_states, n_inputs, n_outputs, seed=seed, ensure_connected=False
+    )
+    _assert_same_search(
+        machine, skip_redundant=skip_redundant, node_limit=node_limit
+    )
+
+
+def test_time_limit_fires_under_replay():
+    """Replays add whole subtrees to ``investigated`` at once, so the
+    deadline is checked by loop iteration; tbk's unbounded search must
+    still stop on time."""
+    from repro import suite
+
+    start = time.perf_counter()
+    result = search_ostr(suite.load("tbk"), time_limit=0.05)
+    assert result.stats.timed_out
+    assert not result.exact
+    assert time.perf_counter() - start < 2.0
 
 
 def test_fast_search_identical_extended_policy():
