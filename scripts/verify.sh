@@ -45,7 +45,7 @@ echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, field scr
 python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
   tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_collapse.py -q
 
-echo "== chaos suite (seeded crashes/pipe-close/jitter in member workers vs the in-process ledger, checkpoint resume) =="
+echo "== chaos suite (seeded crashes/pipe-close/jitter in member workers vs the in-process ledger) =="
 python -m pytest tests/test_chaos.py tests/test_sweep.py -q
 
 echo "== synthesis equivalence (bitset kernels vs label/string oracles, pair-algebra laws, Table-1 golden stats) =="

@@ -523,7 +523,7 @@ class ConventionalBistController(_PlainSelfTest):
     def campaign_detects_batch(
         self, bundle: Dict[str, object], block_faults: Sequence[BlockFault]
     ) -> List[int]:
-        """Outcome codes for a batch of faults (the engine's chunk protocol).
+        """Outcome codes for a batch of faults (the engine's batch protocol).
 
         The session is fully linear (free-running PRPG patterns), so the
         ``C`` faults resolve through fault-per-field evaluations of the

@@ -18,8 +18,6 @@ Subcommands
                                  (``--journal`` arms crash recovery)
 * ``submit``                  -- submit one machine to a running service
                                  and stream the result back
-* ``checkpoint-gc``           -- sweep a checkpoint directory of stale or
-                                 unresumable campaign snapshots
 * ``lint NAME|FILE``          -- static netlist verifier + untestability
                                  prover over a machine or corpus slice
                                  (JSON diagnostics)
@@ -147,7 +145,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         engine=args.engine,
         collapse=args.collapse,
         prescreen=args.prescreen,
-        checkpoint=args.checkpoint,
     )
     print(experiments.format_coverage(rows))
     # The lines below describe the pipeline campaign, the last row.
@@ -305,20 +302,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("draining...", flush=True)
         server.close()
-    return 0
-
-
-def _cmd_checkpoint_gc(args: argparse.Namespace) -> int:
-    from .faults.checkpoint import CampaignCheckpoint
-
-    swept = CampaignCheckpoint.gc(args.directory, max_age=args.max_age)
-    print(
-        f"checkpoint gc: {len(swept['removed'])} removed, "
-        f"{len(swept['kept'])} kept in {args.directory}"
-    )
-    if args.verbose:
-        for name in swept["removed"]:
-            print(f"  removed {name}")
     return 0
 
 
@@ -637,13 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         "engine claims to detect a proved-untestable fault",
     )
     coverage.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="crash-safe campaign snapshots: each architecture campaign "
-        "checkpoints to PATH.archN and a rerun resumes bit-identically",
-    )
-    coverage.add_argument(
         "--engine",
         choices=("compiled", "interpreted"),
         default="compiled",
@@ -752,23 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--quiet", action="store_true")
     serve.set_defaults(handler=_cmd_serve)
-
-    checkpoint_gc = commands.add_parser(
-        "checkpoint-gc",
-        help="sweep a checkpoint directory of stale/orphaned/unresumable "
-        "campaign snapshots",
-    )
-    checkpoint_gc.add_argument(
-        "directory", help="checkpoint directory to sweep"
-    )
-    checkpoint_gc.add_argument(
-        "--max-age", type=float, default=7 * 86400.0, metavar="SECONDS",
-        help="remove snapshots older than this (default: 7 days)",
-    )
-    checkpoint_gc.add_argument(
-        "--verbose", action="store_true", help="list removed files"
-    )
-    checkpoint_gc.set_defaults(handler=_cmd_checkpoint_gc)
 
     submit = commands.add_parser(
         "submit",

@@ -270,26 +270,17 @@ _COVERAGE_ROWS = (
 def run_coverage(
     machine: MealyMachine,
     method: str = "auto",
-    checkpoint: Optional[str] = None,
     **campaign,
 ) -> List[CoverageRow]:
     """Measure self-test stuck-at coverage of Figures 1-4 on one machine.
 
     ``campaign`` options go to every :func:`repro.faults.measure_coverage`
-    call.  ``checkpoint`` names a snapshot *prefix*: each architecture
-    campaign checkpoints to ``{checkpoint}.arch{i}``, so an interrupted
-    run resumes per architecture, bit-identically.
+    call.
     """
     rows = []
-    for index, (architecture, label) in enumerate(_COVERAGE_ROWS):
+    for architecture, label in _COVERAGE_ROWS:
         controller = build_controller(machine, architecture, method=method)
-        report = faults.measure_coverage(
-            controller,
-            checkpoint=(
-                f"{checkpoint}.arch{index}" if checkpoint is not None else None
-            ),
-            **campaign,
-        )
+        report = faults.measure_coverage(controller, **campaign)
         redundant = _redundant_fault_count(controller)
         detectable = report.total - redundant
         structurally_missed = (

@@ -22,10 +22,8 @@ from .coverage import (
 )
 from .engine import LinearCompactor, run_campaign
 from .chaos import ChaosEvent, ChaosPlan, random_plan
-from .checkpoint import CampaignCheckpoint
 
 __all__ = [
-    "CampaignCheckpoint",
     "ChaosEvent",
     "ChaosPlan",
     "random_plan",

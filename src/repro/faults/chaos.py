@@ -8,8 +8,8 @@ module is the fault model for the test infrastructure: small,
 deterministic injection plans that the worker processes consult at
 well-defined hook points, gated off entirely unless a plan is supplied
 (parameter) or armed in the environment (:data:`CHAOS_ENV`).  Events with
-``target="pool"`` arm in the member workers, where a "chunk" is one whole
-member: the hook fires as each member starts.
+``target="pool"`` arm in the member workers: the hook fires as each
+member starts.
 
 Supported event kinds
 ---------------------
@@ -148,6 +148,8 @@ class ChaosEvent:
             )
         if self.on_chunk < 0:
             raise ReproError(f"chaos on_chunk must be >= 0, got {self.on_chunk}")
+        if self.seconds < 0:
+            raise ReproError(f"chaos seconds must be >= 0, got {self.seconds}")
 
     def to_dict(self) -> dict:
         return {
@@ -266,7 +268,7 @@ class ChaosState:
                 and (event.sticky or generation == 0)
             ]
         self._lock = threading.Lock()
-        self._chunks = 0
+        self._members = 0
         self._responses = 0
         self._results = 0
 
@@ -283,13 +285,13 @@ class ChaosState:
                     return event
         return None
 
-    def before_chunk(self, connection) -> None:
+    def before_member(self, connection) -> None:
         """Hook: the worker is about to run its next member."""
         if not self._events:
-            self._chunks += 1
+            self._members += 1
             return
-        event = self._take(("crash", "hang", "pipe_close", "slow"), self._chunks)
-        self._chunks += 1
+        event = self._take(("crash", "hang", "pipe_close", "slow"), self._members)
+        self._members += 1
         if event is None:
             return
         if event.kind == "crash":

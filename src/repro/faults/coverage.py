@@ -99,7 +99,6 @@ def measure_coverage(
     dropping: bool = False,
     collapse: str = "none",
     prescreen: str = "none",
-    checkpoint: Optional[str] = None,
     **session_options,
 ) -> CoverageReport:
     """Fault simulation of a controller's complete self-test.
@@ -131,10 +130,6 @@ def measure_coverage(
     checked theorem).  Both compose with ``collapse=``: an equivalence
     class is untestable iff its representative is.
 
-    ``checkpoint`` names a crash-safe snapshot file: the campaign saves
-    its outcome codes as it goes, and a rerun after a failure resumes
-    bit-identically (see :func:`repro.faults.engine.run_campaign`).
-
     Extra keyword options (e.g. ``lambda_session=False`` for the strictly
     two-session pipeline flow, ``engine="interpreted"`` for the reference
     netlist walker) are forwarded to the controller's
@@ -142,12 +137,7 @@ def measure_coverage(
     :exc:`TypeError`, an unknown ``engine`` :exc:`FaultError`, before any
     fault is simulated.
     """
-    if (
-        dropping
-        or collapse != "none"
-        or prescreen != "none"
-        or checkpoint is not None
-    ):
+    if dropping or collapse != "none" or prescreen != "none":
         from .engine import run_campaign
 
         report = run_campaign(
@@ -157,7 +147,6 @@ def measure_coverage(
             dropping=dropping,
             collapse=collapse,
             prescreen=prescreen,
-            checkpoint=checkpoint,
             **session_options,
         )
     else:

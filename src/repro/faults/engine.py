@@ -90,49 +90,33 @@ Static prescreening (the ``prescreen=`` path)
 ``prescreen="static"`` consults the sound untestability prover
 (:mod:`repro.analysis.untestable`) before any fault is simulated: faults it
 proves untestable -- constant sites, constant-blocked propagation cones
--- are resolved to ``FAULT_UNTESTABLE`` up front and ride the
-already-resolved-codes machinery (the same path as a checkpoint resume),
-so they are never simulated.  Proved faults are genuinely undetected, so
-the report stays field-for-field identical to a full simulation while the
-campaign simulates strictly fewer faults.  ``prescreen="validate"`` inverts
+-- are resolved to ``FAULT_UNTESTABLE`` up front, so the campaign never
+simulates them.  Proved faults are genuinely undetected, so the report
+stays field-for-field identical to a full simulation while the campaign
+simulates strictly fewer faults.  ``prescreen="validate"`` inverts
 the bargain: everything is simulated, and a detected proved-untestable
 fault raises :exc:`~repro.exceptions.PrescreenViolation` -- the prover's
 soundness (and the engines' exactness) as a continuously-checked
 theorem.  ``report.telemetry["prescreen"]`` carries the verdict
 tallies, the skip count and the per-fault proof witnesses.
 
-Checkpoints (the ``checkpoint=`` path)
---------------------------------------
-
-``checkpoint=`` resolves the schedule in chunks and snapshots the
-per-fault outcome array to disk after each one (rate-limited; see
-:mod:`repro.faults.checkpoint`), keyed by the SHA-256 of the subject and
-the full campaign token.  A campaign that raises flushes its snapshot
-first, so a rerun resumes from every completed chunk and the final report
-is bit-identical to an uninterrupted run (``telemetry["checkpoint"]``
-counts the resumed codes).
-
 Determinism guarantee
 ---------------------
 
-Campaign results do not depend on ``dropping``, ``collapse="equiv"``,
-``prescreen`` or checkpoint resumes: every fault's outcome is computed
-independently (lanes never interact), outcome codes are indexed by the
-controller's canonical fault order, and the report is tallied in that
-order, so ``CoverageReport`` equality holds field-for-field against the
+Campaign results do not depend on ``dropping``, ``collapse="equiv"`` or
+``prescreen``: every fault's outcome is computed independently (lanes
+never interact), outcome codes are indexed by the controller's canonical
+fault order, and the report is tallied in that order, so ``CoverageReport`` equality holds field-for-field against the
 serial oracle (tests/test_engine.py and tests/test_differential.py assert
 this across all architectures and engines).
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..bist.compaction import LinearCompactor, stream_errors, transpose_words
 from ..exceptions import PrescreenViolation, ReproError
-from .checkpoint import CampaignCheckpoint, campaign_key, subject_digest
 from .collapse import COLLAPSE_MODES, FaultMap
 from .coverage import (
     FAULT_DETECTED,
@@ -163,13 +147,12 @@ def deterministic_telemetry(telemetry: Mapping[str, Any]) -> Dict[str, object]:
     ``metrics.jsonl`` record, so only fields that are a pure function of
     the campaign *configuration* belong here: the collapse class counts
     (structural) and the ``dropped`` count (screening verdicts are
-    per-fault).  Checkpoint paths and resume counts stay in
-    :attr:`CoverageReport.telemetry` only, because metrics records must
-    reproduce bit-identically from a manifest's seeds.  The prescreen
-    slice qualifies too: proofs are a pure function of the netlist
-    structure, so the proved/skipped tallies are deterministic (witness
-    strings stay in the full telemetry).  The serial oracle's empty
-    telemetry maps to all-``None`` fields.
+    per-fault), because metrics records must reproduce bit-identically
+    from a manifest's seeds.  The prescreen slice qualifies too: proofs
+    are a pure function of the netlist structure, so the proved/skipped
+    tallies are deterministic (witness strings stay in the full
+    telemetry).  The serial oracle's empty telemetry maps to
+    all-``None`` fields.
     """
     collapse = telemetry.get("collapse")
     prescreen = telemetry.get("prescreen")
@@ -204,43 +187,6 @@ def campaign_telemetry() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_outcomes(
-    controller,
-    bundle,
-    reference,
-    chunk: Sequence[BlockFault],
-    cycles,
-    seed,
-    options,
-) -> List[int]:
-    """Outcome codes for one chunk of faults.
-
-    With a screening bundle the whole chunk goes through the controller's
-    ``campaign_detects_batch`` (screening, linear compaction and
-    lane-superposed replays); without one each fault's
-    ``self_test_signatures`` is compared against the fault-free
-    ``reference``.
-    """
-    if bundle is not None:
-        return [int(code) for code in controller.campaign_detects_batch(bundle, chunk)]
-    return [
-        int(
-            controller.self_test_signatures(
-                fault=block_fault, cycles=cycles, seed=seed, **options
-            )
-            != reference
-        )
-        for block_fault in chunk
-    ]
-
-
-def default_chunk_size(total: int) -> int:
-    """Faults per checkpointed chunk: a quarter of the schedule, at most
-    256, so snapshots come often while superposed batches still fill
-    their fault lanes."""
-    return max(1, min(256, -(-total // 4)))
-
-
 def _campaign_state(controller, cycles, seed, dropping, options):
     """(reference signatures, screening bundle) of one campaign.
 
@@ -270,81 +216,39 @@ def _resolve(
     dropping: bool,
     options,
     codes: List[int],
-    progress: Optional[Callable[[List[int]], None]] = None,
 ) -> None:
-    """Fill every unresolved (negative) entry of ``codes`` in place.
+    """Fill every unresolved (negative) entry of ``codes`` in place, in
+    one batch.
 
-    Entries already resolved -- resumed from a checkpoint or proved
-    untestable -- are skipped.  Without ``progress`` the rest is one
-    batch; with it the schedule goes in :func:`default_chunk_size`
-    chunks and ``progress(codes)`` fires after each (the checkpoint
-    writer rate-limits the actual disk writes).
+    Entries already resolved (proved untestable) are skipped.  With a
+    screening bundle the batch goes through the controller's
+    ``campaign_detects_batch`` (screening, linear compaction and
+    lane-superposed replays); without one each fault's
+    ``self_test_signatures`` is compared against the fault-free
+    reference.
     """
     reference, bundle = _campaign_state(controller, cycles, seed, dropping, options)
-    total = len(schedule)
-    step = default_chunk_size(total) if progress is not None else max(total, 1)
-    for start in range(0, total, step):
-        todo = [
-            index
-            for index in range(start, min(start + step, total))
-            if codes[index] < 0
-        ]
-        if todo:
-            resolved = _chunk_outcomes(
-                controller,
-                bundle,
-                reference,
-                [schedule[index] for index in todo],
-                cycles,
-                seed,
-                options,
+    todo = [index for index, code in enumerate(codes) if code < 0]
+    if not todo:
+        return
+    batch = [schedule[index] for index in todo]
+    if bundle is not None:
+        resolved = controller.campaign_detects_batch(bundle, batch)
+    else:
+        resolved = [
+            controller.self_test_signatures(
+                fault=block_fault, cycles=cycles, seed=seed, **options
             )
-            for index, code in zip(todo, resolved):
-                codes[index] = code
-        if progress is not None:
-            progress(codes)
+            != reference
+            for block_fault in batch
+        ]
+    for index, code in zip(todo, resolved):
+        codes[index] = int(code)
 
 
 # ---------------------------------------------------------------------------
 # campaign runner
 # ---------------------------------------------------------------------------
-
-
-def _campaign_checkpoint(
-    controller,
-    schedule: List[BlockFault],
-    cycles,
-    seed,
-    dropping: bool,
-    options,
-    collapse: str,
-    path: str,
-) -> CampaignCheckpoint:
-    """Checkpoint keyed by the subject and the *exact* campaign.
-
-    The subject digest is the SHA-256 of the pickled controller
-    (:func:`~repro.faults.checkpoint.subject_digest`).  (It was SHA-1
-    before; checkpoints written by older versions therefore key
-    differently and are ignored as stale -- a safe failure mode, the
-    campaign just starts fresh.)
-    """
-    subject = subject_digest(
-        pickle.dumps(controller, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    schedule_digest = hashlib.sha256(
-        "\n".join(repr(block_fault) for block_fault in schedule).encode("utf-8")
-    ).hexdigest()
-    token = (
-        cycles,
-        seed,
-        bool(dropping),
-        tuple(sorted(options.items())),
-        collapse,
-        schedule_digest,
-    )
-    return CampaignCheckpoint(
-        path, campaign_key(subject, token), len(schedule)
-    )
 
 
 def run_campaign(
@@ -355,7 +259,6 @@ def run_campaign(
     faults: Optional[Sequence[BlockFault]] = None,
     collapse: str = "none",
     prescreen: str = "none",
-    checkpoint: Optional[str] = None,
     **session_options,
 ) -> CoverageReport:
     """Fault-simulation campaign with exact dropping, in the calling process.
@@ -375,18 +278,14 @@ def run_campaign(
     ``prescreen="static"`` resolves statically-proved-untestable faults
     (:mod:`repro.analysis.untestable`) to
     :data:`~repro.faults.coverage.FAULT_UNTESTABLE` before any fault is
-    simulated -- they ride the same already-resolved-codes machinery as
-    a checkpoint resume; the report is field-for-field identical to a
-    full simulation because proved faults are genuinely undetected.
+    simulated; the report is field-for-field identical to a full
+    simulation because proved faults are genuinely undetected.
     ``prescreen="validate"`` simulates the full schedule and raises
     :exc:`~repro.exceptions.PrescreenViolation` if any engine detects a
     proved fault.  Both compose with ``collapse=``: verdicts are proved
     on the scheduled representatives, and equivalence classes share them
     by construction.  Proof witnesses and the skip tally land in
     ``report.telemetry["prescreen"]``.
-
-    ``checkpoint`` names the snapshot file for crash-safe resume (module
-    docstring, "Checkpoints").
 
     ``session_options`` are checked before anything runs
     (:func:`~repro.faults.coverage.check_session_options`): an option the
@@ -397,9 +296,8 @@ def run_campaign(
 
     The report's ``telemetry`` (excluded from report equality) says what
     the campaign did: ``dropped`` (faults screened out pattern-parallel),
-    ``collapse`` (class counts, ``None`` when raw), ``prescreen``
-    (``None`` when off) and ``checkpoint`` (path and resumed count,
-    ``None`` without one).
+    ``collapse`` (class counts, ``None`` when raw) and ``prescreen``
+    (``None`` when off).
     """
     if collapse not in COLLAPSE_MODES:
         raise ReproError(
@@ -452,51 +350,24 @@ def run_campaign(
             },
         }
 
-    # -- checkpoint resume ---------------------------------------------------
-    ckpt: Optional[CampaignCheckpoint] = None
-    checkpoint_stats: Optional[Dict[str, object]] = None
     codes: List[int] = [-1] * len(schedule)
-    if checkpoint is not None:
-        ckpt = _campaign_checkpoint(
-            controller, schedule, cycles, seed, dropping, options, collapse,
-            checkpoint,
-        )
-        loaded = ckpt.load()
-        if loaded is not None:
-            codes = loaded
-        checkpoint_stats = {
-            "path": checkpoint,
-            "resumed": sum(1 for code in codes if code >= 0),
-        }
-
     if prescreen == "static" and prescreen_verdicts is not None:
-        # Proved faults ride the same already-resolved-codes machinery as
-        # a checkpoint resume: codes >= 0 are never simulated.
-        # Checkpointed codes take precedence (both are correct; the
-        # resumed code is the simulated truth).
+        # Proved faults are resolved up front: codes >= 0 are never
+        # simulated.
         skipped = 0
         for index, verdict in enumerate(prescreen_verdicts):
-            if verdict.is_untestable and codes[index] < 0:
+            if verdict.is_untestable:
                 codes[index] = FAULT_UNTESTABLE
                 skipped += 1
         assert prescreen_stats is not None
         prescreen_stats["skipped"] = skipped
 
-    try:
-        _resolve(
-            controller, schedule, cycles, seed, dropping, options, codes,
-            progress=ckpt.save if ckpt is not None else None,
-        )
-    except ReproError:
-        if ckpt is not None:
-            ckpt.save(codes, flush=True)
-        raise
+    _resolve(controller, schedule, cycles, seed, dropping, options, codes)
 
     telemetry: Dict[str, object] = {
         "dropped": sum(1 for code in codes if code == FAULT_DROPPED),
         "collapse": fault_map.stats() if fault_map else None,
         "prescreen": prescreen_stats,
-        "checkpoint": checkpoint_stats,
     }
     if prescreen == "validate" and prescreen_verdicts is not None:
         violations = [
@@ -516,8 +387,6 @@ def run_campaign(
                 f"were detected by simulation: {listed}",
                 violations=violations,
             )
-    if ckpt is not None:
-        ckpt.clear()
     if fault_map is not None:
         if collapse == "equiv":
             # Verdict-preserving: every class member inherits its

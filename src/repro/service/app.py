@@ -34,7 +34,9 @@ replayed records, restored results, requeued jobs, torn tail).
 from __future__ import annotations
 
 import json
+import math
 import signal
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -79,9 +81,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
         if length < 0 or length > _MAX_BODY:
-            raise ReproError(f"request body of {length} bytes refused")
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            raise ReproError(f"request body of {declared} bytes refused")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ReproError("request needs a JSON body")
@@ -176,9 +185,12 @@ class _Handler(BaseHTTPRequestHandler):
             for entry in entries:
                 if not isinstance(entry, dict):
                     raise ReproError("each job must be a JSON object")
-                job, deduped = self.engine.submit(
-                    entry, priority=int(entry.get("priority", 0))
-                )
+                priority = entry.get("priority", 0)
+                if isinstance(priority, bool) or not isinstance(priority, int):
+                    raise ReproError(
+                        f"job 'priority' must be an integer, got {priority!r}"
+                    )
+                job, deduped = self.engine.submit(entry, priority=priority)
                 described = job.describe(full=False)
                 described["deduped"] = deduped
                 accepted.append(described)
@@ -205,8 +217,18 @@ class _Handler(BaseHTTPRequestHandler):
         if not job_ids:
             self._send_json(400, {"error": "stream wants ?jobs=id1,id2,..."})
             return
-        timeout_values = query.get("timeout", [])
-        timeout = float(timeout_values[0]) if timeout_values else None
+        timeout = None
+        if query.get("timeout"):
+            raw = query["timeout"][0]
+            try:
+                timeout = float(raw)
+            except ValueError:
+                timeout = math.nan
+            if not 0 <= timeout < math.inf:  # NaN fails this too
+                self._send_json(
+                    400, {"error": f"stream timeout {raw!r} is not seconds >= 0"}
+                )
+                return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -228,6 +250,19 @@ class _Handler(BaseHTTPRequestHandler):
             line = json.dumps({"error": str(exc)}, sort_keys=True) + "\n"
             chunk(line.encode("utf-8"))
         chunk(b"")  # terminating chunk
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The HTTP loop; a client that hangs up mid-request is counted in
+    ``/metrics`` (``service.client_disconnects``), not printed."""
+
+    engine: JobEngine
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            self.engine.count_client_disconnect()
+            return
+        super().handle_error(request, client_address)
 
 
 class CampaignServer:
@@ -264,11 +299,11 @@ class CampaignServer:
             chaos=chaos,
         )
         try:
-            self._httpd = ThreadingHTTPServer((host, port), _Handler)
+            self._httpd = _HTTPServer((host, port), _Handler)
         except OSError:
             self.engine.close(drain=False)
             raise
-        self._httpd.engine = self.engine  # type: ignore[attr-defined]
+        self._httpd.engine = self.engine
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
         self._httpd.drain_and_stop = self._drain_and_stop  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True

@@ -133,7 +133,12 @@ def resolve_member(payload: Mapping):
             raise ReproError("job 'member' must be a corpus manifest record")
         member = corpus_mod.member_from_manifest(record)
         claimed = record.get("sha256")
-        subject_sha = str(claimed) if claimed else member.sha256()
+        try:
+            subject_sha = str(claimed) if claimed else member.sha256()
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read corpus member {member.member_id!r}: {exc.strerror}"
+            ) from exc
         return member, subject_sha
     if "kiss" in payload:
         text = payload["kiss"]
@@ -281,6 +286,7 @@ class JobEngine:
             "cancelled": 0,
             "rejected": 0,
             "dedupe_hits": 0,
+            "client_disconnects": 0,
         }
         #: per slot, the ``telemetry`` block of its last finished record
         self._slot_telemetry: List[object] = [None] * self.slots
@@ -793,6 +799,11 @@ class JobEngine:
             "campaigns": campaigns,
             "journal": journal,
         }
+
+    def count_client_disconnect(self) -> None:
+        """An HTTP client hung up before its response was written."""
+        with self._cond:
+            self.stats["client_disconnects"] += 1
 
     def drain(self) -> None:
         """Stop admitting; existing jobs keep running (half of ``close``)."""

@@ -141,11 +141,23 @@ class CorpusMember:
 
 def member_from_manifest(record: Mapping) -> CorpusMember:
     """Rebuild a member from its manifest record (reproduction path)."""
+    missing = [
+        key for key in ("family", "name", "kind", "spec") if key not in record
+    ]
+    if missing:
+        raise ReproError(f"manifest record lacks {missing}")
+    spec = record["spec"]
+    if not isinstance(spec, Mapping):
+        raise ReproError("manifest record 'spec' must be a mapping")
+    if record["kind"] == "kiss" and (
+        not isinstance(spec.get("path"), str) or ".." in spec["path"].split("/")
+    ):
+        raise ReproError("a kiss member's spec needs a 'path' inside the corpus")
     return CorpusMember(
         family=str(record["family"]),
         name=str(record["name"]),
         kind=str(record["kind"]),
-        spec=dict(record["spec"]),
+        spec=dict(spec),
     )
 
 

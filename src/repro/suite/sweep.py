@@ -122,9 +122,20 @@ class SweepConfig:
         unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ReproError(f"unknown sweep config fields: {unknown}")
-        if kwargs.get("families") is not None:
-            kwargs["families"] = tuple(kwargs["families"])
-        return cls(**kwargs)
+        families = kwargs.get("families")
+        if families is not None:
+            if not isinstance(families, (list, tuple)) or not all(
+                isinstance(name, str) for name in families
+            ):
+                raise ReproError(
+                    f"sweep config 'families' must be a list of names, "
+                    f"got {families!r}"
+                )
+            kwargs["families"] = tuple(families)
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:  # a field of the wrong type
+            raise ReproError(f"malformed sweep config: {exc}") from exc
 
 
 @dataclass

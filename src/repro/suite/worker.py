@@ -117,7 +117,7 @@ def _serve(connection, chaos_plan, index: int, generation: int) -> None:
         if message is None:
             return
         member, config = message
-        chaos.before_chunk(connection)
+        chaos.before_member(connection)
         try:
             start = time.perf_counter()
             record = sweep.sweep_member(member, config)

@@ -113,16 +113,21 @@ class TestArchAndCoverage:
             pytest.param(COVERAGE, ["--retries", "1"], id="retries"),
             pytest.param(COVERAGE, ["--degrade"], id="degrade"),
             pytest.param(COVERAGE, ["--chunk-size", "4"], id="chunk-size"),
+            pytest.param(COVERAGE, ["--checkpoint", "x"], id="checkpoint"),
+            pytest.param(["checkpoint-gc"], ["x"], id="checkpoint-gc"),
         ],
     )
     def test_pool_option_is_gone(self, capsys, tmp_path, monkeypatch, argv, flags):
-        """Campaign scheduler flags are gone: each one is an argparse
-        error (exit 2), never silently ignored."""
+        """Campaign scheduler and checkpoint flags and commands are gone:
+        each one is an argparse error (exit 2), never silently ignored."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             main(argv + flags)
         assert excinfo.value.code == 2
-        message = f"unrecognized arguments: {' '.join(flags)}"
+        if argv[0] in ("coverage", "sweep"):
+            message = f"unrecognized arguments: {' '.join(flags)}"
+        else:
+            message = f"invalid choice: {argv[0]!r}"
         assert message in capsys.readouterr().err
 
 
@@ -347,44 +352,6 @@ class TestCoveragePrescreen:
         )
         assert code == 0
         assert (tmp_path / "out" / "metrics.jsonl").exists()
-
-
-class TestCheckpointGc:
-    def test_sweeps_stale_and_orphaned_snapshots(self, capsys, tmp_path):
-        import json
-        import os
-        import time
-
-        directory = tmp_path / "checkpoints"
-        directory.mkdir()
-        key = "ab" * 32
-        keep = directory / f"{key}.ckpt"
-        keep.write_text(
-            json.dumps(
-                {"version": 1, "key": key, "total": 2, "codes": [1, -1]}
-            )
-        )
-        stale = directory / ("cd" * 32 + ".ckpt")
-        stale.write_text(keep.read_text())
-        old = time.time() - 10 * 86400
-        os.utime(stale, (old, old))
-        orphan = directory / "dead.ckpt.tmp.999"
-        orphan.write_text("half")
-        code, out, _ = run_cli(
-            capsys, "checkpoint-gc", str(directory), "--verbose"
-        )
-        assert code == 0
-        assert "2 removed, 1 kept" in out
-        assert orphan.name in out and stale.name in out
-        assert keep.exists()
-        assert not stale.exists() and not orphan.exists()
-
-    def test_missing_directory_reports_nothing_swept(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "checkpoint-gc", str(tmp_path / "nope")
-        )
-        assert code == 0
-        assert "0 removed, 0 kept" in out
 
 
 class TestParserChoices:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import suite
+from repro import experiments, suite
 from repro.bist.architectures import (
     build_conventional_bist,
     build_doubled,
@@ -248,13 +248,22 @@ def test_unknown_session_option_fails_fast(dk27_controllers, monkeypatch, worker
 
 @pytest.mark.parametrize(
     "option",
-    ({"workers": 2}, {"pool": object()}, {"timeout": 1}, {"degrade": True}),
-    ids=("workers", "pool", "timeout", "degrade"),
+    (
+        {"workers": 2},
+        {"pool": object()},
+        {"timeout": 1},
+        {"degrade": True},
+        {"checkpoint": "x"},
+    ),
+    ids=("workers", "pool", "timeout", "degrade", "checkpoint"),
 )
 def test_removed_campaign_knob_fails_fast(dk27_controllers, monkeypatch, option):
     """A removed campaign knob reaches session-option binding as an
-    unknown option and raises TypeError before any fault is simulated."""
+    unknown option and raises TypeError before any fault is simulated,
+    also when it comes through ``experiments.run_coverage``."""
     _assert_fails_before_simulating(dk27_controllers, monkeypatch, option)
+    with pytest.raises(TypeError):
+        experiments.run_coverage(suite.load("dk27"), **option)
 
 
 @pytest.mark.parametrize("dropping", (False, True))

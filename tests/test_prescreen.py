@@ -150,19 +150,6 @@ class TestValidatePrescreen:
         assert detected_fault[1].describe() in str(excinfo.value)
         assert len(excinfo.value.violations) >= 1
 
-    def test_checkpoint_resume_keeps_static_report_identical(
-        self, shiftreg_controller, shiftreg_oracle, tmp_path
-    ):
-        path = str(tmp_path / "prescreen.ckpt")
-        first = run_campaign(
-            shiftreg_controller, prescreen="static", checkpoint=path
-        )
-        resumed = run_campaign(
-            shiftreg_controller, prescreen="static", checkpoint=path
-        )
-        assert report_fields(first) == report_fields(shiftreg_oracle)
-        assert report_fields(resumed) == report_fields(shiftreg_oracle)
-
 
 class TestDifferentialCorpus:
     """UNTESTABLE_* verdicts must survive every engine, on real subjects."""

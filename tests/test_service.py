@@ -182,6 +182,10 @@ class TestEngine:
             engine.cancel("nope")
 
 
+#: a corpus manifest record of a kiss member, minus its spec.
+KISS_RECORD = {"family": "mcnc", "name": "x", "kind": "kiss"}
+
+
 @pytest.fixture()
 def server():
     with CampaignServer(port=0, shards=1, pool_workers=0, max_queued=8) as srv:
@@ -276,6 +280,84 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"config": {}})  # no subject at all
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "method, path, body, length",
+        [
+            ("POST", "/jobs", {"kiss": ".i 1", "priority": "high"}, None),
+            ("POST", "/jobs", {"kiss": ".i 1", "priority": None}, None),
+            ("POST", "/jobs", {"kiss": ".i 1", "config": {"families": 5}}, None),
+            ("POST", "/jobs", {"member": {}}, None),
+            ("GET", "/stream?jobs=j1&timeout=abc", None, None),
+            ("POST", "/jobs", {}, "abc"),
+            ("POST", "/jobs", {"kiss": ".i 1", "config": {"limit": "x"}}, None),
+            ("POST", "/jobs", {"member": dict(KISS_RECORD, spec={})}, None),
+            (
+                "POST", "/jobs",
+                {"member": dict(KISS_RECORD, spec={"path": "no/such.kiss2"})},
+                None,
+            ),
+            (
+                "POST", "/jobs",
+                {"member": dict(KISS_RECORD, spec={"path": "../README.md"})},
+                None,
+            ),
+        ],
+        ids=(
+            "priority-str", "priority-null", "families-int", "member-empty",
+            "stream-timeout", "content-length", "limit-str", "kiss-no-path",
+            "kiss-missing-file", "kiss-outside-corpus",
+        ),
+    )
+    def test_malformed_request_is_a_400(self, server, method, path, body, length):
+        """Each malformed request gets a 400 with an error string instead
+        of killing its handler thread, and the server keeps serving."""
+        import http.client
+        import json
+
+        host, port = server.address
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        conn = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            conn.putrequest(method, path)
+            if body is not None:
+                conn.putheader("Content-Length", length or str(len(data)))
+            conn.endheaders(data or None)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert isinstance(json.loads(response.read())["error"], str)
+        finally:
+            conn.close()
+        assert ServiceClient(server.url, timeout=30.0).health()["ok"]
+
+    def test_client_disconnect_is_quiet_and_counted(self, capfd):
+        """A client that resets its connection before the response is
+        written is counted in /metrics and prints nothing."""
+        import socket
+        import struct
+
+        plan = ChaosPlan(
+            [ChaosEvent(kind="http_stall", target="service", seconds=1.0)]
+        )
+        with CampaignServer(port=0, shards=1, pool_workers=0, chaos=plan) as srv:
+            sock = socket.create_connection(srv.address, timeout=30.0)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            # Wait until the request was read and its response stalls,
+            # then reset the connection under it.
+            deadline = time.monotonic() + 30.0
+            while srv.engine.chaos_state._responses < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            local = ServiceClient(srv.url, timeout=30.0)
+            while local.metrics()["service"]["client_disconnects"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            assert local.metrics()["service"]["client_disconnects"] == 1
+        assert capfd.readouterr().err == ""
 
     def test_run_batch_returns_submission_order(self, client):
         jobs = [payload(4), payload(2), payload(3), payload(2)]

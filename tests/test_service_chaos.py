@@ -15,7 +15,6 @@ Covers PR-level durability of :mod:`repro.service`:
   the capped-exponential 429 backoff, and ``run_batch`` surviving the
   server being torn down and restarted mid-batch,
 * an interrupted member re-runs from the start in a member worker,
-* :meth:`CampaignCheckpoint.gc` housekeeping,
 * subprocess signal delivery: ``SIGTERM`` drains like ``POST /shutdown``,
   and the acceptance flow -- ``kill -9`` mid-sweep, restart on the same
   journal, byte-identical ``metrics.jsonl``, and no member worker of the
@@ -36,7 +35,6 @@ import pytest
 
 from repro.exceptions import JournalCorrupt
 from repro.faults.chaos import CHAOS_ENV, GENERATION_ENV, ChaosEvent, ChaosPlan
-from repro.faults.checkpoint import CampaignCheckpoint
 from repro.fsm import kiss
 from repro.service import (
     CampaignServer,
@@ -421,47 +419,6 @@ class TestClientResilience:
         assert [job["record"]["name"] for job in finished] == ["sr2", "sr3"]
         assert all(job["state"] == "done" for job in finished)
         assert client.stats["reconnects"] >= 1
-
-
-class TestCheckpointGc:
-    def test_gc_classification(self, tmp_path):
-        directory = tmp_path / "ckpt"
-        directory.mkdir()
-        good_key = "ab" * 32
-        good = directory / f"{good_key}.ckpt"
-        good.write_text(
-            '{"version": 1, "key": "%s", "total": 1, "codes": [1]}' % good_key
-        )
-        stale = directory / ("cd" * 32 + ".ckpt")
-        stale.write_text(
-            '{"version": 1, "key": "%s", "total": 1, "codes": [1]}'
-            % ("cd" * 32)
-        )
-        os.utime(stale, (time.time() - 10 * 86400, time.time() - 10 * 86400))
-        orphan = directory / "whatever.ckpt.tmp.1234"
-        orphan.write_text("half a snapshot")
-        broken = directory / "broken.ckpt"
-        broken.write_text("not json at all")
-        presha = directory / "old.ckpt"
-        presha.write_text(
-            '{"version": 1, "key": "abc123", "total": 1, "codes": [1]}'
-        )
-        swept = CampaignCheckpoint.gc(str(directory), max_age=86400.0)
-        assert swept["kept"] == [good.name]
-        assert sorted(swept["removed"]) == sorted(
-            [stale.name, orphan.name, broken.name, presha.name]
-        )
-        assert good.exists() and not stale.exists()
-
-    def test_gc_missing_directory_is_a_noop(self, tmp_path):
-        swept = CampaignCheckpoint.gc(str(tmp_path / "nope"))
-        assert swept == {"removed": [], "kept": []}
-
-    def test_gc_rejects_negative_age(self, tmp_path):
-        from repro.exceptions import ReproError
-
-        with pytest.raises(ReproError, match="max_age"):
-            CampaignCheckpoint.gc(str(tmp_path), max_age=-1.0)
 
 
 def _gone(pid: int) -> bool:
