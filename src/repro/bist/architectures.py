@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 from ..encoding import (
     EncodedMachine,
     EncodedRealization,
+    Encoding,
     encode_machine,
     encode_realization,
 )
@@ -355,37 +356,50 @@ class PlainController:
         return outputs
 
 
+def _words_through(network: Netlist, words: Sequence[int]) -> List[int]:
+    """``network``'s packed output word for each packed input word, in one
+    lane call: word ``k`` (bit ``i`` = input ``i``) drives lane bit ``k``,
+    and output word ``k`` has bit ``j`` = output ``j`` in that lane."""
+    streams = transpose_words(words, len(network.inputs))
+    outputs = network.compile().lane_eval_outputs(streams, (1 << len(words)) - 1)
+    return transpose_words(outputs, len(words))
+
+
 def _check_every_transition(
     what: str,
     machine: MealyMachine,
     registers: Callable[[Symbol], Registers],
-    step: Callable[[Registers, Symbol], Tuple[Registers, str]],
-    output_code: Callable[[Symbol], str],
+    clock: Callable[
+        [Sequence[Tuple[Registers, Symbol]]], Sequence[Tuple[Registers, int]]
+    ],
+    output_encoding: Encoding,
 ) -> None:
     """Step the netlists once from every (state, input) pair of ``machine``.
 
-    ``registers(s)`` encodes spec state ``s``; ``step(registers, x)`` is
-    one system clock, returning the next registers and the output code,
-    which must encode ``delta(s, x)`` and ``lambda(s, x)``.  By induction
-    from reset the controller then equals the machine on every input
-    word.  Raises :class:`BistError` at the first pair that disagrees.
+    ``registers(s)`` encodes spec state ``s``; ``clock(pairs)`` is one
+    system clock from each ``(registers, x)`` pair, all of them in one
+    bit-parallel pass, returning the next registers and the packed output
+    code of each (bit ``j`` = character ``j``), which must encode
+    ``delta(s, x)`` and ``lambda(s, x)``.
+    By induction from reset the controller then equals the machine on
+    every input word.  Raises :class:`BistError` at the first pair, in
+    ``states x inputs`` order, that disagrees.
     """
-    for state in machine.states:
-        current = registers(state)
-        for symbol in machine.inputs:
-            next_registers, output = step(current, symbol)
-            expected_state, expected_output = machine.step(state, symbol)
-            if next_registers != registers(expected_state):
-                wrong = "next state"
-            elif output != output_code(expected_output):
-                wrong = "output"
-            else:
-                continue
-            raise BistError(
-                f"{what} for {machine.name!r} disagrees with the "
-                f"specification at state {state!r}, input {symbol!r}: "
-                f"wrong {wrong}"
-            )
+    pairs = [(state, symbol) for state in machine.states for symbol in machine.inputs]
+    stepped = clock([(registers(state), symbol) for state, symbol in pairs])
+    for (state, symbol), (next_registers, output) in zip(pairs, stepped):
+        expected_state, expected_output = machine.step(state, symbol)
+        if next_registers != registers(expected_state):
+            wrong = "next state"
+        elif output != _code_to_int(output_encoding.encode(expected_output)):
+            wrong = "output"
+        else:
+            continue
+        raise BistError(
+            f"{what} for {machine.name!r} disagrees with the "
+            f"specification at state {state!r}, input {symbol!r}: "
+            f"wrong {wrong}"
+        )
 
 
 def build_plain(machine: MealyMachine, method: str = "auto") -> PlainController:
@@ -393,13 +407,22 @@ def build_plain(machine: MealyMachine, method: str = "auto") -> PlainController:
     encoded = encode_machine(machine)
     cover = synthesize_table(encoded.table, method=method)
     controller = PlainController(encoded, cover)
+    width = controller.state_width
     input_code = encoded.input_encoding.encode
+
+    def clock(pairs):
+        words = _words_through(
+            controller.network,
+            [state | _code_to_int(input_code(symbol)) << width for state, symbol in pairs],
+        )
+        return [(word & ((1 << width) - 1), word >> width) for word in words]
+
     _check_every_transition(
         "netlist C",
         machine,
-        encoded.state_encoding.encode,
-        lambda code, symbol: controller.step_codes(code, input_code(symbol)),
-        encoded.output_encoding.encode,
+        lambda state: _code_to_int(encoded.state_encoding.encode(state)),
+        clock,
+        encoded.output_encoding,
     )
     return controller
 
@@ -1338,17 +1361,23 @@ def build_pipeline(
     lambda_cover = synthesize_table(encoded.lambda_, method=method)
     controller = PipelineController(encoded, c1_cover, c2_cover, lambda_cover)
 
+    w1, w2 = controller.w1, controller.w2
     input_code = encoded.input_encoding.encode
 
-    def step(registers: Tuple[int, int], symbol: Symbol) -> Tuple[Tuple[int, int], str]:
-        r1, r2, output_code = controller.system_step(*registers, input_code(symbol))
-        return (r1, r2), output_code
+    def clock(pairs):
+        words = [(r1, r2, _code_to_int(input_code(symbol))) for (r1, r2), symbol in pairs]
+        next_r2 = _words_through(controller.c1, [r1 | x << w1 for r1, _, x in words])
+        next_r1 = _words_through(controller.c2, [r2 | x << w2 for _, r2, x in words])
+        outputs = _words_through(
+            controller.lambda_net, [r1 | r2 << w1 | x << (w1 + w2) for r1, r2, x in words]
+        )
+        return [((a, b), z) for a, b, z in zip(next_r1, next_r2, outputs)]
 
     _check_every_transition(
         "pipeline controller",
         realization.spec,
         controller.registers,
-        step,
-        encoded.output_encoding.encode,
+        clock,
+        encoded.output_encoding,
     )
     return controller

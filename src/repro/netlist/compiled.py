@@ -36,25 +36,51 @@ serial BIST sessions of :mod:`repro.bist.architectures`) is not generated:
 it unpacks the packed input bits, calls ``lane_out`` with mask 1 and packs
 the outputs.
 
-Each evaluator is compiled on its first call, at most once per netlist:
+Two tiers
+---------
 :class:`CompiledNetlist` (cached per frozen netlist, see
-:meth:`Netlist.compile`) only builds the slot index, and every evaluator
-slot starts as a stub that compiles the real function and installs it in
-its place, so later calls pay nothing extra.  A sweep, and the serial
-oracle too, compiles only ``lane_out`` of each netlist.  The compile runs
-in the first caller's time, not in :class:`CompiledNetlist`'s constructor.  The
-compiled object is deliberately excluded from pickling so controllers can
-be shipped to worker processes and recompile lazily on the other side.
+:meth:`Netlist.compile`) builds one *slot program* -- each gate's kind and
+operand slots -- and both backends run it under the same
+``(I, mask, hit, fix)`` contract: the generated source of :meth:`_source`,
+and an interpreted lane kernel (:meth:`_interpreter`) that walks the
+program, masks the inputs the same way, calls ``fix(slot, value,
+operands)`` on every hit slot with the operands in pin order (``()`` for
+inputs and CONST gates) and returns the same list.  Every evaluator slot
+starts as a stub that counts its calls: calls ``1 .. COMPILE_ON_CALL - 1``
+run the interpreter, built on the first of them; call ``COMPILE_ON_CALL``
+generates and compiles the real evaluator, installs it in the stub's place
+and drops the interpreter, so later calls pay nothing extra.  A sweep, and
+the serial oracle too, only ever calls ``lane_out`` of a netlist.
 
-Equivalence with the interpreted evaluator -- all nets, stem and branch
-faults, arbitrary masks, single patterns -- is enforced by property tests
+``COMPILE_ON_CALL`` is the break-even of code generation.  On a 2-CPU
+x86-64 host (CPython 3.11), generating and compiling an evaluator costs
+25-50 us per slot, and an interpreted call costs 0.15-0.25 us per slot
+more than a compiled one when no slot is hit, 0.35-0.45 us when every
+slot is, so compiling pays back after roughly 60-250 calls of the same
+evaluator.  Compiling on call ``K`` is the ski-rental rule: it costs at
+most ``K - 1`` interpreted calls more than compiling up front, and at
+most one compile more than never compiling.  Calls are skewed: in a
+corpus sweep most controller blocks are called a few dozen times in all,
+and a few hot ones (s1, dk16) hundreds to thousands of times.  Running
+the three perfbench workloads' sweeps in-process with ``K`` = 1, 32, 64,
+96, 128, 192 and never, ``K`` from 64 to 192 spent the least time in
+kernel calls plus compiles on service-small and pop-mix (about half of
+``K = 1``: no block there reaches 96 calls), and on table1-classic every
+``K`` was within the run-to-run spread; 128 sits in that range.
+
+The compiled object is deliberately excluded from pickling so controllers
+can be shipped to worker processes and recompile lazily on the other side.
+
+Equivalence of both tiers with :meth:`Netlist.evaluate_interpreted`, the
+reference oracle -- all nets, stem and branch faults, arbitrary masks,
+single patterns -- is enforced by property tests
 (``tests/test_compiled.py``).
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import NetlistError
@@ -96,13 +122,31 @@ _REDUCE: Dict[GateKind, Optional[Callable[[int, int], int]]] = {
 }
 
 
+def _gather(operands: Tuple[int, ...]) -> Callable[[List[int]], tuple]:
+    """``values -> (values[o] for o in operands)`` as a tuple, in pin order.
+
+    ``itemgetter`` of a single index returns a bare value, so one-operand
+    gates get their own 1-tuple getter.
+    """
+    if len(operands) > 1:
+        return itemgetter(*operands)
+    if operands:
+        (only,) = operands
+        return lambda values: (values[only],)
+    return lambda values: ()
+
+
 #: evaluator name -> returned nets; both take ``(I, mask, hit, fix)`` and
 #: share one straight-line body.
 _EVALUATORS: Dict[str, str] = {"lane_all": "all", "lane_out": "out"}
 
+#: the call of an evaluator on which it is compiled; the calls before it
+#: run the interpreted lane kernel (see the module docstring).
+COMPILE_ON_CALL = 128
+
 
 class CompiledNetlist:
-    """Slot-indexed compiled evaluators for one frozen :class:`Netlist`."""
+    """Slot-indexed lane evaluators for one frozen :class:`Netlist`."""
 
     __slots__ = (
         "name",
@@ -112,20 +156,20 @@ class CompiledNetlist:
         "input_names",
         "output_names",
         "output_slots",
-        "_gates",
+        "_program",
         "_no_overrides",
         "_lane_all",
         "_lane_out",
     )
 
-    # Evaluator slots: a first-call stub until compiled, then the function.
+    # Evaluator slots: a call-counting stub until compiled, then the function.
     _lane_all: Callable[..., List[int]]
     _lane_out: Callable[..., List[int]]
 
     def __init__(self, netlist: Netlist) -> None:
         self.name = netlist.name
         inputs = tuple(netlist.inputs)
-        gates = self._gates = tuple(netlist.gates)
+        gates = netlist.gates
         outputs = tuple(netlist.outputs)
         self.input_names = inputs
         self.output_names = outputs
@@ -137,26 +181,95 @@ class CompiledNetlist:
         self.output_slots: Tuple[int, ...] = tuple(
             self.index[net] for net in outputs
         )
+        #: the slot program both tiers run: gate ``g`` (slot
+        #: ``n_inputs + g``) as its kind and its operand slots in pin order.
+        self._program: Tuple[Tuple[GateKind, Tuple[int, ...]], ...] = tuple(
+            (gate.kind, tuple(self.index[net] for net in gate.inputs))
+            for gate in gates
+        )
         #: the lane kernel's ``(hit, fix)`` for fault-free evaluation: an
         #: immutable all-zero hit table, so the fixer is never called.
         self._no_overrides: Tuple[bytes, None] = (bytes(len(self.net_names)), None)
-        # Every evaluator slot starts as a stub that compiles the real
-        # evaluator on its first call and replaces itself with it.
         for evaluator in _EVALUATORS:
-            setattr(self, "_" + evaluator, self._compile_on_call(evaluator))
+            setattr(self, "_" + evaluator, self._tiered(evaluator))
 
-    # -- code generation -----------------------------------------------------
+    # -- the two tiers ---------------------------------------------------------
 
-    def _compile_on_call(self, evaluator: str) -> Callable[..., Any]:
-        def first_call(*args: Any) -> Any:
-            return self._compile(evaluator)(*args)
+    def _tiered(self, evaluator: str) -> Callable[..., Any]:
+        """The stub an evaluator slot starts as: it interprets until call
+        :data:`COMPILE_ON_CALL`, which compiles and installs the real
+        evaluator (dropping the stub and its interpreter)."""
+        calls = 0
+        interpreter: Optional[Callable[..., List[int]]] = None
 
-        return first_call
+        def stub(*args: Any) -> Any:
+            nonlocal calls, interpreter
+            calls += 1
+            if calls >= COMPILE_ON_CALL:
+                return self._compile(evaluator)(*args)
+            if interpreter is None:
+                interpreter = self._interpreter(evaluator)
+            return interpreter(*args)
+
+        return stub
+
+    def _interpreter(self, evaluator: str) -> Callable[..., List[int]]:
+        """The interpreted lane kernel of one evaluator: walks the slot
+        program with the generated code's ``(I, mask, hit, fix)`` contract
+        and returns the same list."""
+        n_inputs = self.n_inputs
+        input_slots = range(n_inputs)
+        # (slot, kind, first operand, other operands, operand tuple getter)
+        steps = tuple(
+            (slot, kind, operands[0] if operands else 0, operands[1:], _gather(operands))
+            for slot, (kind, operands) in enumerate(self._program, n_inputs)
+        )
+        returned = None if _EVALUATORS[evaluator] == "all" else self.output_slots
+        AND, OR, XOR, NOT, BUF, CONST0 = (
+            GateKind.AND, GateKind.OR, GateKind.XOR,
+            GateKind.NOT, GateKind.BUF, GateKind.CONST0,
+        )
+
+        def interpret(I, mask, hit, fix):
+            values = [I[slot] & mask for slot in input_slots]
+            for slot in input_slots:
+                if hit[slot]:
+                    values[slot] = fix(slot, values[slot], ())
+            append = values.append
+            for slot, kind, first, rest, gather in steps:
+                if kind is AND:
+                    v = values[first]
+                    for operand in rest:
+                        v &= values[operand]
+                elif kind is OR:
+                    v = values[first]
+                    for operand in rest:
+                        v |= values[operand]
+                elif kind is NOT:
+                    v = ~values[first] & mask
+                elif kind is BUF:
+                    v = values[first]
+                elif kind is XOR:
+                    v = values[first]
+                    for operand in rest:
+                        v ^= values[operand]
+                elif kind is CONST0:
+                    v = 0
+                else:  # CONST1
+                    v = mask
+                if hit[slot]:
+                    v = fix(slot, v, gather(values))
+                append(v)
+            if returned is None:
+                return values
+            return [values[slot] for slot in returned]
+
+        return interpret
 
     def _compile(self, evaluator: str) -> Callable[..., Any]:
         """Generate, compile and install one evaluator; returns it.
 
-        Two threads racing on the same first call may both compile; each
+        Two threads racing on the same call may both compile; each
         installs a complete function with one attribute store, so no
         caller ever sees a half-built evaluator.
         """
@@ -174,10 +287,9 @@ class CompiledNetlist:
         for slot in range(self.n_inputs):
             body.append(f"    v{slot} = I[{slot}] & mask")
             body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, ())")
-        for gate_index, gate in enumerate(self._gates):
-            slot = self.n_inputs + gate_index
-            operands = tuple(f"v{self.index[net]}" for net in gate.inputs)
-            body.append(f"    v{slot} = {_operand_expr(gate.kind, operands, 'mask')}")
+        for slot, (kind, operand_slots) in enumerate(self._program, self.n_inputs):
+            operands = tuple(f"v{operand}" for operand in operand_slots)
+            body.append(f"    v{slot} = {_operand_expr(kind, operands, 'mask')}")
             pinned = f"({', '.join(operands)},)" if operands else "()"
             body.append(f"    if hit[{slot}]: v{slot} = fix({slot}, v{slot}, {pinned})")
         if _EVALUATORS[evaluator] == "all":
@@ -208,7 +320,7 @@ class CompiledNetlist:
         interpreted evaluator on unknown nets (architecture-level
         pseudo-nets such as the Figure-2 feedback lines rely on this).
         """
-        gates = self._gates
+        program = self._program
         n_inputs = self.n_inputs
         net_slot = self.index
         stems: Dict[int, List[int]] = {}
@@ -225,8 +337,8 @@ class CompiledNetlist:
             else:
                 pin = fault.pin
                 if not (
-                    0 <= gate_index < len(gates)
-                    and 0 <= pin < len(gates[gate_index].inputs)
+                    0 <= gate_index < len(program)
+                    and 0 <= pin < len(program[gate_index][1])
                 ):
                     continue
                 gate_pins = pins.setdefault(n_inputs + gate_index, {})
@@ -245,7 +357,7 @@ class CompiledNetlist:
             stem_or, stem_and = stems.get(slot, (0, -1))
             entries[slot] = (
                 [(pin, masks[0], masks[1]) for pin, masks in gate_pins.items()],
-                _REDUCE[gates[slot - n_inputs].kind],
+                _REDUCE[program[slot - n_inputs][0]],
                 stem_or,
                 stem_and,
             )
@@ -282,8 +394,8 @@ class CompiledNetlist:
         Input ``i`` is bit ``i`` of the argument and output ``j`` bit ``j``
         of the result -- the register-transfer shape of the serial BIST
         sessions.  Each call runs ``lane_out`` with mask 1 and the fault's
-        one-lane overrides; the kernel is looked up on every call, so the
-        first call's compile is installed and later calls reuse it.
+        one-lane overrides; the kernel is looked up on every call, so a
+        compile installed by any call is reused by the later ones.
         """
         hit, fix = self.lane_overrides([(fault, 1)])
         positions = range(self.n_inputs)

@@ -140,7 +140,7 @@ class OstrResult:
         )
 
 
-_BASIS_ORDERS = ("sorted", "coarse_first", "fine_first")
+BASIS_ORDERS = ("sorted", "coarse_first", "fine_first")
 _POLICIES = ("paper", "extended")
 
 
@@ -174,9 +174,9 @@ def search_ostr(
     """
     if policy not in _POLICIES:
         raise SearchError(f"unknown policy {policy!r}; choose from {_POLICIES}")
-    if basis_order not in _BASIS_ORDERS:
+    if basis_order not in BASIS_ORDERS:
         raise SearchError(
-            f"unknown basis order {basis_order!r}; choose from {_BASIS_ORDERS}"
+            f"unknown basis order {basis_order!r}; choose from {BASIS_ORDERS}"
         )
     if node_limit is not None and node_limit < 1:
         raise SearchError("node_limit must be positive")

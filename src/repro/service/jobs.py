@@ -125,7 +125,8 @@ def resolve_member(payload: Mapping):
     ``{"member": <manifest record>}`` rebuilds a
     :class:`~repro.suite.corpus.CorpusMember` exactly like the sweep
     reproduction path; ``{"kiss": <text>, "name": <str>}`` wraps an
-    inline machine.  Returns ``(member, subject_sha256)``.
+    inline machine, parsed here so that text which is not KISS2 is refused
+    at submission.  Returns ``(member, subject_sha256)``.
     """
     if "member" in payload:
         record = payload["member"]
@@ -144,9 +145,11 @@ def resolve_member(payload: Mapping):
         text = payload["kiss"]
         if not isinstance(text, str) or not text.strip():
             raise ReproError("job 'kiss' must be non-empty KISS2 text")
-        member = AdhocMember(
-            name=str(payload.get("name", "machine")), text=text
-        )
+        name = payload.get("name", "machine")
+        if not isinstance(name, str):
+            raise ReproError(f"job 'name' must be a string, got {name!r}")
+        member = AdhocMember(name=name, text=text)
+        member.build()
         return member, member.sha256()
     raise ReproError("job payload needs 'member' (manifest record) or 'kiss'")
 

@@ -52,6 +52,20 @@ SUMMARY_NAME = "summary.json"
 SWEEP_ARCHITECTURES = ("pipeline", "conventional")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_or_none(value) -> bool:
+    return value is None or (_is_int(value) and value > 0)
+
+
+def _is_names(value) -> bool:
+    return value is None or (
+        isinstance(value, (list, tuple)) and all(isinstance(name, str) for name in value)
+    )
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything that determines a sweep's deterministic output.
@@ -81,18 +95,37 @@ class SweepConfig:
     record_timings: bool = True
 
     def __post_init__(self):
-        if self.architecture not in SWEEP_ARCHITECTURES:
-            raise ReproError(
-                f"unknown architecture {self.architecture!r}; "
-                f"choose from {SWEEP_ARCHITECTURES}"
-            )
+        from ..faults.collapse import COLLAPSE_MODES
         from ..faults.coverage import PRESCREEN_MODES
+        from ..ostr.search import BASIS_ORDERS
 
-        if self.prescreen not in PRESCREEN_MODES:
-            raise ReproError(
-                f"unknown prescreen mode {self.prescreen!r}; "
-                f"choose from {PRESCREEN_MODES}"
-            )
+        optional_positive = "a positive int or null"
+        kinds = (
+            ("families", _is_names(self.families), "null or a list of family names"),
+            ("limit", self.limit is None or _is_int(self.limit), "an int or null"),
+            ("shard_index", _is_int(self.shard_index), "an int"),
+            ("shard_count", _is_int(self.shard_count), "an int"),
+            ("coverage", isinstance(self.coverage, bool), "a bool"),
+            ("cycles", _is_positive_or_none(self.cycles), optional_positive),
+            ("seed", _is_int(self.seed), "an int"),
+            ("node_limit", _is_positive_or_none(self.node_limit), optional_positive),
+            ("workers", _is_int(self.workers) and self.workers >= 0, "an int >= 0"),
+            ("record_timings", isinstance(self.record_timings, bool), "a bool"),
+        )
+        for name, ok, expected in kinds:
+            if not ok:
+                raise ReproError(
+                    f"sweep config {name!r} must be {expected}, "
+                    f"got {getattr(self, name)!r}"
+                )
+        for what, value, choices in (
+            ("architecture", self.architecture, SWEEP_ARCHITECTURES),
+            ("basis order", self.basis_order, BASIS_ORDERS),
+            ("collapse mode", self.collapse, COLLAPSE_MODES),
+            ("prescreen mode", self.prescreen, PRESCREEN_MODES),
+        ):
+            if value not in choices:
+                raise ReproError(f"unknown {what} {value!r}; choose from {choices}")
         if self.limit is not None and self.limit < 0:
             raise ReproError(f"limit must be >= 0, got {self.limit}")
         if self.shard_count < 1 or not (0 <= self.shard_index < self.shard_count):
@@ -117,25 +150,19 @@ class SweepConfig:
         """
         kwargs = dict(payload)
         if "pool" in kwargs:
-            kwargs["workers"] = max(kwargs.get("workers", 0), kwargs.pop("pool"))
+            pool = kwargs.pop("pool")
+            if not _is_int(pool):
+                raise ReproError(f"sweep config 'pool' must be an int, got {pool!r}")
+            workers = kwargs.get("workers", 0)
+            if _is_int(workers):  # any other value is refused below
+                kwargs["workers"] = max(workers, pool)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ReproError(f"unknown sweep config fields: {unknown}")
-        families = kwargs.get("families")
-        if families is not None:
-            if not isinstance(families, (list, tuple)) or not all(
-                isinstance(name, str) for name in families
-            ):
-                raise ReproError(
-                    f"sweep config 'families' must be a list of names, "
-                    f"got {families!r}"
-                )
-            kwargs["families"] = tuple(families)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # a field of the wrong type
-            raise ReproError(f"malformed sweep config: {exc}") from exc
+        if isinstance(kwargs.get("families"), list):
+            kwargs["families"] = tuple(kwargs["families"])
+        return cls(**kwargs)
 
 
 @dataclass

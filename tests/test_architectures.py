@@ -192,9 +192,86 @@ def _flip_first_bit(bits: str) -> str:
     return ("1" if bits[0] == "0" else "0") + bits[1:]
 
 
+def _flip_output_at(netlist, position, pattern):
+    """``netlist`` with output ``position`` inverted on exactly one input
+    pattern (bit ``i`` = input ``i``): the output is XORed with the
+    pattern's minterm."""
+    from repro.netlist import GateKind, Netlist
+
+    target = netlist.outputs[position]
+    flipped = Netlist(netlist.name)
+    for net in netlist.inputs:
+        flipped.add_input(net)
+    for gate in netlist.gates:
+        output = gate.output + "_raw" if gate.output == target else gate.output
+        flipped.add_gate(gate.kind, output, gate.inputs)
+    literals = [
+        net if (pattern >> i) & 1 else flipped.add_gate(GateKind.NOT, net + "_bar", [net])
+        for i, net in enumerate(netlist.inputs)
+    ]
+    minterm = flipped.add_gate(GateKind.AND, "minterm", literals)
+    flipped.add_gate(GateKind.XOR, target, [target + "_raw", minterm])
+    for net in netlist.outputs:
+        flipped.mark_output(net)
+    return flipped.freeze()
+
+
 class TestExhaustiveCheck:
     """The builders step every (state, input) pair; one wrong cover row
     anywhere fails the build with the pair that exposes it."""
+
+    @pytest.mark.parametrize(
+        "architecture, block, position, failing",
+        [
+            # lambda* reads (R1, R2, x): only the corrupted pair disagrees.
+            ("pipeline", "lambda", 0, "state '110', input '1': wrong output"),
+            # C1 reads (R1, x); states 010, 011, 110 and 111 share R1 = 1,
+            # so 010 is the first pair in machine order to see the flip.
+            ("pipeline", "C1", 1, "state '010', input '1': wrong next state"),
+            ("plain", "C", 3, "state '110', input '1': wrong output"),
+            ("plain", "C", 0, "state '110', input '1': wrong next state"),
+        ],
+    )
+    def test_corrupted_netlist_fails_at_first_pair(
+        self, monkeypatch, architecture, block, position, failing
+    ):
+        """A block netlist that disagrees with its cover on one input
+        pattern -- the one pair (110, 1) drives -- fails the build with the
+        first (state, input) pair, in machine order, that sees it."""
+        from repro import suite
+        from repro.bist import architectures
+        from repro.exceptions import BistError
+
+        machine = suite.load("shiftreg")
+        if architecture == "pipeline":
+            realization = search_ostr(machine).realization()
+            controller = build_pipeline(realization)
+            r1, r2 = controller.registers("110")
+            x = architectures._code_to_int(
+                controller.encoded.input_encoding.encode("1")
+            )
+            w1, w2 = controller.w1, controller.w2
+            pattern = {"C1": r1 | x << w1, "lambda": r1 | r2 << w1 | x << (w1 + w2)}
+            build, what = (lambda: build_pipeline(realization)), "pipeline controller"
+        else:
+            encoded = build_plain(machine).encoded
+            code = encoded.state_encoding.encode("110") + encoded.input_encoding.encode("1")
+            pattern = {"C": architectures._code_to_int(code)}
+            build, what = (lambda: build_plain(machine)), "netlist C"
+        cover_to_netlist = architectures.cover_to_netlist
+
+        def corrupted(cover, name=None):
+            netlist = cover_to_netlist(cover, name)
+            if netlist.name == f"shiftreg.{block}":
+                return _flip_output_at(netlist, position, pattern[block])
+            return netlist
+
+        monkeypatch.setattr(architectures, "cover_to_netlist", corrupted)
+        with pytest.raises(BistError) as excinfo:
+            build()
+        assert str(excinfo.value) == (
+            f"{what} for 'shiftreg' disagrees with the specification at {failing}"
+        )
 
     def test_pipeline_rejects_a_flipped_lambda_bit(self, monkeypatch):
         import dataclasses

@@ -1,18 +1,21 @@
 """Compiled netlist evaluation must match the interpreted reference exactly.
 
-The compiled evaluators (exec-generated, slot-indexed) replace the
-interpreted walker in every hot loop, so these property tests pin the full
-contract: all nets, arbitrary masks, stem and branch faults, the packed
-single-pattern wrapper over the lane kernel, and pickling (workers
-recompile lazily).
+The slot-indexed lane evaluators replace the interpreted walker in every
+hot loop, so these property tests pin the full contract on both of their
+tiers -- the interpreted lane kernel a netlist starts on and the
+exec-generated code it is compiled to once hot: all nets, arbitrary
+masks, stem and branch faults, the packed single-pattern wrapper over the
+lane kernel, and pickling (workers recompile lazily).
 """
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.netlist.compiled as compiled_module
 from repro.exceptions import NetlistError
 from repro.netlist import Fault, GateKind, Netlist
 
@@ -69,17 +72,45 @@ def _all_faults(netlist):
     return faults
 
 
+#: tier -> the ``COMPILE_ON_CALL`` that pins every evaluator call to it.
+_TIERS = {"interpreted": sys.maxsize, "compiled": 1}
+
+
+def _tier(engine, evaluator):
+    """Which tier an evaluator slot of ``engine`` runs on now."""
+    function = getattr(engine, "_" + evaluator)
+    return "compiled" if function.__name__ == evaluator else "interpreted"
+
+
+def _on_both_tiers(netlist, evaluators, check):
+    """Run ``check()`` on a fresh netlist's interpreted tier, then again
+    once its ``evaluators`` are compiled.  A small random netlist is
+    called fewer than ``COMPILE_ON_CALL`` times, so without pinning the
+    tier only the interpreter would ever be checked."""
+    engine = netlist.compile()
+    for tier, compile_on_call in _TIERS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiled_module, "COMPILE_ON_CALL", compile_on_call)
+            check()
+        assert [_tier(engine, name) for name in evaluators] == [tier] * len(
+            evaluators
+        )
+
+
 @given(random_netlists(), st.integers(min_value=1, max_value=8), st.randoms())
 def test_compiled_matches_interpreted_all_faults(netlist, n_patterns, rng):
     mask = (1 << n_patterns) - 1
     inputs = {net: rng.randrange(1 << n_patterns) for net in netlist.inputs}
-    for fault in _all_faults(netlist):
-        interpreted = netlist.evaluate_interpreted(inputs, mask=mask, fault=fault)
-        compiled = netlist.evaluate(inputs, mask=mask, fault=fault)
-        assert compiled == interpreted
-        assert netlist.evaluate_outputs(inputs, mask=mask, fault=fault) == {
-            net: interpreted[net] for net in netlist.outputs
-        }
+
+    def check():
+        for fault in _all_faults(netlist):
+            interpreted = netlist.evaluate_interpreted(inputs, mask=mask, fault=fault)
+            assert netlist.evaluate(inputs, mask=mask, fault=fault) == interpreted
+            assert netlist.evaluate_outputs(inputs, mask=mask, fault=fault) == {
+                net: interpreted[net] for net in netlist.outputs
+            }
+
+    _on_both_tiers(netlist, ("lane_all", "lane_out"), check)
 
 
 @given(random_netlists(), st.randoms())
@@ -87,17 +118,23 @@ def test_step_kernel_matches_interpreted(netlist, rng):
     """``single_pattern`` (packed bits through ``lane_out`` with mask 1)
     equals the interpreted walker under every fault."""
     compiled = netlist.compile()
-    for fault in _all_faults(netlist):
-        evaluate = compiled.single_pattern(fault)
-        for _ in range(3):
-            bits = rng.randrange(1 << len(netlist.inputs))
-            inputs = {net: (bits >> i) & 1 for i, net in enumerate(netlist.inputs)}
-            reference = netlist.evaluate_interpreted(inputs, mask=1, fault=fault)
-            packed = sum(
-                (reference[net] & 1) << position
-                for position, net in enumerate(netlist.outputs)
-            )
-            assert evaluate(bits) == packed
+    probes = [rng.randrange(1 << len(netlist.inputs)) for _ in range(3)]
+
+    def check():
+        for fault in _all_faults(netlist):
+            evaluate = compiled.single_pattern(fault)
+            for bits in probes:
+                inputs = {
+                    net: (bits >> i) & 1 for i, net in enumerate(netlist.inputs)
+                }
+                reference = netlist.evaluate_interpreted(inputs, mask=1, fault=fault)
+                packed = sum(
+                    (reference[net] & 1) << position
+                    for position, net in enumerate(netlist.outputs)
+                )
+                assert evaluate(bits) == packed
+
+    _on_both_tiers(netlist, ("lane_out",), check)
 
 
 def _tiny_netlist():
@@ -151,15 +188,16 @@ def test_pickle_roundtrip_recompiles():
     assert clone.evaluate(inputs) == netlist.evaluate(inputs)
 
 
-def test_evaluators_compile_on_first_call(monkeypatch):
-    """``compile()`` generates nothing; the netlist has two evaluators,
-    each entry point compiles only its own, exactly once, and faulty,
-    fault-free and single-pattern evaluation all share them."""
+def test_evaluators_compile_on_hot_call(monkeypatch):
+    """``compile()`` generates nothing; each evaluator runs interpreted
+    until its ``COMPILE_ON_CALL``-th call, which compiles exactly it,
+    exactly once; faulty, fault-free and single-pattern evaluation all
+    count towards and share the same two evaluators."""
     import builtins
 
-    import repro.netlist.compiled as compiled_module
-
     assert set(compiled_module._EVALUATORS) == {"lane_all", "lane_out"}
+    hot = compiled_module.COMPILE_ON_CALL
+    assert hot > 1
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -173,18 +211,34 @@ def test_evaluators_compile_on_first_call(monkeypatch):
     overrides = engine.lane_overrides([(Fault(net="na", stuck_at=0), 2)])
     hit, _fix = overrides  # the lane kernel takes (I, mask, hit, fix)
     assert list(hit) == [int(net == "na") for net in engine.net_names]
-    step = engine.single_pattern(Fault(net="ab", stuck_at=1))
-    assert compiled == []
-    # The single-pattern wrapper runs ``lane_out``: its first call compiles
-    # it, and later calls -- and every other wrapper -- reuse it.
-    assert step(0) == 1 and step(1) == 1  # out = ab | ~a with ab stuck at 1
-    assert compiled == ["<compiled netlist 'tiny': lane_out>"]
-    assert engine.single_pattern()(1) == 0
     stuck = Fault(net="ab", stuck_at=1)
-    assert netlist.evaluate_outputs({"a": 1, "b": 0}, fault=stuck) == {"out": 1}
-    assert len(compiled) == 1
-    # Whole-net evaluation compiles ``lane_all`` once, faulty or not.
-    assert engine.lane_eval([1, 3], 3, overrides) != engine.lane_eval([1, 3], 3)
+    step = engine.single_pattern(stuck)
+    assert compiled == []
+    # ``lane_out`` serves single-pattern and output-only evaluation alike:
+    # calls 1 .. hot-1 interpret, call ``hot`` compiles it, later calls
+    # reuse the compiled function.
+    for call in range(1, hot + 3):
+        if call % 2:
+            assert step(call % 4) == 1  # out = ab | ~a with ab stuck at 1
+        else:
+            assert netlist.evaluate_outputs({"a": 1, "b": 0}, fault=stuck) == {
+                "out": 1
+            }
+        assert compiled == (
+            [] if call < hot else ["<compiled netlist 'tiny': lane_out>"]
+        )
+        assert _tier(engine, "lane_out") == (
+            "interpreted" if call < hot else "compiled"
+        )
+    assert engine.single_pattern()(1) == 0
+    # Whole-net evaluation counts and compiles ``lane_all`` on its own.
+    faulty = engine.lane_eval([1, 3], 3, overrides)
+    assert faulty != engine.lane_eval([1, 3], 3)
+    for call in range(3, hot + 3):
+        assert engine.lane_eval([1, 3], 3, overrides) == faulty
+        assert compiled[1:] == (
+            [] if call < hot else ["<compiled netlist 'tiny': lane_all>"]
+        )
     netlist.evaluate({"a": 1, "b": 1}, fault=Fault(net="ab", stuck_at=0))
     engine.lane_eval_outputs([3, 3], 3, overrides)
     assert compiled == [

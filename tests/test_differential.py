@@ -35,6 +35,7 @@ the environment.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from pathlib import Path
@@ -50,6 +51,7 @@ from repro.bist.architectures import (
 )
 from repro.faults.coverage import measure_coverage
 from repro.faults.simulator import exhaustive_patterns, simulate_patterns
+from repro.netlist import compiled as compiled_module
 from repro.ostr.search import search_ostr
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "3"))
@@ -59,10 +61,26 @@ CYCLES = 48
 MACHINES = ("shiftreg", "tav", "dk27", "bbtas")
 ARCHITECTURES = ("conventional", "parallel", "doubled", "pipeline")
 
+def _superposed_compiled(controller, seed):
+    """The superposed campaign with every lane kernel compiled on its first
+    call, on a copy of ``controller`` whose netlists carry no evaluator
+    state: the cached controllers are shared across cells, so how often
+    their evaluators were already called -- and with it the tier they run
+    on -- depends on the cells before."""
+    fresh = copy.deepcopy(controller)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled_module, "COMPILE_ON_CALL", 1)
+        return measure_coverage(
+            fresh, cycles=CYCLES, seed=seed, dropping=True, collapse=COLLAPSE
+        )
+
+
 #: engine label -> campaign thunk; "interpreted" is the differential
 #: baseline and therefore never collapses.  The other engines collapse
 #: when the CI matrix asks for it (REPRO_DIFF_COLLAPSE); the collapsed-*
 #: cell pins ``collapse="equiv"`` so every run covers the collapse axis.
+#: "superposed-compiled" pins the compiled tier of the lane kernel, which
+#: the small controllers here would otherwise rarely reach.
 ENGINES = {
     "interpreted": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, engine="interpreted"
@@ -76,6 +94,7 @@ ENGINES = {
     "collapsed-serial": lambda c, seed: measure_coverage(
         c, cycles=CYCLES, seed=seed, dropping=True, collapse="equiv"
     ),
+    "superposed-compiled": _superposed_compiled,
 }
 
 _BUILDERS = {

@@ -184,6 +184,9 @@ class TestEngine:
 
 #: a corpus manifest record of a kiss member, minus its spec.
 KISS_RECORD = {"family": "mcnc", "name": "x", "kind": "kiss"}
+#: inline KISS2 that parses, so a job carrying it is refused only for
+#: what else is wrong with it.
+SMALL_KISS = kiss.dumps(shift_register(2))
 
 
 @pytest.fixture()
@@ -284,13 +287,13 @@ class TestHttpSurface:
     @pytest.mark.parametrize(
         "method, path, body, length",
         [
-            ("POST", "/jobs", {"kiss": ".i 1", "priority": "high"}, None),
-            ("POST", "/jobs", {"kiss": ".i 1", "priority": None}, None),
-            ("POST", "/jobs", {"kiss": ".i 1", "config": {"families": 5}}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "priority": "high"}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "priority": None}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "config": {"families": 5}}, None),
             ("POST", "/jobs", {"member": {}}, None),
             ("GET", "/stream?jobs=j1&timeout=abc", None, None),
             ("POST", "/jobs", {}, "abc"),
-            ("POST", "/jobs", {"kiss": ".i 1", "config": {"limit": "x"}}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "config": {"limit": "x"}}, None),
             ("POST", "/jobs", {"member": dict(KISS_RECORD, spec={})}, None),
             (
                 "POST", "/jobs",
@@ -302,11 +305,23 @@ class TestHttpSurface:
                 {"member": dict(KISS_RECORD, spec={"path": "../README.md"})},
                 None,
             ),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "config": {"seed": "x"}}, None),
+            (
+                "POST", "/jobs",
+                {"kiss": SMALL_KISS, "config": {"node_limit": "x"}},
+                None,
+            ),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "config": {"cycles": -3}}, None),
+            ("POST", "/jobs", {"kiss": "garbage here"}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "name": ["a"]}, None),
+            ("POST", "/jobs", {"kiss": SMALL_KISS, "config": {"pool": "x"}}, None),
         ],
         ids=(
             "priority-str", "priority-null", "families-int", "member-empty",
             "stream-timeout", "content-length", "limit-str", "kiss-no-path",
-            "kiss-missing-file", "kiss-outside-corpus",
+            "kiss-missing-file", "kiss-outside-corpus", "seed-str",
+            "node-limit-str", "cycles-negative", "kiss-not-kiss2", "name-list",
+            "pool-str",
         ),
     )
     def test_malformed_request_is_a_400(self, server, method, path, body, length):

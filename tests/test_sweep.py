@@ -15,6 +15,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -382,6 +383,21 @@ def test_config_roundtrip_and_rejection():
         SweepConfig.from_dict({**config.to_dict(), "bogus": 1})
     with pytest.raises(ReproError, match="unknown architecture"):
         SweepConfig(architecture="systolic")
+    # A wrong-typed or out-of-range field is refused when the config is
+    # built (a service job with it gets a 400), not when it is used.
+    for field, value in (
+        ("seed", True),
+        ("workers", -1),
+        ("coverage", "yes"),
+        ("record_timings", 1),
+        ("node_limit", 0),
+        ("cycles", 2.5),
+        ("families", "mcnc"),
+        ("basis_order", "random"),
+        ("collapse", "all"),
+    ):
+        with pytest.raises(ReproError, match=re.escape(repr(value))):
+            SweepConfig.from_dict({**config.to_dict(), field: value})
 
 
 def test_legacy_pool_field_folds_into_workers(scratch_corpus, tmp_path):
