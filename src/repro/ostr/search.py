@@ -24,28 +24,25 @@ accounting ablations:
 * memoisation of node evaluations keyed by the join (different subsets can
   produce the same relation).
 
-Two engines traverse the same tree.  The default is the bitset-native
-engine: partitions live as block bitmasks (:class:`~repro.partitions.
-kernel.BitsetKernel`), ``m`` is maintained *incrementally* along DFS edges
-through the join-homomorphism ``m(pi v rho) = m(pi) v m(rho)`` (m is the
-smallest half of a pair algebra, hence a complete join-morphism), and
-``M`` is only computed on symmetric nodes that survive the Lemma-1 test.
-If ``m(pi) ∩ pi ⊄ epsilon`` then no candidate can exist at the node,
-because ``M(pi) ∩ pi ⊆ epsilon`` together with ``m(pi) ⊆ M(pi)`` would
-force the m-side condition.  A survivor is symmetric iff ``m(pi) ⊆
-M(pi)``, which by the Galois connection ``pair(a, b) <=> a ⊆ M(b)`` is
-``pair(m(pi), pi)``: a scan of ``m(pi)``'s nontrivial blocks against
-``pi``'s owner array, with no ``M`` at all -- and on the corpus machines
-only a handful of survivors per search pass it.  DFS edges join on
-element lists (each basis element's nontrivial blocks as tuples of
-state indices, built once per search), so a block already inside one
-``pi`` block costs one owner lookup per element and no tuple is built
-for a redundant edge.  Most nodes prune, and most of those are decided
-before ``m(pi)`` is even joined: for ``pi = parent v b`` the engine first
-tries the join-free sufficient conditions ``m(b) ∩ b``, ``m(b) ∩ pi`` and
-``m(parent) ∩ pi ⊄ epsilon``, each of which implies the exact test
-because ``m(pi)`` lies above ``m(b)`` and ``m(parent)``, ``pi`` lies above
-``b``, and "⊄ epsilon" is upward closed (details in ``_run_bitset``).
+Two engines traverse the same tree.  The default runs on relation
+integers: a partition of ``n`` states is its equivalence relation as one
+``n*n``-bit integer, row ``x`` holding the block of ``x`` (the kernel's
+relation form).  One partition has one integer, so the integer is the
+node's cache key, and ``R(a) & R(b)`` is ``R(meet(a, b))``, so every
+Lemma-1 test ``meet(a, pi) ⊄ epsilon`` is exactly one AND chain,
+``R(a) & R(pi) & ~R(epsilon) != 0``.  ``m`` is maintained
+*incrementally* along DFS edges through the join-homomorphism ``m(pi v
+rho) = m(pi) v m(rho)`` (m is the smallest half of a pair algebra, hence
+a complete join-morphism), and most nodes are pruned by join-free
+sufficient tests before ``m(pi)`` is even joined.  ``M`` is only computed
+on symmetric nodes that survive the Lemma-1 test: if ``m(pi) ∩ pi ⊄
+epsilon`` no candidate can exist at the node, because ``M(pi) ∩ pi ⊆
+epsilon`` together with ``m(pi) ⊆ M(pi)`` would force the m-side
+condition.  Only survivors go back to blocks, and by the Galois
+connection ``pair(a, b) <=> a ⊆ M(b)`` a survivor is symmetric iff
+``pair(m(pi), pi)``, a scan with no ``M`` at all; on the corpus machines
+only a handful of survivors per search pass it (details in
+``_run_bitset``).
 A node's subtree depends only on its join and its ``next_index``, and
 different subsets reach the same join, so the engine also *replays*
 finished subtrees: when an expanded node's subtree is done, a post-order
@@ -85,7 +82,6 @@ from .problem import OstrSolution, better, trivial_solution
 from .theorem1 import PipelineRealization, realize
 
 Labels = Tuple[int, ...]
-Masks = Tuple[int, ...]
 
 
 @dataclass
@@ -163,11 +159,13 @@ def search_ostr(
     returned and flagged (``result.exact == False``) -- this mirrors the
     ``tbk``/timeout row of Table 1.
 
-    The default engine is bitset-native (see the module docstring): block
-    bitmasks from :func:`~repro.partitions.kernel.bitset_kernel`, ``m``
-    carried incrementally along DFS edges, ``M`` only on unpruned
-    symmetric nodes, and memo caches keyed by the canonical mask tuples
-    for both node evaluations and the ``join(pi, basis[i])`` DFS edges.
+    The default engine runs on relation integers (see the module
+    docstring): each partition is one ``n*n``-bit integer from
+    :func:`~repro.partitions.kernel.bitset_kernel`, each Lemma-1 test one
+    AND chain, ``m`` carried incrementally along DFS edges, ``M`` only on
+    unpruned symmetric nodes, and memo caches keyed by the relation
+    integer for node evaluations and by node id for the ``join(pi,
+    basis[i])`` DFS edges.
     Pass ``reference=True`` for the seed's label-tuple operator-by-operator
     oracle; solutions and every search statistic are identical across the
     engines, only the wall clock differs.
@@ -295,94 +293,86 @@ def _run_bitset(
     machine, succ, states, epsilon, basis, stats, best,
     prune, skip_redundant, node_limit, deadline, policy,
 ):
-    """The bitset-native DFS: the production engine.
+    """The relation-integer DFS: the production engine.
 
-    Same tree, same statistics as :func:`_run_reference`; the partition
-    algebra runs on block bitmasks in the canonical *sparse* form
-    (nontrivial blocks only, singletons implied -- see the kernel module)
-    with five structural savings:
+    Same tree, same statistics as :func:`_run_reference`.  Every partition
+    is its equivalence relation as one ``n*n``-bit integer, row ``x``
+    holding the block of ``x`` (see the kernel's relation form): the root
+    is the diagonal, the integer is the evaluation-cache key, and
+    ``R(a) & R(b)`` is ``R(meet(a, b))``, so each "``meet(a, pi) ⊄
+    epsilon``" test is exactly ``R(a) & R(pi) & ~R(epsilon) != 0``.  Five
+    structural savings:
 
     * ``m(pi)`` is carried down DFS edges as ``join(m(parent),
       m(basis[i]))`` -- m is a join-morphism, so no node recomputes the
       full successor-image closure;
     * on an evaluation-cache miss Lemma 1 is first decided *without*
       that join.  With ``pi = parent v b`` for the edge's basis element
-      ``b``, three join-free sufficient conditions for pruning are tried,
-      cheapest first:
+      ``b``, two join-free sufficient conditions for pruning are tried:
 
       (a) ``m(b) ∩ b ⊄ epsilon`` -- one flag per basis element, computed
           once per search;
-      (b) ``m(b) ∩ pi ⊄ epsilon``;
-      (c) ``m(parent) ∩ pi ⊄ epsilon``.
+      (b, c) ``(m(b) ∪ m(parent)) ∩ pi ⊄ epsilon`` -- one AND chain over
+          the precomputed ``R(m(b)) & ~R(epsilon)`` and the parent's
+          ``R(m(parent)) & ~R(epsilon)``.
 
       Each implies the exact test ``m(pi) ∩ pi ⊄ epsilon``: ``m(pi) =
       m(parent) v m(b)`` lies above ``m(parent)`` and ``m(b)``, ``pi``
       lies above ``b``, meet is monotone and "⊄ epsilon" is upward
       closed.  So every prune decision and every counter is the one the
-      exact test gives.  Only when none fires is ``m(pi)`` joined and the
-      exact test run.  A pre-tested entry stores no ``m`` (a pruned node
-      is never expanded); with ``prune=False`` every node computes
+      exact test gives.  Only when neither fires is ``m(pi)`` joined and
+      the exact test run.  A pre-tested entry stores no ``m`` (a pruned
+      node is never expanded); with ``prune=False`` every node computes
       ``m(pi)``, because its children extend it;
     * ``M(pi)`` is only computed on symmetric nodes that pass the
       Lemma-1 test (``m(pi) ∩ pi ⊆ epsilon``).  For a failing node
       ``meet(M(pi), pi) ⊆ epsilon`` would imply the m-side condition via
       ``m(pi) ⊆ M(pi)``, so no candidate exists and the subtree is pruned
       without touching ``M`` -- on the Table-1 machines ~99% of
-      investigated nodes prune.  A survivor is first tested for symmetry
-      as ``is_pair(m(pi), pi)`` (equivalent to ``m(pi) ⊆ M(pi)`` by the
-      Galois connection) against ``pi``'s owner array; only the rare
-      symmetric ones (1 of dk16's 3,286 survivors, 2 of tbk's 178) build
-      ``M(pi)`` for the M-side test;
+      investigated nodes prune.  Only survivors go back to blocks: a
+      survivor is tested for symmetry as ``is_pair(m(pi), pi)``
+      (equivalent to ``m(pi) ⊆ M(pi)`` by the Galois connection) against
+      ``pi``'s owner array, and only the rare symmetric ones (1 of dk16's 3,286
+      survivors, 2 of tbk's 178) build ``M(pi)`` for the M-side test;
     * DFS edges, and the incremental ``m`` join, take the basis element
-      (or its ``m`` image) as element lists precomputed once per search:
-      each block resolves to ``owner[e0] | owner[e1] | ...`` through the
-      parent's owner array, and a block whose union is ``owner[e0]``
-      already lies in one ``pi`` block.  A fully redundant edge
-      (``basis[i] <= pi``) therefore returns the parent object itself
-      without building a tuple, so the ``skip_redundant`` test is an
-      identity check instead of a join-and-compare.
+      (or its ``m`` image) as element lists precomputed once per search
+      and resolve them through the parent's owner array (``pi``'s, or
+      ``m(pi)``'s, built once per expanded node): a block whose union is
+      ``owner[e0]`` already lies in one block, and each merged block
+      ``B`` is ORed in as ``B * spread(B)``.  A fully redundant edge
+      (``basis[i] <= pi``) returns the parent integer itself, so the
+      ``skip_redundant`` test is an identity check instead of a compare.
     """
     kern = kernel.bitset_kernel(succ)
     n_basis = len(basis)
+    relation = kern.relation
+    owners = kern.owners
+    join = kern.join_relation
     basis_masks = [kern.from_labels(b) for b in basis]
-    # The basis and its m images in sparse form (for the Lemma-1
-    # pre-tests) and as element lists (the DFS-edge join constraints).
-    basis_nt = [kern.nontrivial(masks) for masks in basis_masks]
-    basis_m_nt = [kern.nontrivial(kern.m(masks)) for masks in basis_masks]
-    basis_el = [kern.element_blocks(nt) for nt in basis_nt]
-    basis_m_el = [kern.element_blocks(nt) for nt in basis_m_nt]
-    eps_owner = kern.arrays(kern.from_labels(epsilon))[1]
-
-    def escapes(a: Masks, b: Masks) -> bool:
-        """``meet(a, b) ⊄ epsilon`` for sparse ``a`` and ``b``.
-
-        Only multi-element intersections of nontrivial blocks can leave
-        an epsilon block; singletons are inert on both sides.
-        """
-        for am in a:
-            for bm in b:
-                x = am & bm
-                if x & (x - 1) and x & ~eps_owner[(x & -x).bit_length() - 1]:
-                    return True
-        return False
-
+    basis_m_masks = [kern.m(masks) for masks in basis_masks]
+    # The basis and its m images as element lists (the DFS-edge join
+    # constraints) and, for the Lemma-1 pre-tests, the pairs of each m
+    # image that leave epsilon.
+    basis_el = [kern.element_blocks(kern.nontrivial(m)) for m in basis_masks]
+    basis_m_el = [kern.element_blocks(kern.nontrivial(m)) for m in basis_m_masks]
+    not_eps = ~relation(kern.from_labels(epsilon))
+    basis_m_out = [relation(m) & not_eps for m in basis_m_masks]
     # Pre-test (a): every node reached over edge i prunes.
-    via_escapes = [escapes(mb, b) for mb, b in zip(basis_m_nt, basis_nt)]
+    via_prunes = [
+        bool(out & relation(b)) for out, b in zip(basis_m_out, basis_masks)
+    ]
     from_sparse = kern.from_sparse
     to_labels = kern.to_labels
-    sparse_owner = kern.sparse_owner
-    join_sparse = kern.join_sparse
     is_pair_owner = kern.is_pair_owner
     extended = policy == "extended"
 
-    # Memo tables: node evaluations are keyed by the sparse mask tuple
-    # (one small-tuple hash per investigated node); each entry carries the
-    # node's m image (so expansion gets it for free on cache hits; None
-    # where the Lemma-1 pre-test pruned) and a dense node id, which keys
-    # the join(pi, basis[i]) DFS-edge memo as a single small int -- far
-    # cheaper to hash than the mask tuples.
-    evaluation_cache: Dict[Masks, Tuple[list, bool, Optional[Masks], int, Masks]] = {}
-    join_cache: Dict[int, Masks] = {}
+    # Memo tables: node evaluations are keyed by the relation integer;
+    # each entry carries the node's m relation (so expansion gets it for
+    # free on cache hits; None where a Lemma-1 pre-test pruned) and a
+    # dense node id, which keys the join(pi, basis[i]) DFS-edge memo as a
+    # single small int.
+    evaluation_cache: Dict[int, Tuple[list, bool, Optional[int], int, int]] = {}
+    join_cache: Dict[int, int] = {}
     eval_get = evaluation_cache.get
     join_get = join_cache.get
 
@@ -402,15 +392,17 @@ def _run_bitset(
     ticks = 0  # loop iterations, for the deadline (replays jump investigated)
     limit = float("inf") if node_limit is None else node_limit
 
-    root: Masks = ()  # sparse identity: no nontrivial blocks
-    stack: List[tuple] = [(root, None, 0, 0)]
+    # A stack item is (pi, parent, via_index, next_index), where parent is
+    # (m(parent), its owner array, its pairs outside epsilon), built once per
+    # expanded node; the root has none.
+    stack: List[tuple] = [(kern.diagonal, None, 0, 0)]
     push = stack.append
     pop = stack.pop
 
     while stack:
         item = pop()
-        masks = item[0]
-        if masks is None:  # post-order marker: the subtree below is done
+        r = item[0]
+        if r is None:  # post-order marker: the subtree below is done
             _, key, inv0, pruned0, skipped0, cand0 = item
             replay[key] = (
                 investigated - inv0,
@@ -427,9 +419,9 @@ def _run_bitset(
             if not ticks & 127 and time.perf_counter() > deadline:
                 stats.timed_out = True
                 break
-        _, parent_mu, via_index, next_index = item
+        _, parent, via_index, next_index = item
 
-        entry = eval_get(masks)
+        entry = eval_get(r)
         if entry is not None:
             done = replay_get(entry[3] * replay_stride + next_index)
             if done is not None and investigated + done[0] <= limit:
@@ -442,47 +434,48 @@ def _run_bitset(
                 continue
         investigated += 1
         if entry is None:
-            if parent_mu is None:  # root: m(identity) computed outright
-                mu = kern.nontrivial(kern.m(from_sparse(masks)))
+            if parent is None:  # root: m(identity) computed outright
+                mu = relation(kern.m(kern.identity_masks))
             elif prune and (
-                via_escapes[via_index]
-                or escapes(basis_m_nt[via_index], masks)
-                or escapes(parent_mu, masks)
+                via_prunes[via_index]
+                or (basis_m_out[via_index] | parent[2]) & r
             ):
                 mu = None  # Lemma 1 decided without m(pi), see the docstring
             else:  # incremental: m(pi v basis[i]) == m(pi) v m(basis[i])
-                mu = join_sparse(parent_mu, basis_m_el[via_index])
-            if mu is None or escapes(mu, masks):
+                mu = join(parent[0], parent[1], basis_m_el[via_index])
+            if mu is None or mu & r & not_eps:
                 # No candidate can exist here (see the docstring): prune
                 # without computing M at all.
-                entry = ((), True, mu, len(evaluation_cache), masks)
+                entry = ((), True, mu, len(evaluation_cache), r)
             else:
                 candidates: List[Tuple[Labels, Labels]] = []
                 # Symmetry of the Mm-pair, m(pi) <= M(pi), is pair(m(pi), pi)
                 # by the Galois connection; M(pi) is only built when it holds.
-                if is_pair_owner(mu, sparse_owner(masks)):
-                    full = from_sparse(masks)
+                mu_blocks = {row for row in owners(mu) if row & (row - 1)}
+                owner = owners(r)
+                if is_pair_owner(mu_blocks, owner):
+                    full = from_sparse({row for row in owner if row & (row - 1)})
                     big = kern.big_m(full)
                     labels = to_labels(full)
-                    if kern.meet_refines_owner(big, full, eps_owner):
+                    mu_labels = to_labels(from_sparse(mu_blocks))
+                    if not relation(big) & r & not_eps:
                         candidates.append((to_labels(big), labels))
                     else:  # m side is known to hold here
-                        candidates.append((to_labels(from_sparse(mu)), labels))
+                        candidates.append((mu_labels, labels))
                     if extended:
                         candidates.extend(
                             _extended_candidates(
-                                succ, to_labels(from_sparse(mu)), to_labels(big),
-                                labels, epsilon,
+                                succ, mu_labels, to_labels(big), labels, epsilon
                             )
                         )
-                entry = (candidates, False, mu, len(evaluation_cache), masks)
-            evaluation_cache[masks] = entry
+                entry = (candidates, False, mu, len(evaluation_cache), r)
+            evaluation_cache[r] = entry
 
-        # The interned masks object replaces the popped one: value-equal
-        # joins reached over different DFS paths are distinct tuples, and
-        # the ``child is masks`` redundancy test below needs the one
-        # object the join memo was built against.
-        candidates, prunable, mu, node_id, masks = entry
+        # The interned integer replaces the popped one: value-equal joins
+        # reached over different DFS paths are distinct objects, and the
+        # ``child is r`` redundancy test below needs the one object the
+        # join memo was built against.
+        candidates, prunable, mu, node_id, r = entry
         if candidates:
             for pi_labels, theta_labels in candidates:
                 candidates_evaluated += 1
@@ -504,19 +497,22 @@ def _run_bitset(
                 pruned_subtrees, skipped_redundant,
                 candidates_evaluated - len(candidates),
             ))
-            owner = sparse_owner(masks)
+            owner = None  # pi's owner array, built on the first join-memo miss
+            node = (mu, owners(mu), mu & not_eps)
             edge_base = node_id * n_basis
             for child_index in range(n_basis - 1, next_index - 1, -1):
                 key = edge_base + child_index
                 child = join_get(key)
                 if child is None:
-                    child = join_sparse(masks, basis_el[child_index], owner)
+                    if owner is None:
+                        owner = owners(r)
+                    child = join(r, owner, basis_el[child_index])
                     join_cache[key] = child
-                if child is masks:  # basis[i] <= pi: redundant edge
+                if child is r:  # basis[i] <= pi: redundant edge
                     if skip_redundant:
                         skipped_redundant += 1
                         continue
-                push((child, mu, child_index, child_index + 1))
+                push((child, node, child_index, child_index + 1))
 
     stats.investigated += investigated
     stats.candidates_evaluated += candidates_evaluated

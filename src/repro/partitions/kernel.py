@@ -2,7 +2,7 @@
 
 The OSTR depth-first search evaluates partition-algebra operators at every
 node of a potentially very large search tree, so the inner loop avoids
-objects entirely.  Two interchangeable representations of a partition of
+objects entirely.  Three interchangeable representations of a partition of
 ``{0, .., n-1}`` are provided:
 
 * a *canonical label tuple*: ``labels[i]`` is the block id of element ``i``
@@ -22,8 +22,13 @@ objects entirely.  Two interchangeable representations of a partition of
   :class:`BitsetLattice` / :class:`BitsetKernel` classes implement the
   same algebra word-parallel on this form (AND/OR/popcount over whole
   blocks at once) with per-universe and per-``SuccTable`` memo caches;
-  the production search and the :class:`~repro.partitions.partition.
-  Partition` call sites route through them.
+  the :class:`~repro.partitions.partition.Partition` call sites route
+  through them;
+
+* a *relation integer*: the equivalence relation as one ``n*n``-bit
+  integer, row ``x`` holding ``x``'s block mask
+  (:meth:`BitsetLattice.relation` / :meth:`BitsetLattice.owners`).  Meet
+  is one AND, and the production OSTR search runs on this form.
 
 Machine transition structure enters through a *successor table*
 ``succ[s][i]`` giving the next-state index of state ``s`` under input ``i``.
@@ -42,7 +47,7 @@ classes are immutable except for their internal memo caches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .unionfind import UnionFind
 
@@ -328,6 +333,51 @@ def _lowbit_key(mask: int) -> int:
     return mask & -mask
 
 
+_SPREADERS: Dict[int, Callable[[int], int]] = {}
+
+
+def _spreader(n: int) -> Callable[[int], int]:
+    """``spread`` for universe size ``n``: bit ``x`` -> bit ``n*x``.
+
+    Up to 32 elements it ORs one byte-table entry per mask byte; the
+    tables are built once per ``n`` and shared, so a search pays no
+    fixed cost for them.  Larger universes walk the mask's bits.
+    """
+    spread = _SPREADERS.get(n)
+    if spread is not None:
+        return spread
+    if n > 32:
+
+        def spread(mask: int) -> int:
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= 1 << n * (low.bit_length() - 1)
+                mask ^= low
+            return out
+
+    else:
+        tables = [[0] * 256 for _ in range((n + 7) // 8)]
+        for byte, table in enumerate(tables):
+            for value in range(1, 256):
+                low = value & -value
+                bit = 8 * byte + low.bit_length() - 1
+                table[value] = table[value ^ low] | 1 << n * bit
+        t0, t1, t2, t3 = tables + [[0] * 256] * (4 - len(tables))
+        if n <= 8:
+            spread = t0.__getitem__
+        else:
+
+            def spread(mask: int) -> int:
+                return (
+                    t0[mask & 255] | t1[mask >> 8 & 255]
+                    | t2[mask >> 16 & 255] | t3[mask >> 24]
+                )
+
+    _SPREADERS[n] = spread
+    return spread
+
+
 class BitsetLattice:
     """Word-parallel partition lattice over a fixed ``n``-element universe.
 
@@ -349,7 +399,10 @@ class BitsetLattice:
         "_arrays",
         "_masks_of",
         "_labels_of",
-        "_sparse_owners",
+        "full",
+        "diagonal",
+        "spread",
+        "_shifts",
     )
 
     _CACHE_LIMIT = 1 << 17
@@ -362,7 +415,10 @@ class BitsetLattice:
         self._arrays: Dict[Masks, Tuple[List[int], List[int]]] = {}
         self._masks_of: Dict[Labels, Masks] = {}
         self._labels_of: Dict[Masks, Labels] = {}
-        self._sparse_owners: Dict[Masks, List[int]] = {}
+        self.full = (1 << n) - 1
+        self.diagonal = sum(1 << (n + 1) * x for x in range(n))
+        self.spread = _spreader(n)
+        self._shifts = range(0, n * n, n)
 
     # -- conversions and cached structure views -----------------------------
 
@@ -418,18 +474,14 @@ class BitsetLattice:
     # -- the sparse (nontrivial-blocks-only) representation -----------------
     #
     # A partition is equally determined by its nontrivial blocks alone
-    # (every uncovered element is a singleton).  The OSTR search runs on
-    # this form: deep search nodes have few nontrivial blocks, so joins
-    # assemble tuples of a handful of masks instead of ~n.
-    #
-    # The canonical sparse form (:meth:`nontrivial`) orders the blocks by
-    # plain integer value.  Blocks are disjoint, so that is highest-set-bit
-    # order and one partition has exactly one sparse tuple -- the search
-    # uses the tuple itself as its evaluation-cache key -- while sorting
-    # needs no key function.  The full form keeps lowest-bit order, which
-    # :meth:`from_sparse` restores from a sparse tuple in any order.
+    # (every uncovered element is a singleton).  The canonical sparse form
+    # (:meth:`nontrivial`) orders the blocks by plain integer value: blocks
+    # are disjoint, so that is highest-set-bit order and one partition has
+    # exactly one sparse tuple, while sorting needs no key function.  The
+    # full form keeps lowest-bit order, which :meth:`from_sparse` restores
+    # from a sparse collection in any order.
 
-    def from_sparse(self, sparse: Masks) -> Masks:
+    def from_sparse(self, sparse: Iterable[int]) -> Masks:
         """Nontrivial-blocks form -> full canonical mask tuple."""
         covered = 0
         for mask in sparse:
@@ -442,22 +494,6 @@ class BitsetLattice:
             rest ^= low
         out.sort(key=_lowbit_key)
         return tuple(out)
-
-    def sparse_owner(self, sparse: Masks) -> List[int]:
-        """Owner array of a nontrivial-blocks partition (cached)."""
-        owner = self._sparse_owners.get(sparse)
-        if owner is None:
-            if len(self._sparse_owners) >= self._CACHE_LIMIT:
-                self._sparse_owners.clear()
-            owner = [1 << i for i in range(self.n)]
-            for mask in sparse:
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    owner[low.bit_length() - 1] = mask
-                    rest ^= low
-            self._sparse_owners[sparse] = owner
-        return owner
 
     @staticmethod
     def _resolve_constraints(
@@ -495,12 +531,38 @@ class BitsetLattice:
             merged.append(acc)
         return merged
 
+    # -- the relation form ----------------------------------------------------
+    #
+    # The OSTR search runs on the partition as its equivalence relation:
+    # one ``n*n``-bit integer whose row ``x`` (bits ``n*x .. n*x + n - 1``)
+    # is the block mask of ``x``, ``R = sum(owner[x] << n*x)``.  One
+    # partition has exactly one relation integer, so the integer itself is
+    # the search's evaluation-cache key, and relations compose bitwise:
+    # ``R(a) & R(b)`` is ``R(meet(a, b))``, so ``meet(a, b) <= eps`` is
+    # ``R(a) & R(b) & ~R(eps) == 0``.  A block ``B`` contributes ``B *
+    # spread(B)``, where ``spread`` moves bit ``x`` to bit ``n*x`` (the
+    # product has no carries: each shifted copy of ``B`` fills one row).
+
+    def relation(self, masks: Iterable[int]) -> int:
+        """Relation integer of a partition given by its blocks (full or
+        sparse form: the diagonal stands in for the singletons)."""
+        spread = self.spread
+        out = self.diagonal
+        for mask in masks:
+            out |= mask * spread(mask)
+        return out
+
+    def owners(self, relation: int) -> List[int]:
+        """Owner array of a relation: ``owners(R)[x]`` is the block of ``x``."""
+        full = self.full
+        return [relation >> shift & full for shift in self._shifts]
+
     @staticmethod
     def element_blocks(sparse: Masks) -> Tuple[Tuple[int, ...], ...]:
         """Each block of ``sparse`` as the tuple of its element indices.
 
-        The constraint form :meth:`join_sparse` takes; the search builds it
-        once per basis element and reuses it on every DFS edge.
+        The constraint form :meth:`join_relation` takes; the search builds
+        it once per basis element and reuses it on every DFS edge.
         """
         out: List[Tuple[int, ...]] = []
         for mask in sparse:
@@ -513,28 +575,22 @@ class BitsetLattice:
             out.append(tuple(elements))
         return tuple(out)
 
-    def join_sparse(
-        self,
-        base: Masks,
-        blocks: Sequence[Sequence[int]],
-        owner: Optional[List[int]] = None,
-    ) -> Masks:
-        """Join a sparse partition with constraint blocks given as element lists.
+    def join_relation(
+        self, base: int, owner: List[int], blocks: Sequence[Sequence[int]]
+    ) -> int:
+        """Join a relation with constraint blocks given as element lists.
 
-        ``base`` is in the canonical sparse form (:meth:`nontrivial`) and
-        ``owner`` its owner array (:meth:`sparse_owner`).  Each constraint
-        block resolves to ``acc = owner[e0] | owner[e1] | ...``; when that
-        equals ``owner[e0]`` the block already lies inside one ``base``
-        block and adds nothing, so deciding ``blocks <= base`` costs one
-        owner lookup per element and builds no tuple.  Overlapping ``acc``
-        masks are unioned (the running ``union`` skips the overlap scan
-        for disjoint ones), absorbed ``base`` blocks dropped, and the small
-        result re-sorted into canonical sparse (integer) order.  A fully
-        redundant call returns ``base`` itself, so the search's redundancy
-        test is an identity check.
+        ``owner`` is ``base``'s owner array (:meth:`owners`).  Each
+        constraint block resolves to ``acc = owner[e0] | owner[e1] | ...``;
+        when that equals ``owner[e0]`` the block already lies inside one
+        ``base`` block and adds nothing, so deciding ``blocks <= base``
+        costs one owner lookup per element.  Overlapping ``acc`` masks are
+        unioned (the running ``union`` skips the overlap scan for disjoint
+        ones), and each merged block is ORed in as ``acc * spread(acc)``:
+        every row it covers grows to the merged block.  A fully redundant
+        call returns ``base`` itself, so the search's redundancy test is an
+        identity check.
         """
-        if owner is None:
-            owner = self.sparse_owner(base)
         merged: List[int] = []
         union = 0
         for block in blocks:
@@ -554,11 +610,10 @@ class BitsetLattice:
             union |= acc
         if not merged:
             return base
-        for mask in base:
-            if not mask & union:
-                merged.append(mask)
-        merged.sort()
-        return tuple(merged)
+        spread = self.spread
+        for acc in merged:
+            base |= acc * spread(acc)
+        return base
 
     # -- lattice operations -------------------------------------------------
 
@@ -590,7 +645,7 @@ class BitsetLattice:
         """Coarsen ``base`` until every constraint mask lies inside one block.
 
         The workhorse behind :meth:`join` and :meth:`BitsetKernel.m` (the
-        search joins on the sparse form, :meth:`join_sparse`).  Each
+        search joins on the relation form, :meth:`join_relation`).  Each
         constraint's reach is resolved through the owner array into one
         merged mask -- visiting a single representative bit per distinct
         block, the rest cleared with one AND -- overlapping merged masks
@@ -774,7 +829,7 @@ class BitsetKernel(BitsetLattice):
 
     def is_pair_owner(self, a_blocks: Iterable[int], owner_b: List[int]) -> bool:
         """:meth:`is_pair` for ``a``'s nontrivial blocks against ``b``'s
-        owner array (full or :meth:`sparse_owner`)."""
+        owner array (from :meth:`arrays` or :meth:`owners`)."""
         image = self.image
         inputs = range(self.n_inputs)
         for am in a_blocks:

@@ -5,7 +5,8 @@ Three suites share this file:
 * the lattice laws on the label-tuple reference kernel;
 * BitsetKernel == label kernel on random partitions/universes for every
   operation the synthesis stack uses (meet/join/refines/meet_refines/
-  m/M/is_pair, plus the sparse-form round trips);
+  m/M/is_pair, plus the sparse- and relation-form round trips and the
+  relation join the search runs on);
 * integer-cube ops == string-cube ops on random cubes/covers, and the
   packed minimizers == the string reference minimizers (including the
   ``espresso_lite`` REDUCE regression corpus of mutually-covering
@@ -213,35 +214,83 @@ def test_bitset_mm_operators_match_label_kernel(case):
 
 
 @given(kernel_cases())
-def test_join_sparse_matches_full_join(case):
+def test_join_relation_matches_full_join(case):
     succ, (a, b, _) = case
     kern = kernel.BitsetKernel(succ)
     am, bm = kern.from_labels(a), kern.from_labels(b)
-    base = kern.nontrivial(am)
-    sparse = kern.join_sparse(base, kern.element_blocks(kern.nontrivial(bm)))
+    base = kern.relation(am)
     joined = kern.join(am, bm)
-    # The sparse tuple itself is the search's evaluation-cache key, so it
-    # must be the canonical sparse form, not merely an equal partition.
-    assert sparse == kern.nontrivial(joined)
-    assert kern.from_sparse(sparse) == joined
+    result = kern.join_relation(
+        base, kern.owners(base), kern.element_blocks(kern.nontrivial(bm))
+    )
+    # The integer itself is the search's evaluation-cache key, so it must
+    # be the one relation of the join, not merely an equivalent one.
+    assert result == kern.relation(joined)
     # A redundant join hands back ``base`` itself (the search's identity
     # test for redundant DFS edges).
-    assert (sparse is base) == (joined == am)
+    assert (result is base) == (joined == am)
 
 
-def test_join_sparse_merges_overlapping_constraints():
+def test_join_relation_merges_overlapping_constraints():
     """A constraint spanning three base blocks, a disjoint one, then one
     overlapping the first: the two overlapping merges must fuse."""
     kern = kernel.bitset_lattice(10)
     pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    base = kern.nontrivial(kern.from_labels(kernel.from_blocks(10, pairs)))
+    base = kern.relation(kern.from_labels(kernel.from_blocks(10, pairs)))
+    owner = kern.owners(base)
     blocks = ((0, 2, 4), (8, 9), (5, 6))
-    joined = kern.join_sparse(base, blocks)
-    assert joined == (0b0011111111, 0b1100000000)
-    assert joined == kern.nontrivial(
+    joined = kern.join_relation(base, owner, blocks)
+    assert kern.owners(joined) == [0b0011111111] * 8 + [0b1100000000] * 2
+    assert joined == kern.relation(
         kern.from_labels(kernel.from_blocks(10, pairs + list(blocks)))
     )
-    assert kern.join_sparse(base, ((0, 1), (6, 7))) is base
+    assert kern.join_relation(base, owner, ((0, 1), (6, 7))) is base
+
+
+#: Universe sizes on both sides of the relation form's byte-table
+#: boundaries (one to four table bytes) and past 32, where spreading walks
+#: the bits.
+RELATION_SIZES = (1, 7, 8, 9, 16, 17, 31, 32, 33, 40)
+
+
+@st.composite
+def wide_partitions(draw, n):
+    """A partition of ``0..n-1`` with a drawn block count, so that wide
+    universes get coarse partitions too, not only near-identities."""
+    k = draw(st.integers(min_value=1, max_value=n))
+    return kernel.canonical([draw(st.integers(0, k - 1)) for _ in range(n)])
+
+
+@given(st.sampled_from(RELATION_SIZES), st.data())
+def test_relation_round_trips(n, data):
+    """labels or sparse -> relation -> owner array -> sparse."""
+    lattice = kernel.bitset_lattice(n)
+    labels = data.draw(wide_partitions(n))
+    masks = lattice.from_labels(labels)
+    sparse = lattice.nontrivial(masks)
+    r = lattice.relation(masks)
+    assert lattice.relation(sparse) == r
+    owner = lattice.owners(r)
+    assert owner == lattice.arrays(masks)[1]
+    assert r == sum(row << n * x for x, row in enumerate(owner))
+    assert tuple(sorted({row for row in owner if row & (row - 1)})) == sparse
+    assert lattice.from_sparse(sparse) == masks
+    assert r.bit_length() <= n * n
+
+
+@given(st.sampled_from(RELATION_SIZES), st.data())
+def test_relation_join_and_escape_test_match_label_kernel(n, data):
+    lattice = kernel.bitset_lattice(n)
+    a, b, eps = (data.draw(wide_partitions(n)) for _ in range(3))
+    ra, rb, reps = (lattice.relation(lattice.from_labels(p)) for p in (a, b, eps))
+    bm = lattice.from_labels(b)
+    joined = lattice.join_relation(
+        ra, lattice.owners(ra), lattice.element_blocks(lattice.nontrivial(bm))
+    )
+    assert joined == lattice.relation(lattice.from_labels(kernel.join(a, b)))
+    assert (ra & rb) == lattice.relation(lattice.from_labels(kernel.meet(a, b)))
+    # The search's Lemma-1 test: one AND chain decides meet(a, b) <= eps.
+    assert bool(ra & rb & ~reps) == (not kernel.refines(kernel.meet(a, b), eps))
 
 
 @given(kernel_cases())
@@ -253,7 +302,7 @@ def test_symmetry_test_is_pair_of_m_with_its_argument(case):
     mu = kern.m(p)
     assert kern.is_pair(mu, p) == kern.refines(mu, kern.big_m(p))
     assert kern.is_pair_owner(
-        kern.nontrivial(mu), kern.sparse_owner(kern.nontrivial(p))
+        kern.nontrivial(mu), kern.owners(kern.relation(kern.nontrivial(p)))
     ) == kern.is_pair(mu, p)
 
 

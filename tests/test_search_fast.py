@@ -1,6 +1,6 @@
 """The bitset OSTR engine and search must match the reference path exactly.
 
-``search_ostr`` defaults to the bitset-native engine (mask-tuple
+``search_ostr`` defaults to the bitset-native engine (relation-integer
 partitions, incremental ``m`` along DFS edges, Lemma-1-gated ``M``); the
 paper-accounting contract is that solutions *and* every search statistic
 stay identical to the label-tuple reference traversal (``reference=True``).
@@ -156,6 +156,30 @@ def test_fast_search_identical_with_replays_on_random_machines(
     _assert_same_search(
         machine, skip_redundant=skip_redundant, node_limit=node_limit
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from((8, 9, 16, 17, 32, 33, 40)),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.data(),
+)
+def test_fast_search_identical_at_wide_state_counts(
+    n_states, n_inputs, n_outputs, seed, prune, data
+):
+    """State counts on both sides of the relation form's byte-table
+    boundaries (8, 16 and 32 states) and past 32, where spreading walks
+    the bits; inline KISS jobs can reach any of them.  The reference
+    engine joins label tuples for every child of every expanded node, so
+    past 17 states the node limit stays small to bound the test."""
+    node_limit = data.draw(st.integers(1, 2000 if n_states <= 17 else 200))
+    machine = random_mealy(
+        n_states, n_inputs, n_outputs, seed=seed, ensure_connected=False
+    )
+    _assert_same_search(machine, prune=prune, node_limit=node_limit)
 
 
 def test_time_limit_fires_under_replay():
