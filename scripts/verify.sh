@@ -41,9 +41,10 @@ else
   python -m pytest -x -q
 fi
 
-echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, field screening, collapse tables, golden signatures) =="
+echo "== differential suite (cross-engine + PPSFP matrix, lane kernel, fanout cones, field screening, collapse tables, golden signatures) =="
 python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
-  tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_collapse.py -q
+  tests/test_prop_screening.py tests/test_prop_ppsfp.py tests/test_prop_cone.py \
+  tests/test_collapse.py -q
 
 echo "== chaos suite (seeded crashes/pipe-close/jitter in member workers vs the in-process ledger) =="
 python -m pytest tests/test_chaos.py tests/test_sweep.py -q

@@ -72,18 +72,6 @@ BlockFault = Tuple[str, Fault]
 Registers = TypeVar("Registers")
 
 
-def _lane_fault_assignments(compiled, faults: Sequence[Fault]):
-    """(lane_mask, overrides) packing ``faults`` into lanes 1..len(faults).
-
-    Lane 0 is left fault-free as the in-band sanity reference.
-    """
-    lane_mask = (1 << (len(faults) + 1)) - 1
-    overrides = compiled.lane_overrides(
-        [(fault, 1 << (lane + 1)) for lane, fault in enumerate(faults)]
-    )
-    return lane_mask, overrides
-
-
 def _lane_signature_outcomes(
     banks: Sequence[Union[LaneMisr, _EmptyRegister]],
     reference: Tuple[int, ...],
@@ -97,7 +85,11 @@ def _lane_signature_outcomes(
     the superposed replay is broken, so fail loudly rather than mis-grade
     the whole batch).  The reference comes from code the lane replay does
     not share: the serial session of the parallel self-test, and the
-    bit-parallel :meth:`PipelineController._session_reference`.
+    bit-parallel :meth:`PipelineController._session_reference`.  In the
+    parallel self-test lane 0 checks the whole replay, block kernel
+    included.  The pipeline replay takes its block responses from the
+    screen, so there lane 0 checks the compactors and the ``lambda*``
+    path, and :func:`superposed_fields` checks the block kernel in-band.
     """
     if tuple(bank.lane_signature(0) for bank in banks) != reference:
         raise BistError(
@@ -741,7 +733,10 @@ class ParallelSelfTestController(_PlainSelfTest):
         """
         plain = self.plain
         compiled = plain.network.compile()
-        lane_mask, overrides = _lane_fault_assignments(compiled, faults)
+        lane_mask = (1 << (len(faults) + 1)) - 1
+        overrides = compiled.lane_overrides(
+            [(fault, 1 << lane) for lane, fault in enumerate(faults, start=1)]
+        )
         width = self.width
         register: Union[LaneMisr, _EmptyRegister] = (
             LaneMisr(width, lane_mask, seed % (1 << width))
@@ -1186,6 +1181,7 @@ class PipelineController(_SelfTestController):
             "mask": mask,
             "streams": streams,
             "ref_out": ref_out,
+            "responses": responses,
             "lambda_streams": lambda_streams,
             "ref_lambda_out": ref_lambda_out,
             "out_compactor": out_compactor,
@@ -1217,11 +1213,11 @@ class PipelineController(_SelfTestController):
 
         ``LAMBDA`` faults resolve linearly (their block responses are
         fault-free); ``C1``/``C2`` faults are first screened against their
-        session's PRPG streams, one fault per field
-        (:func:`superposed_fields`), and the survivors -- whose response
-        errors perturb the in-loop compactor and with it the ``lambda*``
-        input stream -- are replayed *together*, one faulty machine per
-        bit lane, instead of one serial run each.
+        session's PRPG streams (:func:`superposed_fields`), and the
+        survivors -- whose response errors perturb the in-loop compactor
+        and with it the ``lambda*`` input stream -- are replayed
+        *together* from their screened response streams, one faulty
+        machine per bit lane, instead of one serial run each.
         """
         sessions = bundle["sessions"]
 
@@ -1232,7 +1228,7 @@ class PipelineController(_SelfTestController):
             reference = session["ref_out"]
             outcomes = [FAULT_DROPPED] * len(faults)
             survivors = [
-                index
+                (index, faulty)
                 for index, faulty in enumerate(
                     superposed_fields(
                         session["block"].compile(),
@@ -1246,9 +1242,9 @@ class PipelineController(_SelfTestController):
             ]
             for group in lane_passes(survivors):
                 verdicts = self._superposed_session_outcomes(
-                    session, [faults[index] for index in group]
+                    session, [faulty for _index, faulty in group]
                 )
-                for index, outcome in zip(group, verdicts):
+                for (index, _faulty), outcome in zip(group, verdicts):
                     outcomes[index] = outcome
             return outcomes
 
@@ -1293,43 +1289,65 @@ class PipelineController(_SelfTestController):
         return outcomes
 
     def _superposed_session_outcomes(
-        self, session: Dict[str, object], faults: Sequence[Fault]
+        self, session: Dict[str, object], faulty_streams: Sequence[List[int]]
     ) -> List[int]:
-        """Replay one session once with ``len(faults)`` faulty lanes.
+        """Replay one session once with ``len(faulty_streams)`` faulty lanes.
 
-        Lane 0 carries the fault-free machine, lane ``l`` pins
-        ``faults[l-1]`` into the block under test.  Every lane owns its
-        complete machine state -- in-loop compactor, ``lambda*`` input
-        stream and output MISR run bit-sliced via :class:`LaneMisr` -- so
-        the final per-lane signatures equal the serial replay's exactly,
-        aliasing included; detection remains the signature comparison.
+        ``faulty_streams[l-1]`` holds the block's output streams under the
+        fault of lane ``l``, as the screen computed them: the block's
+        patterns come from the free-running PRPG, so they are the same in
+        every lane and its responses need no re-evaluation.  Each cycle's
+        response lane words are the broadcast fault-free response XOR a
+        sparse error table, scattered once from the streams; lane 0 is
+        the fault-free machine.  Every lane owns its complete machine
+        state -- in-loop compactor, ``lambda*`` input stream and output
+        MISR run bit-sliced via :class:`LaneMisr` -- so the final per-lane
+        signatures equal the serial replay's exactly, aliasing included;
+        detection remains the signature comparison.
         """
         generator = session["generator"]
-        block, source_width, misr_width, output_misr_width = (
+        _block, source_width, misr_width, output_misr_width = (
             self._session_geometry(generator)
         )
-        compiled = block.compile()
+        reference = session["ref_out"]
+        n_lines = len(reference)
+        lane_mask = (1 << (len(faulty_streams) + 1)) - 1
+        # cycle -> per-line lane words of the lanes whose response differs
+        errors: Dict[int, List[int]] = {}
+        for lane, faulty in enumerate(faulty_streams, start=1):
+            bit = 1 << lane
+            for line, (stream, good) in enumerate(zip(faulty, reference)):
+                diff = stream ^ good
+                while diff:
+                    low = diff & -diff
+                    diff ^= low
+                    cycle = low.bit_length() - 1
+                    row = errors.get(cycle)
+                    if row is None:
+                        row = errors[cycle] = [0] * n_lines
+                    row[line] |= bit
         lambda_compiled = self.lambda_net.compile()
-        lane_mask, overrides = _lane_fault_assignments(compiled, faults)
         from_r1 = generator == "R1"
         misr = LaneMisr(misr_width)
         output_misr = LaneMisr(output_misr_width)
         prpg = _prpg(source_width + self.input_width, session["seed"])
         w1, w2 = self.w1, self.w2
         output_width = self.output_width
-        for _ in range(session["cycles"]):
+        for cycle, response in enumerate(session["responses"]):
             state = prpg.state
-            # The block's inputs are its register bits then x -- the PRPG
-            # word, identical in every lane; only the faults differ.
+            response_words = broadcast_lanes(response, n_lines, lane_mask)
+            row = errors.get(cycle)
+            if row is not None:
+                response_words = [
+                    word ^ error for word, error in zip(response_words, row)
+                ]
+            misr.absorb_words(response_words)
+            # lambda* sees (r1, r2, x); the generator side -- the PRPG word,
+            # identical in every lane -- is shared, the compactor side is
+            # each lane's own (post-absorb) MISR state.
             input_words = broadcast_lanes(
                 state, source_width + self.input_width, lane_mask
             )
-            response_words = compiled.lane_eval_outputs(
-                input_words, lane_mask, overrides
-            )
-            misr.absorb_words(response_words)
-            # lambda* sees (r1, r2, x); the generator side is shared, the
-            # compactor side is each lane's own (post-absorb) MISR state.
             register_words = input_words[:source_width]
             x_words = input_words[source_width:]
             if from_r1:
@@ -1346,7 +1364,7 @@ class PipelineController(_SelfTestController):
         return _lane_signature_outcomes(
             (misr, output_misr),
             session["signatures"],
-            len(faults),
+            len(faulty_streams),
             f"session {generator} fallback",
         )
 

@@ -25,11 +25,12 @@ the engine drops faults without ever approximating the final signature:
    conventional, doubled and pipeline sessions, whose patterns come from a
    free-running PRPG), the whole session's response stream is computed
    bit-parallel -- bit ``t`` of every net is its value in cycle ``t`` --
-   and many faults share one evaluation: each gets its own ``cycles``-bit
-   field of the compiled lane kernel, next to a fault-free field that is
-   checked against the reference
-   (:func:`~repro.faults.simulator.superposed_fields`, the PPSFP kernel's
-   packing, under the same ``PPSFP_LANE_BITS`` budget).  A fault with no
+   by the PPSFP kernel's :func:`~repro.faults.simulator.superposed_fields`.
+   Short sessions share evaluations: each fault gets its own
+   ``cycles``-bit field of the compiled lane kernel, next to a fault-free
+   field that is checked against the reference, under the
+   ``PPSFP_LANE_BITS`` budget.  Long sessions evaluate the block once
+   fault-free and then only each fault's fanout cone.  A fault with no
    response error in any cycle provably leaves the session signature
    untouched and is dropped.  The fault-free references themselves are
    built the same way, bit-parallel from the fault-free kernel; only the
@@ -49,18 +50,26 @@ the engine drops faults without ever approximating the final signature:
    entirely) cannot be unrolled over cycles -- but they *can* be unrolled
    over faults.  The controllers' ``campaign_detects_batch`` packs one
    faulty machine per bit lane (lane 0 fault-free, up to
-   ``PPSFP_LANE_BITS - 1`` faults per replay) and replays all of them in
-   one multi-lane evaluation per cycle: per-lane fault overrides in the
-   same compiled lane kernel (:meth:`CompiledNetlist.lane_eval`), bit-sliced MISR
-   banks (:class:`~repro.bist.compaction.LaneMisr`) for every register
-   trajectory, and per-lane final-signature comparison, so verdicts --
+   ``PPSFP_LANE_BITS - 1`` faults per replay) and replays all of them
+   together, cycle by cycle: bit-sliced MISR banks
+   (:class:`~repro.bist.compaction.LaneMisr`) for every register
+   trajectory and per-lane final-signature comparison, so verdicts --
    aliasing included -- are bit-identical to one serial replay per fault.
-   That replay is ``self_test_signatures``, which the ``dropping=False``
-   oracle runs once per fault.  Its ``engine=`` option picks the serial
-   sessions' kernel: ``"compiled"`` runs the same lane kernel with the
-   fault in a single lane, ``"interpreted"`` the interpreted netlist
-   walker.  The screening bundle grades with the lane kernel only, so an
-   ``engine="interpreted"`` campaign always runs the oracle sessions.
+   The pipeline replay takes each survivor's block responses from its
+   screened streams (step 2): the block's patterns come from the
+   free-running PRPG, so each cycle's response lane words are the
+   fault-free response XOR a sparse error table, and only ``lambda*``
+   is evaluated, fault-free, per cycle.  Only the parallel self-test,
+   whose patterns are the register's own faulty trajectory, still
+   evaluates its block per cycle with per-lane fault overrides in the
+   compiled lane kernel (:meth:`CompiledNetlist.lane_eval`).
+   The serial replay is ``self_test_signatures``, which the
+   ``dropping=False`` oracle runs once per fault.  Its ``engine=`` option
+   picks the serial sessions' kernel: ``"compiled"`` runs the same lane
+   kernel with the fault in a single lane, ``"interpreted"`` the
+   interpreted netlist walker.  The screening bundle grades with the lane
+   kernel only, so an ``engine="interpreted"`` campaign always runs the
+   oracle sessions.
 
 Each campaign builds one fault-free reference: the screening bundle
 (``campaign_reference``) when dropping, the fault-free signature tuple

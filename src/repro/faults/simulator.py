@@ -11,15 +11,25 @@ sequential fallback sessions over *faults* the same way this module does.
 Two engines share the verdicts bit for bit:
 
 ``engine="superposed"`` (default)
-    One fault per *field* on top of the pattern packing: field ``l`` of
-    every net carries the complete pattern-set response of fault ``l``
-    (field 0 fault-free, checked in-band against the reference), so a
-    single :meth:`CompiledNetlist.lane_eval_outputs` pass screens
-    ``lanes x patterns`` fault/pattern pairs.  The bit budget
-    (:data:`PPSFP_LANE_BITS`) bounds the superposed word width; larger
-    fault lists simply take several passes.  :func:`superposed_fields`
-    is the one implementation, shared with the campaign screens of
-    :mod:`repro.bist.architectures`.
+    Every fault's complete output streams come from
+    :func:`superposed_fields`, the one implementation, shared with the
+    campaign screens of :mod:`repro.bist.architectures`.  It packs faults
+    one of two ways, chosen by the stream length ``n``:
+
+    * *field packing* (:func:`packed_fields`, ``n`` up to
+      :data:`CONE_CROSSOVER_BITS`): field ``l`` of every net carries the
+      streams of fault ``l`` (field 0 fault-free, checked in-band against
+      the reference), so a single :meth:`CompiledNetlist.lane_eval_outputs`
+      pass screens ``lanes x patterns`` fault/pattern pairs.  The bit
+      budget (:data:`PPSFP_LANE_BITS`) bounds the superposed word width;
+      larger fault lists take several passes.
+    * *fanout cones* (:func:`cone_fields`, longer streams): one fault-free
+      evaluation of every net (checked in-band the same way), then each
+      fault re-evaluates only the gates its site reaches, stopping where
+      an event equals the fault-free value
+      (:meth:`CompiledNetlist.cone_outputs`).  A long stream leaves room
+      for only a few fields per pass, and each pass would evaluate the
+      whole block on words ``lanes x n`` bits wide.
 ``engine="interpreted"``
     The original dict-keyed serial walker, kept as the equivalence oracle.
     Unfrozen netlists have no compiled kernels and always take this path.
@@ -53,6 +63,28 @@ from .stuck_at import all_faults
 #: packing, and the superposed fallback sessions, one bit per faulty
 #: machine, the same budget (:func:`lane_passes`).
 PPSFP_LANE_BITS = 1 << 13
+
+#: streams longer than this many bits take the fanout-cone evaluator
+#: (:func:`cone_fields`), shorter ones field packing (:func:`packed_fields`).
+#: Field packing amortises interpreter dispatch over 32 or more faults per
+#: pass up to here; past it a pass holds too few faults to pay for
+#: evaluating the whole block.  Measured on ``lambda*`` of s1 and dk16 over
+#: their equiv-collapsed universes (1282 and 716 faults), random streams,
+#: compiled kernel, best of 11, ms, fields / cones, on a shared 2-CPU
+#: x86-64 host under CPython 3.11:
+#:
+#: ====  =========  =========  =========  ==========  ==========  ============
+#: bits  64         128        256        512         1024        4096
+#: ====  =========  =========  =========  ==========  ==========  ============
+#: s1    3.9 / 5.6  5.9 / 6.5  8.6 / 6.4  15.4 / 7.3  29.7 / 8.6  119.7 / 12.0
+#: dk16  1.6 / 2.8  2.1 / 2.9  3.3 / 3.3  5.7 / 3.6   10.1 / 4.1  40.3 / 6.3
+#: ====  =========  =========  =========  ==========  ==========  ============
+#:
+#: The sweep campaigns of s1, dk16 and tbk take the same time with any
+#: crossover from 64 to 384 bits.  256 keeps the short sessions of small
+#: machines on field packing, which wins up to 128 bits and ties at 256 on
+#: dk16.
+CONE_CROSSOVER_BITS = 256
 
 PPSFP_ENGINES = ("superposed", "interpreted")
 
@@ -141,28 +173,47 @@ def superposed_fields(
     reference: Sequence[int],
     faults: Sequence[Fault],
 ) -> Iterator[List[int]]:
-    """Each fault's output streams, one ``mask``-wide field per fault.
+    """Each fault's output streams over ``mask``-wide input streams.
 
     ``inputs`` are slot-ordered input streams of ``n = mask.bit_length()``
     bits (patterns, or the cycles of a session whose patterns do not
     depend on the fault) and ``reference`` is their fault-free output
-    streams.  Each pass replicates the streams into ``lanes`` contiguous
-    ``n``-bit fields, pins fault ``l`` into field ``l`` only
-    (:meth:`CompiledNetlist.lane_overrides` with the field as the lane
-    mask) and evaluates once.  Field 0 stays fault-free and must equal
-    ``reference`` (the in-band check).  Yields, in fault order, the list
-    of output streams of each fault (``reference`` itself when ``n`` is
-    0).  A pass packs at most ``PPSFP_LANE_BITS // n`` faults (at least
-    one); the streams are replicated once per call, and a shorter last
-    pass takes their low fields.
+    streams.  Yields, in fault order, the list of output streams of each
+    fault (``reference`` itself when ``n`` is 0).  Streams of at most
+    :data:`CONE_CROSSOVER_BITS` bits take :func:`packed_fields`, longer
+    ones :func:`cone_fields`; both check the fault-free evaluation against
+    ``reference`` in-band and yield the same lists.
     """
     n_bits = mask.bit_length()
     if not n_bits:  # empty streams: every fault looks fault-free
         for _fault in faults:
             yield list(reference)
         return
+    route = cone_fields if n_bits > CONE_CROSSOVER_BITS else packed_fields
+    yield from route(compiled, inputs, mask, reference, faults)
+
+
+def packed_fields(
+    compiled,
+    inputs: Sequence[int],
+    mask: int,
+    reference: Sequence[int],
+    faults: Sequence[Fault],
+) -> Iterator[List[int]]:
+    """:func:`superposed_fields` by field packing, for non-empty streams.
+
+    Each pass replicates the streams into ``lanes`` contiguous ``n``-bit
+    fields, pins fault ``l`` into field ``l`` only
+    (:meth:`CompiledNetlist.lane_overrides` with the field as the lane
+    mask) and evaluates once.  Field 0 stays fault-free and must equal
+    ``reference`` (the in-band check).  A pass packs at most
+    ``PPSFP_LANE_BITS // n`` faults (at least one); the streams are
+    replicated once per call, and a shorter last pass takes their low
+    fields.
+    """
     if not faults:
         return
+    n_bits = mask.bit_length()
     per_pass = max(1, PPSFP_LANE_BITS // n_bits)
     fields = min(per_pass, len(faults)) + 1
     words = [_replicate(value, n_bits, fields) for value in inputs]
@@ -189,6 +240,34 @@ def superposed_fields(
         for lane in range(1, lanes):
             shift = lane * n_bits
             yield [(word >> shift) & mask for word in out]
+
+
+def cone_fields(
+    compiled,
+    inputs: Sequence[int],
+    mask: int,
+    reference: Sequence[int],
+    faults: Sequence[Fault],
+) -> Iterator[List[int]]:
+    """:func:`superposed_fields` by fanout cones, for non-empty streams.
+
+    One fault-free :meth:`CompiledNetlist.lane_eval` gives every net's
+    streams; its outputs must equal ``reference`` (the in-band check).
+    Each fault then re-evaluates only the gates its site reaches, on the
+    ``n``-bit streams themselves
+    (:meth:`CompiledNetlist.cone_outputs`).
+    """
+    if not faults:
+        return
+    values = compiled.lane_eval(inputs, mask)
+    if [values[slot] for slot in compiled.output_slots] != list(reference):
+        raise FaultError(
+            "fanout cones: the fault-free evaluation diverged from the "
+            "reference evaluation"
+        )
+    cone_outputs = compiled.cone_outputs
+    for fault in faults:
+        yield cone_outputs(values, mask, fault)
 
 
 def _superposed_flags(

@@ -20,16 +20,25 @@ Two evaluators of one family are generated from the same gate list:
     fixer applies every pin override of a gate at once, evaluates the gate
     once and applies the slot's stem masks after -- exact because each
     lane carries at most one fault.  A "lane" may be a single bit (the
-    superposed fallback sessions, where every lane carries its own
-    register trajectory) or a whole ``n``-bit field of patterns or cycles
-    (``mask << (lane * n)``: the PPSFP kernel and the campaign screens,
-    :func:`repro.faults.simulator.superposed_fields`), so one evaluation
-    covers ``lanes x patterns`` fault/pattern pairs.  A single fault on
-    every pattern, as in :meth:`Netlist.evaluate`, is one lane spanning
-    the whole mask: ``lane_overrides([(fault, mask)])``.  Fault-free evaluation is the
-    same kernel with an all-zero ``hit`` table and no fixer: the sweep's
-    controller build check and every fault-free campaign reference run
-    ``lane_out`` that way.
+    parallel self-test's superposed replay, where every lane carries its
+    own register trajectory) or a whole ``n``-bit field of patterns or
+    cycles (``mask << (lane * n)``: the field-packed PPSFP passes and
+    campaign screens of :func:`repro.faults.simulator.packed_fields`), so
+    one evaluation covers ``lanes x patterns`` fault/pattern pairs.  A
+    single fault on every pattern, as in :meth:`Netlist.evaluate` and the
+    serial sessions, is one lane spanning the whole mask:
+    ``lane_overrides([(fault, mask)])``.  Those are the only callers of
+    ``fix``.  Fault-free evaluation is the same kernel with an all-zero
+    ``hit`` table and no fixer: the sweep's controller build check, every
+    fault-free campaign reference and the pipeline's superposed replay
+    (whose block responses come from the screen) run ``lane_out`` that
+    way.
+
+Next to them, :meth:`CompiledNetlist.cone_outputs` evaluates one fault
+on streams longer than the field-packing crossover
+(:func:`repro.faults.simulator.cone_fields`): from one fault-free
+``lane_all`` result it re-evaluates only the fault's fanout cone, in slot
+order, over the same slot program, and calls no fixer.
 
 Single-pattern evaluation (:meth:`CompiledNetlist.single_pattern`, the
 serial BIST sessions of :mod:`repro.bist.architectures`) is not generated:
@@ -80,6 +89,7 @@ single patterns -- is enforced by property tests
 from __future__ import annotations
 
 from functools import reduce
+from heapq import heappop, heappush
 from operator import and_, itemgetter, or_, xor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -157,6 +167,7 @@ class CompiledNetlist:
         "output_names",
         "output_slots",
         "_program",
+        "_cone",
         "_no_overrides",
         "_lane_all",
         "_lane_out",
@@ -187,6 +198,9 @@ class CompiledNetlist:
             (gate.kind, tuple(self.index[net] for net in gate.inputs))
             for gate in gates
         )
+        #: :meth:`cone_outputs`' reader lists and gate steps, built on its
+        #: first call.
+        self._cone: Optional[Tuple[Tuple[Tuple[int, ...], ...], tuple]] = None
         #: the lane kernel's ``(hit, fix)`` for fault-free evaluation: an
         #: immutable all-zero hit table, so the fixer is never called.
         self._no_overrides: Tuple[bytes, None] = (bytes(len(self.net_names)), None)
@@ -375,6 +389,82 @@ class CompiledNetlist:
             return (value | stem_or) & stem_and
 
         return (hit, fix)
+
+    def cone_outputs(self, values: Sequence[int], mask: int, fault: Fault) -> List[int]:
+        """Marked outputs under one fault, re-evaluating only its fanout cone.
+
+        ``values`` holds the fault-free value of every net in slot order
+        (one :meth:`lane_eval` call over the ``mask``-wide streams).  The
+        fault's stem or pin override gives its site a new value; then the
+        gates reading a changed net are re-evaluated in slot (topological)
+        order, and an event whose value equals the fault-free one stops
+        there.  The result equals ``lane_eval_outputs`` with the fault as
+        one lane spanning ``mask``, and a fault on a net or pin unknown to
+        this netlist is a no-op, as in :meth:`lane_overrides`.
+        """
+        n_inputs = self.n_inputs
+        readers, steps = self._cone or self._cone_tables()
+        stuck = mask if fault.stuck_at else 0
+        gate_index = fault.gate_index
+        if gate_index is None:
+            site = self.index.get(fault.net)
+            value = stuck
+        elif 0 <= gate_index < len(steps) and 0 <= fault.pin < len(
+            self._program[gate_index][1]
+        ):
+            site = n_inputs + gate_index
+            operator, _first, gather = steps[gate_index]
+            pinned = list(gather(values))
+            pinned[fault.pin] = stuck
+            value = (
+                ~pinned[0] & mask if operator is None else reduce(operator, pinned)
+            )
+        else:
+            site = None
+        if site is None or value == values[site]:
+            return [values[slot] for slot in self.output_slots]
+        current = list(values)
+        current[site] = value
+        pending = list(readers[site])
+        queued = set(pending)
+        while pending:
+            slot = heappop(pending)
+            operator, first, gather = steps[slot - n_inputs]
+            if operator is None:  # NOT
+                value = ~current[first] & mask
+            else:
+                value = reduce(operator, gather(current))
+            if value != values[slot]:
+                current[slot] = value
+                for reader in readers[slot]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heappush(pending, reader)
+        return [current[slot] for slot in self.output_slots]
+
+    def _cone_tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], tuple]:
+        """Build, store and return :meth:`cone_outputs`' tables.
+
+        ``readers[slot]`` lists the gate slots reading ``slot`` in
+        ascending order, a gate reading one net on several pins once;
+        ``steps[g]`` is gate ``g``'s recompute operator (:data:`_REDUCE`),
+        first operand slot and operand getter.  CONST gates read nothing,
+        so no event ever reaches them.
+        """
+        readers: List[List[int]] = [[] for _ in self.net_names]
+        steps = []
+        for slot, (kind, operands) in enumerate(self._program, self.n_inputs):
+            for operand in set(operands):
+                readers[operand].append(slot)
+            steps.append(
+                (
+                    _REDUCE.get(kind),
+                    operands[0] if operands else 0,
+                    _gather(operands),
+                )
+            )
+        self._cone = (tuple(tuple(slots) for slots in readers), tuple(steps))
+        return self._cone
 
     def pack_inputs(self, input_values: Dict[str, int]) -> List[int]:
         """Dict-keyed input values -> slot-ordered list (with presence check)."""

@@ -6,9 +6,10 @@ clients should not each reinvent:
 
 * **Transient-fault retries.**  Every request retries connection-level
   failures (refused, reset, EOF, timeout) with capped exponential
-  backoff.  Retrying ``POST /jobs`` is safe *because* the engine dedupes
-  on content identity: a resubmission whose first attempt actually landed
-  returns the same job instead of a duplicate campaign.
+  backoff, all inside one deadline (the client's ``timeout``).  Retrying
+  ``POST /jobs`` is safe *because* the engine dedupes on content
+  identity: a resubmission whose first attempt actually landed returns
+  the same job instead of a duplicate campaign.
 * **Batch + resume** (:meth:`run_batch`): jobs go up in
   admission-control-sized slices (backing off on 429), completions
   stream back, and a dropped stream -- including the server being killed
@@ -54,9 +55,15 @@ class ServiceError(ReproError):
 class ServiceClient:
     """One connection-per-request client for a running campaign service.
 
-    ``retries`` bounds per-request transient-failure retries (``0``
-    disables them); ``backoff``/``backoff_cap`` shape every backoff loop
-    in the client (request retries, 429 waits, reconnect polling).
+    ``timeout`` bounds each request in total, retries and backoff sleeps
+    included; past it the request raises :class:`ServiceError` naming the
+    deadline.  :meth:`stream` is one long-lived response, so there it
+    bounds each read instead.  ``retries`` bounds per-request
+    transient-failure retries (``0`` disables them); each attempt's
+    connection timeout is an equal share of the time remaining over the
+    attempts still allowed.  ``backoff``/``backoff_cap`` shape every
+    backoff loop in the client (request retries, 429 waits, reconnect
+    polling).
     ``stats`` counts what the resilience machinery actually did:
     ``retries`` (re-sent requests), ``reconnects`` (stream outages
     survived), ``resubmitted`` (jobs re-posted after the server lost
@@ -97,10 +104,14 @@ class ServiceClient:
 
     # -- wire plumbing -------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+    def _connection(
+        self, timeout: Optional[float] = None
+    ) -> http.client.HTTPConnection:
+        """A connection whose socket operations time out after ``timeout``
+        seconds (default: the client's ``timeout``)."""
+        if timeout is None:
+            timeout = self.timeout
+        return http.client.HTTPConnection(self.host, self.port, timeout=timeout)
 
     def _request(
         self,
@@ -114,10 +125,15 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        deadline = time.monotonic() + self.timeout
+        where = f"campaign service at {self.host}:{self.port}"
         attempt = 0
         delay = self.backoff
         while True:
-            conn = self._connection()
+            # The attempts still allowed share the time remaining, so a
+            # stalled attempt leaves time for a retry; the last gets all.
+            remaining = max(deadline - time.monotonic(), 1e-3)
+            conn = self._connection(remaining / (self.retries + 1 - attempt))
             try:
                 try:
                     conn.request(method, path, body=body, headers=headers)
@@ -128,10 +144,16 @@ class ServiceClient:
                     # restart.  Re-sending is safe for every route --
                     # GETs are pure, cancel and shutdown are idempotent,
                     # and POST /jobs dedupes on content identity.
+                    if deadline - time.monotonic() <= delay:
+                        raise ServiceError(
+                            f"{where}: no response to {method} {path} within "
+                            f"the {self.timeout}s request deadline "
+                            f"({attempt + 1} attempts): {exc}"
+                        ) from exc
                     if attempt >= self.retries:
                         raise ServiceError(
-                            f"campaign service at {self.host}:{self.port} "
-                            f"unreachable after {attempt + 1} attempts: {exc}"
+                            f"{where} unreachable after {attempt + 1} "
+                            f"attempts: {exc}"
                         ) from exc
                     attempt += 1
                     self.stats["retries"] += 1

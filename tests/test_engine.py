@@ -26,7 +26,7 @@ from repro.bist.architectures import (
 from repro.bist.misr import Misr
 from repro.exceptions import FaultError
 from repro.faults import engine
-from repro.faults.coverage import measure_coverage
+from repro.faults.coverage import FAULT_DETECTED, FAULT_MISSED, measure_coverage
 from repro.faults.engine import (
     LinearCompactor,
     campaign_telemetry,
@@ -34,6 +34,8 @@ from repro.faults.engine import (
     stream_errors,
     transpose_words,
 )
+from repro.faults.simulator import CONE_CROSSOVER_BITS, PPSFP_LANE_BITS
+from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.netlist import Netlist
 from repro.ostr.search import search_ostr
 
@@ -295,3 +297,76 @@ def _assert_fails_before_simulating(dk27_controllers, monkeypatch, option):
     with pytest.raises(TypeError):
         measure_coverage(controller, dropping=True, **option)
     assert multiprocessing.active_children() == []
+
+
+# -- the pipeline's C1/C2 fallback replay --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def train_fs_pipeline():
+    """A pipeline whose C1 and C2 replays both alias (FAULT_MISSED)."""
+    (member,) = [
+        member
+        for member in suite.corpus.members(family_filter=["mcnc"])
+        if member.name == "train_fs"
+    ]
+    return build_pipeline(search_ostr(member.build()).realization())
+
+
+def _state_block_faults(controller):
+    return [pair for pair in controller.fault_universe() if pair[0] != "LAMBDA"]
+
+
+def test_replay_with_aliasing_matches_serial_oracle(train_fs_pipeline):
+    """The replay grades survivors from their screened response streams;
+    aliasing in it (excited, but the signature difference compacts to
+    zero) must still equal the serial oracle's verdicts, field for field."""
+    controller = train_fs_pipeline
+    block_faults = _state_block_faults(controller)
+    codes = controller.campaign_detects_batch(
+        controller.campaign_reference(), block_faults
+    )
+    aliased = {block for (block, _), code in zip(block_faults, codes) if code == FAULT_MISSED}
+    assert aliased == {"C1", "C2"}
+    assert run_campaign(controller, dropping=True) == run_campaign(
+        controller, dropping=False
+    )
+
+
+#: the C1/C2 kernel entry points the replay guard counts
+_COUNTED = ("lane_overrides", "lane_eval_outputs", "lane_eval")
+
+
+@pytest.mark.parametrize("cycles", (None, 2 * CONE_CROSSOVER_BITS))
+def test_replay_never_evaluates_the_faulty_block(
+    train_fs_pipeline, monkeypatch, cycles
+):
+    """During a batch, C1/C2 are evaluated and get ``lane_overrides`` only
+    in the screen -- once per field-packed pass, or one fault-free
+    evaluation and no overrides on the cone path -- never per replay
+    cycle."""
+    controller = train_fs_pipeline
+    bundle = controller.campaign_reference(cycles=cycles)
+    blocks = {id(controller.c1.compile()): "C1", id(controller.c2.compile()): "C2"}
+    calls = {(block, method): 0 for block in ("C1", "C2") for method in _COUNTED}
+    for method in _COUNTED:
+
+        def counting(self, *args, _method=method, _original=getattr(CompiledNetlist, method)):
+            if id(self) in blocks:
+                calls[blocks[id(self)], _method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(CompiledNetlist, method, counting)
+    block_faults = _state_block_faults(controller)
+    codes = controller.campaign_detects_batch(bundle, block_faults)
+    assert FAULT_MISSED in codes or FAULT_DETECTED in codes  # a replay ran
+    for block, session in (("C1", "A"), ("C2", "B")):
+        n_faults = sum(1 for label, _ in block_faults if label == block)
+        n_bits = bundle["sessions"][session]["cycles"]
+        if n_bits > CONE_CROSSOVER_BITS:
+            expected = {"lane_overrides": 0, "lane_eval_outputs": 0, "lane_eval": 1}
+        else:
+            passes = -(-n_faults // max(1, PPSFP_LANE_BITS // n_bits))
+            expected = {"lane_overrides": passes, "lane_eval_outputs": passes, "lane_eval": 0}
+        assert {method: calls[block, method] for method in _COUNTED} == expected, block
+

@@ -84,6 +84,9 @@ def test_lane_grouping_is_invisible(data, budget_patterns):
     """Forcing tiny lane groups (down to 1 fault/pass) changes nothing."""
     netlist, faults, patterns = data
     strings = _pattern_strings(netlist, patterns)
+    # the route is by stream length, so these short pattern sets always
+    # take the field packing whose passes the shrunken budget splits
+    assert len(strings) <= simulator.CONE_CROSSOVER_BITS
     reference = simulate_patterns(netlist, strings, faults, engine="interpreted")
     # budget of N pattern-sets-worth of bits => at most N faults per pass
     with _lane_budget(max(1, len(strings)) * budget_patterns):

@@ -347,6 +347,44 @@ class TestClientResilience:
         assert client.stats["retries"] == 2
         assert sleeps == [0.05, 0.1]  # capped exponential growth
 
+    def test_request_deadline_bounds_every_attempt_and_backoff(self):
+        """``timeout`` bounds one request in total: against a server that
+        accepts and never answers, four retries and their backoff sleeps
+        still fail within the deadline, with an error naming it."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        listener.settimeout(0.05)
+        held = []
+        stop = threading.Event()
+
+        def accept_and_hold():
+            while not stop.is_set():
+                try:
+                    held.append(listener.accept()[0])
+                except socket.timeout:
+                    continue
+
+        thread = threading.Thread(target=accept_and_hold, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{listener.getsockname()[1]}",
+                timeout=1,
+                retries=4,
+            )
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="1s request deadline"):
+                client.health()
+            assert time.monotonic() - start < 2.0
+            assert client.stats["retries"] >= 1  # a stalled attempt is retried
+        finally:
+            stop.set()
+            thread.join()
+            for conn in held:
+                conn.close()
+            listener.close()
+
     def test_run_batch_429_backoff_grows_exponentially(self, monkeypatch):
         from repro.exceptions import AdmissionError
 
