@@ -49,9 +49,11 @@ python -m pytest tests/test_differential.py tests/test_prop_superposed.py \
 echo "== chaos suite (seeded crashes/pipe-close/jitter in member workers vs the in-process ledger) =="
 python -m pytest tests/test_chaos.py tests/test_sweep.py -q
 
-echo "== synthesis equivalence (bitset kernels vs label/string oracles, pair-algebra laws, Table-1 golden stats) =="
+echo "== synthesis equivalence (relation kernel vs label/string oracles, pair-algebra laws, Table-1 golden stats) =="
 python -m pytest tests/test_prop_partitions.py tests/test_prop_pairs.py \
   tests/test_prop_ostr.py tests/test_search_fast.py \
+  tests/test_kernel.py tests/test_partition.py tests/test_pairs.py \
+  tests/test_mm.py tests/test_theorem1.py tests/test_logic_cubes.py \
   tests/test_table1_golden.py tests/test_espresso.py tests/test_prop_logic.py \
   tests/test_synth_multi.py -q
 

@@ -13,8 +13,8 @@ on the packed form defined here as well: a cube is an integer pair
 ``n - 1 - j`` is bound, and ``value`` holds the bound literal values on
 those bits (``value & ~mask == 0``).  A fully specified minterm packs to
 ``int(minterm, 2)``, so containment, intersection, merging and expansion
-all become one- or two-instruction bit operations (the ``int_cube_*``
-functions below).  The string functions are kept both as the boundary
+all become one- or two-instruction bit operations (written inline in the
+minimizers; :func:`int_cube_contains` below).  The string functions are kept both as the boundary
 adapters and as the reference semantics the packed ops are property-tested
 against.
 
@@ -142,16 +142,6 @@ def unpack_cube(mask: int, value: int, n_inputs: int) -> str:
     return "".join(out)
 
 
-def int_cube_literals(mask: int) -> int:
-    """Number of bound variables of a packed cube."""
-    return mask.bit_count()
-
-
-def int_cube_covers(mask: int, value: int, minterm: int) -> bool:
-    """Does the packed cube contain the integer minterm?"""
-    return minterm & mask == value
-
-
 def int_cube_contains(outer: IntCube, inner: IntCube) -> bool:
     """Is every minterm of ``inner`` contained in ``outer``?"""
     outer_mask, outer_value = outer
@@ -159,12 +149,6 @@ def int_cube_contains(outer: IntCube, inner: IntCube) -> bool:
     return outer_mask & inner_mask == outer_mask and (
         inner_value & outer_mask == outer_value
     )
-
-
-def int_cubes_intersect(a: IntCube, b: IntCube) -> bool:
-    """Do the packed cubes share at least one minterm?"""
-    common = a[0] & b[0]
-    return a[1] & common == b[1] & common
 
 
 # ---------------------------------------------------------------------------

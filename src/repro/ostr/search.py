@@ -38,11 +38,11 @@ sufficient tests before ``m(pi)`` is even joined.  ``M`` is only computed
 on symmetric nodes that survive the Lemma-1 test: if ``m(pi) ∩ pi ⊄
 epsilon`` no candidate can exist at the node, because ``M(pi) ∩ pi ⊆
 epsilon`` together with ``m(pi) ⊆ M(pi)`` would force the m-side
-condition.  Only survivors go back to blocks, and by the Galois
-connection ``pair(a, b) <=> a ⊆ M(b)`` a survivor is symmetric iff
-``pair(m(pi), pi)``, a scan with no ``M`` at all; on the corpus machines
-only a handful of survivors per search pass it (details in
-``_run_bitset``).
+condition.  By the Galois connection ``pair(a, b) <=> a ⊆ M(b)`` a
+survivor is symmetric iff ``pair(m(pi), pi)``, a scan of ``pi``'s owner
+array with no ``M`` at all; on the corpus machines only a handful of
+survivors per search pass it, and only those build ``M(pi)`` and go back
+to label tuples (details in ``_run_bitset``).
 A node's subtree depends only on its join and its ``next_index``, and
 different subsets reach the same join, so the engine also *replays*
 finished subtrees: when an expanded node's subtree is done, a post-order
@@ -160,9 +160,9 @@ def search_ostr(
     ``tbk``/timeout row of Table 1.
 
     The default engine runs on relation integers (see the module
-    docstring): each partition is one ``n*n``-bit integer from
-    :func:`~repro.partitions.kernel.bitset_kernel`, each Lemma-1 test one
-    AND chain, ``m`` carried incrementally along DFS edges, ``M`` only on
+    docstring): each partition is one ``n*n``-bit integer of the machine's
+    :func:`~repro.partitions.kernel.bitset_kernel`, the kernel's only fast
+    partition form, each Lemma-1 test one AND chain, ``m`` carried incrementally along DFS edges, ``M`` only on
     unpruned symmetric nodes, and memo caches keyed by the relation
     integer for node evaluations and by node id for the ``join(pi,
     basis[i])`` DFS edges.
@@ -329,11 +329,12 @@ def _run_bitset(
       ``meet(M(pi), pi) ⊆ epsilon`` would imply the m-side condition via
       ``m(pi) ⊆ M(pi)``, so no candidate exists and the subtree is pruned
       without touching ``M`` -- on the Table-1 machines ~99% of
-      investigated nodes prune.  Only survivors go back to blocks: a
-      survivor is tested for symmetry as ``is_pair(m(pi), pi)``
-      (equivalent to ``m(pi) ⊆ M(pi)`` by the Galois connection) against
-      ``pi``'s owner array, and only the rare symmetric ones (1 of dk16's 3,286
-      survivors, 2 of tbk's 178) build ``M(pi)`` for the M-side test;
+      investigated nodes prune.  A survivor is tested for symmetry as
+      ``is_pair(m(pi), pi)`` (equivalent to ``m(pi) ⊆ M(pi)`` by the
+      Galois connection), which reads ``pi``'s owner array, and only the
+      rare symmetric ones (1 of dk16's 3,286 survivors, 2 of tbk's 178)
+      build ``M(pi)`` for the M-side test and convert their candidates
+      to label tuples;
     * DFS edges, and the incremental ``m`` join, take the basis element
       (or its ``m`` image) as element lists precomputed once per search
       and resolve them through the parent's owner array (``pi``'s, or
@@ -345,25 +346,20 @@ def _run_bitset(
     """
     kern = kernel.bitset_kernel(succ)
     n_basis = len(basis)
-    relation = kern.relation
     owners = kern.owners
     join = kern.join_relation
-    basis_masks = [kern.from_labels(b) for b in basis]
-    basis_m_masks = [kern.m(masks) for masks in basis_masks]
+    basis_rel = [kern.from_labels(b) for b in basis]
+    basis_m = [kern.m(b) for b in basis_rel]
     # The basis and its m images as element lists (the DFS-edge join
     # constraints) and, for the Lemma-1 pre-tests, the pairs of each m
     # image that leave epsilon.
-    basis_el = [kern.element_blocks(kern.nontrivial(m)) for m in basis_masks]
-    basis_m_el = [kern.element_blocks(kern.nontrivial(m)) for m in basis_m_masks]
-    not_eps = ~relation(kern.from_labels(epsilon))
-    basis_m_out = [relation(m) & not_eps for m in basis_m_masks]
+    basis_el = [kern.element_blocks(b) for b in basis_rel]
+    basis_m_el = [kern.element_blocks(m) for m in basis_m]
+    not_eps = ~kern.from_labels(epsilon)
+    basis_m_out = [m & not_eps for m in basis_m]
     # Pre-test (a): every node reached over edge i prunes.
-    via_prunes = [
-        bool(out & relation(b)) for out, b in zip(basis_m_out, basis_masks)
-    ]
-    from_sparse = kern.from_sparse
+    via_prunes = [bool(out & b) for out, b in zip(basis_m_out, basis_rel)]
     to_labels = kern.to_labels
-    is_pair_owner = kern.is_pair_owner
     extended = policy == "extended"
 
     # Memo tables: node evaluations are keyed by the relation integer;
@@ -435,7 +431,7 @@ def _run_bitset(
         investigated += 1
         if entry is None:
             if parent is None:  # root: m(identity) computed outright
-                mu = relation(kern.m(kern.identity_masks))
+                mu = kern.m(kern.diagonal)
             elif prune and (
                 via_prunes[via_index]
                 or (basis_m_out[via_index] | parent[2]) & r
@@ -451,21 +447,19 @@ def _run_bitset(
                 candidates: List[Tuple[Labels, Labels]] = []
                 # Symmetry of the Mm-pair, m(pi) <= M(pi), is pair(m(pi), pi)
                 # by the Galois connection; M(pi) is only built when it holds.
-                mu_blocks = {row for row in owners(mu) if row & (row - 1)}
-                owner = owners(r)
-                if is_pair_owner(mu_blocks, owner):
-                    full = from_sparse({row for row in owner if row & (row - 1)})
-                    big = kern.big_m(full)
-                    labels = to_labels(full)
-                    mu_labels = to_labels(from_sparse(mu_blocks))
-                    if not relation(big) & r & not_eps:
-                        candidates.append((to_labels(big), labels))
+                if kern.is_pair(mu, r):
+                    big = kern.big_m(r)
+                    labels = to_labels(r)
+                    mu_labels = to_labels(mu)
+                    big_labels = to_labels(big)
+                    if not big & r & not_eps:
+                        candidates.append((big_labels, labels))
                     else:  # m side is known to hold here
                         candidates.append((mu_labels, labels))
                     if extended:
                         candidates.extend(
                             _extended_candidates(
-                                succ, mu_labels, to_labels(big), labels, epsilon
+                                succ, mu_labels, big_labels, labels, epsilon
                             )
                         )
                 entry = (candidates, False, mu, len(evaluation_cache), r)

@@ -130,16 +130,16 @@ def realize(
     if pi.universe != spec.states or theta.universe != spec.states:
         raise RealizationError("partition universes must equal the machine states")
     succ = spec.succ_table
-    # Hypothesis checks run on the machine's shared bitset kernel: the
-    # search that produced (pi, theta) used the same kernel, so these are
-    # memo hits rather than fresh label scans.
+    # Hypothesis checks run on relation integers of the machine's shared
+    # kernel, the one the search that produced (pi, theta) ran on.
     kern = kernel.bitset_kernel(succ)
-    if not kern.is_pair_labels(pi.labels, theta.labels):
+    r_pi, r_theta = kern.from_labels(pi.labels), kern.from_labels(theta.labels)
+    if not kern.is_pair(r_pi, r_theta):
         raise RealizationError("(pi, theta) is not a partition pair")
-    if not kern.is_pair_labels(theta.labels, pi.labels):
+    if not kern.is_pair(r_theta, r_pi):
         raise RealizationError("(pi, theta) is not symmetric ((theta, pi) fails)")
-    epsilon = equivalence_labels(spec)
-    if not kern.meet_refines_labels(pi.labels, theta.labels, epsilon):
+    epsilon = kern.from_labels(equivalence_labels(spec))
+    if not kern.meet_refines(r_pi, r_theta, epsilon):
         raise RealizationError(
             "pi ∩ theta does not refine the state equivalence epsilon; "
             "lambda* would be ill-defined"

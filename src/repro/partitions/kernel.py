@@ -1,8 +1,8 @@
-"""Low-level partition operations: canonical label tuples and block bitsets.
+"""Low-level partition operations: canonical label tuples and relation integers.
 
 The OSTR depth-first search evaluates partition-algebra operators at every
 node of a potentially very large search tree, so the inner loop avoids
-objects entirely.  Three interchangeable representations of a partition of
+objects entirely.  Two interchangeable representations of a partition of
 ``{0, .., n-1}`` are provided:
 
 * a *canonical label tuple*: ``labels[i]`` is the block id of element ``i``
@@ -15,20 +15,14 @@ objects entirely.  Three interchangeable representations of a partition of
   :func:`big_m_operator`, ...) operate on this form and are the *reference
   oracle* for everything faster;
 
-* a *canonical mask tuple*: one Python-int bitmask per block (bit ``i``
-  set iff element ``i`` is in the block), ordered by lowest set bit --
-  which coincides with first-occurrence label order, so the two forms are
-  bijective (:func:`labels_to_masks` / :func:`masks_to_labels`).  The
-  :class:`BitsetLattice` / :class:`BitsetKernel` classes implement the
-  same algebra word-parallel on this form (AND/OR/popcount over whole
-  blocks at once) with per-universe and per-``SuccTable`` memo caches;
-  the :class:`~repro.partitions.partition.Partition` call sites route
-  through them;
-
 * a *relation integer*: the equivalence relation as one ``n*n``-bit
-  integer, row ``x`` holding ``x``'s block mask
-  (:meth:`BitsetLattice.relation` / :meth:`BitsetLattice.owners`).  Meet
-  is one AND, and the production OSTR search runs on this form.
+  integer, row ``x`` holding ``x``'s block mask.  This is the paper's own
+  view of a partition, a subset of ``S x S`` ordered by inclusion: meet
+  is one AND and refinement one AND-NOT.  The :class:`BitsetLattice` /
+  :class:`BitsetKernel` classes implement the algebra on this form, with
+  one :meth:`~BitsetLattice.from_labels` / :meth:`~BitsetLattice.to_labels`
+  pair at the label boundary; the production OSTR search and the
+  :class:`~repro.partitions.partition.Partition` call sites run on it.
 
 Machine transition structure enters through a *successor table*
 ``succ[s][i]`` giving the next-state index of state ``s`` under input ``i``.
@@ -41,18 +35,17 @@ by the paper) are provided in both representations:
   theta)`` is a partition pair (:func:`big_m_operator` /
   :meth:`BitsetKernel.big_m`).
 
-The module-level functions are pure and side-effect free; the bitset
-classes are immutable except for their internal memo caches.
+The module-level functions are pure and side-effect free; the kernel
+classes are immutable except for their ``m``/``M`` memo caches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .unionfind import UnionFind
 
 Labels = Tuple[int, ...]
-Masks = Tuple[int, ...]
 SuccTable = Sequence[Sequence[int]]
 
 
@@ -141,20 +134,6 @@ def join(a: Labels, b: Labels) -> Labels:
             uf.union(first_b[lb], element)
         else:
             first_b[lb] = element
-    return uf.labels()
-
-
-def join_many(parts: Sequence[Labels], n: int) -> Labels:
-    """Join of an arbitrary collection of partitions of ``0..n-1``."""
-    uf = UnionFind(n)
-    for labels in parts:
-        first: Dict[int, int] = {}
-        for element in range(n):
-            label = labels[element]
-            if label in first:
-                uf.union(first[label], element)
-            else:
-                first[label] = element
     return uf.labels()
 
 
@@ -295,42 +274,8 @@ def is_symmetric_pair(succ: SuccTable, a: Labels, b: Labels) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitset-native partition algebra
+# Relation-integer partition algebra
 # ---------------------------------------------------------------------------
-
-
-def labels_to_masks(labels: Sequence[int]) -> Masks:
-    """Canonical label tuple -> canonical mask tuple (one int per block).
-
-    Block ``k``'s mask has bit ``i`` set iff ``labels[i] == k``.  Canonical
-    first-occurrence label order is exactly ascending lowest-set-bit order
-    of the masks, so the conversion is a bijection on canonical forms.
-    """
-    if not labels:
-        return ()
-    out = [0] * (max(labels) + 1)
-    bit = 1
-    for label in labels:
-        out[label] |= bit
-        bit <<= 1
-    return tuple(out)
-
-
-def masks_to_labels(masks: Masks, n: int) -> Labels:
-    """Canonical mask tuple -> canonical label tuple (inverse conversion)."""
-    out = [0] * n
-    for index, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out[low.bit_length() - 1] = index
-            rest ^= low
-    return tuple(out)
-
-
-def _lowbit_key(mask: int) -> int:
-    """Sort key: a block mask's lowest set bit (canonical block order)."""
-    return mask & -mask
 
 
 _SPREADERS: Dict[int, Callable[[int], int]] = {}
@@ -378,178 +323,73 @@ def _spreader(n: int) -> Callable[[int], int]:
     return spread
 
 
-class BitsetLattice:
-    """Word-parallel partition lattice over a fixed ``n``-element universe.
+def _elements(mask: int) -> Tuple[int, ...]:
+    """The set bits of ``mask``, lowest first."""
+    out: List[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    Partitions are canonical mask tuples; every operation touches whole
-    blocks with single big-int AND/OR/subset instructions instead of
-    per-element label scans.  Derived per-partition structure (the
-    nontrivial blocks, the element->block arrays, the label form) is memo
-    cached keyed by the masks tuple, because the same operands recur
-    constantly in the OSTR search and in :class:`~repro.partitions.
-    partition.Partition` call sites.  Caches self-clear past a size limit
-    so long campaigns cannot grow them without bound.
+
+class BitsetLattice:
+    """The partition lattice of an ``n``-element universe on relation integers.
+
+    A partition is its equivalence relation as one ``n*n``-bit integer:
+    row ``x`` (bits ``n*x .. n*x + n - 1``) is the block mask of ``x``, so
+    ``R = sum(owner[x] << n*x)``.  One partition has exactly one relation
+    integer, so the integer is directly a memo key, and the lattice is
+    the paper's inclusion order on ``S x S``: ``a & b`` is the meet, ``a
+    <= b`` is ``not a & ~b``, and ``meet(a, b) <= bound`` is one AND
+    chain.  A block ``B`` contributes ``B * spread(B)``, where ``spread``
+    moves bit ``x`` to bit ``n*x`` (the product has no carries: each
+    shifted copy of ``B`` fills one row).
     """
 
-    __slots__ = (
-        "n",
-        "identity_masks",
-        "one_masks",
-        "_nontrivial",
-        "_arrays",
-        "_masks_of",
-        "_labels_of",
-        "full",
-        "diagonal",
-        "spread",
-        "_shifts",
-    )
-
-    _CACHE_LIMIT = 1 << 17
+    __slots__ = ("n", "full", "diagonal", "universal", "spread", "_shifts")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.identity_masks: Masks = tuple(1 << i for i in range(n))
-        self.one_masks: Masks = ((1 << n) - 1,) if n else ()
-        self._nontrivial: Dict[Masks, Tuple[int, ...]] = {}
-        self._arrays: Dict[Masks, Tuple[List[int], List[int]]] = {}
-        self._masks_of: Dict[Labels, Masks] = {}
-        self._labels_of: Dict[Masks, Labels] = {}
         self.full = (1 << n) - 1
         self.diagonal = sum(1 << (n + 1) * x for x in range(n))
+        self.universal = (1 << n * n) - 1
         self.spread = _spreader(n)
-        self._shifts = range(0, n * n, n)
+        self._shifts = range(0, n * n, n or 1)
 
-    # -- conversions and cached structure views -----------------------------
+    # -- the label boundary ---------------------------------------------------
 
-    def from_labels(self, labels: Labels) -> Masks:
-        """Cached :func:`labels_to_masks` (labels must be canonical)."""
-        masks = self._masks_of.get(labels)
-        if masks is None:
-            if len(self._masks_of) >= self._CACHE_LIMIT:
-                self._masks_of.clear()
-            masks = self._masks_of[labels] = labels_to_masks(labels)
-        return masks
+    def from_labels(self, labels: Sequence[int]) -> int:
+        """Relation integer of a label tuple (block ids in ``0..n-1``, in
+        any order)."""
+        blocks = [0] * self.n
+        bit = 1
+        for label in labels:
+            blocks[label] |= bit
+            bit <<= 1
+        return self.relation(blocks)
 
-    def to_labels(self, masks: Masks) -> Labels:
-        """Cached :func:`masks_to_labels`."""
-        labels = self._labels_of.get(masks)
-        if labels is None:
-            if len(self._labels_of) >= self._CACHE_LIMIT:
-                self._labels_of.clear()
-            labels = self._labels_of[masks] = masks_to_labels(masks, self.n)
-        return labels
+    def to_labels(self, relation: int) -> Labels:
+        """Canonical label tuple of a relation integer."""
+        owner = self.owners(relation)
+        # dict.fromkeys lists the blocks in first-occurrence order.
+        ids = dict(zip(dict.fromkeys(owner), range(self.n)))
+        return tuple(map(ids.__getitem__, owner))
 
-    def nontrivial(self, masks: Masks) -> Tuple[int, ...]:
-        """The canonical sparse form: blocks with more than one element
-        (all others are inert), in ascending integer order."""
-        nt = self._nontrivial.get(masks)
-        if nt is None:
-            if len(self._nontrivial) >= self._CACHE_LIMIT:
-                self._nontrivial.clear()
-            nt = self._nontrivial[masks] = tuple(
-                sorted(mask for mask in masks if mask & (mask - 1))
-            )
-        return nt
-
-    def arrays(self, masks: Masks) -> Tuple[List[int], List[int]]:
-        """Per-element views: ``labels[i]`` block index, ``owner[i]`` block mask."""
-        entry = self._arrays.get(masks)
-        if entry is None:
-            if len(self._arrays) >= self._CACHE_LIMIT:
-                self._arrays.clear()
-            labels = [0] * self.n
-            owner = [0] * self.n
-            for index, mask in enumerate(masks):
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    element = low.bit_length() - 1
-                    labels[element] = index
-                    owner[element] = mask
-                    rest ^= low
-            entry = self._arrays[masks] = (labels, owner)
-        return entry
-
-    # -- the sparse (nontrivial-blocks-only) representation -----------------
-    #
-    # A partition is equally determined by its nontrivial blocks alone
-    # (every uncovered element is a singleton).  The canonical sparse form
-    # (:meth:`nontrivial`) orders the blocks by plain integer value: blocks
-    # are disjoint, so that is highest-set-bit order and one partition has
-    # exactly one sparse tuple, while sorting needs no key function.  The
-    # full form keeps lowest-bit order, which :meth:`from_sparse` restores
-    # from a sparse collection in any order.
-
-    def from_sparse(self, sparse: Iterable[int]) -> Masks:
-        """Nontrivial-blocks form -> full canonical mask tuple."""
-        covered = 0
-        for mask in sparse:
-            covered |= mask
-        out = list(sparse)
-        rest = (self.one_masks[0] & ~covered) if self.n else 0
-        while rest:
-            low = rest & -rest
-            out.append(low)
-            rest ^= low
-        out.sort(key=_lowbit_key)
-        return tuple(out)
-
-    @staticmethod
-    def _resolve_constraints(
-        owner: List[int], constraints: Sequence[int]
-    ) -> Optional[List[int]]:
-        """Resolve constraint masks through ``owner`` into merged masks.
-
-        The core of :meth:`join_constraints`: each constraint visits one
-        representative bit per distinct block (the rest cleared with a
-        single AND) and accumulates the union of the blocks it touches;
-        constraints already inside one block are dropped, and overlapping
-        accumulated masks are unioned.  Returns ``None`` when every
-        constraint was a no-op (the join is ``base``).
-        """
-        merged: Optional[List[int]] = None
-        for constraint in constraints:
-            rest = constraint
-            block = owner[(rest & -rest).bit_length() - 1]
-            acc = block
-            rest &= ~block
-            if not rest:
-                continue  # constraint already inside one block: no-op
-            while rest:
-                block = owner[(rest & -rest).bit_length() - 1]
-                acc |= block
-                rest &= ~block
-            if merged is None:
-                merged = [acc]
-                continue
-            for i in range(len(merged) - 1, -1, -1):
-                other = merged[i]
-                if other & acc:
-                    acc |= other
-                    del merged[i]
-            merged.append(acc)
-        return merged
-
-    # -- the relation form ----------------------------------------------------
-    #
-    # The OSTR search runs on the partition as its equivalence relation:
-    # one ``n*n``-bit integer whose row ``x`` (bits ``n*x .. n*x + n - 1``)
-    # is the block mask of ``x``, ``R = sum(owner[x] << n*x)``.  One
-    # partition has exactly one relation integer, so the integer itself is
-    # the search's evaluation-cache key, and relations compose bitwise:
-    # ``R(a) & R(b)`` is ``R(meet(a, b))``, so ``meet(a, b) <= eps`` is
-    # ``R(a) & R(b) & ~R(eps) == 0``.  A block ``B`` contributes ``B *
-    # spread(B)``, where ``spread`` moves bit ``x`` to bit ``n*x`` (the
-    # product has no carries: each shifted copy of ``B`` fills one row).
+    # -- blocks ---------------------------------------------------------------
 
     def relation(self, masks: Iterable[int]) -> int:
-        """Relation integer of a partition given by its blocks (full or
-        sparse form: the diagonal stands in for the singletons)."""
+        """Relation integer of a partition given by its block masks.
+
+        Singleton (and empty) masks may be left out or passed: only
+        multi-element blocks are spread, the diagonal stands in for the
+        rest.
+        """
         spread = self.spread
         out = self.diagonal
         for mask in masks:
-            out |= mask * spread(mask)
+            if mask & (mask - 1):
+                out |= mask * spread(mask)
         return out
 
     def owners(self, relation: int) -> List[int]:
@@ -557,22 +397,19 @@ class BitsetLattice:
         full = self.full
         return [relation >> shift & full for shift in self._shifts]
 
-    @staticmethod
-    def element_blocks(sparse: Masks) -> Tuple[Tuple[int, ...], ...]:
-        """Each block of ``sparse`` as the tuple of its element indices.
+    def element_blocks(self, relation: int) -> Tuple[Tuple[int, ...], ...]:
+        """The blocks with more than one element, each as the tuple of its
+        elements, in order of lowest element.
 
         The constraint form :meth:`join_relation` takes; the search builds
         it once per basis element and reuses it on every DFS edge.
         """
         out: List[Tuple[int, ...]] = []
-        for mask in sparse:
-            elements: List[int] = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                elements.append(low.bit_length() - 1)
-                rest ^= low
-            out.append(tuple(elements))
+        low = 1
+        for row in self.owners(relation):
+            if row != low and not row & (low - 1):  # x is its block's lowest
+                out.append(_elements(row))
+            low <<= 1
         return tuple(out)
 
     def join_relation(
@@ -617,246 +454,116 @@ class BitsetLattice:
 
     # -- lattice operations -------------------------------------------------
 
-    def meet(self, a: Masks, b: Masks) -> Masks:
-        """Coarsest common refinement: split every block of ``a`` by ``b``."""
-        if a == b:
-            return a
-        owner_b = self.arrays(b)[1]
-        out: List[int] = []
-        for am in a:
-            if am & (am - 1):
-                rest = am
-                while rest:
-                    low = rest & -rest
-                    block = rest & owner_b[low.bit_length() - 1]
-                    out.append(block)
-                    rest ^= block
-            else:
-                out.append(am)
-        out.sort(key=_lowbit_key)
-        return tuple(out)
+    @staticmethod
+    def meet(a: int, b: int) -> int:
+        """Coarsest common refinement: the intersection of the relations."""
+        return a & b
 
-    def join_constraints(
-        self,
-        base: Masks,
-        constraints: Sequence[int],
-        owner: Optional[List[int]] = None,
-    ) -> Masks:
-        """Coarsen ``base`` until every constraint mask lies inside one block.
-
-        The workhorse behind :meth:`join` and :meth:`BitsetKernel.m` (the
-        search joins on the relation form, :meth:`join_relation`).  Each
-        constraint's reach is resolved through the owner array into one
-        merged mask -- visiting a single representative bit per distinct
-        block, the rest cleared with one AND -- overlapping merged masks
-        are unioned, and the result is assembled in canonical order by
-        emitting each merged mask in place of its lowest block.
-        Constraints already inside one block are dropped on the fly, so a
-        fully redundant call returns ``base`` itself without rebuilding it.
-        """
-        if not constraints:
-            return base
-        if owner is None:
-            owner = self.arrays(base)[1]
-        merged = self._resolve_constraints(owner, constraints)
-        if merged is None:
-            return base
-        # Every base block is either disjoint from the merged region or a
-        # subset of exactly one merged mask; emit each merged mask in
-        # place of its lowest block and drop the other absorbed blocks.
-        union = 0
-        lows: Dict[int, int] = {}
-        for acc in merged:
-            union |= acc
-            lows[acc & -acc] = acc
-        return tuple(
-            lows[mask & -mask] if mask & union else mask
-            for mask in base
-            if not mask & union or (mask & -mask) in lows
-        )
-
-    def join(self, a: Masks, b: Masks) -> Masks:
+    def join(self, a: int, b: int) -> int:
         """Finest common coarsening: merge ``a``-blocks along ``b``'s blocks."""
-        if a == b:
-            return a
-        return self.join_constraints(a, self.nontrivial(b))
+        return self.join_relation(a, self.owners(a), self.element_blocks(b))
 
-    def refines(self, a: Masks, b: Masks) -> bool:
-        """``a <= b``: every (nontrivial) block of ``a`` inside a ``b`` block."""
-        if a == b:
-            return True
-        owner_b = self.arrays(b)[1]
-        for am in self.nontrivial(a):
-            low = am & -am
-            if am & ~owner_b[low.bit_length() - 1]:
-                return False
-        return True
+    @staticmethod
+    def refines(a: int, b: int) -> bool:
+        """``a <= b``: the relation ``a`` is a subset of ``b``."""
+        return not a & ~b
 
-    def meet_refines(self, a: Masks, b: Masks, bound: Masks) -> bool:
-        """Fused ``refines(meet(a, b), bound)`` without materialising the meet."""
-        return self.meet_refines_owner(a, b, self.arrays(bound)[1])
-
-    def meet_refines_owner(
-        self, a: Masks, b: Masks, bound_owner: List[int]
-    ) -> bool:
-        """:meth:`meet_refines` against a precomputed bound owner array.
-
-        Only multi-element intersections can violate the bound, so the scan
-        walks nontrivial-block pairs and tests each intersection against
-        the bound block of its lowest element with one subset instruction.
-        """
-        nt_b = self.nontrivial(b)
-        for am in self.nontrivial(a):
-            for bm in nt_b:
-                x = am & bm
-                if x & (x - 1):
-                    if x & ~bound_owner[(x & -x).bit_length() - 1]:
-                        return False
-        return True
-
-    # -- label-level wrappers (Partition and friends) -----------------------
-
-    def meet_labels(self, a: Labels, b: Labels) -> Labels:
-        return self.to_labels(self.meet(self.from_labels(a), self.from_labels(b)))
-
-    def join_labels(self, a: Labels, b: Labels) -> Labels:
-        return self.to_labels(self.join(self.from_labels(a), self.from_labels(b)))
-
-    def refines_labels(self, a: Labels, b: Labels) -> bool:
-        return self.refines(self.from_labels(a), self.from_labels(b))
+    @staticmethod
+    def meet_refines(a: int, b: int, bound: int) -> bool:
+        """``refines(meet(a, b), bound)`` as one AND chain."""
+        return not a & b & ~bound
 
 
 class BitsetKernel(BitsetLattice):
-    """Machine-bound bitset partition algebra (the paper's Mm operators).
+    """Machine-bound relation algebra (the paper's Mm operators).
 
-    Binds :class:`BitsetLattice` to one successor table: successor bits
-    (``1 << succ[s][i]``) and per-input preimage masks are precomputed
-    once, and ``m``/``big_m`` results are memo cached per partition -- the
-    OSTR search, Theorem-1 verification and the ``pairs``/``mm`` helpers
-    all share one kernel per machine through :func:`bitset_kernel`.
+    Binds :class:`BitsetLattice` to one successor table: the rows and the
+    per-input preimage masks are precomputed once, and ``m``/``big_m``
+    results are memo cached per relation integer -- the OSTR search,
+    Theorem-1 verification and the ``pairs``/``mm`` helpers all share one
+    kernel per machine through :func:`bitset_kernel`.  Caches self-clear
+    past a size limit so long campaigns cannot grow them without bound.
     """
 
-    __slots__ = ("rows", "n_inputs", "succ_bits", "_pre", "_m_cache", "_big_m_cache")
+    __slots__ = ("rows", "_singletons", "_pre", "_m_cache", "_big_m_cache")
+
+    _CACHE_LIMIT = 1 << 17
 
     def __init__(self, succ: SuccTable) -> None:
         rows = tuple(tuple(row) for row in succ)
         super().__init__(len(rows))
         self.rows = rows
-        self.n_inputs = len(rows[0]) if rows else 0
-        self.succ_bits: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(1 << target for target in row) for row in rows
-        )
-        pre = [[0] * self.n for _ in range(self.n_inputs)]
+        self._singletons = self.owners(self.diagonal)
+        pre = [[0] * self.n for _ in rows[0]] if rows else []
         for state, row in enumerate(rows):
             bit = 1 << state
             for i, target in enumerate(row):
                 pre[i][target] |= bit
         self._pre: Tuple[Tuple[int, ...], ...] = tuple(tuple(p) for p in pre)
-        self._m_cache: Dict[Masks, Masks] = {}
-        self._big_m_cache: Dict[Masks, Masks] = {}
+        self._m_cache: Dict[int, int] = {}
+        self._big_m_cache: Dict[int, int] = {}
 
-    def image(self, mask: int, i: int) -> int:
-        """Successor image of a state set under input ``i``, as a mask."""
-        succ_bits = self.succ_bits
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= succ_bits[low.bit_length() - 1][i]
-            rest ^= low
-        return out
+    def m(self, relation: int) -> int:
+        """Relation :func:`m_operator`: join the block images into the diagonal.
 
-    def m(self, masks: Masks) -> Masks:
-        """Bitset :func:`m_operator`: close the successor images of blocks.
-
-        Every nontrivial block contributes one image mask per input; the
-        result is the identity partition coarsened until each image lies
-        inside one block.  Memoised per partition.
+        Every nontrivial block contributes its successor list under each
+        input as one join constraint.  Memoised per partition.
         """
-        cached = self._m_cache.get(masks)
+        cached = self._m_cache.get(relation)
         if cached is not None:
             return cached
         if len(self._m_cache) >= self._CACHE_LIMIT:
             self._m_cache.clear()
-        constraints: List[int] = []
-        n_inputs = self.n_inputs
-        for bm in self.nontrivial(masks):
-            for i in range(n_inputs):
-                img = self.image(bm, i)
-                if img & (img - 1):
-                    constraints.append(img)
-        result = self.join_constraints(self.identity_masks, constraints)
-        self._m_cache[masks] = result
+        rows = self.rows
+        images: List[Tuple[int, ...]] = []
+        for block in self.element_blocks(relation):
+            images.extend(zip(*[rows[state] for state in block]))
+        result = self.join_relation(self.diagonal, self._singletons, images)
+        self._m_cache[relation] = result
         return result
 
-    def big_m(self, masks: Masks) -> Masks:
-        """Bitset :func:`big_m_operator` via word-parallel preimages.
+    def big_m(self, relation: int) -> int:
+        """Relation :func:`big_m_operator`: the AND over inputs of the
+        preimage relations.
 
-        ``M(theta)`` is the meet over inputs of the preimage partitions
-        ``{ delta_i^{-1}(B) | B in theta }``; each preimage block is an OR
-        of per-target preimage masks.  Memoised per partition.
+        Under input ``i`` the blocks ``{ delta_i^{-1}(B) | B in theta }``
+        partition the states; each is an OR of per-target preimage masks.
+        With no inputs ``M`` is the universal relation.  Memoised per
+        partition.
         """
-        cached = self._big_m_cache.get(masks)
+        cached = self._big_m_cache.get(relation)
         if cached is not None:
             return cached
         if len(self._big_m_cache) >= self._CACHE_LIMIT:
             self._big_m_cache.clear()
-        if self.n_inputs == 0:
-            result = self.one_masks
-        else:
-            result = None
-            for i in range(self.n_inputs):
-                pre_i = self._pre[i]
-                blocks: List[int] = []
-                for tb in masks:
-                    pm = 0
-                    rest = tb
-                    while rest:
-                        low = rest & -rest
-                        pm |= pre_i[low.bit_length() - 1]
-                        rest ^= low
-                    if pm:
-                        blocks.append(pm)
-                blocks.sort(key=_lowbit_key)
-                part = tuple(blocks)
-                result = part if result is None else self.meet(result, part)
-        self._big_m_cache[masks] = result
+        blocks = [_elements(row) for row in set(self.owners(relation))]
+        result = self.universal
+        for pre_i in self._pre:
+            preimages = []
+            for block in blocks:
+                pm = 0
+                for target in block:
+                    pm |= pre_i[target]
+                preimages.append(pm)
+            result &= self.relation(preimages)
+        self._big_m_cache[relation] = result
         return result
 
-    def is_pair(self, a: Masks, b: Masks) -> bool:
-        """Definition 4 on masks: each ``a``-block's images stay in ``b`` blocks."""
-        return self.is_pair_owner(self.nontrivial(a), self.arrays(b)[1])
-
-    def is_pair_owner(self, a_blocks: Iterable[int], owner_b: List[int]) -> bool:
-        """:meth:`is_pair` for ``a``'s nontrivial blocks against ``b``'s
-        owner array (from :meth:`arrays` or :meth:`owners`)."""
-        image = self.image
-        inputs = range(self.n_inputs)
-        for am in a_blocks:
-            for i in inputs:
-                img = image(am, i)
-                if img & ~owner_b[(img & -img).bit_length() - 1]:
+    def is_pair(self, a: int, b: int) -> bool:
+        """Definition 4: the states of each ``a``-block have, input by
+        input, successors in one ``b``-block -- the same rows of ``b``'s
+        owner array."""
+        owner = self.owners(b)
+        seen: Dict[int, List[int]] = {}
+        for block, row in zip(self.owners(a), self.rows):
+            if block & (block - 1):
+                targets = [owner[target] for target in row]
+                if seen.setdefault(block, targets) != targets:
                     return False
         return True
 
-    def is_symmetric_pair(self, a: Masks, b: Masks) -> bool:
+    def is_symmetric_pair(self, a: int, b: int) -> bool:
         return self.is_pair(a, b) and self.is_pair(b, a)
-
-    # -- label-level wrappers -----------------------------------------------
-
-    def m_labels(self, labels: Labels) -> Labels:
-        return self.to_labels(self.m(self.from_labels(labels)))
-
-    def big_m_labels(self, labels: Labels) -> Labels:
-        return self.to_labels(self.big_m(self.from_labels(labels)))
-
-    def is_pair_labels(self, a: Labels, b: Labels) -> bool:
-        return self.is_pair(self.from_labels(a), self.from_labels(b))
-
-    def meet_refines_labels(self, a: Labels, b: Labels, bound: Labels) -> bool:
-        return self.meet_refines(
-            self.from_labels(a), self.from_labels(b), self.from_labels(bound)
-        )
 
 
 _LATTICES: Dict[int, BitsetLattice] = {}

@@ -59,26 +59,27 @@ def m_basis(succ: SuccTable, universe: Sequence) -> List[Partition]:
 def mm_pairs(succ: SuccTable, universe: Sequence) -> List[Tuple[Partition, Partition]]:
     """All Mm-pairs ``(pi, theta)`` of the machine, for small machines.
 
-    Enumerates the closure of the basis under joins (the "m sides"), then
+    Enumerates the closure of the basis under joins (the "m sides", as
+    relation integers of the machine's shared kernel), then
     pairs each ``theta`` with ``pi = M(theta)`` and keeps those where
     ``m(pi) == theta``.  The trivial identity m-side is included, since
     ``(M(identity), identity)`` can be a legitimate Mm-pair.
     """
-    n = len(succ)
     kern = kernel.bitset_kernel(succ)
-    basis = m_basis_labels(succ)
-    closed: Set[Labels] = {kernel.identity(n)}
-    frontier: List[Labels] = list(closed)
+    basis = [kern.from_labels(labels) for labels in m_basis_labels(succ)]
+    closed: Set[int] = {kern.diagonal}
+    frontier: List[int] = list(closed)
     while frontier:
         current = frontier.pop()
         for element in basis:
-            joined = kern.join_labels(current, element)
+            joined = kern.join(current, element)
             if joined not in closed:
                 closed.add(joined)
                 frontier.append(joined)
+    to_labels = kern.to_labels
     out = []
-    for theta in sorted(closed):
-        pi = kern.big_m_labels(theta)
-        if kern.m_labels(pi) == theta:
-            out.append((Partition(universe, pi), Partition(universe, theta)))
+    for theta in sorted(closed, key=to_labels):
+        pi = kern.big_m(theta)
+        if kern.m(pi) == theta:
+            out.append((Partition(universe, to_labels(pi)), Partition(universe, to_labels(theta))))
     return out

@@ -6,8 +6,9 @@ table.  The successor table is the index-based next-state function
 ``succ[s][i]`` and is deliberately decoupled from the FSM class so that the
 partition layer has no dependency on :mod:`repro.fsm`.  All queries route
 through the shared per-machine :func:`~repro.partitions.kernel.
-bitset_kernel`, so repeated questions about the same machine hit its memo
-caches.
+bitset_kernel` on relation integers (one ``from_labels`` per operand, one
+``to_labels`` per result), so repeated ``m``/``M`` questions about the same
+machine hit its memo caches.
 
 Terminology maps to the paper as follows (``pi``/``theta`` are equivalence
 relations on the state set ``S``):
@@ -43,42 +44,38 @@ def _check(succ: SuccTable, *parts: Partition) -> None:
         raise PartitionError("partitions are over different universes")
 
 
+def _kernel(succ: SuccTable, *parts: Partition):
+    """The machine's shared kernel and each partition as a relation integer."""
+    _check(succ, *parts)
+    kern = kernel.bitset_kernel(succ)
+    return (kern, *(kern.from_labels(part.labels) for part in parts))
+
+
 def is_partition_pair(succ: SuccTable, pi: Partition, theta: Partition) -> bool:
     """Definition 4: does ``delta`` map ``pi``-classes into ``theta``-classes?"""
-    _check(succ, pi, theta)
-    return kernel.bitset_kernel(succ).is_pair_labels(pi.labels, theta.labels)
+    kern, a, b = _kernel(succ, pi, theta)
+    return kern.is_pair(a, b)
 
 
 def is_symmetric_pair(succ: SuccTable, pi: Partition, theta: Partition) -> bool:
     """Are both ``(pi, theta)`` and ``(theta, pi)`` partition pairs?"""
-    _check(succ, pi, theta)
-    kern = kernel.bitset_kernel(succ)
-    return kern.is_pair_labels(pi.labels, theta.labels) and kern.is_pair_labels(
-        theta.labels, pi.labels
-    )
+    kern, a, b = _kernel(succ, pi, theta)
+    return kern.is_symmetric_pair(a, b)
 
 
 def m_of(succ: SuccTable, pi: Partition) -> Partition:
     """``m(pi)``: the smallest ``theta`` such that ``(pi, theta)`` is a pair."""
-    _check(succ, pi)
-    return Partition._from_canonical(
-        pi.universe, kernel.bitset_kernel(succ).m_labels(pi.labels)
-    )
+    kern, a = _kernel(succ, pi)
+    return Partition._from_canonical(pi.universe, kern.to_labels(kern.m(a)))
 
 
 def big_m_of(succ: SuccTable, theta: Partition) -> Partition:
     """``M(theta)``: the largest ``pi`` such that ``(pi, theta)`` is a pair."""
-    _check(succ, theta)
-    return Partition._from_canonical(
-        theta.universe, kernel.bitset_kernel(succ).big_m_labels(theta.labels)
-    )
+    kern, b = _kernel(succ, theta)
+    return Partition._from_canonical(theta.universe, kern.to_labels(kern.big_m(b)))
 
 
 def is_mm_pair(succ: SuccTable, pi: Partition, theta: Partition) -> bool:
     """Definition 5: ``M(theta) == pi`` and ``m(pi) == theta``."""
-    _check(succ, pi, theta)
-    kern = kernel.bitset_kernel(succ)
-    return (
-        kern.big_m_labels(theta.labels) == pi.labels
-        and kern.m_labels(pi.labels) == theta.labels
-    )
+    kern, a, b = _kernel(succ, pi, theta)
+    return kern.big_m(b) == a and kern.m(a) == b

@@ -174,28 +174,30 @@ class Partition:
 
     # -- lattice operations --------------------------------------------------
 
-    def join(self, other: "Partition") -> "Partition":
-        """Finest common coarsening (the ``u`` + transitive closure of the paper)."""
+    def _relations(self, other: "Partition"):
+        """The lattice of the universe and both operands as relation integers."""
         self._check_universe(other)
         ops = kernel.bitset_lattice(len(self._labels))
+        return ops, ops.from_labels(self._labels), ops.from_labels(other._labels)
+
+    def join(self, other: "Partition") -> "Partition":
+        """Finest common coarsening (the ``u`` + transitive closure of the paper)."""
+        ops, a, b = self._relations(other)
         return Partition._from_canonical(
-            self._universe, ops.join_labels(self._labels, other._labels), self._index
+            self._universe, ops.to_labels(ops.join(a, b)), self._index
         )
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement (set intersection of the relations)."""
-        self._check_universe(other)
-        ops = kernel.bitset_lattice(len(self._labels))
+        ops, a, b = self._relations(other)
         return Partition._from_canonical(
-            self._universe, ops.meet_labels(self._labels, other._labels), self._index
+            self._universe, ops.to_labels(ops.meet(a, b)), self._index
         )
 
     def refines(self, other: "Partition") -> bool:
         """``self ⊆ other`` as relations (``self`` is finer)."""
-        self._check_universe(other)
-        return kernel.bitset_lattice(len(self._labels)).refines_labels(
-            self._labels, other._labels
-        )
+        ops, a, b = self._relations(other)
+        return ops.refines(a, b)
 
     def __or__(self, other: "Partition") -> "Partition":
         return self.join(other)

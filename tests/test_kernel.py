@@ -59,10 +59,6 @@ class TestLatticeOps:
         a = (0, 1, 0, 2)
         assert kernel.meet(a, kernel.one_block(4)) == a
 
-    def test_join_many(self):
-        parts = [(0, 1, 2, 3), (0, 0, 1, 2), (0, 1, 1, 2)]
-        assert kernel.join_many(parts, 4) == (0, 0, 0, 1)
-
     def test_refines(self):
         fine = (0, 1, 2, 3)
         coarse = (0, 0, 1, 1)

@@ -110,3 +110,10 @@ class TestLattice:
         q = Partition.from_blocks(UNIVERSE, [("a", "c"), ("b", "d")])
         assert (p | q) == Partition.one(UNIVERSE)
         assert (p & q) == Partition.identity(UNIVERSE)
+
+    def test_empty_universe_lattice_operations(self):
+        empty = Partition([], ())
+        assert empty.join(empty) == empty
+        assert empty.meet(empty) == empty
+        assert empty.refines(empty)
+        assert (empty | empty).labels == (empty & empty).labels == ()

@@ -3,10 +3,12 @@
 Three suites share this file:
 
 * the lattice laws on the label-tuple reference kernel;
-* BitsetKernel == label kernel on random partitions/universes for every
-  operation the synthesis stack uses (meet/join/refines/meet_refines/
-  m/M/is_pair, plus the sparse- and relation-form round trips and the
-  relation join the search runs on);
+* the relation-integer kernel (BitsetKernel) == label kernel on random
+  partitions, universes and successor tables -- empty universes and
+  zero-input tables included -- for every operation the synthesis stack
+  uses (meet/join/refines/meet_refines/m/M/is_pair, plus the label and
+  relation round trips and the relation join the search runs on), one
+  property per operator;
 * integer-cube ops == string-cube ops on random cubes/covers, and the
   packed minimizers == the string reference minimizers (including the
   ``espresso_lite`` REDUCE regression corpus of mutually-covering
@@ -153,15 +155,19 @@ def test_blocks_partition_the_universe(labels):
 
 
 # ---------------------------------------------------------------------------
-# BitsetKernel vs the label-tuple reference kernel
+# The relation-integer kernel vs the label-tuple reference kernel
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def kernel_cases(draw, max_n=8, max_inputs=3):
-    """A successor table plus three random partitions of its state set."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    n_inputs = draw(st.integers(min_value=1, max_value=max_inputs))
+    """A successor table plus three random partitions of its state set.
+
+    Draws the empty universe and tables without inputs too, where
+    ``m`` is the identity and ``M`` the single block.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    n_inputs = draw(st.integers(min_value=0, max_value=max_inputs))
     succ = [
         [draw(st.integers(0, n - 1)) for _ in range(n_inputs)] for _ in range(n)
     ]
@@ -172,63 +178,94 @@ def kernel_cases(draw, max_n=8, max_inputs=3):
     return succ, parts
 
 
+def relations(kern, *parts):
+    return tuple(kern.from_labels(p) for p in parts)
+
+
 @given(kernel_cases())
 def test_bitset_mask_conversions_round_trip(case):
+    """labels -> relation -> labels, and the relation's rows are the block
+    masks of a partition: reflexive, symmetric and disjoint or equal."""
     succ, (a, _, _) = case
     kern = kernel.BitsetKernel(succ)
-    masks = kern.from_labels(a)
-    assert kernel.masks_to_labels(masks, len(a)) == a
-    assert kernel.labels_to_masks(a) == masks
-    # masks are canonical: ascending lowest set bit, disjoint, covering
-    assert sorted(masks, key=lambda m: m & -m) == list(masks)
-    union = 0
-    for mask in masks:
-        assert not union & mask
-        union |= mask
-    assert union == (1 << len(a)) - 1
-    # sparse round trip drops exactly the singletons
-    sparse = kern.nontrivial(masks)
-    assert kern.from_sparse(sparse) == masks
+    r = kern.from_labels(a)
+    assert kern.to_labels(r) == a
+    top = kernel.num_blocks(a) - 1
+    assert kern.from_labels([top - label for label in a]) == r  # any numbering
+    owner = kern.owners(r)
+    for x, row in enumerate(owner):
+        assert row >> x & 1
+        for y in range(len(a)):
+            assert (row >> y & 1) == (a[x] == a[y])
+    assert r == kern.relation(set(owner))
+    assert r.bit_length() <= len(a) ** 2
 
 
 @given(kernel_cases())
 def test_bitset_lattice_matches_label_kernel(case):
+    """meet and join."""
+    succ, (a, b, _) = case
+    kern = kernel.BitsetKernel(succ)
+    ra, rb = relations(kern, a, b)
+    assert kern.to_labels(kern.meet(ra, rb)) == kernel.meet(a, b)
+    assert kern.to_labels(kern.join(ra, rb)) == kernel.join(a, b)
+
+
+@given(kernel_cases())
+def test_bitset_refines_matches_label_kernel(case):
+    succ, (a, b, _) = case
+    kern = kernel.BitsetKernel(succ)
+    ra, rb = relations(kern, a, b)
+    assert kern.refines(ra, rb) == kernel.refines(a, b)
+    assert kern.refines(ra, ra)
+
+
+@given(kernel_cases())
+def test_bitset_meet_refines_matches_label_kernel(case):
     succ, (a, b, c) = case
     kern = kernel.BitsetKernel(succ)
-    am, bm, cm = map(kern.from_labels, (a, b, c))
-    assert kern.meet_labels(a, b) == kernel.meet(a, b)
-    assert kern.join_labels(a, b) == kernel.join(a, b)
-    assert kern.refines(am, bm) == kernel.refines(a, b)
-    assert kern.meet_refines(am, bm, cm) == kernel.meet_refines(a, b, c)
+    ra, rb, rc = relations(kern, a, b, c)
+    assert kern.meet_refines(ra, rb, rc) == kernel.meet_refines(a, b, c)
 
 
 @given(kernel_cases())
 def test_bitset_mm_operators_match_label_kernel(case):
+    """m and M."""
     succ, (a, b, _) = case
     kern = kernel.BitsetKernel(succ)
-    am, bm = kern.from_labels(a), kern.from_labels(b)
-    assert kern.m_labels(a) == kernel.m_operator(succ, a)
-    assert kern.big_m_labels(b) == kernel.big_m_operator(succ, b)
-    assert kern.is_pair(am, bm) == kernel.is_pair(succ, a, b)
-    assert kern.is_symmetric_pair(am, bm) == kernel.is_symmetric_pair(succ, a, b)
+    ra, rb = relations(kern, a, b)
+    assert kern.to_labels(kern.m(ra)) == kernel.m_operator(succ, a)
+    assert kern.to_labels(kern.big_m(rb)) == kernel.big_m_operator(succ, b)
+
+
+@given(kernel_cases())
+def test_bitset_is_pair_matches_label_kernel(case):
+    succ, (a, b, _) = case
+    kern = kernel.BitsetKernel(succ)
+    ra, rb = relations(kern, a, b)
+    assert kern.is_pair(ra, rb) == kernel.is_pair(succ, a, b)
+
+
+@given(kernel_cases())
+def test_bitset_symmetric_pair_matches_label_kernel(case):
+    succ, (a, b, _) = case
+    kern = kernel.BitsetKernel(succ)
+    ra, rb = relations(kern, a, b)
+    assert kern.is_symmetric_pair(ra, rb) == kernel.is_symmetric_pair(succ, a, b)
 
 
 @given(kernel_cases())
 def test_join_relation_matches_full_join(case):
     succ, (a, b, _) = case
     kern = kernel.BitsetKernel(succ)
-    am, bm = kern.from_labels(a), kern.from_labels(b)
-    base = kern.relation(am)
-    joined = kern.join(am, bm)
-    result = kern.join_relation(
-        base, kern.owners(base), kern.element_blocks(kern.nontrivial(bm))
-    )
+    base, rb = relations(kern, a, b)
+    result = kern.join_relation(base, kern.owners(base), kern.element_blocks(rb))
     # The integer itself is the search's evaluation-cache key, so it must
     # be the one relation of the join, not merely an equivalent one.
-    assert result == kern.relation(joined)
+    assert result == kern.from_labels(kernel.join(a, b))
     # A redundant join hands back ``base`` itself (the search's identity
     # test for redundant DFS edges).
-    assert (result is base) == (joined == am)
+    assert (result is base) == kernel.refines(b, a)
 
 
 def test_join_relation_merges_overlapping_constraints():
@@ -236,45 +273,43 @@ def test_join_relation_merges_overlapping_constraints():
     overlapping the first: the two overlapping merges must fuse."""
     kern = kernel.bitset_lattice(10)
     pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    base = kern.relation(kern.from_labels(kernel.from_blocks(10, pairs)))
+    base = kern.from_labels(kernel.from_blocks(10, pairs))
     owner = kern.owners(base)
     blocks = ((0, 2, 4), (8, 9), (5, 6))
     joined = kern.join_relation(base, owner, blocks)
     assert kern.owners(joined) == [0b0011111111] * 8 + [0b1100000000] * 2
-    assert joined == kern.relation(
-        kern.from_labels(kernel.from_blocks(10, pairs + list(blocks)))
-    )
+    assert joined == kern.from_labels(kernel.from_blocks(10, pairs + list(blocks)))
     assert kern.join_relation(base, owner, ((0, 1), (6, 7))) is base
 
 
 #: Universe sizes on both sides of the relation form's byte-table
 #: boundaries (one to four table bytes) and past 32, where spreading walks
 #: the bits.
-RELATION_SIZES = (1, 7, 8, 9, 16, 17, 31, 32, 33, 40)
+RELATION_SIZES = (0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 40)
 
 
 @st.composite
 def wide_partitions(draw, n):
     """A partition of ``0..n-1`` with a drawn block count, so that wide
     universes get coarse partitions too, not only near-identities."""
-    k = draw(st.integers(min_value=1, max_value=n))
+    k = draw(st.integers(min_value=1, max_value=max(n, 1)))
     return kernel.canonical([draw(st.integers(0, k - 1)) for _ in range(n)])
 
 
 @given(st.sampled_from(RELATION_SIZES), st.data())
 def test_relation_round_trips(n, data):
-    """labels or sparse -> relation -> owner array -> sparse."""
+    """labels -> relation -> owner array -> blocks -> relation -> labels."""
     lattice = kernel.bitset_lattice(n)
     labels = data.draw(wide_partitions(n))
-    masks = lattice.from_labels(labels)
-    sparse = lattice.nontrivial(masks)
-    r = lattice.relation(masks)
-    assert lattice.relation(sparse) == r
+    r = lattice.from_labels(labels)
+    assert lattice.to_labels(r) == labels
     owner = lattice.owners(r)
-    assert owner == lattice.arrays(masks)[1]
     assert r == sum(row << n * x for x, row in enumerate(owner))
-    assert tuple(sorted({row for row in owner if row & (row - 1)})) == sparse
-    assert lattice.from_sparse(sparse) == masks
+    nontrivial = [block for block in kernel.blocks(labels) if len(block) > 1]
+    assert list(lattice.element_blocks(r)) == nontrivial
+    assert lattice.relation(
+        sum(1 << x for x in block) for block in nontrivial
+    ) == r
     assert r.bit_length() <= n * n
 
 
@@ -282,13 +317,10 @@ def test_relation_round_trips(n, data):
 def test_relation_join_and_escape_test_match_label_kernel(n, data):
     lattice = kernel.bitset_lattice(n)
     a, b, eps = (data.draw(wide_partitions(n)) for _ in range(3))
-    ra, rb, reps = (lattice.relation(lattice.from_labels(p)) for p in (a, b, eps))
-    bm = lattice.from_labels(b)
-    joined = lattice.join_relation(
-        ra, lattice.owners(ra), lattice.element_blocks(lattice.nontrivial(bm))
-    )
-    assert joined == lattice.relation(lattice.from_labels(kernel.join(a, b)))
-    assert (ra & rb) == lattice.relation(lattice.from_labels(kernel.meet(a, b)))
+    ra, rb, reps = (lattice.from_labels(p) for p in (a, b, eps))
+    assert lattice.join(ra, rb) == lattice.from_labels(kernel.join(a, b))
+    assert lattice.meet(ra, rb) == lattice.from_labels(kernel.meet(a, b))
+    assert lattice.refines(ra, rb) == kernel.refines(a, b)
     # The search's Lemma-1 test: one AND chain decides meet(a, b) <= eps.
     assert bool(ra & rb & ~reps) == (not kernel.refines(kernel.meet(a, b), eps))
 
@@ -301,9 +333,6 @@ def test_symmetry_test_is_pair_of_m_with_its_argument(case):
     p = kern.from_labels(a)
     mu = kern.m(p)
     assert kern.is_pair(mu, p) == kern.refines(mu, kern.big_m(p))
-    assert kern.is_pair_owner(
-        kern.nontrivial(mu), kern.owners(kern.relation(kern.nontrivial(p)))
-    ) == kern.is_pair(mu, p)
 
 
 @given(kernel_cases())
@@ -315,9 +344,8 @@ def test_m_is_a_join_morphism(case):
         kernel.m_operator(succ, a), kernel.m_operator(succ, b)
     )
     kern = kernel.BitsetKernel(succ)
-    assert kern.m(kern.from_labels(joined)) == kern.join(
-        kern.m(kern.from_labels(a)), kern.m(kern.from_labels(b))
-    )
+    ra, rb, rj = relations(kern, a, b, joined)
+    assert kern.m(rj) == kern.join(kern.m(ra), kern.m(rb))
 
 
 @given(kernel_cases())
@@ -326,8 +354,10 @@ def test_shared_kernel_cache_returns_equal_results(case):
     first = kernel.bitset_kernel(succ)
     second = kernel.bitset_kernel([list(row) for row in succ])
     assert first is second  # per-SuccTable sharing
-    assert first.m_labels(a) == kernel.m_operator(succ, a)
-    assert second.m_labels(a) == kernel.m_operator(succ, a)
+    ra = first.from_labels(a)
+    assert first.to_labels(first.m(ra)) == kernel.m_operator(succ, a)
+    assert second.to_labels(second.m(ra)) == kernel.m_operator(succ, a)
+    assert first.m(ra) is second.m(ra)  # the memo hit
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +401,9 @@ def string_cubes(draw, n=None):
 def test_int_cube_ops_match_string_ops(n, data):
     a = data.draw(string_cubes(n))
     b = data.draw(string_cubes(n))
-    minterm = "".join(data.draw(st.sampled_from("01")) for _ in range(n))
     pa, pb = C.pack_cube(a), C.pack_cube(b)
     assert C.unpack_cube(*pa, n) == a  # round trip
-    assert C.int_cube_literals(pa[0]) == C.cube_literals(a)
-    assert C.int_cube_covers(*pa, C.pack_minterm(minterm)) == C.cube_covers(
-        a, minterm
-    )
     assert C.int_cube_contains(pa, pb) == C.cube_contains(a, b)
-    assert C.int_cubes_intersect(pa, pb) == C.cubes_intersect(a, b)
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())

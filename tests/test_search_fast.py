@@ -4,6 +4,8 @@
 partitions, incremental ``m`` along DFS edges, Lemma-1-gated ``M``); the
 paper-accounting contract is that solutions *and* every search statistic
 stay identical to the label-tuple reference traversal (``reference=True``).
+The kernel operators the engine calls are checked one property each in
+``test_prop_partitions.py``.
 """
 
 import dataclasses
@@ -15,43 +17,6 @@ from hypothesis import strategies as st
 from repro.fsm import random_mealy
 from repro.ostr.search import search_ostr
 from repro.partitions import kernel
-
-
-@st.composite
-def succ_tables(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    n_inputs = draw(st.integers(min_value=1, max_value=3))
-    return [
-        [draw(st.integers(0, n - 1)) for _ in range(n_inputs)] for _ in range(n)
-    ]
-
-
-@st.composite
-def partitions_of(draw, n):
-    raw = [draw(st.integers(0, n - 1)) for _ in range(n)]
-    return kernel.canonical(raw)
-
-
-@given(succ_tables(), st.data())
-def test_bitset_kernel_matches_reference_operators(succ, data):
-    n = len(succ)
-    kern = kernel.BitsetKernel(succ)
-    labels = data.draw(partitions_of(n))
-    assert kern.m_labels(labels) == kernel.m_operator(succ, labels)
-    assert kern.big_m_labels(labels) == kernel.big_m_operator(succ, labels)
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_bitset_lattice_ops_match(n, data):
-    a = data.draw(partitions_of(n))
-    b = data.draw(partitions_of(n))
-    bound = data.draw(partitions_of(n))
-    ops = kernel.bitset_lattice(n)
-    assert ops.join_labels(a, b) == kernel.join(a, b)
-    assert ops.meet_labels(a, b) == kernel.meet(a, b)
-    assert ops.refines_labels(a, b) == kernel.refines(a, b)
-    am, bm, boundm = map(ops.from_labels, (a, b, bound))
-    assert ops.meet_refines(am, bm, boundm) == kernel.meet_refines(a, b, bound)
 
 
 def _assert_same_search(machine, **kwargs):
@@ -210,9 +175,9 @@ def test_big_m_only_on_symmetric_nodes(monkeypatch):
     calls = []
     original = kernel.BitsetKernel.big_m
 
-    def counting(self, masks):
-        calls.append(masks)
-        return original(self, masks)
+    def counting(self, relation):
+        calls.append(relation)
+        return original(self, relation)
 
     monkeypatch.setattr(kernel.BitsetKernel, "big_m", counting)
     result = search_ostr(suite.load("dk512"))
